@@ -13,6 +13,7 @@
 #include "src/eval/metrics.h"
 #include "src/hide/sanitizer.h"
 #include "src/match/subsequence.h"
+#include "src/mine/marked_supports.h"
 #include "src/mine/prefix_span.h"
 
 int main() {
@@ -60,14 +61,20 @@ int main() {
             << " trajectories (of " << report->sequences_supporting_before
             << " supporting)\n";
 
-  // 4. What does the released data still support?
-  Result<FrequentPatternSet> after = MineFrequentSequences(released, miner);
-  if (!after.ok()) {
-    std::cerr << "mining failed: " << after.status() << "\n";
+  // 4. What does the released data still support? Marking only removes
+  //    embeddings, so F(released) is derived from F(original) without a
+  //    second mining pass.
+  MarkedSupports frequent(*before, workload.db);
+  Result<std::vector<size_t>> supports_after = frequent.SupportsAfter(released);
+  if (!supports_after.ok()) {
+    std::cerr << "support derivation failed: " << supports_after.status()
+              << "\n";
     return 1;
   }
-  Result<double> m2 = MeasureM2(*before, *after);
-  Result<double> m3 = MeasureM3(workload.db, *after);
+  Result<double> m2 = MeasureM2(frequent.supports_before(), *supports_after,
+                                miner.min_support);
+  Result<double> m3 = MeasureM3(frequent.supports_before(), *supports_after,
+                                miner.min_support);
   std::cout << "\nrelease quality:\n";
   std::cout << "  M1 (cells marked)             : " << MeasureM1(released)
             << "\n";

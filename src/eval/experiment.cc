@@ -2,13 +2,32 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "src/common/logging.h"
 #include "src/eval/metrics.h"
 #include "src/hide/sanitizer.h"
+#include "src/mine/marked_supports.h"
 #include "src/mine/prefix_span.h"
 
 namespace seqhide {
+namespace {
+
+// Adds one run's M2 or M3 to its cell's running sum. An undefined measure
+// (FailedPrecondition) leaves the run out of the average; any other error
+// is a broken invariant and propagates.
+Status AddMeasure(const Result<double>& measure, double* sum, size_t* runs) {
+  if (!measure.ok()) {
+    return measure.status().IsFailedPrecondition() ? Status::OK()
+                                                   : measure.status();
+  }
+  *sum += *measure;
+  ++*runs;
+  return Status::OK();
+}
+
+}  // namespace
 
 std::vector<AlgorithmSpec> AlgorithmSpec::PaperFour() {
   return {HH(), HR(), RH(), RR()};
@@ -40,14 +59,16 @@ Result<SweepResult> RunSweep(const ExperimentWorkload& workload,
     const size_t psi = options.psi_values[pi];
     const size_t sigma = std::max<size_t>(psi, 1);
 
-    // F(D, σ) is shared by every algorithm at this ψ.
-    FrequentPatternSet frequent_original;
+    // F(D, σ) is mined once and shared by every run at this ψ: each run
+    // derives its F(D', σ) ⊆ F(D, σ) from it instead of mining D'.
+    std::optional<MarkedSupports> frequent_original;
     if (options.compute_pattern_measures) {
       MinerOptions miner;
       miner.min_support = sigma;
       miner.max_length = options.miner_max_length;
-      SEQHIDE_ASSIGN_OR_RETURN(frequent_original,
+      SEQHIDE_ASSIGN_OR_RETURN(FrequentPatternSet frequent,
                                MineFrequentSequences(workload.db, miner));
+      frequent_original.emplace(frequent, workload.db);
     }
 
     for (size_t ai = 0; ai < options.algorithms.size(); ++ai) {
@@ -78,22 +99,15 @@ Result<SweepResult> RunSweep(const ExperimentWorkload& workload,
             Sanitize(&copy, workload.sensitive, constraints, opts));
         m1_sum += static_cast<double>(report.marks_introduced);
 
-        if (options.compute_pattern_measures) {
-          MinerOptions miner;
-          miner.min_support = sigma;
-          miner.max_length = options.miner_max_length;
-          SEQHIDE_ASSIGN_OR_RETURN(FrequentPatternSet frequent_sanitized,
-                                   MineFrequentSequences(copy, miner));
-          Result<double> m2 = MeasureM2(frequent_original, frequent_sanitized);
-          if (m2.ok()) {
-            m2_sum += *m2;
-            ++m2_runs;
-          }
-          Result<double> m3 = MeasureM3(frequent_original, frequent_sanitized);
-          if (m3.ok()) {
-            m3_sum += *m3;
-            ++m3_runs;
-          }
+        if (frequent_original.has_value()) {
+          const std::vector<size_t>& before =
+              frequent_original->supports_before();
+          SEQHIDE_ASSIGN_OR_RETURN(std::vector<size_t> after,
+                                   frequent_original->SupportsAfter(copy));
+          SEQHIDE_RETURN_IF_ERROR(AddMeasure(
+              MeasureM2(before, after, sigma), &m2_sum, &m2_runs));
+          SEQHIDE_RETURN_IF_ERROR(AddMeasure(
+              MeasureM3(before, after, sigma), &m3_sum, &m3_runs));
         }
       }
 

@@ -50,8 +50,9 @@ struct SweepOptions {
   std::vector<AlgorithmSpec> algorithms;
   size_t random_runs = 10;
   uint64_t base_seed = 99;
-  // Compute M2/M3 (requires mining; noticeably slower). When false the
-  // m2/m3 cells are NaN.
+  // Compute M2/M3: F(D, σ) is mined once per ψ, and each run derives
+  // F(D', σ) from it (src/eval/metrics.h). When false the m2/m3 cells
+  // are NaN.
   bool compute_pattern_measures = false;
   // Cap on mined pattern length (0 = unlimited); the distortion measures
   // are dominated by short patterns, and a cap keeps low-σ sweeps fast.
@@ -74,7 +75,10 @@ struct SweepResult {
 };
 
 // Runs the sweep. The workload database is copied per run; the input
-// workload is never modified.
+// workload is never modified. A run whose M2 or M3 is undefined
+// (FailedPrecondition: F(D, σ) or F(D', σ) empty) is left out of that
+// cell's average, and the cell is NaN when no run defines it; any other
+// measure error breaks an invariant and is returned.
 Result<SweepResult> RunSweep(const ExperimentWorkload& workload,
                              const SweepOptions& options);
 

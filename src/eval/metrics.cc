@@ -1,75 +1,64 @@
 #include "src/eval/metrics.h"
 
-#include "src/match/subsequence.h"
-
 namespace seqhide {
+namespace {
+
+Status CheckSupports(const std::vector<size_t>& supports_before,
+                     const std::vector<size_t>& supports_after) {
+  if (supports_after.size() != supports_before.size()) {
+    return Status::InvalidArgument(
+        "supports before and after sanitization are not parallel");
+  }
+  for (size_t k = 0; k < supports_before.size(); ++k) {
+    if (supports_before[k] == 0) {
+      return Status::InvalidArgument(
+          "F(D, sigma) holds a pattern of support 0; inputs inconsistent");
+    }
+    if (supports_after[k] > supports_before[k]) {
+      return Status::InvalidArgument(
+          "pattern support grew after sanitization; inputs inconsistent");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 size_t MeasureM1(const SequenceDatabase& sanitized) {
   return sanitized.TotalMarkCount();
 }
 
-Result<double> MeasureM2(const FrequentPatternSet& frequent_original,
-                         const FrequentPatternSet& frequent_sanitized) {
-  if (frequent_original.empty()) {
-    return Status::FailedPrecondition(
-        "M2 undefined: F(D, sigma) is empty");
+Result<double> MeasureM2(const std::vector<size_t>& supports_before,
+                         const std::vector<size_t>& supports_after,
+                         size_t min_support) {
+  SEQHIDE_RETURN_IF_ERROR(CheckSupports(supports_before, supports_after));
+  if (supports_before.empty()) {
+    return Status::FailedPrecondition("M2 undefined: F(D, sigma) is empty");
   }
-  // Sanity: marking cannot create frequent patterns.
-  if (frequent_sanitized.CountMissingFrom(frequent_original) != 0) {
-    return Status::InvalidArgument(
-        "F(D', sigma) contains patterns absent from F(D, sigma); "
-        "arguments are probably swapped");
+  size_t kept = 0;
+  for (size_t support : supports_after) {
+    if (support >= min_support) ++kept;
   }
-  double lost = static_cast<double>(frequent_original.size() -
-                                    frequent_sanitized.size());
-  return lost / static_cast<double>(frequent_original.size());
+  double lost = static_cast<double>(supports_before.size() - kept);
+  return lost / static_cast<double>(supports_before.size());
 }
 
-Result<double> MeasureM3(const SequenceDatabase& original,
-                         const FrequentPatternSet& frequent_sanitized) {
-  if (frequent_sanitized.empty()) {
-    return Status::FailedPrecondition(
-        "M3 undefined: F(D', sigma) is empty");
-  }
+Result<double> MeasureM3(const std::vector<size_t>& supports_before,
+                         const std::vector<size_t>& supports_after,
+                         size_t min_support) {
+  SEQHIDE_RETURN_IF_ERROR(CheckSupports(supports_before, supports_after));
   double total = 0.0;
-  for (const auto& [pattern, support_after] : frequent_sanitized.patterns()) {
-    size_t support_before = Support(pattern, original);
-    if (support_before < support_after) {
-      return Status::InvalidArgument(
-          "pattern support grew after sanitization; inputs inconsistent");
-    }
-    if (support_before == 0) {
-      return Status::InvalidArgument(
-          "pattern frequent in D' but absent from D; inputs inconsistent");
-    }
-    total += static_cast<double>(support_before - support_after) /
-             static_cast<double>(support_before);
+  size_t kept = 0;
+  for (size_t k = 0; k < supports_before.size(); ++k) {
+    if (supports_after[k] < min_support) continue;
+    ++kept;
+    total += static_cast<double>(supports_before[k] - supports_after[k]) /
+             static_cast<double>(supports_before[k]);
   }
-  return total / static_cast<double>(frequent_sanitized.size());
-}
-
-Result<double> MeasureM3(const FrequentPatternSet& frequent_original,
-                         const FrequentPatternSet& frequent_sanitized) {
-  if (frequent_sanitized.empty()) {
-    return Status::FailedPrecondition(
-        "M3 undefined: F(D', sigma) is empty");
+  if (kept == 0) {
+    return Status::FailedPrecondition("M3 undefined: F(D', sigma) is empty");
   }
-  double total = 0.0;
-  for (const auto& [pattern, support_after] : frequent_sanitized.patterns()) {
-    size_t support_before = frequent_original.SupportOf(pattern);
-    if (support_before == 0) {
-      return Status::InvalidArgument(
-          "pattern frequent in D' but absent from F(D, sigma); "
-          "inputs inconsistent");
-    }
-    if (support_before < support_after) {
-      return Status::InvalidArgument(
-          "pattern support grew after sanitization; inputs inconsistent");
-    }
-    total += static_cast<double>(support_before - support_after) /
-             static_cast<double>(support_before);
-  }
-  return total / static_cast<double>(frequent_sanitized.size());
+  return total / static_cast<double>(kept);
 }
 
 }  // namespace seqhide

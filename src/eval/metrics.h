@@ -7,15 +7,19 @@
 //        (1/|F(D',σ)|) · Σ_{S ∈ F(D',σ)} (sup_D(S) − sup_D'(S)) / sup_D(S)
 //
 // Marking never increases a support, so F(D',σ) ⊆ F(D,σ) and both M2 and
-// M3 lie in [0, 1].
+// M3 lie in [0, 1]. M2/M3 are therefore computed without mining D′: only
+// F(D,σ) is mined, MarkedSupports (src/mine/marked_supports.h) re-checks
+// its patterns on the rows that gained a Δ, and F(D',σ) is the patterns
+// whose derived support stays ≥ σ. The set-based forms over a
+// mined F(D',σ) are kept as test oracles in src/testing/set_metrics.h.
 
 #ifndef SEQHIDE_EVAL_METRICS_H_
 #define SEQHIDE_EVAL_METRICS_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "src/common/result.h"
-#include "src/mine/pattern_set.h"
 #include "src/seq/database.h"
 
 namespace seqhide {
@@ -23,25 +27,22 @@ namespace seqhide {
 // M1 of a sanitized database (number of Δ symbols it contains).
 size_t MeasureM1(const SequenceDatabase& sanitized);
 
-// M2 from the two mined pattern sets. Errors when F(D,σ) is empty (the
-// measure is undefined) or when F(D',σ) ⊄ F(D,σ) (caller mixed up inputs).
-Result<double> MeasureM2(const FrequentPatternSet& frequent_original,
-                         const FrequentPatternSet& frequent_sanitized);
-
-// M3: average relative support loss over the surviving frequent patterns.
-// `frequent_sanitized` must carry supports w.r.t. D'; original supports
-// are recomputed against `original`. Errors when F(D',σ) is empty (the
-// measure is undefined; the paper's plots only cover thresholds where it
-// is not).
-Result<double> MeasureM3(const SequenceDatabase& original,
-                         const FrequentPatternSet& frequent_sanitized);
-
-// Faster M3: original supports looked up from the mined original set
-// (valid because F(D',σ) ⊆ F(D,σ) carries every surviving pattern's
-// original support). Used by the sweep harness, where F(D,σ) is already
-// available.
-Result<double> MeasureM3(const FrequentPatternSet& frequent_original,
-                         const FrequentPatternSet& frequent_sanitized);
+// M2 and M3 from the supports of F(D,σ)'s patterns in D and in D′,
+// parallel and in canonical order (as MarkedSupports provides them).
+// F(D′,σ) is the patterns whose support in D′ is ≥ `min_support`; the
+// sums run in canonical order, so the doubles equal those of the
+// set-based measures on a mined F(D′,σ) bit for bit.
+//
+// FailedPrecondition when the measure is undefined: F(D,σ) empty for M2,
+// F(D′,σ) empty for M3 (the paper's plots only cover thresholds where it
+// is not). InvalidArgument when the inputs are inconsistent: arrays of
+// different lengths, a zero original support, or a support that grew.
+Result<double> MeasureM2(const std::vector<size_t>& supports_before,
+                         const std::vector<size_t>& supports_after,
+                         size_t min_support);
+Result<double> MeasureM3(const std::vector<size_t>& supports_before,
+                         const std::vector<size_t>& supports_after,
+                         size_t min_support);
 
 }  // namespace seqhide
 

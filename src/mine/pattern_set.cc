@@ -1,11 +1,16 @@
 #include "src/mine/pattern_set.h"
 
 #include <sstream>
+#include <utility>
 
 namespace seqhide {
 
-void FrequentPatternSet::Add(const Sequence& pattern, size_t support) {
-  patterns_[pattern] = support;
+void FrequentPatternSet::Add(Sequence pattern, size_t support) {
+  if (patterns_.empty() || patterns_.rbegin()->first < pattern) {
+    patterns_.emplace_hint(patterns_.end(), std::move(pattern), support);
+    return;
+  }
+  patterns_[std::move(pattern)] = support;
 }
 
 bool FrequentPatternSet::Contains(const Sequence& pattern) const {

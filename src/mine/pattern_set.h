@@ -18,8 +18,9 @@ class FrequentPatternSet {
  public:
   FrequentPatternSet() = default;
 
-  // Inserts or overwrites a pattern's support.
-  void Add(const Sequence& pattern, size_t support);
+  // Inserts or overwrites a pattern's support. Adding patterns in
+  // canonical order (as PrefixSpan emits them) appends in amortized O(1).
+  void Add(Sequence pattern, size_t support);
 
   bool Contains(const Sequence& pattern) const;
 

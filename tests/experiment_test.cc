@@ -78,6 +78,26 @@ TEST(ExperimentTest, PatternMeasuresComputedWhenRequested) {
   EXPECT_LE(cell.m3, 1.0);
 }
 
+// σ = ψ = |D| = 12 leaves F(D, σ) empty (no symbol is in every row): M2
+// and M3 are undefined there, which leaves the cells NaN without failing
+// the sweep.
+TEST(ExperimentTest, UndefinedPatternMeasuresLeaveCellsNaN) {
+  ExperimentWorkload w = TinyWorkload();
+  SweepOptions opts;
+  opts.psi_values = {2, 12};
+  opts.algorithms = {AlgorithmSpec::HH(), AlgorithmSpec::RR()};
+  opts.random_runs = 2;
+  opts.compute_pattern_measures = true;
+  auto result = RunSweep(w, opts);
+  ASSERT_TRUE(result.ok()) << result.status();
+  for (size_t a = 0; a < 2; ++a) {
+    EXPECT_FALSE(std::isnan(result->cells[a][0].m2));
+    EXPECT_TRUE(std::isnan(result->cells[a][1].m2));
+    EXPECT_TRUE(std::isnan(result->cells[a][1].m3));
+    EXPECT_DOUBLE_EQ(result->cells[a][1].m1, 0.0);
+  }
+}
+
 TEST(ExperimentTest, ConstraintReducesDistortion) {
   // Build sequences where the only occurrences of the sensitive pattern
   // are far apart; a tight window makes them non-sensitive so constrained

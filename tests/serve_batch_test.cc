@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/constraints/constraints.h"
@@ -24,6 +26,7 @@
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
+#include "tests/test_util.h"
 
 namespace seqhide {
 namespace serve {
@@ -205,11 +208,16 @@ TEST(CountUnionOverDbTest, MatchesScalarCountsAndSupports) {
 class ServerBatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
+    dir_ = testutil::UniqueTestDir();
     db_path_ = dir_ + "/serve_batch_db.txt";
     std::ofstream out(db_path_);
     out << "a b c a b\nb c a b c\na a b b c\nc b a b a\n";
     out.close();
+  }
+
+  void TearDown() override {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
   }
 
   ServerOptions Options(const std::string& socket, size_t batch_max_size) {

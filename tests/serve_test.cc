@@ -10,10 +10,12 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "src/serve/match_cache.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
+#include "tests/test_util.h"
 
 namespace seqhide {
 namespace serve {
@@ -249,12 +252,17 @@ TEST(MatchCacheTest, ConcurrentHammerWithCorruptionSelfHeals) {
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
+    dir_ = testutil::UniqueTestDir();
     db_path_ = dir_ + "/serve_db.txt";
     std::ofstream out(db_path_);
     out << "a b c a b\nb c a b c\na a b b c\nc b a b a\n";
     out.close();
     socket_path_ = dir_ + "/serve_test.sock";
+  }
+
+  void TearDown() override {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
   }
 
   ServerOptions BaseOptions() {

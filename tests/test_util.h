@@ -8,6 +8,10 @@
 #ifndef SEQHIDE_TESTS_TEST_UTIL_H_
 #define SEQHIDE_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -47,6 +51,24 @@ inline SequenceDatabase RandomDb(Rng* rng, size_t rows, size_t min_length,
   gen.max_alphabet = alphabet_size;
   gen.delta_density = 0.0;
   return proptest::GenDatabase(rng, gen);
+}
+
+// A fresh directory owned by the running test case and process:
+// <TempDir>/<Suite>.<Case>.<pid>, emptied if a previous run left it.
+// Fixtures that write fixed file names or bind fixed socket paths put
+// them here, so test cases running as concurrent processes (ctest -j)
+// never share a path.
+inline std::string UniqueTestDir() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string dir = ::testing::TempDir();
+  if (!dir.empty() && dir.back() != '/') dir += '/';
+  dir += std::string(info != nullptr ? info->test_suite_name() : "test") +
+         "." + (info != nullptr ? info->name() : "case") + "." +
+         std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
 }
 
 }  // namespace testutil
