@@ -362,7 +362,7 @@ Result<CheckpointState> LoadCheckpoint(const std::string& path) {
   return state;
 }
 
-uint64_t ComputeRunFingerprint(const SequenceDatabase& db,
+uint64_t ComputeRunFingerprint(const DatabaseView& db,
                                const std::vector<Sequence>& patterns,
                                const std::vector<ConstraintSpec>& constraints,
                                const SanitizeOptions& opts) {
@@ -375,9 +375,10 @@ uint64_t ComputeRunFingerprint(const SequenceDatabase& db,
   }
   h.U64(db.size());
   for (size_t t = 0; t < db.size(); ++t) {
-    h.U64(db[t].size());
-    for (size_t i = 0; i < db[t].size(); ++i) {
-      h.U64(static_cast<uint64_t>(static_cast<int64_t>(db[t][i])));
+    const SequenceView row = db.row(t);
+    h.U64(row.size());
+    for (size_t i = 0; i < row.size(); ++i) {
+      h.U64(static_cast<uint64_t>(static_cast<int64_t>(row[i])));
     }
   }
   h.U64(patterns.size());

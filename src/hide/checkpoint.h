@@ -7,10 +7,11 @@
 // pipeline writes one after victim selection, every
 // SanitizeOptions::checkpoint_every_rounds marking rounds, and on a
 // budget stop; a run that completes deletes its checkpoint. Resuming
-// (SanitizeOptions::resume) replays the stored marks onto a freshly
-// loaded database, restores the metrics registry, and continues from the
-// first incomplete round — the final database, report, and metrics are
-// byte-identical to an uninterrupted run at any thread count.
+// (SanitizeOptions::resume) replays the stored marks onto fresh copies of
+// the completed victims' rows, restores the metrics registry, and
+// continues from the first incomplete round — the final database,
+// report, and metrics are byte-identical to an uninterrupted run at any
+// thread count.
 //
 // File format (all integers little-endian, strings length-prefixed):
 //
@@ -42,7 +43,7 @@
 #include "src/constraints/constraints.h"
 #include "src/hide/options.h"
 #include "src/obs/metrics.h"
-#include "src/seq/database.h"
+#include "src/seq/view.h"
 
 namespace seqhide {
 
@@ -101,7 +102,10 @@ Result<CheckpointState> LoadCheckpoint(const std::string& path);
 // FNV-1a-64 hash of the inputs and every option that affects the result
 // (strategies, ψ, seed, round size, use_index, verify — not thread count
 // or budget, which may legitimately differ between a run and its resume).
-uint64_t ComputeRunFingerprint(const SequenceDatabase& db,
+// Reads only the view's alphabet and rows, so an in-memory database and
+// its seqhidb image fingerprint identically: a checkpoint written by one
+// resumes on the other.
+uint64_t ComputeRunFingerprint(const DatabaseView& db,
                                const std::vector<Sequence>& patterns,
                                const std::vector<ConstraintSpec>& constraints,
                                const SanitizeOptions& opts);

@@ -39,13 +39,6 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
 }
 
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
-    const SequenceDatabase& db, const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints) {
-  return ComputeMatchInfo(DatabaseView(db), patterns, constraints,
-                          /*num_threads=*/1);
-}
-
-std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, size_t num_threads) {
   const MatchKernel kernel(patterns, constraints, KernelEngine::kAuto);
@@ -78,13 +71,6 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
         }
       });
   return info;
-}
-
-std::vector<SequenceMatchInfo> ComputeMatchInfo(
-    const SequenceDatabase& db, const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints, size_t num_threads) {
-  return ComputeMatchInfo(DatabaseView(db), patterns, constraints,
-                          num_threads);
 }
 
 std::vector<size_t> SelectSequencesToSanitize(
@@ -131,12 +117,6 @@ std::vector<size_t> SelectSequencesToSanitize(
   supporters.resize(to_sanitize);
   std::sort(supporters.begin(), supporters.end());
   return supporters;
-}
-
-std::vector<size_t> SelectSequencesToSanitize(
-    const SequenceDatabase& db, const std::vector<SequenceMatchInfo>& info,
-    GlobalStrategy strategy, size_t psi, Rng* rng) {
-  return SelectSequencesToSanitize(DatabaseView(db), info, strategy, psi, rng);
 }
 
 std::vector<size_t> SelectSequencesToSanitizeMultiThreshold(

@@ -16,7 +16,6 @@
 #include "src/constraints/constraints.h"
 #include "src/hide/options.h"
 #include "src/match/kernel.h"
-#include "src/seq/database.h"
 #include "src/seq/view.h"
 
 namespace seqhide {
@@ -30,14 +29,10 @@ struct SequenceMatchInfo {
   std::vector<bool> pattern_support;
 };
 
-// Computes SequenceMatchInfo for every sequence of `db`. The
-// DatabaseView overloads serve in-memory and memory-mapped databases
-// alike; the SequenceDatabase overloads are thin adapters over them.
+// Computes SequenceMatchInfo for every sequence of `db`; the view serves
+// in-memory and memory-mapped databases alike.
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints);
-std::vector<SequenceMatchInfo> ComputeMatchInfo(
-    const SequenceDatabase& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints);
 
 // Parallel variant: partitions the database rows across up to
@@ -46,9 +41,6 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
 // the serial overload for any thread count.
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints, size_t num_threads);
-std::vector<SequenceMatchInfo> ComputeMatchInfo(
-    const SequenceDatabase& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, size_t num_threads);
 
 // Kernel-explicit variant: the counting engine is chosen by the caller
@@ -63,13 +55,10 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
 // Returns the indices of the sequences to sanitize so that at most `psi`
 // sequences keep a matching. Only supporters (matching_count > 0) are ever
 // selected. `rng` is needed only by GlobalStrategy::kRandom. `db` is
-// consulted only by the length/autocorrelation tie-break strategies, so
-// the DatabaseView overload works zero-copy off a mapped database.
+// consulted only by the length/autocorrelation tie-break strategies, and
+// works zero-copy off a mapped database.
 std::vector<size_t> SelectSequencesToSanitize(
     const DatabaseView& db, const std::vector<SequenceMatchInfo>& info,
-    GlobalStrategy strategy, size_t psi, Rng* rng);
-std::vector<size_t> SelectSequencesToSanitize(
-    const SequenceDatabase& db, const std::vector<SequenceMatchInfo>& info,
     GlobalStrategy strategy, size_t psi, Rng* rng);
 
 // Per-pattern disclosure thresholds (paper §8 future work): chooses a set

@@ -28,7 +28,7 @@
 namespace seqhide {
 namespace {
 
-Status ValidateInputs(const SequenceDatabase& db,
+Status ValidateInputs(const DatabaseView& db,
                       const std::vector<Sequence>& patterns,
                       const std::vector<ConstraintSpec>& constraints,
                       const SanitizeOptions& opts) {
@@ -89,7 +89,7 @@ Status ValidateInputs(const SequenceDatabase& db,
     // asking to hide it is a mix-up between pattern and database files.
     size_t max_len = 0;
     for (size_t t = 0; t < db.size(); ++t) {
-      max_len = std::max(max_len, db[t].size());
+      max_len = std::max(max_len, db.row(t).size());
     }
     for (const auto& p : patterns) {
       if (p.size() > max_len) {
@@ -107,7 +107,7 @@ Status ValidateInputs(const SequenceDatabase& db,
 // Constrained support of pattern p in db: rows with >= 1 valid occurrence.
 // Row-partitioned across the shared pool; the per-chunk hit counts are
 // reduced in chunk order, so the total is thread-count-independent.
-size_t ConstrainedSupport(const SequenceDatabase& db, const MatchKernel& kernel,
+size_t ConstrainedSupport(const DatabaseView& db, const MatchKernel& kernel,
                           size_t p, size_t num_threads) {
   SEQHIDE_COUNTER_ADD("sanitize.scan_dp_rows", db.size());
   uint64_t hits = ThreadPool::Shared().ParallelReduceSum(
@@ -115,7 +115,7 @@ size_t ConstrainedSupport(const SequenceDatabase& db, const MatchKernel& kernel,
         MatchScratch scratch;
         uint64_t count = 0;
         for (size_t t = begin; t < end; ++t) {
-          if (kernel.HasMatch(p, db[t], &scratch)) ++count;
+          if (kernel.HasMatch(p, db.row(t), &scratch)) ++count;
         }
         return count;
       });
@@ -132,7 +132,7 @@ size_t ConstrainedSupport(const SequenceDatabase& db, const MatchKernel& kernel,
 // pattern p's candidate list contributes zero for p (candidate lists are
 // exact supersets of the supporters), so the info is bit-identical.
 std::vector<SequenceMatchInfo> ComputeMatchInfoIndexed(
-    const SequenceDatabase& db, const std::vector<Sequence>& patterns,
+    const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, const InvertedIndex& index,
     const MatchKernel& kernel, size_t num_threads, size_t* dp_rows) {
   (void)constraints;
@@ -175,7 +175,7 @@ std::vector<SequenceMatchInfo> ComputeMatchInfoIndexed(
             const size_t t = union_rows[i];
             std::vector<uint64_t>& counts = scratch.pattern_counts;
             const uint64_t subtotal =
-                kernel.CountTriePatterns(db[t], &scratch, &counts);
+                kernel.CountTriePatterns(db.row(t), &scratch, &counts);
             for (size_t p = 0; p < patterns.size(); ++p) {
               if (kernel.TrieCovers(p) && counts[p] > 0) {
                 info[t].pattern_support[p] = true;
@@ -194,7 +194,7 @@ std::vector<SequenceMatchInfo> ComputeMatchInfoIndexed(
           MatchScratch scratch;
           for (size_t i = begin; i < end; ++i) {
             const size_t t = candidates[p][i];
-            uint64_t c = kernel.CountPattern(p, db[t], &scratch);
+            uint64_t c = kernel.CountPattern(p, db.row(t), &scratch);
             info[t].pattern_support[p] = (c > 0);
             info[t].matching_count = SatAdd(info[t].matching_count, c);
           }
@@ -243,15 +243,15 @@ std::string SanitizeReport::ToString() const {
   return out.str();
 }
 
-Result<SanitizeReport> Sanitize(SequenceDatabase* db,
-                                const std::vector<Sequence>& patterns,
-                                const std::vector<ConstraintSpec>& constraints,
-                                const SanitizeOptions& opts) {
-  SEQHIDE_CHECK(db != nullptr);
-  SEQHIDE_RETURN_IF_ERROR(ValidateInputs(*db, patterns, constraints, opts));
+Result<SanitizeResult> SanitizeView(
+    const DatabaseView& db, const std::vector<Sequence>& patterns,
+    const std::vector<ConstraintSpec>& constraints,
+    const SanitizeOptions& opts) {
+  SEQHIDE_RETURN_IF_ERROR(ValidateInputs(db, patterns, constraints, opts));
 
   Stopwatch timer;
-  SanitizeReport report;
+  SanitizeResult result;
+  SanitizeReport& report = result.report;
   Rng rng(opts.seed);
   SEQHIDE_TRACE_SPAN("sanitize");
   SEQHIDE_COUNTER_INC("sanitize.runs");
@@ -272,16 +272,14 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
                     static_cast<uint64_t>(match_kernel.engine()),
                     num_patterns);
 
-  // The fingerprint must be taken before the database mutates (a resumed
-  // run fingerprints its freshly loaded database the same way).
   uint64_t fingerprint = 0;
   if (checkpointing) {
-    fingerprint = ComputeRunFingerprint(*db, patterns, constraints, opts);
+    fingerprint = ComputeRunFingerprint(db, patterns, constraints, opts);
   }
 
   // Deadline / cancellation, polled at stage boundaries and between
-  // marking rounds only — never inside a kernel — so the database state
-  // at a stop is always a whole number of rounds.
+  // marking rounds only — never inside a kernel — so the overlay at a
+  // stop is always a whole number of rounds.
   auto budget_stop = [&]() -> StatusCode {
     if (budget.cancel != nullptr &&
         budget.cancel->load(std::memory_order_relaxed)) {
@@ -330,7 +328,10 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
   // bits, needed by the incremental verify. Carried through checkpoints
   // so a resumed run never re-runs the count stage.
   std::vector<uint8_t> victim_support;
-  // Per-victim mark-stage outcomes (indexes parallel `victims`).
+  // Per-victim mark-stage outcomes (indexes parallel `victims`). The
+  // database is never written: each victim is marked in its own private
+  // copy, which becomes that row of the returned overlay.
+  std::vector<Sequence> marked;
   std::vector<size_t> marks;
   std::vector<std::vector<size_t>> positions;
   std::vector<uint8_t> skipped;
@@ -360,21 +361,22 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
     selection_done = true;
     SEQHIDE_TELEMETRY(kCheckpoint, "resume", start_round, victims.size());
 
+    marked.assign(victims.size(), Sequence());
     marks.assign(victims.size(), 0);
     positions.assign(victims.size(), {});
     skipped.assign(victims.size(), 0);
-    // Replay the completed victims' marks onto the fresh database.
+    // Replay the completed victims' marks onto fresh copies of their rows.
     for (size_t i = 0; i < ck.completed.size(); ++i) {
       const size_t t = victims[i];
-      if (t >= db->size()) {
+      if (t >= db.size()) {
         return Status::Corruption("checkpoint victim index out of range");
       }
-      Sequence* seq = db->mutable_sequence(t);
+      marked[i] = db.row(t).Materialize();
       for (uint64_t pos : ck.completed[i].marked_positions) {
-        if (pos >= seq->size()) {
+        if (pos >= marked[i].size()) {
           return Status::Corruption("checkpoint mark position out of range");
         }
-        seq->Mark(static_cast<size_t>(pos));
+        marked[i].Mark(static_cast<size_t>(pos));
         positions[i].push_back(static_cast<size_t>(pos));
       }
       marks[i] = ck.completed[i].marked_positions.size();
@@ -383,7 +385,7 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
   } else {
     // Optional inverted index: prunes the sequences that need any DP work.
     std::optional<InvertedIndex> index;
-    if (opts.use_index) index.emplace(*db);
+    if (opts.use_index) index.emplace(db);
 
     // Stage 1 of Algorithm 1: matching-set sizes for every sequence
     // (Lemma 2 / Lemma 4 DPs), row-partitioned across the pool. The
@@ -395,13 +397,13 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
       obs::ScopedTimer stage_timer(&report.stages.count_seconds);
       SEQHIDE_TRACE_SPAN("count");
       if (index) {
-        info = ComputeMatchInfoIndexed(*db, patterns, constraints, *index,
+        info = ComputeMatchInfoIndexed(db, patterns, constraints, *index,
                                        match_kernel, threads,
                                        &report.count_rows);
       } else {
-        info = ComputeMatchInfo(DatabaseView(*db), patterns, constraints,
-                                threads, match_kernel);
-        report.count_rows = db->size() * num_patterns;
+        info = ComputeMatchInfo(db, patterns, constraints, threads,
+                                match_kernel);
+        report.count_rows = db.size() * num_patterns;
       }
       report.supports_before.assign(num_patterns, 0);
       for (const auto& i : info) {
@@ -426,11 +428,11 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
               info, opts.per_pattern_psi);
         } else {
           victims =
-              SelectSequencesToSanitize(*db, info, opts.global, opts.psi, &rng);
+              SelectSequencesToSanitize(db, info, opts.global, opts.psi, &rng);
         }
       }
       SEQHIDE_GAUGE_SET("sanitize.victims", victims.size());
-      SEQHIDE_TELEMETRY(kVictims, "selected", victims.size(), db->size());
+      SEQHIDE_TELEMETRY(kVictims, "selected", victims.size(), db.size());
       SEQHIDE_TELEMETRY(kStage, "select.done", victims.size(), num_patterns);
       rng_after_select = rng.SaveState();
       selection_done = true;
@@ -443,12 +445,11 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
           }
         }
       }
+      marked.assign(victims.size(), Sequence());
       marks.assign(victims.size(), 0);
       positions.assign(victims.size(), {});
       skipped.assign(victims.size(), 0);
     }
-    // The database is about to change; any pre-sanitization index is stale.
-    index.reset();
   }
 
   const size_t round_size = opts.mark_round_size;
@@ -531,10 +532,11 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
             for (size_t i = begin; i < end; ++i) {
               const size_t vi = vbegin + i;
               const size_t t = victims[vi];
+              marked[vi] = db.row(t).Materialize();
               Rng local_rng(opts.seed ^ (0x9e3779b97f4a7c15ULL * (t + 1)));
-              LocalSanitizeResult local = SanitizeSequence(
-                  db->mutable_sequence(t), patterns, constraints, opts.local,
-                  &local_rng, &scratch);
+              LocalSanitizeResult local =
+                  SanitizeSequence(&marked[vi], patterns, constraints,
+                                   opts.local, &local_rng, &scratch);
               SEQHIDE_DCHECK(local.exhausted || local.marks_introduced > 0)
                   << "selected sequence had no matchings";
               marks[vi] = local.marks_introduced;
@@ -577,14 +579,18 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
   }
   SEQHIDE_TELEMETRY(kStage, "mark.done", rounds_completed, rounds_total);
 
-  // Aggregate the processed prefix of the victim list.
+  // Aggregate the processed prefix of the victim list; its marked copies
+  // are the overlay, and `after` reads the database through it.
   const size_t processed =
       std::min(victims.size(), rounds_completed * round_size);
+  result.overlay.reserve(processed);
   for (size_t i = 0; i < processed; ++i) {
     report.marks_introduced += marks[i];
     if (marks[i] > 0) ++report.sequences_sanitized;
     if (skipped[i]) ++report.victims_skipped;
+    result.overlay.emplace_back(victims[i], std::move(marked[i]));
   }
+  const DatabaseView after = db.Overlay(result.overlay);
   report.rounds_completed = rounds_completed;
   report.checkpoints_written = checkpoints_written;
 
@@ -631,7 +637,7 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
             const size_t t = victims[i];
             for (size_t p = 0; p < num_patterns; ++p) {
               if (!victim_support[i * num_patterns + p]) continue;
-              if (match_kernel.HasMatch(p, (*db)[t], &scratch)) {
+              if (match_kernel.HasMatch(p, after.row(t), &scratch)) {
                 victim_still_supports[i * num_patterns + p] = 1;
               }
             }
@@ -665,10 +671,10 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
       // degraded runs (the arithmetic must hold regardless); the
       // disclosure check is skipped — a degraded run *reports* exposure
       // through `exposed` instead of failing.
-      report.verify_rescan_rows = db->size() * num_patterns;
+      report.verify_rescan_rows = db.size() * num_patterns;
       for (size_t p = 0; p < num_patterns; ++p) {
         const size_t rescan =
-            ConstrainedSupport(*db, match_kernel, p, threads);
+            ConstrainedSupport(after, match_kernel, p, threads);
         if (rescan != report.supports_after[p]) {
           return Status::Internal(
               "incremental supports-after mismatch for pattern " +
@@ -697,7 +703,21 @@ Result<SanitizeReport> Sanitize(SequenceDatabase* db,
   }
 
   report.elapsed_seconds = timer.ElapsedSeconds();
-  return report;
+  return result;
+}
+
+Result<SanitizeReport> Sanitize(SequenceDatabase* db,
+                                const std::vector<Sequence>& patterns,
+                                const std::vector<ConstraintSpec>& constraints,
+                                const SanitizeOptions& opts) {
+  SEQHIDE_CHECK(db != nullptr);
+  SEQHIDE_ASSIGN_OR_RETURN(
+      SanitizeResult result,
+      SanitizeView(DatabaseView(*db), patterns, constraints, opts));
+  for (auto& [t, row] : result.overlay) {
+    *db->mutable_sequence(t) = std::move(row);
+  }
+  return std::move(result.report);
 }
 
 Result<SanitizeReport> Sanitize(SequenceDatabase* db,

@@ -7,7 +7,8 @@
 //      (Lemma 2 / Lemmas 4-5 DPs);
 //   2. choose which sequences to sanitize (global stage, hide/global.h);
 //   3. destroy every matching in each chosen sequence by marking positions
-//      (local stage, hide/local.h).
+//      (local stage, hide/local.h);
+//   4. verify the disclosure requirement on the result.
 // The result satisfies sup_{D'}(S_i) ≤ ψ for every sensitive pattern.
 //
 // This header is the main public entry point of the library.
@@ -18,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -25,11 +27,13 @@
 #include "src/constraints/constraints.h"
 #include "src/hide/options.h"
 #include "src/seq/database.h"
+#include "src/seq/sequence.h"
+#include "src/seq/view.h"
 
 namespace seqhide {
 
-// Wall time of each stage of Algorithm 1 (seconds). Populated by
-// Sanitize() unconditionally — stage timing is a few clock reads per
+// Wall time of each stage of Algorithm 1 (seconds). Populated by every
+// sanitize run unconditionally — stage timing is a few clock reads per
 // call, cheap enough to keep even in SEQHIDE_OBS_DISABLED builds.
 struct StageTimings {
   // Stage 1: per-sequence matching-set sizes (Lemma 2 / Lemma 4 DPs),
@@ -54,7 +58,7 @@ struct ExposedPattern {
   size_t limit = 0;
 };
 
-// What happened during one Sanitize() call.
+// What happened during one sanitize run.
 struct SanitizeReport {
   // Total Δ symbols introduced — the paper's M1 data-distortion measure.
   size_t marks_introduced = 0;
@@ -126,8 +130,43 @@ struct SanitizeReport {
   std::string ToString() const;
 };
 
-// Sanitizes `db` in place. `constraints` must be empty (all patterns
-// unconstrained) or parallel to `patterns`.
+// Outcome of SanitizeView(): the report plus the overlay that turns the
+// input view into the sanitized database.
+struct SanitizeResult {
+  SanitizeReport report;
+  // (row index, sanitized row) for every victim the mark stage processed,
+  // ascending by row index. Rows not listed are unchanged; read the
+  // result through DatabaseView::Overlay(overlay). A budget-stopped run
+  // lists only the victims of completed rounds.
+  std::vector<std::pair<size_t, Sequence>> overlay;
+};
+
+// The one Algorithm 1 pipeline: count → select → mark → verify over a
+// read-only view, in-memory or memory-mapped alike. The view is never
+// written — each victim is marked in a private copy — so the count and
+// select stages run zero-copy off a mapping, and a server can run many
+// requests concurrently against one shared image. `constraints` must be
+// empty (all patterns unconstrained) or parallel to `patterns`.
+//
+// Every random choice is keyed on the seed and row index only (victim
+// selection draws from Rng(seed) after the count stage; victim t marks
+// with Rng(seed ^ (golden_ratio * (t + 1)))), so the result depends on
+// the view's rows and alphabet, never on how they are stored. The same
+// holds for checkpoints: ComputeRunFingerprint reads the view, and
+// resume replays the stored marks into fresh copies of the victims'
+// rows, so a run checkpointed on an in-memory database resumes on its
+// seqhidb image and vice versa.
+//
+// Errors: as Sanitize() below.
+Result<SanitizeResult> SanitizeView(
+    const DatabaseView& db, const std::vector<Sequence>& patterns,
+    const std::vector<ConstraintSpec>& constraints,
+    const SanitizeOptions& opts);
+
+// Sanitizes `db` in place: SanitizeView() on DatabaseView(*db), then the
+// overlay rows are moved into `db`. On error `db` is left unchanged.
+// `constraints` must be empty (all patterns unconstrained) or parallel
+// to `patterns`.
 //
 // Errors:
 //   InvalidArgument — empty/duplicate patterns, a pattern containing Δ,

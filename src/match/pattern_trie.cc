@@ -111,7 +111,7 @@ size_t PatternSetUnion::AddOrigin(const std::vector<Sequence>& patterns) {
   return origin;
 }
 
-bool CountUnionOverDb(const PatternTrie& trie, const SequenceDatabase& db,
+bool CountUnionOverDb(const PatternTrie& trie, const DatabaseView& db,
                       MatchScratch* scratch, std::vector<uint64_t>* totals,
                       std::vector<uint64_t>* supports) {
   const size_t n = trie.num_patterns();
@@ -120,7 +120,7 @@ bool CountUnionOverDb(const PatternTrie& trie, const SequenceDatabase& db,
   std::vector<uint64_t> s(n, 0);
   for (size_t row = 0; row < db.size(); ++row) {
     std::fill(row_counts.begin(), row_counts.end(), 0);
-    if (!trie.CountAll(db[row], scratch, row_counts.data())) return false;
+    if (!trie.CountAll(db.row(row), scratch, row_counts.data())) return false;
     for (size_t p = 0; p < n; ++p) {
       t[p] = SatAdd(t[p], row_counts[p]);
       if (row_counts[p] > 0) ++s[p];

@@ -36,7 +36,6 @@
 #include "src/constraints/constraints.h"
 #include "src/match/bitset_match.h"
 #include "src/match/scratch.h"
-#include "src/seq/database.h"
 #include "src/seq/sequence.h"
 #include "src/seq/view.h"
 
@@ -118,7 +117,7 @@ class PatternSetUnion {
 // because SatAdd(x, 0) == x, to the mapped candidate-row-pruned totals.
 // Returns false (outputs untouched) iff the scratch budget refuses the
 // trie counter row.
-bool CountUnionOverDb(const PatternTrie& trie, const SequenceDatabase& db,
+bool CountUnionOverDb(const PatternTrie& trie, const DatabaseView& db,
                       MatchScratch* scratch, std::vector<uint64_t>* totals,
                       std::vector<uint64_t>* supports);
 

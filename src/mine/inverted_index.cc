@@ -8,14 +8,17 @@
 
 namespace seqhide {
 
-InvertedIndex::InvertedIndex(const SequenceDatabase& db) {
+InvertedIndex::InvertedIndex(const SequenceDatabase& db)
+    : InvertedIndex(DatabaseView(db)) {}
+
+InvertedIndex::InvertedIndex(const DatabaseView& db) {
   // Sized from the data, not the alphabet: databases built from raw ids
   // (tests, programmatic construction) may hold symbols the alphabet has
   // not interned.
   postings_.resize(db.alphabet().size());
   std::vector<SymbolId> buffer;
   for (size_t t = 0; t < db.size(); ++t) {
-    const Sequence& seq = db[t];
+    const SequenceView seq = db.row(t);
     // Count occurrences per symbol: sort + run-length encode (cheaper
     // than a hash/tree map for the short sequences databases hold).
     buffer.clear();

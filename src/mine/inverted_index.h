@@ -21,12 +21,15 @@
 #include "src/obs/telemetry/mem_tracker.h"
 #include "src/seq/database.h"
 #include "src/seq/sequence.h"
+#include "src/seq/view.h"
 
 namespace seqhide {
 
 class InvertedIndex {
  public:
-  // Indexes every real (non-Δ) symbol occurrence of `db`.
+  // Indexes every real (non-Δ) symbol occurrence of `db` — in-memory or
+  // mapped alike.
+  explicit InvertedIndex(const DatabaseView& db);
   explicit InvertedIndex(const SequenceDatabase& db);
 
   // Sequence ids that contain every distinct symbol of `pattern` at least

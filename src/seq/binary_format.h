@@ -16,8 +16,9 @@
 // out of the mapping. Because the mapping is MAP_SHARED/PROT_READ, all
 // processes reading one file share one set of physical pages. Row
 // offsets are *not* validated at open (that would be O(|D|)); row()
-// clamps them so access is always memory-safe, and ToDatabase() /
-// VerifyChecksums() perform the full O(file) validation on demand.
+// clamps them so access is always memory-safe; ValidateRows() checks the
+// rows structurally, and ToDatabase() / VerifyChecksums() validate on
+// demand (the latter the full O(file) checksum pass).
 //
 // The complete byte-level layout is specified in docs/binary-format.md.
 
@@ -183,18 +184,23 @@ class MappedDatabase {
   // matches everything, so every row is a candidate.
   std::vector<size_t> CandidateRows(const Sequence& pattern) const;
 
+  // Structural row check, O(|D| + num_symbols) with no checksums: row
+  // offsets start at 0, are monotone and end at num_symbols, and every
+  // column symbol is Δ or in the alphabet. Corruption otherwise. After it
+  // passes, row() never needs to clamp.
+  Status ValidateRows() const;
+
   // Materializes an in-memory SequenceDatabase (alphabet ids preserved).
-  // Unlike row(), this validates the row offsets and symbol ids it
-  // touches and reports Corruption instead of clamping.
+  // Unlike row(), this runs ValidateRows() first and reports Corruption
+  // instead of clamping.
   Result<SequenceDatabase> ToDatabase() const;
 
   // Equivalent of SequenceDatabase::Stats() computed off the mapping.
   DatabaseStats Stats() const;
 
   // Full O(file) validation: recomputes every section checksum and
-  // checks the structural invariants open-time validation skips (row
-  // offsets monotone and bounded, symbol ids in range, postings and
-  // prefix keys sorted and in range).
+  // checks the structural invariants open-time validation skips
+  // (ValidateRows(), plus postings and prefix keys sorted and in range).
   Status VerifyChecksums() const;
 
  private:

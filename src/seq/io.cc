@@ -172,27 +172,44 @@ Result<SequenceDatabase> ReadDatabaseFromString(const std::string& text) {
   return ReadDatabaseFromString(text, ReadOptions{});
 }
 
-Status WriteDatabase(const SequenceDatabase& db, std::ostream& out) {
+Status WriteDatabase(const DatabaseView& db, std::ostream& out) {
   if (SEQHIDE_FAULT_HIT("io.db.write")) {
     return Status::IOError("injected fault: io.db.write");
   }
+  const Alphabet& alphabet = db.alphabet();
   out << "# seqhide sequence database; |D|=" << db.size()
-      << " |Sigma|=" << db.alphabet().size() << "\n";
-  for (const auto& seq : db.sequences()) {
-    out << seq.ToString(db.alphabet()) << "\n";
+      << " |Sigma|=" << alphabet.size() << "\n";
+  std::string line;
+  for (size_t t = 0; t < db.size(); ++t) {
+    const SequenceView row = db.row(t);
+    line.clear();
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (i > 0) line += ' ';
+      line += alphabet.Name(row[i]);
+    }
+    line += '\n';
+    out << line;
   }
   if (!out) return Status::IOError("stream write failure");
   return Status::OK();
 }
 
-Status WriteDatabaseToFile(const SequenceDatabase& db,
-                           const std::string& path) {
+Status WriteDatabase(const SequenceDatabase& db, std::ostream& out) {
+  return WriteDatabase(DatabaseView(db), out);
+}
+
+Status WriteDatabaseToFile(const DatabaseView& db, const std::string& path) {
   if (SEQHIDE_FAULT_HIT("io.db.write.open")) {
     return Status::IOError("injected fault: io.db.write.open (" + path + ")");
   }
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open for writing: " + path);
   return WriteDatabase(db, out);
+}
+
+Status WriteDatabaseToFile(const SequenceDatabase& db,
+                           const std::string& path) {
+  return WriteDatabaseToFile(DatabaseView(db), path);
 }
 
 std::string WriteDatabaseToString(const SequenceDatabase& db) {

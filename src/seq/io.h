@@ -31,6 +31,7 @@
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/seq/database.h"
+#include "src/seq/view.h"
 
 namespace seqhide {
 
@@ -89,8 +90,13 @@ Result<SequenceDatabase> ReadDatabase(std::istream& in);
 Result<SequenceDatabase> ReadDatabaseFromFile(const std::string& path);
 Result<SequenceDatabase> ReadDatabaseFromString(const std::string& text);
 
-// Serializes `db` (including Δ marks) in the format above.
+// Serializes `db` (including Δ marks) in the format above. The
+// DatabaseView overloads are the one writer: they serve in-memory,
+// mapped, and overlaid (sanitized) views alike, and own the io.db.write*
+// fault sites; the SequenceDatabase overloads adapt onto them.
+Status WriteDatabase(const DatabaseView& db, std::ostream& out);
 Status WriteDatabase(const SequenceDatabase& db, std::ostream& out);
+Status WriteDatabaseToFile(const DatabaseView& db, const std::string& path);
 Status WriteDatabaseToFile(const SequenceDatabase& db,
                            const std::string& path);
 std::string WriteDatabaseToString(const SequenceDatabase& db);

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/seq/alphabet.h"
@@ -115,8 +116,24 @@ class DatabaseView {
 
   const Alphabet& alphabet() const { return *alphabet_; }
 
+  // The same rows read against `alphabet`, which must extend this view's
+  // (e.g. a request-private copy that interned extra pattern symbols).
+  // `alphabet` must outlive the result.
+  DatabaseView WithAlphabet(const Alphabet& alphabet) const {
+    DatabaseView out = *this;
+    out.alphabet_ = &alphabet;
+    return out;
+  }
+
+  // This view with `rows[i].second` read in place of row `rows[i].first`
+  // — a sanitize overlay. O(|D|) pointers, no symbol copies: untouched
+  // rows still point into the original storage. Every row index must be
+  // < size(); `rows` must outlive the result.
+  DatabaseView Overlay(
+      const std::vector<std::pair<size_t, Sequence>>& rows) const;
+
  private:
-  // In-memory adapter state.
+  // In-memory adapter / overlay state.
   std::vector<SequenceView> rows_;
   // Columnar state (nullptr when adapting an in-memory database).
   const SymbolId* columns_ = nullptr;

@@ -196,19 +196,21 @@ Status Server::LoadDatabase() {
   if (binary) {
     SEQHIDE_ASSIGN_OR_RETURN(MappedDatabase mapped,
                              MappedDatabase::OpenMapped(opts_.db_path));
-    // Sanitize requests mutate a private in-memory copy; materialize it
-    // once (validating the full image in the process) so every request
-    // starts from a cheap copy instead of an O(file) conversion.
-    SEQHIDE_ASSIGN_OR_RETURN(master_, mapped.ToDatabase());
+    // Open validates only the header and alphabet; reject corrupt row
+    // offsets or symbol ids before serving (O(file), no checksums).
+    SEQHIDE_RETURN_IF_ERROR(mapped.ValidateRows());
     db_fingerprint_ = mapped.header().header_fnv;
     mapped_.emplace(std::move(mapped));
+    db_ = mapped_->view();
   } else {
-    SEQHIDE_ASSIGN_OR_RETURN(master_,
-                             ReadDatabaseFromFile(opts_.db_path));
-    const std::string text = WriteDatabaseToString(master_);
+    SEQHIDE_ASSIGN_OR_RETURN(text_db_, ReadDatabaseFromFile(opts_.db_path));
+    db_ = DatabaseView(text_db_);
+    const std::string text = WriteDatabaseToString(text_db_);
     db_fingerprint_ = Fnv1a64(text.data(), text.size());
   }
-  db_max_length_ = master_.Stats().max_length;
+  for (size_t t = 0; t < db_.size(); ++t) {
+    db_max_length_ = std::max(db_max_length_, db_.row(t).size());
+  }
   return Status::OK();
 }
 
@@ -379,7 +381,7 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
     // when the server is saturated or draining.
     Response resp;
     resp.id = req.id;
-    resp.db_rows = master_.size();
+    resp.db_rows = db_.size();
     resp.db_fingerprint = db_fingerprint_;
     resp.draining = admission_.draining();
     WriteResponse(conn, std::move(resp));
@@ -619,7 +621,7 @@ void Server::ProcessBatch(const std::vector<std::shared_ptr<WorkItem>>& batch,
   for (const std::shared_ptr<WorkItem>& item : live) {
     requests.push_back(&item->req);
   }
-  const BatchPlan plan = BuildBatchPlan(master_.alphabet(), requests);
+  const BatchPlan plan = BuildBatchPlan(db_.alphabet(), requests);
 
   // The shared pass. A union-build fault or a scratch-budget refusal
   // downgrades the whole batch to the solo per-pattern kernels —
@@ -631,7 +633,7 @@ void Server::ProcessBatch(const std::vector<std::shared_ptr<WorkItem>>& batch,
   if (plan.union_size() > 0 &&
       !SEQHIDE_FAULT_HIT("serve.batch.union.build")) {
     const PatternTrie trie(plan.union_set.union_patterns(), {});
-    union_ok = CountUnionOverDb(trie, master_, &scratch, &totals, &supports);
+    union_ok = CountUnionOverDb(trie, db_, &scratch, &totals, &supports);
   }
 
   // Demux in arrival order. A member that cancelled or expired while the
@@ -781,7 +783,7 @@ Response Server::DoQuery(const std::shared_ptr<WorkItem>& item) {
   // interns unseen symbols, and the shared serving alphabet must never
   // mutate under concurrent requests. Fresh ids never equal a database
   // symbol id, so unknown-symbol patterns simply count zero.
-  Alphabet alphabet = master_.alphabet();
+  Alphabet alphabet = db_.alphabet();
   std::vector<ConstrainedPattern> parsed;
   parsed.reserve(req.patterns.size());
   for (const std::string& text : req.patterns) {
@@ -819,20 +821,20 @@ uint64_t Server::ComputePatternValue(Method method,
   if (method == Method::kSupport) {
     if (cp.constraints.IsUnconstrained()) {
       return mapped_.has_value() ? SupportMapped(cp.pattern, *mapped_)
-                                 : Support(cp.pattern, master_);
+                                 : Support(cp.pattern, db_);
     }
     return mapped_.has_value()
                ? ConstrainedSupportMapped(cp.pattern, cp.constraints, *mapped_)
-               : ConstrainedSupport(cp.pattern, cp.constraints, master_);
+               : ConstrainedSupport(cp.pattern, cp.constraints, text_db_);
   }
   if (mapped_.has_value()) {
     return CountConstrainedMatchingsTotalMapped({cp.pattern}, {cp.constraints},
                                                 *mapped_);
   }
   uint64_t value = 0;
-  for (size_t t = 0; t < master_.size(); ++t) {
+  for (size_t t = 0; t < db_.size(); ++t) {
     value = SatAdd(value, CountConstrainedMatchings(cp.pattern, cp.constraints,
-                                                    master_[t], scratch));
+                                                    db_.row(t), scratch));
   }
   return value;
 }
@@ -885,14 +887,16 @@ Response Server::DoSanitize(const std::shared_ptr<WorkItem>& item,
     }
   }
 
-  // Sanitization mutates; the serving image never does. Every request
-  // gets a private copy of the master database.
-  SequenceDatabase db = master_;
+  // Parse against a request-private alphabet copy (the serving alphabet
+  // is shared and immutable). Unseen pattern symbols intern into it just
+  // as `seqhide_cli sanitize` interns into its loaded database, so the
+  // output's |Sigma| header and the checkpoint fingerprint match the CLI.
+  Alphabet alphabet = db_.alphabet();
   std::vector<Sequence> patterns;
   std::vector<ConstraintSpec> constraints;
   patterns.reserve(req.patterns.size());
   for (const std::string& text : req.patterns) {
-    auto p = ParseConstrainedPattern(&db.alphabet(), text);
+    auto p = ParseConstrainedPattern(&alphabet, text);
     if (!p.ok()) {
       if (!spec_path.empty()) (void)::unlink(spec_path.c_str());
       return ErrorResponse(req.id, p.status());
@@ -901,51 +905,54 @@ Response Server::DoSanitize(const std::shared_ptr<WorkItem>& item,
     constraints.push_back(std::move(p->constraints));
   }
 
-  auto run = [&]() { return Sanitize(&db, patterns, constraints, opts); };
-  auto report = run();
-  if (!report.ok() && opts.resume &&
-      (report.status().IsCorruption() || report.status().IsIOError() ||
-       report.status().IsFailedPrecondition())) {
+  // The pipeline marks private copies of its victims only; the shared
+  // image is read in place, never copied.
+  const DatabaseView db = db_.WithAlphabet(alphabet);
+  auto run = [&]() { return SanitizeView(db, patterns, constraints, opts); };
+  auto result = run();
+  if (!result.ok() && opts.resume &&
+      (result.status().IsCorruption() || result.status().IsIOError() ||
+       result.status().IsFailedPrecondition())) {
     // A checkpoint this run cannot use (corrupt, torn, or from different
     // inputs) must not wedge recovery: drop it and run fresh.
     SEQHIDE_LOG(Warn) << "job '" << req.job << "': checkpoint unusable ("
-                      << report.status().ToString() << "); restarting fresh";
+                      << result.status().ToString() << "); restarting fresh";
     (void)::unlink(opts.checkpoint_path.c_str());
     opts.resume = false;
-    db = master_;
-    report = run();
+    result = run();
   }
-  if (!report.ok()) {
+  if (!result.ok()) {
     // Terminal failure: answer it and retire the job — re-running a
     // request the engine rejects would crash-loop recovery forever.
     if (!spec_path.empty()) {
       (void)::unlink(spec_path.c_str());
       (void)::unlink(opts.checkpoint_path.c_str());
     }
-    return ErrorResponse(req.id, report.status());
+    return ErrorResponse(req.id, result.status());
   }
+  const SanitizeReport& report = result->report;
 
   Response resp;
   resp.id = req.id;
   resp.has_sanitize = true;
   SanitizeSummary& s = resp.sanitize;
-  s.marks_introduced = report->marks_introduced;
-  s.sequences_sanitized = report->sequences_sanitized;
-  s.supports_before.assign(report->supports_before.begin(),
-                           report->supports_before.end());
-  s.supports_after.assign(report->supports_after.begin(),
-                          report->supports_after.end());
-  s.degraded = report->degraded;
-  s.rounds_completed = report->rounds_completed;
-  s.rounds_total = report->rounds_total;
+  s.marks_introduced = report.marks_introduced;
+  s.sequences_sanitized = report.sequences_sanitized;
+  s.supports_before.assign(report.supports_before.begin(),
+                           report.supports_before.end());
+  s.supports_after.assign(report.supports_after.begin(),
+                          report.supports_after.end());
+  s.degraded = report.degraded;
+  s.rounds_completed = report.rounds_completed;
+  s.rounds_total = report.rounds_total;
 
-  if (report->degraded) {
-    s.stop_reason = std::string(WireStatus(report->stop_reason));
+  if (report.degraded) {
+    s.stop_reason = std::string(WireStatus(report.stop_reason));
     resp.status = s.stop_reason;
     resp.error = "sanitize stopped early (" + s.stop_reason + "); " +
-                 std::to_string(report->rounds_completed) + "/" +
-                 std::to_string(report->rounds_total) + " rounds";
-    if (report->stop_reason == StatusCode::kCancelled) {
+                 std::to_string(report.rounds_completed) + "/" +
+                 std::to_string(report.rounds_total) + " rounds";
+    if (report.stop_reason == StatusCode::kCancelled) {
       // Disconnect or drain: the checkpoint and spec stay — the job is
       // re-run to completion at the next startup, byte-identical to an
       // uninterrupted run.
@@ -960,9 +967,10 @@ Response Server::DoSanitize(const std::shared_ptr<WorkItem>& item,
     return resp;
   }
 
-  const Status written = WriteDatabaseToFile(db, req.out);
+  const Status written =
+      WriteDatabaseToFile(db.Overlay(result->overlay), req.out);
   if (!spec_path.empty()) {
-    // Success (the checkpoint was already deleted by Sanitize) or a
+    // Success (the checkpoint was already deleted by SanitizeView) or a
     // definitively answered write failure either way retires the spec.
     (void)::unlink(spec_path.c_str());
   }

@@ -52,6 +52,7 @@
 #include "src/obs/telemetry/run_ledger.h"
 #include "src/seq/binary_format.h"
 #include "src/seq/database.h"
+#include "src/seq/view.h"
 #include "src/serve/admission.h"
 #include "src/serve/match_cache.h"
 #include "src/serve/net.h"
@@ -66,8 +67,9 @@ namespace serve {
 struct ServerOptions {
   // Database image: text or seqhidb v1, sniffed by magic. A binary image
   // is mmapped and served zero-copy (with its precomputed indexes); a
-  // text database is materialized. Sanitize requests always run against
-  // a private in-memory copy — the serving image is never mutated.
+  // text database is materialized once. Either way every request reads
+  // that one image: sanitize requests mark private copies of their
+  // victim rows only, so the serving image is never copied or mutated.
   std::string db_path;
 
   // Exactly one endpoint: a Unix-domain socket path, or TCP on
@@ -150,7 +152,7 @@ class Server {
   uint16_t port() const { return listener_.port(); }
   const std::string& socket_path() const { return opts_.socket_path; }
   uint64_t db_fingerprint() const { return db_fingerprint_; }
-  size_t db_rows() const { return master_.size(); }
+  size_t db_rows() const { return db_.size(); }
 
   ServerStats stats() const;
   MatchInfoCache& cache() { return cache_; }
@@ -209,8 +211,12 @@ class Server {
   void ReapFinishedReaders();
 
   ServerOptions opts_;
-  SequenceDatabase master_;
+  // The serving image: the mapping (binary) or the database read from
+  // text, exactly one of them set, and db_ viewing it. Immutable after
+  // LoadDatabase(), so workers share it without locks.
   std::optional<MappedDatabase> mapped_;
+  SequenceDatabase text_db_;
+  DatabaseView db_;
   uint64_t db_fingerprint_ = 0;
   size_t db_max_length_ = 0;
 

@@ -248,31 +248,36 @@ TEST(CheckpointTest, FingerprintSeparatesRuns) {
   SanitizeOptions opts = SanitizeOptions::HH();
   opts.psi = 1;
 
-  const uint64_t base = ComputeRunFingerprint(db, patterns, constraints, opts);
-  EXPECT_EQ(base, ComputeRunFingerprint(db, patterns, constraints, opts))
+  auto fingerprint = [&](const SequenceDatabase& d,
+                         const std::vector<ConstraintSpec>& c,
+                         const SanitizeOptions& o) {
+    return ComputeRunFingerprint(DatabaseView(d), patterns, c, o);
+  };
+  const uint64_t base = fingerprint(db, constraints, opts);
+  EXPECT_EQ(base, fingerprint(db, constraints, opts))
       << "fingerprint must be deterministic";
 
   // Result-affecting changes move the fingerprint...
   SanitizeOptions other = opts;
   other.psi = 0;
-  EXPECT_NE(base, ComputeRunFingerprint(db, patterns, constraints, other));
+  EXPECT_NE(base, fingerprint(db, constraints, other));
   other = opts;
   other.seed = 999;
-  EXPECT_NE(base, ComputeRunFingerprint(db, patterns, constraints, other));
+  EXPECT_NE(base, fingerprint(db, constraints, other));
   other = opts;
   other.local = LocalStrategy::kRandom;
-  EXPECT_NE(base, ComputeRunFingerprint(db, patterns, constraints, other));
+  EXPECT_NE(base, fingerprint(db, constraints, other));
   other = opts;
   other.mark_round_size = 7;
-  EXPECT_NE(base, ComputeRunFingerprint(db, patterns, constraints, other));
+  EXPECT_NE(base, fingerprint(db, constraints, other));
 
   SequenceDatabase db2 = db;
   db2.AddFromNames({"b"});
-  EXPECT_NE(base, ComputeRunFingerprint(db2, patterns, constraints, opts));
+  EXPECT_NE(base, fingerprint(db2, constraints, opts));
 
   std::vector<ConstraintSpec> gap(patterns.size(),
                                   ConstraintSpec::UniformGap(0, 2));
-  EXPECT_NE(base, ComputeRunFingerprint(db, patterns, gap, opts));
+  EXPECT_NE(base, fingerprint(db, gap, opts));
 
   // ...while execution-only knobs do not (a resume may legally use a
   // different thread count or budget).
@@ -281,7 +286,30 @@ TEST(CheckpointTest, FingerprintSeparatesRuns) {
   other.budget.deadline_seconds = 1.0;
   other.budget.max_mark_rounds = 5;
   other.checkpoint_path = "/elsewhere.ckpt";
-  EXPECT_EQ(base, ComputeRunFingerprint(db, patterns, constraints, other));
+  EXPECT_EQ(base, fingerprint(db, constraints, other));
+}
+
+// The digest is part of the on-disk contract: checkpoints and durable
+// server jobs written by an earlier build resume only if it is stable.
+// Pinned on a small fixed run covering marks, constraints, and
+// per-pattern ψ; a change here orphans every checkpoint in the field.
+TEST(CheckpointTest, FingerprintGoldenDigest) {
+  SequenceDatabase db;
+  db.AddFromNames({"a", "b", "c"});
+  db.AddFromNames({"a", "c", "b", "a"});
+  db.AddFromNames({"c", "a"});
+  db.mutable_sequence(1)->Mark(2);
+  std::vector<Sequence> patterns = {testutil::Seq(&db.alphabet(), "a b"),
+                                    testutil::Seq(&db.alphabet(), "c a")};
+  std::vector<ConstraintSpec> constraints = {ConstraintSpec::UniformGap(0, 2),
+                                             ConstraintSpec()};
+  SanitizeOptions opts = SanitizeOptions::RH(7);
+  opts.per_pattern_psi = {1, 0};
+  opts.use_index = true;
+  opts.mark_round_size = 3;
+  EXPECT_EQ(ComputeRunFingerprint(DatabaseView(db), patterns, constraints,
+                                  opts),
+            0x861d0dbdc51beeaeULL);
 }
 
 }  // namespace

@@ -18,7 +18,7 @@ class GlobalSelectionTest : public ::testing::Test {
     db_.AddFromNames({"a", "a", "b"});           // count 2
     db_.AddFromNames({"b", "a"});                // count 0
     patterns_ = {Seq(&db_.alphabet(), "a b")};
-    info_ = ComputeMatchInfo(db_, patterns_, {});
+    info_ = ComputeMatchInfo(DatabaseView(db_), patterns_, {});
   }
 
   SequenceDatabase db_;
@@ -37,7 +37,7 @@ TEST_F(GlobalSelectionTest, MatchInfoCountsAndSupports) {
 }
 
 TEST_F(GlobalSelectionTest, PsiZeroSelectsAllSupporters) {
-  auto victims = SelectSequencesToSanitize(db_, info_,
+  auto victims = SelectSequencesToSanitize(DatabaseView(db_), info_,
                                            GlobalStrategy::kHeuristic, 0,
                                            nullptr);
   EXPECT_EQ(victims, (std::vector<size_t>{0, 1, 2}));
@@ -46,19 +46,19 @@ TEST_F(GlobalSelectionTest, PsiZeroSelectsAllSupporters) {
 TEST_F(GlobalSelectionTest, HeuristicLeavesLargestMatchingSets) {
   // ψ = 1: the supporter with the largest matching set (index 0, count 3)
   // stays; 1 and 2 are sanitized.
-  auto victims = SelectSequencesToSanitize(db_, info_,
+  auto victims = SelectSequencesToSanitize(DatabaseView(db_), info_,
                                            GlobalStrategy::kHeuristic, 1,
                                            nullptr);
   EXPECT_EQ(victims, (std::vector<size_t>{1, 2}));
   // ψ = 2: only the cheapest supporter (count 1) is sanitized.
-  victims = SelectSequencesToSanitize(db_, info_,
+  victims = SelectSequencesToSanitize(DatabaseView(db_), info_,
                                       GlobalStrategy::kHeuristic, 2, nullptr);
   EXPECT_EQ(victims, (std::vector<size_t>{1}));
 }
 
 TEST_F(GlobalSelectionTest, PsiAtLeastSupportersSelectsNothing) {
   for (size_t psi : {3u, 4u, 10u}) {
-    EXPECT_TRUE(SelectSequencesToSanitize(db_, info_,
+    EXPECT_TRUE(SelectSequencesToSanitize(DatabaseView(db_), info_,
                                           GlobalStrategy::kHeuristic, psi,
                                           nullptr)
                     .empty());
@@ -67,7 +67,7 @@ TEST_F(GlobalSelectionTest, PsiAtLeastSupportersSelectsNothing) {
 
 TEST_F(GlobalSelectionTest, RandomSelectsRightCountAmongSupporters) {
   Rng rng(12);
-  auto victims = SelectSequencesToSanitize(db_, info_,
+  auto victims = SelectSequencesToSanitize(DatabaseView(db_), info_,
                                            GlobalStrategy::kRandom, 1, &rng);
   EXPECT_EQ(victims.size(), 2u);
   for (size_t v : victims) {
@@ -77,16 +77,16 @@ TEST_F(GlobalSelectionTest, RandomSelectsRightCountAmongSupporters) {
 
 TEST_F(GlobalSelectionTest, RandomIsSeedDeterministic) {
   Rng rng1(5), rng2(5);
-  EXPECT_EQ(SelectSequencesToSanitize(db_, info_, GlobalStrategy::kRandom, 1,
-                                      &rng1),
-            SelectSequencesToSanitize(db_, info_, GlobalStrategy::kRandom, 1,
-                                      &rng2));
+  EXPECT_EQ(SelectSequencesToSanitize(DatabaseView(db_), info_,
+                                      GlobalStrategy::kRandom, 1, &rng1),
+            SelectSequencesToSanitize(DatabaseView(db_), info_,
+                                      GlobalStrategy::kRandom, 1, &rng2));
 }
 
 TEST_F(GlobalSelectionTest, AscendingLengthPrefersShortSequences) {
   // ψ=2: one victim — the shortest supporter (index 1, length 2).
   auto victims = SelectSequencesToSanitize(
-      db_, info_, GlobalStrategy::kAscendingLength, 2, nullptr);
+      DatabaseView(db_), info_, GlobalStrategy::kAscendingLength, 2, nullptr);
   EXPECT_EQ(victims, (std::vector<size_t>{1}));
 }
 
@@ -95,9 +95,10 @@ TEST(AutocorrelationStrategyTest, PrefersRepetitiveSequences) {
   db.AddFromNames({"a", "a", "a", "b"});       // highly repetitive
   db.AddFromNames({"a", "c", "d", "b"});       // all distinct
   std::vector<Sequence> patterns = {Seq(&db.alphabet(), "a b")};
-  auto info = ComputeMatchInfo(db, patterns, {});
+  auto info = ComputeMatchInfo(DatabaseView(db), patterns, {});
   auto victims = SelectSequencesToSanitize(
-      db, info, GlobalStrategy::kHighAutocorrelationFirst, 1, nullptr);
+      DatabaseView(db), info, GlobalStrategy::kHighAutocorrelationFirst, 1,
+      nullptr);
   EXPECT_EQ(victims, (std::vector<size_t>{0}));
 }
 
@@ -123,7 +124,8 @@ TEST(GlobalSelectionRandomizedTest, EveryStrategyKeepsAtMostPsiSupporters) {
   gen.max_patterns = 1;  // single pattern: supporter counting is exact
   for (int i = 0; i < 100; ++i) {
     proptest::PropInstance inst = proptest::GenInstance(&rng, gen);
-    auto info = ComputeMatchInfo(inst.db, inst.patterns, inst.constraints);
+    auto info = ComputeMatchInfo(DatabaseView(inst.db), inst.patterns,
+                                 inst.constraints);
     size_t supporters = 0;
     for (const SequenceMatchInfo& s : info) {
       if (s.matching_count > 0) ++supporters;
@@ -134,8 +136,8 @@ TEST(GlobalSelectionRandomizedTest, EveryStrategyKeepsAtMostPsiSupporters) {
          {GlobalStrategy::kHeuristic, GlobalStrategy::kRandom,
           GlobalStrategy::kAscendingLength,
           GlobalStrategy::kHighAutocorrelationFirst}) {
-      auto victims =
-          SelectSequencesToSanitize(inst.db, info, strategy, psi, &rng);
+      auto victims = SelectSequencesToSanitize(DatabaseView(inst.db), info,
+                                               strategy, psi, &rng);
       EXPECT_EQ(victims.size(), expect_victims)
           << "strategy=" << ToString(strategy) << " psi=" << psi << "\n"
           << inst.DebugString();
@@ -154,7 +156,7 @@ TEST(MultiThresholdTest, DifferentThresholdsPerPattern) {
   db.AddFromNames({"a", "b", "c", "d"});  // supports both
   std::vector<Sequence> patterns = {Seq(&db.alphabet(), "a b"),
                                     Seq(&db.alphabet(), "c d")};
-  auto info = ComputeMatchInfo(db, patterns, {});
+  auto info = ComputeMatchInfo(DatabaseView(db), patterns, {});
   // P0 may keep 2 supporters, P1 none: sequences 1 and 2 must be
   // sanitized (they support P1), sequence 0 can stay.
   auto victims = SelectSequencesToSanitizeMultiThreshold(info, {2, 0});

@@ -1,17 +1,19 @@
-// Differential tests for SanitizeMapped (src/hide/mapped_sanitize.h):
-// the overlay pipeline over a mapped seqhidb image must reproduce
-// Sanitize() on the materialized database exactly — same report, same
-// final rows, same text serialization — across strategy combinations,
-// thread counts, constraints, multi-threshold ψ, and budget stops.
+// Differential tests for SanitizeView (src/hide/sanitizer.h) on a mapped
+// seqhidb image: the one pipeline, run on mapped.view(), must reproduce
+// Sanitize() on the in-memory database exactly — same report, same final
+// rows, same text serialization — across strategy combinations, thread
+// counts, constraints, multi-threshold ψ, budget stops, and a checkpoint
+// written in memory and resumed on the mapping.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/hide/mapped_sanitize.h"
 #include "src/hide/sanitizer.h"
 #include "src/seq/binary_format.h"
 #include "src/seq/io.h"
@@ -37,7 +39,7 @@ void ExpectSameOutcome(const SequenceDatabase& original,
   ASSERT_TRUE(expected.ok()) << what << ": " << expected.status();
 
   MappedDatabase mapped = Map(original);
-  auto actual = SanitizeMapped(mapped, patterns, constraints, opts);
+  auto actual = SanitizeView(mapped.view(), patterns, constraints, opts);
   ASSERT_TRUE(actual.ok()) << what << ": " << actual.status();
 
   const SanitizeReport& e = *expected;
@@ -53,17 +55,22 @@ void ExpectSameOutcome(const SequenceDatabase& original,
   EXPECT_EQ(a.degraded, e.degraded) << what;
   EXPECT_EQ(a.victims_skipped, e.victims_skipped) << what;
   EXPECT_EQ(a.threads_used, e.threads_used) << what;
+  // Both representations prune with an InvertedIndex over the view, so
+  // the row workloads match too, with or without use_index.
+  EXPECT_EQ(a.count_rows, e.count_rows) << what;
+  EXPECT_EQ(a.verify_recount_rows, e.verify_recount_rows) << what;
+  EXPECT_EQ(a.verify_rescan_rows, e.verify_rescan_rows) << what;
 
   // The overlay applied to the mapping is the in-memory result, row for
-  // row — and so is the streamed text serialization.
-  auto materialized = ApplySanitizeOverlay(mapped, *actual);
-  ASSERT_TRUE(materialized.ok()) << what << ": " << materialized.status();
-  ASSERT_EQ(materialized->size(), in_memory.size()) << what;
+  // row — and so is its text serialization.
+  const DatabaseView sanitized = mapped.view().Overlay(actual->overlay);
+  ASSERT_EQ(sanitized.size(), in_memory.size()) << what;
   for (size_t t = 0; t < in_memory.size(); ++t) {
-    EXPECT_EQ((*materialized)[t], in_memory[t]) << what << " row " << t;
+    EXPECT_EQ(sanitized.row(t).Materialize(), in_memory[t])
+        << what << " row " << t;
   }
   std::ostringstream streamed;
-  ASSERT_TRUE(WriteSanitizedDatabase(mapped, *actual, streamed).ok()) << what;
+  ASSERT_TRUE(WriteDatabase(sanitized, streamed).ok()) << what;
   EXPECT_EQ(streamed.str(), WriteDatabaseToString(in_memory)) << what;
 }
 
@@ -132,26 +139,64 @@ TEST(MappedSanitizeTest, BudgetStopDegradesIdentically) {
   ExpectSameOutcome(db, patterns, {}, opts, "budget-stop");
 }
 
-TEST(MappedSanitizeTest, RejectsCheckpointingOptions) {
+TEST(MappedSanitizeTest, ResumesInMemoryCheckpointOnMappedView) {
   Rng rng(233);
-  SequenceDatabase db = testutil::RandomDb(&rng, 10, 2, 8, 3);
-  MappedDatabase mapped = Map(db);
+  SequenceDatabase db = testutil::RandomDb(&rng, 40, 3, 12, 3);
   std::vector<Sequence> patterns = {testutil::RandomSeq(&rng, 2, 3)};
   SanitizeOptions opts;
-  opts.checkpoint_path = ::testing::TempDir() + "/mapped_sanitize.ckpt";
-  auto r = SanitizeMapped(mapped, patterns, opts);
-  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  opts.psi = 0;
+  opts.mark_round_size = 2;
+
+  SequenceDatabase reference = db;
+  auto uninterrupted = Sanitize(&reference, patterns, opts);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status();
+
+  // An in-memory run stopped after one marking round leaves a checkpoint.
+  const std::string ckpt = ::testing::TempDir() + "/mapped_resume.ckpt";
+  std::remove(ckpt.c_str());
+  SanitizeOptions stop = opts;
+  stop.checkpoint_path = ckpt;
+  stop.budget.max_mark_rounds = 1;
+  SequenceDatabase partial = db;
+  auto stopped = Sanitize(&partial, patterns, stop);
+  ASSERT_TRUE(stopped.ok()) << stopped.status();
+  ASSERT_TRUE(stopped->degraded);
+  ASSERT_LT(stopped->rounds_completed, stopped->rounds_total);
+  ASSERT_TRUE(std::ifstream(ckpt).good());
+
+  // The mapped image of the same input finishes it.
+  MappedDatabase mapped = Map(db);
+  SanitizeOptions resume = opts;
+  resume.checkpoint_path = ckpt;
+  resume.resume = true;
+  auto resumed = SanitizeView(mapped.view(), patterns, {}, resume);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  const SanitizeReport& r = resumed->report;
+  EXPECT_TRUE(r.resumed);
+  EXPECT_FALSE(r.degraded);
+  EXPECT_EQ(r.marks_introduced, uninterrupted->marks_introduced);
+  EXPECT_EQ(r.sequences_sanitized, uninterrupted->sequences_sanitized);
+  EXPECT_EQ(r.supports_before, uninterrupted->supports_before);
+  EXPECT_EQ(r.supports_after, uninterrupted->supports_after);
+  EXPECT_EQ(r.rounds_completed, uninterrupted->rounds_total);
+  std::ostringstream out;
+  ASSERT_TRUE(
+      WriteDatabase(mapped.view().Overlay(resumed->overlay), out).ok());
+  EXPECT_EQ(out.str(), WriteDatabaseToString(reference));
+  // A completed run deletes its checkpoint.
+  EXPECT_FALSE(std::ifstream(ckpt).good());
 }
 
 TEST(MappedSanitizeTest, OverlayHelpersRejectBadRows) {
   Rng rng(239);
   SequenceDatabase db = testutil::RandomDb(&rng, 5, 1, 6, 3);
   MappedDatabase mapped = Map(db);
-  MappedSanitizeResult bogus;
-  bogus.modified_rows.emplace_back(db.size() + 3, db[0]);
-  EXPECT_TRUE(ApplySanitizeOverlay(mapped, bogus).status().IsInvalidArgument());
-  std::ostringstream out;
-  EXPECT_TRUE(WriteSanitizedDatabase(mapped, bogus, out).IsInvalidArgument());
+  std::vector<std::pair<size_t, Sequence>> bogus;
+  bogus.emplace_back(db.size() + 3, db[0]);
+  // An out-of-range overlay row is a caller bug, never a silent write:
+  // both the in-memory and the mapped view refuse it.
+  EXPECT_DEATH(mapped.view().Overlay(bogus), "out of range");
+  EXPECT_DEATH(DatabaseView(db).Overlay(bogus), "out of range");
 }
 
 }  // namespace

@@ -185,7 +185,8 @@ TEST(CountUnionOverDbTest, MatchesScalarCountsAndSupports) {
   MatchScratch scratch;
   std::vector<uint64_t> totals;
   std::vector<uint64_t> supports;
-  ASSERT_TRUE(CountUnionOverDb(trie, db, &scratch, &totals, &supports));
+  ASSERT_TRUE(
+      CountUnionOverDb(trie, DatabaseView(db), &scratch, &totals, &supports));
   ASSERT_EQ(totals.size(), patterns.size());
   ASSERT_EQ(supports.size(), patterns.size());
 

@@ -2,7 +2,8 @@
 // control determinism, match-info cache behavior (including checksum
 // self-healing), and full request/response cycles against an in-process
 // server on a Unix-domain socket — deadlines, sheds, drain, disconnect
-// cancellation, and durable-job recovery.
+// cancellation, durable-job recovery, and load-time validation of
+// corrupt seqhidb images.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,9 @@
 #include <vector>
 
 #include "src/common/fault_injection.h"
+#include "src/constraints/constraints.h"
+#include "src/hide/sanitizer.h"
+#include "src/seq/binary_format.h"
 #include "src/seq/io.h"
 #include "src/serve/admission.h"
 #include "src/serve/client.h"
@@ -288,10 +292,37 @@ class ServerTest : public ::testing::Test {
     return client.ok() ? std::move(client).value() : nullptr;
   }
 
+  // Writes the fixture database as a seqhidb image at `path`, after
+  // `patch` has had its way with the bytes (given the clean image's
+  // header, for section offsets).
+  template <typename Patch>
+  void WriteImage(const std::string& path, Patch&& patch) {
+    auto db = ReadDatabaseFromFile(db_path_);
+    ASSERT_TRUE(db.ok()) << db.status();
+    auto bytes = WriteBinaryDatabaseToString(*db);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    auto clean = MappedDatabase::FromBuffer(*bytes);
+    ASSERT_TRUE(clean.ok()) << clean.status();
+    std::string image = *bytes;
+    patch(clean->header(), &image);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(image.data(), static_cast<std::streamsize>(image.size()));
+    ASSERT_TRUE(out.good()) << path;
+  }
+
   std::string dir_;
   std::string db_path_;
   std::string socket_path_;
 };
+
+// Little-endian in-place store, for corrupting image payload bytes (the
+// header checksum does not cover payload sections, so open succeeds).
+template <typename T>
+void StoreLe(std::string* bytes, uint64_t pos, T v) {
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    (*bytes)[pos + i] = static_cast<char>(static_cast<uint64_t>(v) >> (8 * i));
+  }
+}
 
 TEST_F(ServerTest, PingAndQueriesEndToEnd) {
   auto server = StartServer(BaseOptions());
@@ -374,6 +405,100 @@ TEST_F(ServerTest, SanitizeMatchesDirectLibraryRun) {
 
   server->RequestDrain();
   server->Join();
+}
+
+// A pattern symbol the database has never seen ("ghost") is interned
+// into a request-private alphabet: the output is byte-identical to the
+// CLI's (which interns into its loaded database, so the |Sigma| header
+// counts the ghost), on a text and on a binary image alike, and the
+// shared serving alphabet is untouched for the queries that follow.
+TEST_F(ServerTest, SanitizeUnseenSymbolMatchesCliBytesOnTextAndBinary) {
+  // What `seqhide_cli sanitize --algo HH --psi 0 --seed 1` writes.
+  auto cli_db = ReadDatabaseFromFile(db_path_);
+  ASSERT_TRUE(cli_db.ok()) << cli_db.status();
+  auto ghost = ParseConstrainedPattern(&cli_db->alphabet(), "a -> ghost");
+  ASSERT_TRUE(ghost.ok()) << ghost.status();
+  SanitizeOptions cli_opts = SanitizeOptions::HH();
+  cli_opts.seed = 1;
+  cli_opts.num_threads = 1;
+  ASSERT_TRUE(Sanitize(&*cli_db, {ghost->pattern}, {ghost->constraints},
+                       cli_opts)
+                  .ok());
+  const std::string expected = WriteDatabaseToString(*cli_db);
+  ASSERT_NE(expected.find("|Sigma|=4"), std::string::npos) << expected;
+
+  const std::string image_path = dir_ + "/serve_db.sdb";
+  WriteImage(image_path, [](const BinaryHeader&, std::string*) {});
+
+  for (const std::string& path : {db_path_, image_path}) {
+    ServerOptions opts = BaseOptions();
+    opts.db_path = path;
+    opts.cache_entries = 0;  // every support query recomputes
+    auto server = StartServer(opts);
+    ASSERT_NE(server, nullptr) << path;
+    auto client = Connect();
+    ASSERT_NE(client, nullptr) << path;
+
+    Request sup;
+    sup.id = 1;
+    sup.method = Method::kSupport;
+    sup.patterns = {"a -> b", "a -> ghost", "c -> a"};
+    auto before = client->Call(sup);
+    ASSERT_TRUE(before.ok()) << before.status();
+    ASSERT_EQ(before->status, "ok") << before->error;
+
+    Request san;
+    san.id = 2;
+    san.method = Method::kSanitize;
+    san.patterns = {"a -> ghost"};
+    san.psi = 0;
+    san.seed = 1;
+    san.out = dir_ + "/ghost_out.txt";
+    auto resp = client->Call(san);
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    ASSERT_EQ(resp->status, "ok") << path << ": " << resp->error;
+    std::ifstream in(san.out, std::ios::binary);
+    const std::string got((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_EQ(got, expected) << path;
+
+    sup.id = 3;
+    auto after = client->Call(sup);
+    ASSERT_TRUE(after.ok()) << after.status();
+    ASSERT_EQ(after->status, "ok") << after->error;
+    EXPECT_EQ(after->values, before->values) << path;
+
+    server->RequestDrain();
+    server->Join();
+    std::remove(san.out.c_str());
+  }
+}
+
+// Open validates only the header and alphabet; Create must also reject
+// corrupt rows (ValidateRows) before serving a single request.
+TEST_F(ServerTest, CreateRejectsNonMonotoneRowOffsets) {
+  const std::string image_path = dir_ + "/nonmonotone.sdb";
+  // Fixture rows are 5 symbols each: offsets {0, 5, 10, 15, 20}.
+  // row_offsets[1] := 12 > row_offsets[2].
+  WriteImage(image_path, [](const BinaryHeader& h, std::string* image) {
+    StoreLe<uint64_t>(image, h.sections[kSecRowOffsets].offset + 8, 12);
+  });
+  ServerOptions opts = BaseOptions();
+  opts.db_path = image_path;
+  auto created = Server::Create(opts);
+  EXPECT_TRUE(created.status().IsCorruption()) << created.status();
+}
+
+TEST_F(ServerTest, CreateRejectsOutOfAlphabetColumnSymbol) {
+  const std::string image_path = dir_ + "/bad_symbol.sdb";
+  // |Sigma| = 3, so symbol id 99 is outside the alphabet.
+  WriteImage(image_path, [](const BinaryHeader& h, std::string* image) {
+    StoreLe<uint32_t>(image, h.sections[kSecColumns].offset + 4 * 7, 99);
+  });
+  ServerOptions opts = BaseOptions();
+  opts.db_path = image_path;
+  auto created = Server::Create(opts);
+  EXPECT_TRUE(created.status().IsCorruption()) << created.status();
 }
 
 TEST_F(ServerTest, ExpiredDeadlineInQueueAnswersDeadlineExceeded) {

@@ -12,12 +12,18 @@
 # is still byte-identical and that the restarted server answers query
 # traffic with zero hard failures.
 #
-# Usage: server_restart_test.sh SERVER LOADGEN CLI
+# DB_FORMAT picks the image the server loads: "text" (the database file
+# itself) or "binary" (a `seqhide_cli convert --to binary` image of it,
+# served off the mapping). The reference is always the CLI run on the
+# text file, so the binary leg also pins mapped == in-memory output.
+#
+# Usage: server_restart_test.sh SERVER LOADGEN CLI [text|binary]
 set -eu
 
 SERVER="$1"
 LOADGEN="$2"
 CLI="$3"
+DB_FORMAT="${4:-text}"
 
 WORK="${TMPDIR:-/tmp}/seqhide_server_restart_$$"
 mkdir -p "$WORK"
@@ -36,6 +42,16 @@ done
 
 PATTERN="a -> b -> c"
 
+case "$DB_FORMAT" in
+  text) SERVE_DB="$WORK/db.txt" ;;
+  binary)
+    SERVE_DB="$WORK/db.sdb"
+    "$CLI" convert --db "$WORK/db.txt" --out "$SERVE_DB" --to binary \
+        > /dev/null
+    ;;
+  *) echo "FAIL: unknown db format '$DB_FORMAT'"; exit 1 ;;
+esac
+
 # Uninterrupted reference (results are bit-identical for every --threads,
 # so one reference serves all server thread counts).
 "$CLI" sanitize --db "$WORK/db.txt" --out "$WORK/ref.txt" \
@@ -44,7 +60,7 @@ PATTERN="a -> b -> c"
 
 start_server() {
   # $1 = threads, $2 = state dir, $3 = ledger
-  "$SERVER" --db "$WORK/db.txt" --socket "$WORK/s.sock" \
+  "$SERVER" --db "$SERVE_DB" --socket "$WORK/s.sock" \
       --state-dir "$2" --ledger "$3" --threads "$1" \
       --round-size 1 --checkpoint-every 1 > "$WORK/server.out" 2>/dev/null &
   SRV_PID=$!
@@ -135,7 +151,7 @@ for THREADS in 1 2 8; do
   grep -q '"recovered":true' "$LEDGER" \
       || { echo "FAIL(threads=$THREADS): no recovered request record"; exit 1; }
 
-  echo "threads=$THREADS: recovered byte-identical"
+  echo "$DB_FORMAT threads=$THREADS: recovered byte-identical"
 done
 
-echo "server restart test passed"
+echo "server restart test passed ($DB_FORMAT db)"
