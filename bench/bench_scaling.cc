@@ -10,6 +10,7 @@
 #include "src/common/random.h"
 #include "src/data/workload.h"
 #include "src/hide/sanitizer.h"
+#include "src/obs/metrics.h"
 
 namespace seqhide {
 namespace {
@@ -61,11 +62,24 @@ void BM_SanitizeVsSequenceLength(benchmark::State& state) {
   gen.seed = 13;
   SequenceDatabase base = MakeRandomDatabase(gen);
   std::vector<Sequence> patterns = MakePatterns(2, gen.alphabet_size, 7);
+  // 0 when observability is compiled out.
+  const obs::Counter* delta_rounds = obs::MetricsRegistry::Default().GetCounter(
+      "local.delta_recomputations");
+  size_t marks = 0;
+  uint64_t rounds = 0;
   for (auto _ : state) {
     SequenceDatabase db = base;
+    const uint64_t rounds_before = delta_rounds->Value();
     auto report = Sanitize(&db, patterns, SanitizeOptions::HH());
     benchmark::DoNotOptimize(report.ok());
+    marks = report->marks_introduced;
+    rounds = delta_rounds->Value() - rounds_before;
   }
+  // Deterministic outputs of one run, not rates: a mark-stage change that
+  // moves a single mark or δ round drifts these against the baseline.
+  state.counters["marks"] = benchmark::Counter(static_cast<double>(marks));
+  state.counters["delta_recomputations"] =
+      benchmark::Counter(static_cast<double>(rounds));
 }
 BENCHMARK(BM_SanitizeVsSequenceLength)->RangeMultiplier(2)->Range(8, 256);
 

@@ -43,7 +43,11 @@ LocalSanitizeResult SanitizeSequence(
   scratch->exhausted = false;
   for (;;) {
     // Each round recomputes δ for every pattern — the dominant cost of
-    // the local stage and the number the paper's Alg. 1 loop hides.
+    // the local stage and the number the paper's Alg. 1 loop hides. Per
+    // pattern a round is O(nm) without max gaps, O(n·m·w) with max-gap
+    // windows of w cells, and |T| recounts under a max-window; a pattern
+    // already hidden costs only its forward table. The number of rounds
+    // is the number of marks the row needs, which grows with |T|.
     SEQHIDE_COUNTER_INC("local.delta_recomputations");
     PositionDeltasTotalInto(patterns, constraints, *seq, scratch, &deltas);
     if (scratch->exhausted) {

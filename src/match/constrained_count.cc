@@ -116,14 +116,27 @@ void BuildGapEndTableInto(const Sequence& pattern, const ConstraintSpec& spec,
   // l in [j-1-Mg, j-1-mg] (intersected with [1, j-1]).
   for (size_t k = 2; k <= m; ++k) {
     const GapBound bound = spec.gap(k - 2);
+    // Running sum of row k-1 over columns [1, next), used when the arrow
+    // has no max gap: the span is then the whole prefix [1, j-1-mg]. A
+    // bounded span is re-summed per cell instead of slid, because a
+    // saturated sum cannot be un-added.
+    uint64_t prefix = 0;
+    size_t next = 1;
     for (size_t j = 1; j <= n; ++j) {
       const SymbolId t = seq[j - 1];
       if (!IsRealSymbol(t) || pattern[k - 1] != t) continue;
       if (j - 1 < 1 || j - 1 < bound.min_gap) continue;
       size_t hi = j - 1 - bound.min_gap;
       if (hi < 1) continue;
+      if (bound.max_gap == GapBound::kNoMax) {
+        for (; next <= hi; ++next) {
+          prefix = SatAdd(prefix, table[k - 1][next]);
+        }
+        table[k][j] = prefix;
+        continue;
+      }
       size_t lo = 1;
-      if (bound.max_gap != GapBound::kNoMax && j >= 2 + bound.max_gap) {
+      if (j >= 2 + bound.max_gap) {
         lo = std::max<size_t>(lo, j - 1 - bound.max_gap);
       }
       uint64_t sum = 0;

@@ -1,5 +1,7 @@
 #include "src/match/position_delta.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
@@ -17,6 +19,13 @@ namespace {
 // Returned flattened as rows k = 0..m over n+1 "virtual" anchor positions:
 // index j = position in T; an extra anchor value is not needed because the
 // sanitizer only queries j that hold a real symbol.
+//
+// An arrow without a max gap sums a whole suffix of row k+1, so the row is
+// filled right to left from one running suffix sum: O(n) per row. A
+// bounded arrow sums a window of at most max-min+1 cells per entry. The
+// window is re-summed rather than slid: sliding would subtract, and a
+// saturated SatAdd total cannot be un-added. Every term is non-negative,
+// so either order of saturating additions yields min(true sum, 2^64-1).
 void BuildSuffixExtensionTableInto(const Sequence& pattern,
                                    const ConstraintSpec& spec,
                                    SequenceView seq, MatchScratch* scratch,
@@ -31,17 +40,28 @@ void BuildSuffixExtensionTableInto(const Sequence& pattern,
   // and the arrow S[k] -> S[k+1] has 0-based arrow index k - 1.
   for (size_t k = m - 1; k >= 1; --k) {
     const GapBound bound = spec.gap(k - 1);
-    for (size_t j = 0; j < n; ++j) {
-      uint64_t sum = 0;
+    // Running sum of bwd[k+1][l] over l in [next, n) with
+    // seq[l] = pattern[k], used when the arrow has no max gap.
+    uint64_t suffix = 0;
+    size_t next = n;
+    for (size_t j = n; j-- > 0;) {
       // l ranges over positions after j whose gap (l - j - 1) is allowed.
-      size_t lo = j + 1 + bound.min_gap;
-      size_t hi = (bound.max_gap == GapBound::kNoMax)
-                      ? n - 1
-                      : std::min(n - 1, j + 1 + bound.max_gap);
-      for (size_t l = lo; l <= hi && l < n; ++l) {
-        if (seq[l] == pattern[k]) {
-          sum = SatAdd(sum, bwd[k + 1][l]);
+      const size_t lo = j + 1 + bound.min_gap;
+      if (lo >= n) continue;
+      if (bound.max_gap == GapBound::kNoMax) {
+        while (next > lo) {
+          --next;
+          if (seq[next] == pattern[k]) {
+            suffix = SatAdd(suffix, bwd[k + 1][next]);
+          }
         }
+        bwd[k][j] = suffix;
+        continue;
+      }
+      const size_t hi = std::min(n - 1, j + 1 + bound.max_gap);
+      uint64_t sum = 0;
+      for (size_t l = lo; l <= hi; ++l) {
+        if (seq[l] == pattern[k]) sum = SatAdd(sum, bwd[k + 1][l]);
       }
       bwd[k][j] = sum;
     }
@@ -105,6 +125,16 @@ void PositionDeltasInto(const Sequence& pattern, const ConstraintSpec& spec,
     BuildGapEndTableInto(pattern, spec, seq, scratch, &fwd);
   } else {
     BuildPrefixEndTableInto(pattern, seq, scratch, &fwd);
+  }
+  // No embedding of the whole pattern ends anywhere: every δ is 0, so the
+  // suffix table is skipped. (It is smaller than fwd, so skipping it never
+  // hides a budget refusal.) In the local round loop this is the common
+  // case for a pattern already hidden, since marking never revives one.
+  if (!scratch->exhausted &&
+      std::all_of(fwd[m].begin(), fwd[m].end(),
+                  [](uint64_t c) { return c == 0; })) {
+    out->assign(n, 0);
+    return;
   }
   DpTable& bwd = scratch->bwd;
   BuildSuffixExtensionTableInto(pattern, spec, seq, scratch, &bwd);

@@ -18,9 +18,13 @@
 //     S[1..k] ending at i) × (#gap-valid suffix embeddings of S[k+1..m]
 //     starting after i, honoring arrow k's gap). Since a matching maps
 //     exactly one pattern position to i, summing over k counts each
-//     matching involving i exactly once. O(nm) unconstrained, O(n²m) with
-//     gaps; specs with a window constraint fall back to method 2 (the
-//     window couples the two halves through the first matched position).
+//     matching involving i exactly once. Both tables fill an arrow
+//     without a max gap (unconstrained or ->[g..]) from one running sum
+//     per row, O(n) per row; an arrow ->[a..b] sums at most w = b−a+1
+//     cells per entry. So δ costs O(nm) when no arrow has a max gap and
+//     O(n·m·w) otherwise. Specs with a window constraint fall back to
+//     method 2, O(n) recounts (the window couples the two halves through
+//     the first matched position).
 //
 // All three agree on every input where they are defined (property-tested).
 

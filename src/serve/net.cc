@@ -45,7 +45,8 @@ Status Listener::ListenUnix(const std::string& path) {
     ::unlink(path.c_str());
     return s;
   }
-  fd_ = fd;
+  closed_.store(false, std::memory_order_release);
+  fd_.store(fd, std::memory_order_release);
   unix_path_ = path;
   return Status::OK();
 }
@@ -77,20 +78,24 @@ Status Listener::ListenTcp(uint16_t port) {
     ::close(fd);
     return s;
   }
-  fd_ = fd;
   port_ = ntohs(addr.sin_port);
+  closed_.store(false, std::memory_order_release);
+  fd_.store(fd, std::memory_order_release);
   return Status::OK();
 }
 
 Result<int> Listener::Accept() {
-  const int listen_fd = fd_;
-  if (listen_fd < 0) {
-    return Status::FailedPrecondition("listener is closed");
-  }
+  const int listen_fd = fd_.load(std::memory_order_acquire);
   for (;;) {
+    if (listen_fd < 0 || closed_.load(std::memory_order_acquire)) {
+      return Status::FailedPrecondition("listener is closed");
+    }
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      // accept() on a socket Close() shut down fails (EINVAL on Linux);
+      // the loop head reports that as the listener being closed.
+      if (closed_.load(std::memory_order_acquire)) continue;
       return Errno("accept");
     }
     if (SEQHIDE_FAULT_HIT("net.accept")) {
@@ -105,13 +110,17 @@ Result<int> Listener::Accept() {
 }
 
 void Listener::Close() {
-  if (fd_ >= 0) {
-    // shutdown() unblocks a concurrent accept() on Linux; close() alone
-    // may leave it blocked forever.
-    (void)::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
+  if (closed_.exchange(true, std::memory_order_acq_rel)) return;
+  const int fd = fd_.load(std::memory_order_acquire);
+  // shutdown() unblocks a concurrent accept() on Linux; close() alone
+  // may leave it blocked forever.
+  if (fd >= 0) (void)::shutdown(fd, SHUT_RDWR);
+}
+
+void Listener::Release() {
+  Close();
+  const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
+  if (fd >= 0) ::close(fd);
   if (!unix_path_.empty()) {
     ::unlink(unix_path_.c_str());
     unix_path_.clear();

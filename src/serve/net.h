@@ -11,6 +11,7 @@
 #ifndef SEQHIDE_SERVE_NET_H_
 #define SEQHIDE_SERVE_NET_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -20,12 +21,16 @@
 namespace seqhide {
 namespace serve {
 
-// A listening socket. Close() (or destruction) unblocks a concurrent
-// Accept() with an error, which is how the server stops its accept loop.
+// A listening socket. Close() unblocks a concurrent Accept() with an
+// error, which is how the server stops its accept loop. Close() only
+// shuts the socket down; the fd stays open until Release() (or
+// destruction), which the owner calls once no thread can be inside
+// Accept(). So an accept loop racing with Close() never hands accept() a
+// closed fd whose number was already reused.
 class Listener {
  public:
   Listener() = default;
-  ~Listener() { Close(); }
+  ~Listener() { Release(); }
   Listener(const Listener&) = delete;
   Listener& operator=(const Listener&) = delete;
 
@@ -41,14 +46,20 @@ class Listener {
   // continues. FailedPrecondition once Close() was called.
   Result<int> Accept();
 
+  // Wakes a blocked Accept() and fails later ones. Safe to call while
+  // another thread is in Accept().
   void Close();
-  bool listening() const { return fd_ >= 0; }
+  // Close(), then closes the fd and unlinks the socket file. Call only
+  // after the thread that calls Accept() has been joined.
+  void Release();
+  bool listening() const { return fd_.load(std::memory_order_acquire) >= 0; }
   uint16_t port() const { return port_; }
 
  private:
-  int fd_ = -1;
+  std::atomic<int> fd_{-1};
+  std::atomic<bool> closed_{false};
   uint16_t port_ = 0;
-  std::string unix_path_;  // unlinked on Close()
+  std::string unix_path_;  // unlinked on Release()
 };
 
 // Buffered reader/writer of newline-terminated lines over one socket.

@@ -1027,6 +1027,8 @@ bool Server::draining() const {
 void Server::Join() {
   if (!started_.load(std::memory_order_acquire)) return;
   if (accept_thread_.joinable()) accept_thread_.join();
+  // Only now can no thread be inside Accept(), so the fd may be closed.
+  listener_.Release();
   // Give queued + running work drain_grace_ms to finish on its own...
   if (!admission_.WaitIdle(opts_.drain_grace_ms)) {
     // ...then cancel what is left: in-flight sanitizes budget-stop at the

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+
+#include "src/match/constrained_count.h"
 #include "src/match/matching_set.h"
 #include "tests/test_util.h"
 
@@ -70,6 +75,63 @@ TEST(PositionDeltaTest, WindowConstrainedFallsBackToMarking) {
   // Valid under window 4: (0,1) span 2 and (3,6) span 4.
   std::vector<uint64_t> d = PositionDeltas(s, spec, t);
   EXPECT_EQ(d, (std::vector<uint64_t>{1, 1, 0, 1, 0, 0, 1}));
+}
+
+// FNV-1a-64 over the little-endian bytes of `values`.
+uint64_t Digest(const std::vector<uint64_t>& values, uint64_t h) {
+  for (uint64_t v : values) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      h ^= (v >> shift) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvBasis = 14695981039346656037ULL;
+
+// 300 copies of one symbol against a 12-symbol pattern of it: C(300,12)
+// exceeds 2^64, so counts saturate and mark-and-recount (which subtracts
+// two saturated counts) is no reference. The digests pin δ and the gap
+// table bit for bit, saturated cells included, at the values the per-cell
+// O(n²·m) sums produced before the running-sum tables replaced them.
+// Under ->[1..] every δ saturates; under ->[2..] the total count still
+// does but no δ does.
+TEST(PositionDeltaTest, SaturatedLongRowIsPinned) {
+  Alphabet a;
+  std::string row;
+  for (int i = 0; i < 300; ++i) row += "a ";
+  std::string pat;
+  for (int i = 0; i < 12; ++i) pat += "a ";
+  const Sequence t = Seq(&a, row);
+  const Sequence s = Seq(&a, pat);
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const ConstraintSpec gap1 = ConstraintSpec::UniformGap(1, GapBound::kNoMax);
+  const ConstraintSpec gap2 = ConstraintSpec::UniformGap(2, GapBound::kNoMax);
+  const ConstraintSpec bounded = ConstraintSpec::UniformGap(1, 30);
+
+  const std::vector<uint64_t> plain = PositionDeltas(s, ConstraintSpec(), t);
+  const std::vector<uint64_t> d1 = PositionDeltas(s, gap1, t);
+  const std::vector<uint64_t> d2 = PositionDeltas(s, gap2, t);
+  EXPECT_EQ(plain[0], kMax);
+  EXPECT_EQ(d1[0], kMax);
+  EXPECT_LT(*std::max_element(d2.begin(), d2.end()), kMax);
+  EXPECT_EQ(CountConstrainedMatchings(s, gap2, t), kMax);
+
+  EXPECT_EQ(Digest(plain, kFnvBasis), 10168201750644091205ULL);
+  EXPECT_EQ(Digest(d1, kFnvBasis), 10168201750644091205ULL);
+  EXPECT_EQ(Digest(d2, kFnvBasis), 1885754487494107029ULL);
+  EXPECT_EQ(Digest(PositionDeltas(s, bounded, t), kFnvBasis),
+            1807648594236471377ULL);
+  auto table_digest = [&](const ConstraintSpec& spec) {
+    uint64_t h = kFnvBasis;
+    for (const auto& row_k : BuildGapEndTable(s, spec, t)) {
+      h = Digest(std::vector<uint64_t>(row_k.begin(), row_k.end()), h);
+    }
+    return h;
+  };
+  EXPECT_EQ(table_digest(gap1), 9676654575814650665ULL);
+  EXPECT_EQ(table_digest(gap2), 5682997295244702937ULL);
 }
 
 // Property: all three δ computations agree with the brute-force

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/match/constrained_count.h"
 #include "src/match/count.h"
 #include "src/match/position_delta.h"
 #include "src/match/scratch.h"
@@ -137,6 +138,107 @@ TEST(PositionDeltaProps, TotalAccumulatesAndScratchMatches) {
     }
     return std::string();
   }));
+}
+
+// The arrow kinds the long-row properties cover, for a pattern of
+// `arrows` arrows: unconstrained, min-gap-only ->[g..] for g in {0, 1, 5},
+// bounded ->[1..3], and a per-arrow mix of ->[g..] and ->[0..2] (with g = 0
+// that mix is the only way a ->[0..] arrow reaches the gap table).
+std::vector<ConstraintSpec> LongRowSpecs(size_t arrows) {
+  std::vector<ConstraintSpec> specs = {ConstraintSpec()};
+  for (size_t g : {0, 1, 5}) {
+    specs.push_back(ConstraintSpec::UniformGap(g, GapBound::kNoMax));
+    std::vector<GapBound> mixed;
+    for (size_t a = 0; a < arrows; ++a) {
+      mixed.push_back(a % 2 == 0 ? GapBound{g, GapBound::kNoMax}
+                                 : GapBound{0, 2});
+    }
+    specs.push_back(ConstraintSpec::PerArrow(std::move(mixed)));
+  }
+  specs.push_back(ConstraintSpec::UniformGap(1, 3));
+  return specs;
+}
+
+// Rows of 128-512 symbols, where the enumeration oracle is too slow: the
+// production δ must equal mark-and-recount, which only runs the counting
+// kernels. Alphabets of 2-4 symbols keep matching dense; patterns of at
+// most 6 symbols keep every count below 2^64 (C(512,6) < 2^64), so the
+// recount's subtraction is exact.
+PropConfig LongRowConfig(const std::string& name, uint64_t seed) {
+  PropConfig config;
+  config.name = name;
+  config.seed = seed;
+  config.cases = 8;
+  config.gen.min_sequences = 1;
+  config.gen.max_sequences = 2;
+  config.gen.min_length = 128;
+  config.gen.max_length = 512;
+  config.gen.min_alphabet = 2;
+  config.gen.max_alphabet = 4;
+  config.gen.max_patterns = 2;
+  config.gen.min_pattern_length = 2;
+  config.gen.max_pattern_length = 6;
+  config.gen.constrained_probability = 0.0;
+  config.gen.randomize_options = false;
+  return config;
+}
+
+TEST(PositionDeltaProps, LongRowsEqualMarking) {
+  EXPECT_PROP_OK(CheckProperty(
+      LongRowConfig("position-delta/long-rows-equal-marking", 0x5eed0205),
+      [](const PropInstance& inst) {
+        for (size_t t = 0; t < inst.db.size(); ++t) {
+          for (size_t p = 0; p < inst.patterns.size(); ++p) {
+            const Sequence& pattern = inst.patterns[p];
+            for (const ConstraintSpec& spec :
+                 LongRowSpecs(pattern.size() - 1)) {
+              auto fast = PositionDeltas(pattern, spec, inst.db[t]);
+              auto marking = PositionDeltasByMarking(pattern, spec, inst.db[t]);
+              std::string diff = DiffDeltas(fast, marking, "production",
+                                            "marking " + spec.ToString(), t, p);
+              if (!diff.empty()) return diff;
+            }
+          }
+        }
+        return std::string();
+      }));
+}
+
+// Mark-and-recount counts ->[g..] arrows with the gap table's running
+// prefix sum, so pin that table independently on long rows: a max gap of
+// |T| admits every gap ->[g..] does, and takes the per-cell windowed sum.
+TEST(PositionDeltaProps, LongRowsGapTableEqualsWindowedSum) {
+  EXPECT_PROP_OK(CheckProperty(
+      LongRowConfig("position-delta/long-rows-gap-table", 0x5eed0206),
+      [](const PropInstance& inst) {
+        for (size_t t = 0; t < inst.db.size(); ++t) {
+          const size_t n = inst.db[t].size();
+          for (size_t p = 0; p < inst.patterns.size(); ++p) {
+            const Sequence& pattern = inst.patterns[p];
+            for (size_t g : {0, 1, 5}) {
+              std::vector<GapBound> open, capped;
+              for (size_t a = 0; a + 1 < pattern.size(); ++a) {
+                open.push_back(GapBound{g, GapBound::kNoMax});
+                capped.push_back(GapBound{g, n});
+              }
+              // With g = 0, bound arrow 0 in both specs so that the spec
+              // still takes the gap table, not the prefix table.
+              if (g == 0 && !open.empty()) open[0] = capped[0] = GapBound{0, 2};
+              const auto got = BuildGapEndTable(
+                  pattern, ConstraintSpec::PerArrow(open), inst.db[t]);
+              const auto want = BuildGapEndTable(
+                  pattern, ConstraintSpec::PerArrow(capped), inst.db[t]);
+              if (got != want) {
+                return "gap table ->[" + std::to_string(g) +
+                       "..] differs from ->[" + std::to_string(g) + ".." +
+                       std::to_string(n) + "] (row T" + std::to_string(t) +
+                       ", pattern S" + std::to_string(p) + ")";
+              }
+            }
+          }
+        }
+        return std::string();
+      }));
 }
 
 }  // namespace

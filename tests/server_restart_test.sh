@@ -60,6 +60,10 @@ esac
 
 start_server() {
   # $1 = threads, $2 = state dir, $3 = ledger
+  # Empty server.out before the fork: the child's own truncation can run
+  # after the first grep below, which would then see the previous
+  # server's "listening" line and race ahead of recovery.
+  : > "$WORK/server.out"
   "$SERVER" --db "$SERVE_DB" --socket "$WORK/s.sock" \
       --state-dir "$2" --ledger "$3" --threads "$1" \
       --round-size 1 --checkpoint-every 1 > "$WORK/server.out" 2>/dev/null &
