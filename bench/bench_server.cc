@@ -26,11 +26,9 @@
 
 #include "bench/gbench_json.h"
 #include "src/common/random.h"
-#include "src/seq/alphabet.h"
 #include "src/seq/database.h"
 #include "src/seq/io.h"
 #include "src/serve/admission.h"
-#include "src/serve/batcher.h"
 #include "src/serve/client.h"
 #include "src/serve/match_cache.h"
 #include "src/serve/protocol.h"
@@ -97,8 +95,7 @@ struct LiveServer {
 };
 
 std::unique_ptr<LiveServer> StartServer(benchmark::State& state,
-                                        size_t cache_entries,
-                                        size_t batch_max_size = 8) {
+                                        size_t cache_entries) {
   auto live = std::make_unique<LiveServer>();
   live->socket_path =
       (std::filesystem::temp_directory_path() /
@@ -111,7 +108,6 @@ std::unique_ptr<LiveServer> StartServer(benchmark::State& state,
   opts.socket_path = live->socket_path;
   opts.num_workers = 2;
   opts.cache_entries = cache_entries;
-  opts.batch_max_size = batch_max_size;
   auto server = Server::Create(opts);
   if (!server.ok()) {
     state.SkipWithError("Server::Create failed");
@@ -269,18 +265,14 @@ void BM_AdmissionShedDeterministic(benchmark::State& state) {
 }
 BENCHMARK(BM_AdmissionShedDeterministic);
 
-// The batching headline: eight pipelined match-count clients per
-// iteration — the concurrency-8 shape of the overload smoke test, with
-// the cache off so every request really counts. Arg = batch_max_size:
-// /8 coalesces the volley into (ideally) one union trie pass, /1 pins
-// the legacy solo path where each request pays its own scalar pass. The
-// per-iteration value_sum is the identity check — batching may never
-// change a single count — and `stable` asserts it held on every
+// Eight pipelined match-count clients per iteration — the concurrency-8
+// shape of the overload smoke test, with the cache off so every request
+// really counts through the signature screen. The per-iteration
+// value_sum is the identity check, and `stable` asserts it held on every
 // iteration.
 void BM_MatchCountConcurrent8(benchmark::State& state) {
   constexpr size_t kClients = 8;
-  const auto batch_max_size = static_cast<size_t>(state.range(0));
-  auto live = StartServer(state, /*cache_entries=*/0, batch_max_size);
+  auto live = StartServer(state, /*cache_entries=*/0);
   if (live == nullptr) return;
 
   std::vector<std::unique_ptr<ServeClient>> clients;
@@ -337,38 +329,7 @@ void BM_MatchCountConcurrent8(benchmark::State& state) {
 }
 // Real time, not CPU time: the work happens on the server's worker
 // threads, so the driving thread's CPU clock would hide the speedup.
-BENCHMARK(BM_MatchCountConcurrent8)->Arg(8)->Arg(1)->UseRealTime();
-
-// The planner alone, no sockets: eight overlapping two-pattern requests
-// collapse to a fixed-size union. Pure CPU and exactly deterministic —
-// the union size and member count are behavioural fingerprints of the
-// dedup/attribution rules.
-void BM_BatchPlanUnion(benchmark::State& state) {
-  Alphabet alphabet;
-  for (size_t s = 0; s < 32; ++s) alphabet.Intern("s" + std::to_string(s));
-  std::vector<Request> reqs(8);
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    reqs[i].method = i % 2 == 0 ? Method::kMatchCount : Method::kSupport;
-    // Consecutive requests share their second pattern, so 16 texts dedup.
-    reqs[i].patterns = {
-        "s" + std::to_string(i) + " -> s" + std::to_string(i + 8),
-        "s" + std::to_string(i / 2) + " -> s" + std::to_string(i / 2 + 16)};
-  }
-  std::vector<const Request*> ptrs;
-  for (const Request& req : reqs) ptrs.push_back(&req);
-
-  size_t union_size = 0;
-  for (auto _ : state) {
-    serve::BatchPlan plan = serve::BuildBatchPlan(alphabet, ptrs);
-    union_size = plan.union_size();
-    benchmark::DoNotOptimize(plan);
-  }
-  state.counters["union_patterns"] =
-      benchmark::Counter(static_cast<double>(union_size));
-  state.counters["batch_members"] =
-      benchmark::Counter(static_cast<double>(ptrs.size()));
-}
-BENCHMARK(BM_BatchPlanUnion);
+BENCHMARK(BM_MatchCountConcurrent8)->UseRealTime();
 
 }  // namespace
 }  // namespace seqhide

@@ -63,17 +63,6 @@ constexpr std::string_view kCatalog[] = {
     "net.disconnect",
     "serve.queue.full",
     "serve.cache.corrupt",
-    // serve/server.cc — the request batcher. wait.timeout fires the
-    // coalesce timer immediately (the leader dispatches whatever has
-    // arrived; correctness never depends on how long the window stayed
-    // open); union.build fails the shared union pass, and every batch
-    // member falls back to the solo per-pattern kernels (identical
-    // answers, just slower); demux.cancel drops one member's connection
-    // at demultiplex time — that response is dropped exactly like a
-    // client disconnect, its batchmates are answered normally.
-    "serve.batch.wait.timeout",
-    "serve.batch.union.build",
-    "serve.batch.demux.cancel",
 };
 
 // Fire listener (constant-initialized: safe from static registrars).

@@ -1,6 +1,7 @@
 #include "src/hide/second_stage.h"
 
 #include <algorithm>
+#include <string>
 
 #include "src/common/logging.h"
 #include "src/match/constrained_count.h"
@@ -25,6 +26,20 @@ std::vector<bool> PatternSymbolMask(const std::vector<Sequence>& patterns,
     }
   }
   return mask;
+}
+
+// Per pattern, whether `seq` holds at least one (constrained) occurrence.
+std::vector<bool> RowSupports(const Sequence& seq,
+                              const std::vector<Sequence>& patterns,
+                              const std::vector<ConstraintSpec>& constraints,
+                              MatchScratch* scratch) {
+  std::vector<bool> supports(patterns.size(), false);
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    const ConstraintSpec spec =
+        constraints.empty() ? ConstraintSpec() : constraints[p];
+    supports[p] = HasConstrainedMatch(patterns[p], spec, seq, scratch);
+  }
+  return supports;
 }
 
 // Global symbol frequencies over the database (used for tie-breaking so
@@ -72,9 +87,12 @@ Result<ReplaceReport> ReplaceMarks(
   SEQHIDE_TRACE_SPAN("replace_marks");
   Rng rng(options.seed);
   ReplaceReport report;
-  // One scratch across every candidate trial and the final post-condition
-  // scan; the per-candidate count is allocation-free once warmed up.
+  // One scratch across every candidate trial and the post-condition
+  // scans; the per-candidate count is allocation-free once warmed up.
   MatchScratch scratch;
+  std::vector<size_t> supports_before(patterns.size(), 0);
+  // Rows whose stuck Δs stay: deleting them would create an occurrence.
+  std::vector<bool> keep_stuck(db->size(), false);
   const size_t alphabet_size = db->alphabet().size();
   const std::vector<bool> in_pattern =
       PatternSymbolMask(patterns, alphabet_size);
@@ -94,6 +112,12 @@ Result<ReplaceReport> ReplaceMarks(
 
   for (size_t t = 0; t < db->size(); ++t) {
     Sequence* seq = db->mutable_sequence(t);
+    const std::vector<bool> supported_before =
+        RowSupports(*seq, patterns, constraints, &scratch);
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      if (supported_before[p]) ++supports_before[p];
+    }
+    size_t stuck = 0;
     for (size_t pos = 0; pos < seq->size(); ++pos) {
       if (!seq->IsMarked(pos)) continue;
 
@@ -149,27 +173,57 @@ Result<ReplaceReport> ReplaceMarks(
       } else if (options.delete_when_stuck) {
         // Leave Δ for now; a deletion pass at the end keeps positions
         // stable during this loop.
-        ++report.deleted;
+        ++stuck;
       } else {
         ++report.kept_marked;
       }
     }
+    if (stuck == 0) continue;
+    // Deleting shortens the gaps and windows around the Δs, which can
+    // complete an occurrence of a max-gap or window pattern. Delete the
+    // row's stuck Δs only if it then supports no pattern it did not
+    // support before; otherwise they stay marked.
+    const std::vector<bool> supported_after =
+        RowSupports(seq->WithoutMarks(), patterns, constraints, &scratch);
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      if (supported_after[p] && !supported_before[p]) keep_stuck[t] = true;
+    }
+    (keep_stuck[t] ? report.kept_marked : report.deleted) += stuck;
   }
 
-  if (options.delete_when_stuck && report.deleted > 0) {
-    size_t removed = DeleteMarks(db);
-    SEQHIDE_CHECK_EQ(removed, report.deleted);
+  if (report.deleted > 0) {
+    // DeleteMarks, except in the rows whose stuck Δs stay.
+    SequenceDatabase cleaned;
+    cleaned.alphabet() = db->alphabet();
+    for (size_t t = 0; t < db->size(); ++t) {
+      const Sequence& seq = (*db)[t];
+      const size_t marks = seq.MarkCount();
+      if (marks == seq.size()) continue;  // fully marked: drop the row
+      cleaned.Add(marks == 0 || keep_stuck[t] ? seq : seq.WithoutMarks());
+    }
+    *db = std::move(cleaned);
   }
 
   SEQHIDE_COUNTER_ADD("second_stage.replaced", report.replaced);
   SEQHIDE_COUNTER_ADD("second_stage.deleted", report.deleted);
 
-  // Post-condition: nothing was re-generated.
-  for (const auto& seq : db->sequences()) {
-    if (CountConstrainedMatchingsTotal(patterns, constraints, seq, &scratch) !=
-        0) {
+  // Post-condition: nothing was re-generated, so no pattern's support
+  // rose. Rows the marking stage left supporting (ψ > 0) keep their
+  // occurrences; they are not a failure.
+  std::vector<size_t> supports_after(patterns.size(), 0);
+  for (const Sequence& seq : db->sequences()) {
+    const std::vector<bool> supported =
+        RowSupports(seq, patterns, constraints, &scratch);
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      if (supported[p]) ++supports_after[p];
+    }
+  }
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    if (supports_after[p] > supports_before[p]) {
       return Status::Internal(
-          "replacement re-generated a sensitive occurrence");
+          "replacement re-generated a sensitive occurrence (pattern " +
+          std::to_string(p) + " support " + std::to_string(supports_before[p]) +
+          " -> " + std::to_string(supports_after[p]) + ")");
     }
   }
   return report;

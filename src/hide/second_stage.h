@@ -16,9 +16,10 @@
 // possible. VerifyNoNewFrequentPatterns measures the residual fake-pattern
 // risk against a mining threshold.
 //
-// Note: deletion also cannot re-generate sensitive patterns — removing an
+// Note: deletion cannot re-generate an unconstrained pattern — removing an
 // element never creates a new subsequence (Theorem 2's observation) — so
-// DeleteMarks needs no safety check.
+// DeleteMarks needs no safety check for them. It does shorten gaps and
+// windows, though, so ReplaceMarks checks its own deletions.
 
 #ifndef SEQHIDE_HIDE_SECOND_STAGE_H_
 #define SEQHIDE_HIDE_SECOND_STAGE_H_
@@ -52,20 +53,24 @@ struct ReplaceOptions {
   ReplacementStrategy strategy = ReplacementStrategy::kLeastHarm;
   uint64_t seed = 1;
   // When no safe replacement symbol exists for a Δ, delete that position
-  // instead (true, default) or keep the Δ (false).
+  // instead (true, default) or keep the Δ (false). A row's stuck Δs stay
+  // anyway when deleting them would complete an occurrence of a max-gap
+  // or window pattern the row did not hold.
   bool delete_when_stuck = true;
 };
 
 struct ReplaceReport {
   size_t replaced = 0;       // Δs replaced with a real symbol
   size_t deleted = 0;        // Δs deleted because no symbol was safe
-  size_t kept_marked = 0;    // Δs left in place (delete_when_stuck=false)
+  size_t kept_marked = 0;    // Δs left in place (not deleted, or unsafe to)
 };
 
-// Replaces Δs subject to the sensitive patterns staying hidden
-// (support of every (constrained) pattern must remain exactly as the
-// marking stage left it in each touched sequence — i.e. zero occurrences
-// are re-created). `constraints` is empty or parallel to `patterns`.
+// Replaces Δs subject to the sensitive patterns staying hidden: a symbol
+// is committed only if its row then holds no (constrained) occurrence of
+// any pattern, so no pattern's support rises across the stage. Rows the
+// marking stage left supporting by design (ψ > 0) keep their
+// occurrences. Returns Internal if a support rose anyway. `constraints`
+// is empty or parallel to `patterns`.
 Result<ReplaceReport> ReplaceMarks(SequenceDatabase* db,
                                    const std::vector<Sequence>& patterns,
                                    const std::vector<ConstraintSpec>& constraints,

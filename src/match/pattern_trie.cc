@@ -97,40 +97,4 @@ bool PatternTrie::CountAll(SequenceView seq, MatchScratch* scratch,
   return true;
 }
 
-size_t PatternSetUnion::AddOrigin(const std::vector<Sequence>& patterns) {
-  const size_t origin = slots_.size();
-  std::vector<size_t> slots;
-  slots.reserve(patterns.size());
-  for (const Sequence& pattern : patterns) {
-    auto [it, inserted] =
-        index_.try_emplace(pattern.symbols(), union_patterns_.size());
-    if (inserted) union_patterns_.push_back(pattern);
-    slots.push_back(it->second);
-  }
-  slots_.push_back(std::move(slots));
-  return origin;
-}
-
-bool CountUnionOverDb(const PatternTrie& trie, const DatabaseView& db,
-                      MatchScratch* scratch, std::vector<uint64_t>* totals,
-                      std::vector<uint64_t>* supports) {
-  const size_t n = trie.num_patterns();
-  std::vector<uint64_t> row_counts(n, 0);
-  std::vector<uint64_t> t(n, 0);
-  std::vector<uint64_t> s(n, 0);
-  for (size_t row = 0; row < db.size(); ++row) {
-    std::fill(row_counts.begin(), row_counts.end(), 0);
-    if (!trie.CountAll(db.row(row), scratch, row_counts.data())) return false;
-    for (size_t p = 0; p < n; ++p) {
-      t[p] = SatAdd(t[p], row_counts[p]);
-      if (row_counts[p] > 0) ++s[p];
-    }
-  }
-  SEQHIDE_COUNTER_INC("match.trie.union_passes");
-  SEQHIDE_COUNTER_ADD("match.trie.union_rows", db.size());
-  *totals = std::move(t);
-  *supports = std::move(s);
-  return true;
-}
-
 }  // namespace seqhide

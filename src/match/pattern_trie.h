@@ -30,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/constraints/constraints.h"
@@ -77,49 +76,6 @@ class PatternTrie {
   KernelVec<uint32_t> terminal_;
   size_t num_covered_ = 0;
 };
-
-// Union of several independent pattern sets ("origins" — e.g. the
-// concurrent requests of one server batch) with per-origin attribution.
-// Identical symbol sequences are deduped into one union slot, so the
-// union can be matched once (e.g. by one PatternTrie pass per row) and
-// each origin reads its answers back through slot(origin, i). Dedup is
-// by exact symbol-id content, which is only sound when every origin's
-// patterns were interned into the SAME alphabet.
-class PatternSetUnion {
- public:
-  // Registers one origin's patterns; returns its origin index. Each
-  // pattern is deduped against everything added so far.
-  size_t AddOrigin(const std::vector<Sequence>& patterns);
-
-  size_t num_origins() const { return slots_.size(); }
-  // Distinct patterns across every origin, in first-seen order.
-  const std::vector<Sequence>& union_patterns() const {
-    return union_patterns_;
-  }
-  // Union-pattern index of `origin`'s `i`-th pattern.
-  size_t slot(size_t origin, size_t i) const { return slots_[origin][i]; }
-  const std::vector<size_t>& slots(size_t origin) const {
-    return slots_[origin];
-  }
-
- private:
-  std::vector<Sequence> union_patterns_;
-  std::map<std::vector<SymbolId>, size_t> index_;
-  std::vector<std::vector<size_t>> slots_;
-};
-
-// One trie pass per database row, accumulated over the whole database:
-//   totals[u]   = saturating sum over rows of |M_{S_u}^row|
-//   supports[u] = number of rows with at least one embedding of S_u
-// for every pattern the trie covers (build it with empty constraints so
-// it covers all of them). Row order matches the scalar per-row SatAdd
-// loop, so totals are bit-identical to the per-pattern kernels — and,
-// because SatAdd(x, 0) == x, to the mapped candidate-row-pruned totals.
-// Returns false (outputs untouched) iff the scratch budget refuses the
-// trie counter row.
-bool CountUnionOverDb(const PatternTrie& trie, const DatabaseView& db,
-                      MatchScratch* scratch, std::vector<uint64_t>* totals,
-                      std::vector<uint64_t>* supports);
 
 }  // namespace seqhide
 

@@ -10,10 +10,13 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <utility>
 
 #include "src/common/fault_injection.h"
+#include "src/common/thread_pool.h"
 #include "src/obs/macros.h"
+#include "src/seq/signature.h"
 
 namespace seqhide {
 namespace {
@@ -611,27 +614,72 @@ std::vector<size_t> MappedDatabase::CandidateRows(
   return finish(std::move(result));
 }
 
-Status MappedDatabase::ValidateRows() const {
+Status MappedDatabase::ValidateRows(std::vector<uint64_t>* signatures,
+                                    size_t max_threads) const {
+  const uint64_t num_rows = header_.num_rows;
+  const uint64_t num_symbols = header_.num_symbols;
   if (row_offsets_[0] != 0) {
     return Status::Corruption("seqhidb row offsets do not start at 0");
   }
-  for (uint64_t t = 0; t < header_.num_rows; ++t) {
-    if (row_offsets_[t] > row_offsets_[t + 1]) {
-      return Status::Corruption("seqhidb row " + std::to_string(t) +
-                                " has corrupt offsets (not monotone)");
-    }
+  if (signatures != nullptr) signatures->assign(num_rows, 0);
+
+  // One pass over row chunks: a chunk checks its rows' offsets, then
+  // reads their columns, writes only its own signature slots, and keeps
+  // its first bad row and first bad column. Errors are reported in a
+  // fixed order (offsets, coverage, then the lowest bad column), so the
+  // message is the same at every thread count.
+  constexpr uint64_t kNone = ~uint64_t{0};
+  const uint64_t sigma = alphabet_.size();
+  std::mutex mu;
+  uint64_t bad_row = kNone;
+  uint64_t bad_column = kNone;
+  ThreadPool::Shared().ParallelFor(
+      static_cast<size_t>(num_rows), max_threads,
+      [&](size_t begin, size_t end) {
+        uint64_t chunk_bad_row = kNone;
+        uint64_t chunk_bad_column = kNone;
+        for (size_t t = begin; t < end; ++t) {
+          if (row_offsets_[t] > row_offsets_[t + 1]) {
+            chunk_bad_row = t;
+            break;
+          }
+        }
+        // Monotone here and ending inside the column section, so every
+        // column read below is in range. A chunk ending past the section
+        // implies an offsets error elsewhere, which outranks columns.
+        if (chunk_bad_row == kNone && row_offsets_[end] <= num_symbols) {
+          for (size_t t = begin; t < end && chunk_bad_column == kNone; ++t) {
+            uint64_t sig = 0;
+            for (uint64_t j = row_offsets_[t]; j < row_offsets_[t + 1]; ++j) {
+              const SymbolId s = columns_[j];
+              if (static_cast<uint64_t>(s) >= sigma && s != kDeltaSymbol) {
+                chunk_bad_column = j;
+                break;
+              }
+              sig |= SymbolSignatureBit(s);
+            }
+            if (signatures != nullptr) (*signatures)[t] = sig;
+          }
+        }
+        if (chunk_bad_row != kNone || chunk_bad_column != kNone) {
+          std::lock_guard<std::mutex> lock(mu);
+          bad_row = std::min(bad_row, chunk_bad_row);
+          bad_column = std::min(bad_column, chunk_bad_column);
+        }
+      });
+  if (bad_row != kNone) {
+    return Status::Corruption("seqhidb row " + std::to_string(bad_row) +
+                              " has corrupt offsets (not monotone)");
   }
-  if (row_offsets_[header_.num_rows] != header_.num_symbols) {
+  if (row_offsets_[num_rows] != num_symbols) {
     return Status::Corruption(
         "seqhidb row offsets do not cover the column section");
   }
-  for (uint64_t j = 0; j < header_.num_symbols; ++j) {
-    const SymbolId s = columns_[j];
-    if (s != kDeltaSymbol && !alphabet_.Contains(s)) {
-      return Status::Corruption("seqhidb column " + std::to_string(j) +
-                                " references symbol id " + std::to_string(s) +
-                                " outside the alphabet");
-    }
+  if (bad_column != kNone) {
+    return Status::Corruption("seqhidb column " + std::to_string(bad_column) +
+                              " references symbol id " +
+                              std::to_string(columns_[bad_column]) +
+                              " outside the alphabet");
   }
   return Status::OK();
 }

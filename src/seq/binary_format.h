@@ -186,9 +186,15 @@ class MappedDatabase {
 
   // Structural row check, O(|D| + num_symbols) with no checksums: row
   // offsets start at 0, are monotone and end at num_symbols, and every
-  // column symbol is Δ or in the alphabet. Corruption otherwise. After it
-  // passes, row() never needs to clamp.
-  Status ValidateRows() const;
+  // column symbol is Δ or in the alphabet. Corruption otherwise, naming
+  // the first bad row or the lowest bad column. After it passes, row()
+  // never needs to clamp. The same pass yields each row's symbol
+  // signature (src/seq/signature.h) into *signatures when non-null. Runs
+  // over row chunks of ThreadPool::Shared() with up to `max_threads`
+  // threads (0 = all hardware threads); the result, error message
+  // included, is the same at every thread count.
+  Status ValidateRows(std::vector<uint64_t>* signatures = nullptr,
+                      size_t max_threads = 0) const;
 
   // Materializes an in-memory SequenceDatabase (alphabet ids preserved).
   // Unlike row(), this runs ValidateRows() first and reports Corruption

@@ -80,14 +80,6 @@ void AdmissionController::OnFinished(size_t est_bytes) {
   if (queued_ == 0 && running_ == 0) idle_cv_.notify_all();
 }
 
-void AdmissionController::OnCoalesced(size_t est_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  inflight_bytes_ -= std::min(inflight_bytes_, est_bytes);
-  SEQHIDE_COUNTER_ADD("serve.batch.bytes_released", est_bytes);
-  SEQHIDE_GAUGE_SET("serve.inflight_table_bytes",
-                    static_cast<int64_t>(inflight_bytes_));
-}
-
 void AdmissionController::BeginDrain() {
   std::lock_guard<std::mutex> lock(mu_);
   draining_ = true;

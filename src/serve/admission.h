@@ -62,10 +62,6 @@ class AdmissionController {
   // The request finished (response written or dropped on disconnect);
   // `est_bytes` must be the value passed to Offer.
   void OnFinished(size_t est_bytes);
-  // The request was coalesced into a batch whose shared counting pass is
-  // charged to the batch leader: release this request's byte reservation
-  // now (it keeps counting as running until OnFinished(0)).
-  void OnCoalesced(size_t est_bytes);
 
   // From now on every Offer is refused with "unavailable".
   void BeginDrain();

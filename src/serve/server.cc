@@ -15,16 +15,14 @@
 #include "src/common/logging.h"
 #include "src/constraints/constraints.h"
 #include "src/hide/sanitizer.h"
+#include "src/match/bitset_match.h"
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
-#include "src/match/mapped_match.h"
-#include "src/match/pattern_trie.h"
 #include "src/match/scratch.h"
 #include "src/match/subsequence.h"
-#include "src/mine/constrained_miner.h"
 #include "src/obs/macros.h"
 #include "src/seq/io.h"
-#include "src/serve/batcher.h"
+#include "src/seq/signature.h"
 
 namespace seqhide {
 namespace serve {
@@ -143,13 +141,6 @@ struct Server::WorkItem {
   Clock::time_point deadline;
   bool has_deadline = false;
   size_t est_bytes = 0;
-  // Bytes this item still owes admission at OnFinished time. Starts at
-  // est_bytes; a coalesced batch follower is zeroed once its reservation
-  // is released (the shared pass is charged to the leader only).
-  size_t charged_bytes = 0;
-  // Cache key of the fast-path lookup, so the batch demux inserts under
-  // the same key it probed (and the miss is counted exactly once).
-  uint64_t patterns_fp = 0;
   std::shared_ptr<std::atomic<bool>> cancel;
 };
 
@@ -176,9 +167,6 @@ Result<std::unique_ptr<Server>> Server::Create(const ServerOptions& opts) {
   if (opts.num_workers == 0) {
     return Status::InvalidArgument("num_workers must be >= 1");
   }
-  if (opts.batch_max_size == 0) {
-    return Status::InvalidArgument("batch_max_size must be >= 1");
-  }
   if (opts.admission.queue_limit == 0) {
     return Status::InvalidArgument("queue_limit must be >= 1");
   }
@@ -197,8 +185,9 @@ Status Server::LoadDatabase() {
     SEQHIDE_ASSIGN_OR_RETURN(MappedDatabase mapped,
                              MappedDatabase::OpenMapped(opts_.db_path));
     // Open validates only the header and alphabet; reject corrupt row
-    // offsets or symbol ids before serving (O(file), no checksums).
-    SEQHIDE_RETURN_IF_ERROR(mapped.ValidateRows());
+    // offsets or symbol ids before serving (O(file), no checksums). The
+    // same pass yields the row signatures.
+    SEQHIDE_RETURN_IF_ERROR(mapped.ValidateRows(&row_signatures_));
     db_fingerprint_ = mapped.header().header_fnv;
     mapped_.emplace(std::move(mapped));
     db_ = mapped_->view();
@@ -207,9 +196,12 @@ Status Server::LoadDatabase() {
     db_ = DatabaseView(text_db_);
     const std::string text = WriteDatabaseToString(text_db_);
     db_fingerprint_ = Fnv1a64(text.data(), text.size());
+    row_signatures_.resize(db_.size());
   }
   for (size_t t = 0; t < db_.size(); ++t) {
-    db_max_length_ = std::max(db_max_length_, db_.row(t).size());
+    const SequenceView row = db_.row(t);
+    db_max_length_ = std::max(db_max_length_, row.size());
+    if (!mapped_.has_value()) row_signatures_[t] = SequenceSignature(row);
   }
   return Status::OK();
 }
@@ -420,7 +412,6 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
             std::chrono::duration<double, std::milli>(deadline_ms));
   }
   item->est_bytes = est_bytes;
-  item->charged_bytes = est_bytes;
   item->cancel = std::make_shared<std::atomic<bool>>(false);
   {
     std::lock_guard<std::mutex> lock(conn->inflight_mu);
@@ -434,50 +425,24 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
     std::lock_guard<std::mutex> lock(queue_mu_);
     queue_.push_back(std::move(item));
   }
-  // notify_all, not notify_one: a batch leader parked in its coalescing
-  // wait could otherwise swallow the only wakeup meant for an idle
-  // worker (e.g. for a non-batchable sanitize it will not collect).
-  queue_cv_.notify_all();
+  queue_cv_.notify_one();
 }
 
 void Server::WorkerLoop() {
   for (;;) {
-    std::shared_ptr<WorkItem> first;
+    std::shared_ptr<WorkItem> item;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock,
                      [this] { return workers_stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // workers_stop_ and nothing left
-      first = std::move(queue_.front());
+      item = std::move(queue_.front());
       queue_.pop_front();
     }
     admission_.OnDispatched();
-    if (opts_.batch_max_size <= 1 || !BatchEligible(*first)) {
-      ProcessItem(first);
-      admission_.OnFinished(first->charged_bytes);
-      RetireItem(first);
-      continue;
-    }
-    // Batch path: only a query that actually needs a counting pass is
-    // worth holding a coalescing window open for — cache hits and
-    // terminal outcomes answer immediately.
-    const Clock::time_point start = Clock::now();
-    if (TryQueryFastPath(first, start)) {
-      admission_.OnFinished(first->charged_bytes);
-      RetireItem(first);
-      continue;
-    }
-    std::vector<std::shared_ptr<WorkItem>> batch;
-    batch.push_back(first);
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      CollectBatchLocked(lock, &batch);
-    }
-    ProcessBatch(batch, start);
-    for (const std::shared_ptr<WorkItem>& item : batch) {
-      admission_.OnFinished(item->charged_bytes);
-      RetireItem(item);
-    }
+    ProcessItem(item);
+    admission_.OnFinished(item->est_bytes);
+    RetireItem(item);
   }
 }
 
@@ -492,202 +457,6 @@ void Server::RetireItem(const std::shared_ptr<WorkItem>& item) {
     std::lock_guard<std::mutex> lock(item->conn->inflight_mu);
     auto& v = item->conn->inflight_cancels;
     v.erase(std::remove(v.begin(), v.end(), item->cancel), v.end());
-  }
-}
-
-bool Server::BatchEligible(const WorkItem& item) const {
-  return BatchableMethod(item.req.method);
-}
-
-bool Server::TryQueryFastPath(const std::shared_ptr<WorkItem>& item,
-                              Clock::time_point start) {
-  const uint64_t queue_us = ElapsedUs(item->admitted_at, start);
-  if (SEQHIDE_FAULT_HIT("net.disconnect")) {
-    // Same simulation as ProcessItem: the client vanishes between
-    // admission and dispatch.
-    item->conn->disconnected.store(true, std::memory_order_release);
-    item->conn->chan.Shutdown();
-  }
-  const bool client_gone =
-      item->conn != nullptr &&
-      item->conn->disconnected.load(std::memory_order_acquire);
-  if (client_gone || item->cancel->load(std::memory_order_acquire)) {
-    FinishItem(item,
-               ErrorResponse(item->req.id,
-                             Status::Cancelled(client_gone
-                                                   ? "client disconnected"
-                                                   : "server is draining")),
-               start);
-    return true;
-  }
-  if (item->has_deadline && Clock::now() >= item->deadline) {
-    FinishItem(item,
-               ErrorResponse(item->req.id,
-                             Status::DeadlineExceeded(
-                                 "deadline expired while queued (queue_us=" +
-                                 std::to_string(queue_us) + ")")),
-               start);
-    return true;
-  }
-  if (item->req.patterns.empty()) {
-    FinishItem(item,
-               ErrorResponse(item->req.id,
-                             Status::InvalidArgument(
-                                 "'patterns' must be non-empty")),
-               start);
-    return true;
-  }
-  item->patterns_fp =
-      FingerprintPatterns(MethodName(item->req.method), item->req.patterns);
-  if (auto cached = cache_.Lookup(db_fingerprint_, item->patterns_fp)) {
-    Response resp;
-    resp.id = item->req.id;
-    resp.values = std::move(*cached);
-    resp.cache = "hit";
-    FinishItem(item, std::move(resp), start);
-    return true;
-  }
-  return false;
-}
-
-void Server::CollectBatchLocked(
-    std::unique_lock<std::mutex>& lock,
-    std::vector<std::shared_ptr<WorkItem>>* batch) {
-  const Clock::time_point window_close =
-      Clock::now() + std::chrono::microseconds(opts_.batch_max_wait_us);
-  // Fault: the coalesce timer fires immediately, dispatching whatever is
-  // on hand. Batching may never change a response byte, so an early
-  // window close must be invisible to every client.
-  const bool window_open = !SEQHIDE_FAULT_HIT("serve.batch.wait.timeout");
-  for (;;) {
-    for (auto it = queue_.begin();
-         it != queue_.end() && batch->size() < opts_.batch_max_size;) {
-      if (BatchEligible(**it)) {
-        admission_.OnDispatched();
-        batch->push_back(std::move(*it));
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (batch->size() >= opts_.batch_max_size || workers_stop_ ||
-        !window_open || Clock::now() >= window_close) {
-      return;
-    }
-    queue_cv_.wait_until(lock, window_close);
-  }
-}
-
-void Server::ProcessBatch(const std::vector<std::shared_ptr<WorkItem>>& batch,
-                          Clock::time_point leader_start) {
-  SEQHIDE_HISTOGRAM_RECORD("serve.batch.wait_us",
-                           ElapsedUs(leader_start, Clock::now()));
-  // Admission charges the shared pass once: followers release their byte
-  // reservation now (the leader's stays until the pass is done); every
-  // member still counts as running until its own OnFinished.
-  for (size_t i = 1; i < batch.size(); ++i) {
-    admission_.OnCoalesced(batch[i]->charged_bytes);
-    batch[i]->charged_bytes = 0;
-  }
-
-  // Triage in arrival order: followers run the same fast path the leader
-  // already ran — cancels, expired deadlines, malformed requests, and
-  // cache hits answer now and leave the batch.
-  std::vector<std::shared_ptr<WorkItem>> live;
-  std::vector<Clock::time_point> starts;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const Clock::time_point start = i == 0 ? leader_start : Clock::now();
-    if (i == 0 || !TryQueryFastPath(batch[i], start)) {
-      live.push_back(batch[i]);
-      starts.push_back(start);
-    }
-  }
-  if (live.empty()) return;
-
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.batches;
-    if (live.size() > 1) stats_.coalesced += live.size();
-  }
-  SEQHIDE_HISTOGRAM_RECORD("serve.batch.size", live.size());
-  if (live.size() > 1) {
-    SEQHIDE_COUNTER_ADD("serve.batch.coalesced", live.size());
-  } else {
-    SEQHIDE_COUNTER_INC("serve.batch.solo");
-  }
-
-  std::vector<const Request*> requests;
-  requests.reserve(live.size());
-  for (const std::shared_ptr<WorkItem>& item : live) {
-    requests.push_back(&item->req);
-  }
-  const BatchPlan plan = BuildBatchPlan(db_.alphabet(), requests);
-
-  // The shared pass. A union-build fault or a scratch-budget refusal
-  // downgrades the whole batch to the solo per-pattern kernels —
-  // identical answers, one pass per pattern instead of one per batch.
-  std::vector<uint64_t> totals;
-  std::vector<uint64_t> supports;
-  bool union_ok = false;
-  MatchScratch scratch;
-  if (plan.union_size() > 0 &&
-      !SEQHIDE_FAULT_HIT("serve.batch.union.build")) {
-    const PatternTrie trie(plan.union_set.union_patterns(), {});
-    union_ok = CountUnionOverDb(trie, db_, &scratch, &totals, &supports);
-  }
-
-  // Demux in arrival order. A member that cancelled or expired while the
-  // pass ran is dropped from the demux without touching its batchmates.
-  for (size_t i = 0; i < live.size(); ++i) {
-    const std::shared_ptr<WorkItem>& item = live[i];
-    const BatchMemberPlan& member = plan.members[i];
-    if (!member.error.ok()) {
-      FinishItem(item, ErrorResponse(item->req.id, member.error), starts[i]);
-      continue;
-    }
-    if (SEQHIDE_FAULT_HIT("serve.batch.demux.cancel")) {
-      // One member's client vanishes while its batch ran: exactly the
-      // net.disconnect treatment — connection closed, response dropped.
-      item->conn->disconnected.store(true, std::memory_order_release);
-      item->conn->chan.Shutdown();
-    }
-    const bool client_gone =
-        item->conn != nullptr &&
-        item->conn->disconnected.load(std::memory_order_acquire);
-    if (client_gone || item->cancel->load(std::memory_order_acquire)) {
-      FinishItem(item,
-                 ErrorResponse(item->req.id,
-                               Status::Cancelled(client_gone
-                                                     ? "client disconnected"
-                                                     : "request cancelled")),
-                 starts[i]);
-      continue;
-    }
-    if (item->has_deadline && Clock::now() >= item->deadline) {
-      FinishItem(item,
-                 ErrorResponse(item->req.id,
-                               Status::DeadlineExceeded("deadline exceeded")),
-                 starts[i]);
-      continue;
-    }
-    Response resp;
-    resp.id = item->req.id;
-    resp.values.reserve(member.slots.size());
-    for (size_t j = 0; j < member.slots.size(); ++j) {
-      uint64_t value = 0;
-      if (member.slots[j] != BatchPlan::kSoloPattern && union_ok) {
-        value = item->req.method == Method::kSupport
-                    ? supports[member.slots[j]]
-                    : totals[member.slots[j]];
-      } else {
-        value =
-            ComputePatternValue(item->req.method, member.parsed[j], &scratch);
-      }
-      resp.values.push_back(value);
-    }
-    cache_.Insert(db_fingerprint_, item->patterns_fp, resp.values);
-    resp.cache = "miss";
-    FinishItem(item, std::move(resp), starts[i]);
   }
 }
 
@@ -794,21 +563,20 @@ Response Server::DoQuery(const std::shared_ptr<WorkItem>& item) {
 
   MatchScratch scratch;
   resp.values.reserve(parsed.size());
-  for (const ConstrainedPattern& cp : parsed) {
-    // Budget boundaries sit between patterns, mirroring the batch
-    // pipeline's between-rounds granularity.
-    if (item->cancel->load(std::memory_order_acquire)) {
-      return ErrorResponse(req.id, Status::Cancelled("request cancelled"));
+  {
+    SEQHIDE_TRACE_SPAN("serve");
+    SEQHIDE_TRACE_SPAN("query");
+    for (const ConstrainedPattern& cp : parsed) {
+      // Budget boundaries sit between patterns.
+      if (item->cancel->load(std::memory_order_acquire)) {
+        return ErrorResponse(req.id, Status::Cancelled("request cancelled"));
+      }
+      if (item->has_deadline && Clock::now() >= item->deadline) {
+        return ErrorResponse(req.id,
+                             Status::DeadlineExceeded("deadline exceeded"));
+      }
+      resp.values.push_back(ComputePatternValue(req.method, cp, &scratch));
     }
-    if (item->has_deadline && Clock::now() >= item->deadline) {
-      return ErrorResponse(req.id,
-                           Status::DeadlineExceeded("deadline exceeded"));
-    }
-    if (!cp.constraints.IsUnconstrained()) {
-      const Status valid = cp.constraints.Validate(cp.pattern.size());
-      if (!valid.ok()) return ErrorResponse(req.id, valid);
-    }
-    resp.values.push_back(ComputePatternValue(req.method, cp, &scratch));
   }
   cache_.Insert(db_fingerprint_, patterns_fp, resp.values);
   resp.cache = "miss";
@@ -818,24 +586,32 @@ Response Server::DoQuery(const std::shared_ptr<WorkItem>& item) {
 uint64_t Server::ComputePatternValue(Method method,
                                      const ConstrainedPattern& cp,
                                      MatchScratch* scratch) const {
-  if (method == Method::kSupport) {
-    if (cp.constraints.IsUnconstrained()) {
-      return mapped_.has_value() ? SupportMapped(cp.pattern, *mapped_)
-                                 : Support(cp.pattern, db_);
-    }
-    return mapped_.has_value()
-               ? ConstrainedSupportMapped(cp.pattern, cp.constraints, *mapped_)
-               : ConstrainedSupport(cp.pattern, cp.constraints, text_db_);
-  }
-  if (mapped_.has_value()) {
-    return CountConstrainedMatchingsTotalMapped({cp.pattern}, {cp.constraints},
-                                                *mapped_);
-  }
+  const Sequence& pattern = cp.pattern;
+  const ConstraintSpec& spec = cp.constraints;
+  const uint64_t need = SequenceSignature(pattern);
+  const SymbolMasks masks(pattern);
   uint64_t value = 0;
+  size_t scanned = 0;
   for (size_t t = 0; t < db_.size(); ++t) {
-    value = SatAdd(value, CountConstrainedMatchings(cp.pattern, cp.constraints,
-                                                    db_.row(t), scratch));
+    if ((row_signatures_[t] & need) != need) continue;
+    ++scanned;
+    const SequenceView row = db_.row(t);
+    // No unconstrained embedding means no matching under any constraint.
+    const bool embeds = masks.usable() ? HasSubsequenceBitParallel(masks, row)
+                                       : IsSubsequence(pattern, row);
+    if (!embeds) continue;
+    if (method == Method::kSupport) {
+      if (spec.IsUnconstrained() ||
+          HasConstrainedMatch(pattern, spec, row, scratch)) {
+        ++value;
+      }
+    } else {
+      value = SatAdd(value,
+                     CountConstrainedMatchings(pattern, spec, row, scratch));
+    }
   }
+  SEQHIDE_COUNTER_ADD("bindb.candidate.rows", scanned);
+  SEQHIDE_COUNTER_ADD("bindb.candidate.pruned", db_.size() - scanned);
   return value;
 }
 

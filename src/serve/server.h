@@ -66,10 +66,10 @@ namespace serve {
 
 struct ServerOptions {
   // Database image: text or seqhidb v1, sniffed by magic. A binary image
-  // is mmapped and served zero-copy (with its precomputed indexes); a
-  // text database is materialized once. Either way every request reads
-  // that one image: sanitize requests mark private copies of their
-  // victim rows only, so the serving image is never copied or mutated.
+  // is mmapped and served zero-copy; a text database is materialized
+  // once. Either way every request reads that one image: sanitize
+  // requests mark private copies of their victim rows only, so the
+  // serving image is never copied or mutated.
   std::string db_path;
 
   // Exactly one endpoint: a Unix-domain socket path, or TCP on
@@ -86,16 +86,6 @@ struct ServerOptions {
   AdmissionLimits admission;
   // Match-info cache entries; 0 disables the cache.
   size_t cache_entries = 128;
-
-  // Query batching (support / match-count only): a worker holding a
-  // cache-miss query keeps the coalescing window open for up to
-  // batch_max_wait_us, gathering further batchable requests (up to
-  // batch_max_size including its own), and answers them all with one
-  // union pattern-trie pass over the database. 1 pins batching off —
-  // every query runs the legacy solo path. Coalescing is never allowed
-  // to change a single response byte; only latency/throughput.
-  size_t batch_max_size = 8;
-  uint64_t batch_max_wait_us = 200;
 
   // Applied when a request carries no deadline_ms; 0 = none.
   double default_deadline_ms = 0.0;
@@ -124,8 +114,6 @@ struct ServerStats {
   uint64_t disconnects = 0;
   uint64_t responses_dropped = 0;  // client gone before the write
   uint64_t recovered_jobs = 0;
-  uint64_t batches = 0;    // union counting passes dispatched
-  uint64_t coalesced = 0;  // requests answered by a shared (size>1) pass
 };
 
 class Server {
@@ -178,26 +166,13 @@ class Server {
   // `resume` re-runs a recovered job from its checkpoint.
   Response DoSanitize(const std::shared_ptr<WorkItem>& item, bool resume);
 
-  // Batch path (batch_max_size > 1). A popped batchable query first tries
-  // the fast path — cancel/deadline/malformed/cache-hit outcomes answer
-  // immediately without holding a coalescing window open; on false the
-  // item needs a counting pass and becomes the batch leader.
-  bool BatchEligible(const WorkItem& item) const;
-  bool TryQueryFastPath(const std::shared_ptr<WorkItem>& item,
-                        std::chrono::steady_clock::time_point start);
-  // Gathers further batchable items (queue_mu_ held via `lock`), waiting
-  // up to batch_max_wait_us for arrivals; non-batchable items are left
-  // queued for the other workers.
-  void CollectBatchLocked(std::unique_lock<std::mutex>& lock,
-                          std::vector<std::shared_ptr<WorkItem>>* batch);
-  void ProcessBatch(const std::vector<std::shared_ptr<WorkItem>>& batch,
-                    std::chrono::steady_clock::time_point leader_start);
-  // The solo per-pattern kernel selection, shared by DoQuery and the
-  // batch fallback so both paths produce the same bits by construction.
+  // One pattern's answer: rows whose signature lacks a pattern symbol's
+  // bit are skipped, the Shift-And screen drops the rest that hold no
+  // embedding, and the exact kernel runs on the survivors.
   uint64_t ComputePatternValue(Method method, const ConstrainedPattern& cp,
                                MatchScratch* scratch) const;
   // Seals one request: timings, outcome stats, ledger record, response
-  // write (or drop). The single exit for solo, fast-path, and batch.
+  // write (or drop).
   void FinishItem(const std::shared_ptr<WorkItem>& item, Response resp,
                   std::chrono::steady_clock::time_point start);
   // Removes the item's cancel flag from the drain sweep and its
@@ -212,11 +187,13 @@ class Server {
 
   ServerOptions opts_;
   // The serving image: the mapping (binary) or the database read from
-  // text, exactly one of them set, and db_ viewing it. Immutable after
+  // text, exactly one of them set, and db_ viewing it, with one symbol
+  // signature per row (src/seq/signature.h). Immutable after
   // LoadDatabase(), so workers share it without locks.
   std::optional<MappedDatabase> mapped_;
   SequenceDatabase text_db_;
   DatabaseView db_;
+  std::vector<uint64_t> row_signatures_;
   uint64_t db_fingerprint_ = 0;
   size_t db_max_length_ = 0;
 

@@ -18,6 +18,7 @@
 #include "src/match/subsequence.h"
 #include "src/seq/binary_format.h"
 #include "src/seq/io.h"
+#include "src/seq/signature.h"
 #include "tests/test_util.h"
 
 namespace seqhide {
@@ -330,6 +331,77 @@ TEST(BinaryFormatTest, DatabaseViewClampsCorruptRowOffsets) {
     EXPECT_LE(row.size(), lax->total_symbols()) << t;
     EXPECT_TRUE(row == lax->row(t)) << t;
     for (size_t i = 0; i < row.size(); ++i) (void)row[i];
+  }
+}
+
+// A database of `rows` rows of 5 symbols over `sigma` symbols, every
+// seventh position Δ-marked.
+SequenceDatabase FixedWidthDb(size_t rows, size_t sigma) {
+  SequenceDatabase db;
+  for (size_t s = 0; s < sigma; ++s) {
+    db.alphabet().Intern("s" + std::to_string(s));
+  }
+  Rng rng(rows * 31 + sigma);
+  for (size_t t = 0; t < rows; ++t) {
+    std::vector<SymbolId> symbols(5);
+    for (size_t i = 0; i < symbols.size(); ++i) {
+      symbols[i] = (t * 5 + i) % 7 == 3
+                       ? kDeltaSymbol
+                       : static_cast<SymbolId>(rng.NextBounded(sigma));
+    }
+    db.Add(Sequence(std::move(symbols)));
+  }
+  return db;
+}
+
+TEST(BinaryFormatTest, ValidateRowsSignaturesEqualSerialRecompute) {
+  // 90 symbols: ids 64..89 fold onto the bits of 0..25, and Δ onto 63's.
+  const SequenceDatabase db = FixedWidthDb(500, 90);
+  MappedDatabase mapped = MustOpen(MustWrite(db));
+  for (const size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    std::vector<uint64_t> signatures;
+    ASSERT_TRUE(mapped.ValidateRows(&signatures, threads).ok()) << threads;
+    ASSERT_EQ(signatures.size(), db.size());
+    for (size_t t = 0; t < db.size(); ++t) {
+      EXPECT_EQ(signatures[t], SequenceSignature(db[t]))
+          << "row " << t << ", " << threads << " threads";
+    }
+  }
+  std::vector<uint64_t> none;
+  EXPECT_TRUE(MustOpen(MustWrite(SequenceDatabase())).ValidateRows(&none).ok());
+  EXPECT_TRUE(none.empty());
+}
+
+TEST(BinaryFormatTest, ValidateRowsNamesTheLowestErrorAtEveryThreadCount) {
+  // 400 rows × 5 symbols: columns 130 (row 26) and 1700 (row 340) sit in
+  // different row chunks at every thread count above one.
+  const std::string bytes = MustWrite(FixedWidthDb(400, 8));
+  const BinaryHeader header = MustOpen(bytes).header();
+  const uint64_t columns = header.sections[kSecColumns].offset;
+  const uint64_t offsets = header.sections[kSecRowOffsets].offset;
+
+  std::string bad_columns = bytes;
+  OverwriteU32(&bad_columns, columns + 4 * 1700, 999);
+  OverwriteU32(&bad_columns, columns + 4 * 130, 12345);
+  // A non-monotone row outranks any bad column, however early the column.
+  std::string bad_rows = bad_columns;
+  OverwriteU64(&bad_rows, offsets + 8 * 301, 5 * 305);
+  OverwriteU64(&bad_rows, offsets + 8 * 391, 5 * 395);
+
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
+    std::vector<uint64_t> signatures;
+    const Status columns_status =
+        MustOpen(bad_columns).ValidateRows(&signatures, threads);
+    EXPECT_TRUE(columns_status.IsCorruption()) << columns_status;
+    EXPECT_EQ(columns_status.message(),
+              "seqhidb column 130 references symbol id 12345 outside the "
+              "alphabet")
+        << threads << " threads";
+    const Status rows_status = MustOpen(bad_rows).ValidateRows(nullptr, threads);
+    EXPECT_TRUE(rows_status.IsCorruption()) << rows_status;
+    EXPECT_EQ(rows_status.message(),
+              "seqhidb row 301 has corrupt offsets (not monotone)")
+        << threads << " threads";
   }
 }
 

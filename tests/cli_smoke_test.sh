@@ -52,6 +52,16 @@ if grep -q '\^' "$WORK/out2.txt"; then
 fi
 "$CLI" support --db "$WORK/out2.txt" --pattern "a -> b -> c" | grep -q "support=0"
 
+# stage2 replacement at psi 1: the row psi leaves supporting keeps its
+# occurrence, the marked rows get symbols back, support stays at psi
+"$CLI" sanitize --db "$WORK/db.txt" --out "$WORK/out2b.txt" \
+    --pattern "a -> b -> c" --psi 1 --stage2 replace > "$WORK/log2b.txt"
+grep -q "stage2: replaced 2, deleted 0" "$WORK/log2b.txt"
+if grep -q '\^' "$WORK/out2b.txt"; then
+  echo "FAIL: deltas survived stage2 replace at psi 1"; exit 1
+fi
+"$CLI" support --db "$WORK/out2b.txt" --pattern "a -> b -> c" | grep -q "support=1"
+
 # psi > 0 leaves at most psi supporters
 "$CLI" sanitize --db "$WORK/db.txt" --out "$WORK/out3.txt" \
     --pattern "a -> b -> c" --psi 2 --algo RR --seed 7 > /dev/null

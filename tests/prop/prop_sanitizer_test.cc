@@ -17,15 +17,21 @@
 //     checkpoint) and resumed finishes byte-identical to an
 //     uninterrupted run;
 //   * optimality oracle: the exhaustive local strategy's mark count per
-//     victim equals the exact subset-search optimum.
+//     victim equals the exact subset-search optimum;
+//   * stage-2 replacement at ψ >= 1 (global or per pattern): succeeds,
+//     raises no pattern's support above what marking left (so every
+//     support stays <= its ψ), and keeps a Δ only where deleting it
+//     would complete an occurrence.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "src/hide/hitting_set.h"
+#include "src/hide/second_stage.h"
 #include "src/hide/sanitizer.h"
 #include "src/testing/oracles.h"
 #include "tests/prop/prop_gtest.h"
@@ -78,6 +84,74 @@ TEST(SanitizerProps, OracleSupportRespectsPsi) {
         return "reported supports_after[" + std::to_string(p) + "]=" +
                std::to_string(report->supports_after[p]) +
                " but oracle measures " + std::to_string(support);
+      }
+    }
+    return std::string();
+  }));
+}
+
+TEST(SanitizerProps, ReplaceAtPositivePsiNeverRaisesSupport) {
+  PropConfig config;
+  config.name = "sanitizer/replace-never-raises-support";
+  config.seed = 0x5eed0408;
+  config.gen = SanitizerGen();
+  EXPECT_PROP_OK(CheckProperty(config, [](const PropInstance& inst) {
+    // ψ >= 1 leaves supporting rows unmarked by design. Odd-sized
+    // databases also get a per-pattern ψ_i in {1, 2, 3}.
+    SanitizeOptions opts = inst.options;
+    opts.psi = std::max<size_t>(opts.psi, 1);
+    if (inst.db.size() % 2 == 1) {
+      opts.per_pattern_psi.clear();
+      for (size_t p = 0; p < inst.patterns.size(); ++p) {
+        opts.per_pattern_psi.push_back(std::min<size_t>(
+            1 + (p + inst.patterns[p].size()) % 3, inst.db.size()));
+      }
+    }
+    auto psi = [&](size_t p) {
+      return opts.per_pattern_psi.empty() ? opts.psi : opts.per_pattern_psi[p];
+    };
+    SequenceDatabase marked = inst.db;
+    auto report = Sanitize(&marked, inst.patterns, inst.constraints, opts);
+    if (!report.ok()) {
+      return "Sanitize failed: " + report.status().ToString();
+    }
+    if (report->degraded) return std::string();  // budget runs exempt
+    for (const ReplacementStrategy strategy :
+         {ReplacementStrategy::kLeastHarm, ReplacementStrategy::kRandomSafe}) {
+      SequenceDatabase released = marked;
+      ReplaceOptions replace;
+      replace.strategy = strategy;
+      replace.seed = opts.seed;
+      auto replaced =
+          ReplaceMarks(&released, inst.patterns, inst.constraints, replace);
+      if (!replaced.ok()) {
+        return "ReplaceMarks failed: " + replaced.status().ToString();
+      }
+      // A Δ stays only where deleting it would complete an occurrence of
+      // a max-gap or window pattern; unconstrained sets never keep one.
+      size_t marks = 0;
+      for (const Sequence& row : released.sequences()) {
+        marks += row.MarkCount();
+      }
+      bool all_unconstrained = true;
+      for (size_t p = 0; p < inst.patterns.size(); ++p) {
+        all_unconstrained &= SpecFor(inst, p).IsUnconstrained();
+      }
+      if (marks != replaced->kept_marked ||
+          (all_unconstrained && marks != 0)) {
+        return std::to_string(marks) + " Δ survived, report kept " +
+               std::to_string(replaced->kept_marked);
+      }
+      for (size_t p = 0; p < inst.patterns.size(); ++p) {
+        const ConstraintSpec spec = SpecFor(inst, p);
+        const size_t before = OracleSupport(inst.patterns[p], spec, marked);
+        const size_t after = OracleSupport(inst.patterns[p], spec, released);
+        if (after > before || after > psi(p)) {
+          return "pattern S" + std::to_string(p) + " support " +
+                 std::to_string(before) + " after marking, " +
+                 std::to_string(after) + " after replace (psi " +
+                 std::to_string(psi(p)) + ")";
+        }
       }
     }
     return std::string();

@@ -100,6 +100,48 @@ TEST_F(ReplaceMarksTest, SequenceLengthsPreservedByReplacement) {
   }
 }
 
+TEST(ReplaceMarksEdgeTest, PsiLeftSupportersAreNotAFailure) {
+  // ψ = 1 leaves one of the three supporters unmarked by design; the
+  // replaced release keeps that one occurrence and is accepted.
+  SequenceDatabase db;
+  db.AddFromNames({"a", "b", "c", "d"});
+  db.AddFromNames({"a", "b", "x", "c"});
+  db.AddFromNames({"b", "c", "a"});
+  db.AddFromNames({"a", "a", "b", "c", "c", "b", "a", "e"});
+  db.AddFromNames({"x", "y", "z"});
+  const std::vector<Sequence> patterns = {Seq(&db.alphabet(), "a b c")};
+  SanitizeOptions options = SanitizeOptions::HH();
+  options.psi = 1;
+  ASSERT_TRUE(Sanitize(&db, patterns, options).ok());
+  auto report = ReplaceMarks(&db, patterns, {}, ReplaceOptions());
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->replaced, 2u);
+  EXPECT_EQ(db.TotalMarkCount(), 0u);
+  EXPECT_EQ(Support(patterns[0], db), 1u);
+}
+
+TEST(ReplaceMarksEdgeTest, StuckDeltaStaysWhenDeletingItCompletesAnOccurrence) {
+  // <a, Δ, a> against {b, a ->[0..0] a}: both symbols re-create a pattern,
+  // and deleting the Δ would make the two a's adjacent. The Δ stays.
+  SequenceDatabase db;
+  db.AddFromNames({"a", "b", "a"});
+  db.mutable_sequence(0)->Mark(1);
+  auto b = ParseConstrainedPattern(&db.alphabet(), "b");
+  auto aa = ParseConstrainedPattern(&db.alphabet(), "a ->[0..0] a");
+  ASSERT_TRUE(b.ok() && aa.ok());
+  const std::vector<Sequence> patterns = {b->pattern, aa->pattern};
+  const std::vector<ConstraintSpec> constraints = {b->constraints,
+                                                   aa->constraints};
+  auto report = ReplaceMarks(&db, patterns, constraints, ReplaceOptions());
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->replaced, 0u);
+  EXPECT_EQ(report->deleted, 0u);
+  EXPECT_EQ(report->kept_marked, 1u);
+  ASSERT_EQ(db.size(), 1u);
+  EXPECT_EQ(db[0].size(), 3u);
+  EXPECT_TRUE(db[0].IsMarked(1));
+}
+
 TEST(ReplaceMarksEdgeTest, ValidatesInputs) {
   SequenceDatabase db;
   db.AddFromNames({"a"});

@@ -2,8 +2,9 @@
 // control determinism, match-info cache behavior (including checksum
 // self-healing), and full request/response cycles against an in-process
 // server on a Unix-domain socket — deadlines, sheds, drain, disconnect
-// cancellation, durable-job recovery, and load-time validation of
-// corrupt seqhidb images.
+// cancellation, durable-job recovery, load-time validation of corrupt
+// seqhidb images, and query answers that agree across text and seqhidb
+// images (the two row-signature builders), unknown symbols included.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <system_error>
@@ -650,7 +652,7 @@ TEST_F(ServerTest, DisconnectFaultCancelsWithoutResponse) {
   EXPECT_EQ(stats.requests_ok, 1u);
 }
 
-TEST_F(ServerTest, CorruptCachedEntryInsideBatchRecomputesThatRequestOnly) {
+TEST_F(ServerTest, CorruptCachedEntryRecomputesThatRequestOnly) {
 #ifdef SEQHIDE_FAULTS_DISABLED
   GTEST_SKIP() << "fault injection compiled out";
 #endif
@@ -675,10 +677,10 @@ TEST_F(ServerTest, CorruptCachedEntryInsideBatchRecomputesThatRequestOnly) {
   ASSERT_TRUE(warmed.ok()) << warmed.status();
   EXPECT_EQ(warmed->cache, "miss");
 
-  // Corrupt A's cached payload, then pipeline A and a fresh B so they
-  // share the batch window: A's lookup drops the corrupt entry and
-  // recomputes inside the batch, B computes normally — neither sees an
-  // internal error, and A's recomputed values match the originals.
+  // Corrupt A's cached payload, then pipeline A and a fresh B: A's
+  // lookup drops the corrupt entry and recomputes, B computes normally —
+  // neither sees an internal error, and A's recomputed values match the
+  // originals.
   ASSERT_TRUE(fi.ArmSite("serve.cache.corrupt", 1).ok());
   a.id = 2;
   Request b;
@@ -713,6 +715,167 @@ TEST_F(ServerTest, CorruptCachedEntryInsideBatchRecomputesThatRequestOnly) {
   server->Join();
   EXPECT_EQ(server->stats().requests_ok, 4u);
   EXPECT_EQ(server->stats().requests_error, 0u);
+}
+
+// Pipelines `reqs` (all sends, then all receives) and returns each
+// response line by id, timings zeroed so lines compare across servers.
+std::map<uint64_t, std::string> Volley(ServeClient* client,
+                                       const std::vector<Request>& reqs) {
+  std::map<uint64_t, std::string> out;
+  for (const Request& req : reqs) {
+    const Status sent = client->Send(req);
+    EXPECT_TRUE(sent.ok()) << sent;
+  }
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    auto resp = client->Receive();
+    EXPECT_TRUE(resp.ok()) << resp.status();
+    if (!resp.ok()) break;
+    resp->queue_us = 0;
+    resp->work_us = 0;
+    out[resp->id] = SerializeResponse(*resp);
+  }
+  return out;
+}
+
+// The two signature builders — the seqhidb load pass and the text load
+// loop — must answer a pipelined volley identically, errors included.
+TEST_F(ServerTest, VolleyIsByteIdenticalOnTextAndBinaryImages) {
+  const std::string image_path = dir_ + "/volley.sdb";
+  WriteImage(image_path, [](const BinaryHeader&, std::string*) {});
+
+  std::vector<Request> volley;
+  const std::vector<std::vector<std::string>> pattern_sets = {
+      {"a -> b"},
+      {"b -> c", "a -> b"},
+      {"a -> b -> c"},
+      {"a ->[0..1] b", "c -> a"},  // constrained + unconstrained
+      {"ghost -> a"},              // unseen symbol, counts zero
+      {"a ->[oops] b"},            // parse error, isolated
+  };
+  uint64_t id = 100;
+  for (size_t i = 0; i < pattern_sets.size(); ++i) {
+    Request req;
+    req.id = id++;
+    req.method = i % 2 == 0 ? Method::kMatchCount : Method::kSupport;
+    req.patterns = pattern_sets[i];
+    volley.push_back(req);
+  }
+
+  std::vector<std::map<uint64_t, std::string>> answers;
+  for (const std::string& path : {db_path_, image_path}) {
+    ServerOptions opts = BaseOptions();
+    opts.db_path = path;
+    opts.cache_entries = 0;
+    auto server = StartServer(opts);
+    ASSERT_NE(server, nullptr) << path;
+    auto client = Connect();
+    ASSERT_NE(client, nullptr) << path;
+    answers.push_back(Volley(client.get(), volley));
+    server->RequestDrain();
+    server->Join();
+    EXPECT_EQ(server->stats().requests_ok, 5u) << path;
+    EXPECT_EQ(server->stats().requests_error, 1u) << path;
+  }
+  ASSERT_EQ(answers[0].size(), volley.size());
+  EXPECT_EQ(answers[0], answers[1]);
+  EXPECT_NE(answers[0].at(104).find("\"values\":[0]"), std::string::npos)
+      << answers[0].at(104);
+}
+
+// Every request parses its patterns into its own copy of the serving
+// alphabet. An unseen symbol's fresh id sits past the database's ids, so
+// its signature bit can collide with a real symbol's (ids fold modulo
+// 64): the screen then lets rows through, and the exact kernel still
+// counts zero. Requests naming different unseen symbols never see each
+// other's ids.
+TEST_F(ServerTest, UnknownSymbolsCountZeroWhenTheirSignatureBitCollides) {
+  // 64 symbols s0..s63: the first fresh id (64) shares s0's bit.
+  {
+    std::ofstream out(db_path_, std::ios::trunc);
+    for (int t = 0; t < 8; ++t) {
+      for (int s = 0; s < 64; ++s) out << (s > 0 ? " s" : "s") << s;
+      out << "\n";
+    }
+  }
+  const std::string image_path = dir_ + "/wide.sdb";
+  WriteImage(image_path, [](const BinaryHeader&, std::string*) {});
+
+  for (const std::string& path : {db_path_, image_path}) {
+    ServerOptions opts = BaseOptions();
+    opts.db_path = path;
+    opts.cache_entries = 0;
+    auto server = StartServer(opts);
+    ASSERT_NE(server, nullptr) << path;
+    auto client = Connect();
+    ASSERT_NE(client, nullptr) << path;
+
+    std::vector<Request> volley(4);
+    volley[0].patterns = {"ghost", "s0 -> ghost", "s1 -> s2"};
+    volley[1].patterns = {"phantom -> s5", "s0 -> s63"};
+    volley[2].patterns = {"ghost -> phantom", "s63 -> s0"};
+    volley[3].patterns = {"s0 -> ghost"};
+    for (size_t i = 0; i < volley.size(); ++i) {
+      volley[i].id = i + 1;
+      volley[i].method = i % 2 == 0 ? Method::kSupport : Method::kMatchCount;
+    }
+    volley[3].method = Method::kMatchCount;
+    const auto got = Volley(client.get(), volley);
+    ASSERT_EQ(got.size(), volley.size()) << path;
+    EXPECT_NE(got.at(1).find("\"values\":[0,0,8]"), std::string::npos)
+        << path << ": " << got.at(1);
+    EXPECT_NE(got.at(2).find("\"values\":[0,8]"), std::string::npos)
+        << path << ": " << got.at(2);
+    EXPECT_NE(got.at(3).find("\"values\":[0,0]"), std::string::npos)
+        << path << ": " << got.at(3);
+    EXPECT_NE(got.at(4).find("\"values\":[0]"), std::string::npos)
+        << path << ": " << got.at(4);
+    server->RequestDrain();
+    server->Join();
+  }
+}
+
+// Per-request error precedence: a request's reported error is its first
+// failing pattern's, and a healthy request pipelined beside broken ones
+// is answered normally.
+TEST_F(ServerTest, QueryErrorPrecedenceIsPerRequest) {
+  auto server = StartServer(BaseOptions());
+  ASSERT_NE(server, nullptr);
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+
+  std::vector<Request> volley(4);
+  // Pattern order: the second pattern's bad gap spec is reported, not
+  // the third's unsatisfiable window.
+  volley[0].patterns = {"a -> b", "a ->[bogus] b", "a -> b ; window<=1"};
+  volley[1].patterns = {"a -> b", "a -> b ; window<=1"};
+  volley[2].patterns = {"a -> b"};
+  volley[3].patterns = {"a -> b ; window<=1", "a ->[0..1] b ; window<=0"};
+  for (size_t i = 0; i < volley.size(); ++i) {
+    volley[i].id = i + 1;
+    volley[i].method = Method::kSupport;
+  }
+  std::map<uint64_t, Response> got;
+  for (const Request& req : volley) ASSERT_TRUE(client->Send(req).ok());
+  for (size_t i = 0; i < volley.size(); ++i) {
+    auto resp = client->Receive();
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    got[resp->id] = *resp;
+  }
+  const std::string invalid(WireStatus(StatusCode::kInvalidArgument));
+  EXPECT_EQ(got[1].status, invalid);
+  EXPECT_NE(got[1].error.find("bogus"), std::string::npos) << got[1].error;
+  EXPECT_EQ(got[2].status, invalid);
+  EXPECT_NE(got[2].error.find("window"), std::string::npos) << got[2].error;
+  EXPECT_EQ(got[3].status, "ok") << got[3].error;
+  EXPECT_EQ(got[3].values, std::vector<uint64_t>{4});
+  EXPECT_EQ(got[4].status, invalid);
+  EXPECT_TRUE(got[1].values.empty());
+  EXPECT_TRUE(got[2].values.empty());
+
+  server->RequestDrain();
+  server->Join();
+  EXPECT_EQ(server->stats().requests_ok, 1u);
+  EXPECT_EQ(server->stats().requests_error, 3u);
 }
 
 TEST_F(ServerTest, RecoverLeftoverJobOnStartup) {

@@ -6,9 +6,9 @@
 # both server boots and the recovered job.
 #
 # While the kill window is open, an open-loop query volley keeps
-# coalesced match-count batches in flight, so the SIGKILL also lands
-# mid-batch; those connections die without responses (expected — the
-# clients are gone with the process), and the checks are that recovery
+# match-count queries in flight, so the SIGKILL also lands mid-query;
+# those connections die without responses (expected — the clients are
+# gone with the process), and the checks are that recovery
 # is still byte-identical and that the restarted server answers query
 # traffic with zero hard failures.
 #
@@ -97,7 +97,7 @@ for THREADS in 1 2 8; do
         > /dev/null 2>&1 &
     LG_PID=$!
 
-    # Query pressure so the SIGKILL lands mid-batch too. The volley dies
+    # Query pressure so the SIGKILL lands mid-query too. The volley dies
     # with the server; its exit status is meaningless here.
     "$LOADGEN" --socket "$WORK/s.sock" --method match-count \
         --pattern "a -> b" --pattern "b -> c" \
@@ -135,7 +135,7 @@ for THREADS in 1 2 8; do
   # Restart: recovery runs to completion before the endpoint binds.
   start_server "$THREADS" "$STATE" "$LEDGER"
 
-  # The restarted server serves (batched) queries with no silent drops.
+  # The restarted server serves queries with no silent drops.
   "$LOADGEN" --socket "$WORK/s.sock" --method match-count \
       --pattern "a -> b -> c" --requests 32 --concurrency 4 > /dev/null \
       || { echo "FAIL(threads=$THREADS): post-restart queries failed"; exit 1; }

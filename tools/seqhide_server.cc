@@ -103,7 +103,6 @@ constexpr const char* kKnownFlags[] = {
     "default-deadline-ms",          "drain-grace-ms",
     "state-dir",   "round-size",    "checkpoint-every",
     "ledger",      "metrics-prom",  "telemetry-interval-ms",
-    "batch-max-size",               "batch-max-wait-us",
     "inject-fault",
 };
 
@@ -131,7 +130,6 @@ void Usage() {
          "           [--state-dir DIR] [--round-size N]\n"
          "           [--checkpoint-every N] [--ledger FILE]\n"
          "           [--metrics-prom FILE] [--telemetry-interval-ms MS]\n"
-         "           [--batch-max-size N] [--batch-max-wait-us US]\n"
          "           [--inject-fault site:k,...]\n";
 }
 
@@ -191,12 +189,6 @@ int Run(int argc, char** argv) {
     SEQHIDE_ASSIGN_OR_RETURN(
         opts.checkpoint_every_rounds,
         flags.GetSize("checkpoint-every", opts.checkpoint_every_rounds));
-    SEQHIDE_ASSIGN_OR_RETURN(
-        opts.batch_max_size,
-        flags.GetSize("batch-max-size", opts.batch_max_size));
-    SEQHIDE_ASSIGN_OR_RETURN(
-        opts.batch_max_wait_us,
-        flags.GetSize("batch-max-wait-us", opts.batch_max_wait_us));
     return Status::OK();
   }();
   if (!parsed.ok()) {
@@ -279,9 +271,7 @@ int Run(int argc, char** argv) {
             << " error=" << stats.requests_error << " shed=" << stats.sheds
             << " deadline=" << stats.deadline_exceeded
             << " cancelled=" << stats.cancelled
-            << " recovered=" << stats.recovered_jobs
-            << " batches=" << stats.batches
-            << " coalesced=" << stats.coalesced << "\n"
+            << " recovered=" << stats.recovered_jobs << "\n"
             << std::flush;
 
   if (ledger != nullptr) {
