@@ -399,7 +399,10 @@ uint64_t ComputeRunFingerprint(const DatabaseView& db,
   h.U64(opts.seed);
   h.U64(static_cast<uint64_t>(opts.local));
   h.U64(static_cast<uint64_t>(opts.global));
-  h.U64(opts.use_index ? 1 : 0);
+  // Slot of the retired inverted-index pruning option (the row-signature
+  // screen replaced it): a constant 0, so digests and checkpoints from
+  // builds that had it still match.
+  h.U64(0);
   h.U64(opts.verify ? 1 : 0);
   h.U64(opts.mark_round_size);
   return h.Digest();

@@ -100,7 +100,7 @@ Status WriteCheckpoint(const std::string& path, const CheckpointState& state);
 Result<CheckpointState> LoadCheckpoint(const std::string& path);
 
 // FNV-1a-64 hash of the inputs and every option that affects the result
-// (strategies, ψ, seed, round size, use_index, verify — not thread count
+// (strategies, ψ, seed, round size, verify — not thread count
 // or budget, which may legitimately differ between a run and its resume).
 // Reads only the view's alphabet and rows, so an in-memory database and
 // its seqhidb image fingerprint identically: a checkpoint written by one

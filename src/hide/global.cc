@@ -9,6 +9,7 @@
 #include "src/match/count.h"
 #include "src/match/scratch.h"
 #include "src/obs/macros.h"
+#include "src/seq/signature.h"
 
 namespace seqhide {
 namespace {
@@ -48,28 +49,45 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, size_t num_threads,
-    const MatchKernel& kernel) {
+    const MatchKernel& kernel, size_t* admitted_pairs) {
   SEQHIDE_CHECK(constraints.empty() || constraints.size() == patterns.size())
       << "constraints must be empty or parallel to patterns";
   SEQHIDE_TRACE_SPAN("compute_match_info");
   SEQHIDE_COUNTER_ADD("global.match_info_rows", db.size() * patterns.size());
+  const size_t num_patterns = patterns.size();
+  const uint64_t* signatures = db.signatures();
   std::vector<SequenceMatchInfo> info(db.size());
-  ThreadPool::Shared().ParallelFor(
-      db.size(), num_threads, [&](size_t begin, size_t end) {
+  const uint64_t admitted = ThreadPool::Shared().ParallelReduceSum(
+      db.size(), num_threads, [&](size_t begin, size_t end) -> uint64_t {
         // One scratch per chunk: warm across the chunk's rows, and never
         // shared between workers. The kernel itself is immutable shared
         // state (masks/trie built once, read concurrently).
         MatchScratch scratch;
+        uint64_t pairs = 0;
         for (size_t t = begin; t < end; ++t) {
           info[t].index = t;
-          info[t].pattern_support.resize(patterns.size(), false);
+          const SequenceView row = db.row(t);
+          const uint64_t sig =
+              signatures != nullptr ? signatures[t] : SequenceSignature(row);
+          size_t row_pairs = 0;
+          for (size_t p = 0; p < num_patterns; ++p) {
+            if (kernel.Admits(p, sig)) ++row_pairs;
+          }
+          if (row_pairs == 0) continue;
+          pairs += row_pairs;
           std::vector<uint64_t>& counts = scratch.pattern_counts;
-          info[t].matching_count = kernel.CountRow(db[t], &scratch, &counts);
-          for (size_t p = 0; p < patterns.size(); ++p) {
+          info[t].matching_count = kernel.CountRow(row, sig, &scratch, &counts);
+          if (info[t].matching_count == 0) continue;
+          info[t].pattern_support.resize(num_patterns);
+          for (size_t p = 0; p < num_patterns; ++p) {
             info[t].pattern_support[p] = (counts[p] > 0);
           }
         }
+        return pairs;
       });
+  if (admitted_pairs != nullptr) {
+    *admitted_pairs = static_cast<size_t>(admitted);
+  }
   return info;
 }
 

@@ -25,12 +25,20 @@ struct SequenceMatchInfo {
   size_t index = 0;           // position in the database
   uint64_t matching_count = 0;  // |M_{S_h}^T| under constraints
   // pattern_support[i] is true iff this sequence has a constrained
-  // matching of patterns[i] (drives the per-pattern-ψ extension).
+  // matching of patterns[i] (drives the per-pattern-ψ extension). Empty
+  // when matching_count == 0 — a non-supporter supports no pattern — so
+  // the rows the count stage screens out cost no allocation; it has one
+  // entry per pattern otherwise.
   std::vector<bool> pattern_support;
 };
 
 // Computes SequenceMatchInfo for every sequence of `db`; the view serves
-// in-memory and memory-mapped databases alike.
+// in-memory and memory-mapped databases alike. Rows are screened by
+// their 64-bit symbol signature (src/seq/signature.h): db.signatures()
+// when the view carries them, else computed from each row in the same
+// pass. A (row, pattern) pair the signature does not admit counts 0 with
+// no DP, and a row that admits no pattern is not scanned at all; the
+// result is identical to counting every pair.
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints);
@@ -46,11 +54,13 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
 // Kernel-explicit variant: the counting engine is chosen by the caller
 // (Sanitize builds one MatchKernel per run from SanitizeOptions::kernel).
 // The overloads above delegate here with an auto-dispatched kernel. The
-// result is bit-identical for every engine and thread count.
+// result is bit-identical for every engine and thread count. When
+// `admitted_pairs` is non-null it receives the number of (row, pattern)
+// pairs the signature screen let through to the kernel.
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, size_t num_threads,
-    const MatchKernel& kernel);
+    const MatchKernel& kernel, size_t* admitted_pairs = nullptr);
 
 // Returns the indices of the sequences to sanitize so that at most `psi`
 // sequences keep a matching. Only supporters (matching_count > 0) are ever

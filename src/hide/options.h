@@ -111,14 +111,6 @@ struct SanitizeOptions {
   // Efficiency knobs (paper §8 lists large-dataset efficiency as future
   // work; these do not change any result, only wall time):
   //
-  // Prune non-supporting sequences with an inverted symbol index before
-  // running the counting DP on them. Off by default: for one-shot
-  // sanitization the index build usually costs more than the pruning
-  // saves (the counting DP is O(nm) per row anyway) — enable it when the
-  // pattern symbols are rare, so candidates << |D|, or when sequences are
-  // long. bench_kernels (BM_SanitizeIndexedVsScan) measures the
-  // trade-off; results are identical either way.
-  bool use_index = false;
   // Matching-kernel engine for the counting/support hot paths (see
   // match/kernel.h): kAuto picks by pattern-set shape (overridable via
   // the SEQHIDE_KERNEL environment variable); scalar/bitset/trie pin one

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <optional>
+#include <mutex>
 #include <set>
 #include <sstream>
 
@@ -19,11 +19,11 @@
 #include "src/match/count.h"
 #include "src/match/kernel.h"
 #include "src/match/scratch.h"
-#include "src/mine/inverted_index.h"
 #include "src/obs/macros.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/obs/telemetry/telemetry.h"
+#include "src/seq/signature.h"
 
 namespace seqhide {
 namespace {
@@ -104,103 +104,42 @@ Status ValidateInputs(const DatabaseView& db,
   return Status::OK();
 }
 
-// Constrained support of pattern p in db: rows with >= 1 valid occurrence.
-// Row-partitioned across the shared pool; the per-chunk hit counts are
-// reduced in chunk order, so the total is thread-count-independent.
-size_t ConstrainedSupport(const DatabaseView& db, const MatchKernel& kernel,
-                          size_t p, size_t num_threads) {
-  SEQHIDE_COUNTER_ADD("sanitize.scan_dp_rows", db.size());
-  uint64_t hits = ThreadPool::Shared().ParallelReduceSum(
-      db.size(), num_threads, [&](size_t begin, size_t end) -> uint64_t {
+// Per-pattern supports of `db` by a full rescan: rows with >= 1 valid
+// occurrence. Each row's signature is computed from the row itself in the
+// same pass, never read from the view, so the rescan is independent of
+// the signatures the count stage screened with: a wrong stored signature
+// that hid a supporter from stage 1 still shows up here. Row-partitioned
+// across the shared pool; the per-chunk totals are integer sums, so they
+// are thread-count-independent. *admitted_pairs returns the (row,
+// pattern) pairs the screen let through to the kernel.
+std::vector<size_t> RescanSupports(const DatabaseView& db,
+                                   const MatchKernel& kernel,
+                                   size_t num_threads,
+                                   size_t* admitted_pairs) {
+  const size_t num_patterns = kernel.num_patterns();
+  std::vector<size_t> supports(num_patterns, 0);
+  size_t admitted = 0;
+  std::mutex mu;
+  ThreadPool::Shared().ParallelFor(
+      db.size(), num_threads, [&](size_t begin, size_t end) {
         MatchScratch scratch;
-        uint64_t count = 0;
+        std::vector<size_t> hits(num_patterns, 0);
+        size_t pairs = 0;
         for (size_t t = begin; t < end; ++t) {
-          if (kernel.HasMatch(p, db.row(t), &scratch)) ++count;
+          const SequenceView row = db.row(t);
+          const uint64_t sig = SequenceSignature(row);
+          for (size_t p = 0; p < num_patterns; ++p) {
+            if (!kernel.Admits(p, sig)) continue;
+            ++pairs;
+            if (kernel.HasMatch(p, row, &scratch)) ++hits[p];
+          }
         }
-        return count;
+        std::lock_guard<std::mutex> lock(mu);
+        admitted += pairs;
+        for (size_t p = 0; p < num_patterns; ++p) supports[p] += hits[p];
       });
-  return static_cast<size_t>(hits);
-}
-
-// Index-pruned version of ComputeMatchInfo: non-candidate sequences get a
-// zero matching count without running any DP. The candidate rows of one
-// pattern are distinct, so partitioning them across workers writes
-// disjoint info slots. *dp_rows returns the index-admitted (sequence,
-// pattern) pairs — an engine-invariant figure: with the trie engine the
-// covered patterns are answered by ONE pass over the union of their
-// candidate rows instead of one pass per pattern, but a union row not in
-// pattern p's candidate list contributes zero for p (candidate lists are
-// exact supersets of the supporters), so the info is bit-identical.
-std::vector<SequenceMatchInfo> ComputeMatchInfoIndexed(
-    const DatabaseView& db, const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints, const InvertedIndex& index,
-    const MatchKernel& kernel, size_t num_threads, size_t* dp_rows) {
-  (void)constraints;
-  std::vector<SequenceMatchInfo> info(db.size());
-  for (size_t t = 0; t < db.size(); ++t) {
-    info[t].index = t;
-    info[t].pattern_support.resize(patterns.size(), false);
-  }
-  *dp_rows = 0;
-  std::vector<std::vector<size_t>> candidates(patterns.size());
-  bool any_covered = false;
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    candidates[p] = index.CandidateSupporters(patterns[p]);
-    // Rows the index let us skip: they get a zero count with no DP.
-    SEQHIDE_COUNTER_ADD("sanitize.index_dp_rows", candidates[p].size());
-    SEQHIDE_COUNTER_ADD("sanitize.index_pruned_rows",
-                        db.size() - candidates[p].size());
-    *dp_rows += candidates[p].size();
-    if (kernel.TrieCovers(p)) any_covered = true;
-  }
-
-  if (any_covered) {
-    // One trie pass per row of the union of the covered patterns' lists.
-    std::vector<uint8_t> seen(db.size(), 0);
-    std::vector<size_t> union_rows;
-    for (size_t p = 0; p < patterns.size(); ++p) {
-      if (!kernel.TrieCovers(p)) continue;
-      for (size_t t : candidates[p]) {
-        if (!seen[t]) {
-          seen[t] = 1;
-          union_rows.push_back(t);
-        }
-      }
-    }
-    std::sort(union_rows.begin(), union_rows.end());
-    ThreadPool::Shared().ParallelFor(
-        union_rows.size(), num_threads, [&](size_t begin, size_t end) {
-          MatchScratch scratch;
-          for (size_t i = begin; i < end; ++i) {
-            const size_t t = union_rows[i];
-            std::vector<uint64_t>& counts = scratch.pattern_counts;
-            const uint64_t subtotal =
-                kernel.CountTriePatterns(db.row(t), &scratch, &counts);
-            for (size_t p = 0; p < patterns.size(); ++p) {
-              if (kernel.TrieCovers(p) && counts[p] > 0) {
-                info[t].pattern_support[p] = true;
-              }
-            }
-            info[t].matching_count =
-                SatAdd(info[t].matching_count, subtotal);
-          }
-        });
-  }
-
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    if (kernel.TrieCovers(p)) continue;  // answered by the union pass
-    ThreadPool::Shared().ParallelFor(
-        candidates[p].size(), num_threads, [&](size_t begin, size_t end) {
-          MatchScratch scratch;
-          for (size_t i = begin; i < end; ++i) {
-            const size_t t = candidates[p][i];
-            uint64_t c = kernel.CountPattern(p, db.row(t), &scratch);
-            info[t].pattern_support[p] = (c > 0);
-            info[t].matching_count = SatAdd(info[t].matching_count, c);
-          }
-        });
-  }
-  return info;
+  *admitted_pairs = admitted;
+  return supports;
 }
 
 }  // namespace
@@ -227,6 +166,7 @@ std::string SanitizeReport::ToString() const {
       << " rounds=" << rounds_completed << "/" << rounds_total;
   if (resumed) out << " resumed";
   if (checkpoints_written > 0) out << " checkpoints=" << checkpoints_written;
+  if (saturated_rows > 0) out << " saturated=" << saturated_rows;
   if (degraded) {
     out << " DEGRADED(" << StatusCodeToString(stop_reason)
         << " victims_skipped=" << victims_skipped << " exposed=[";
@@ -383,35 +323,30 @@ Result<SanitizeResult> SanitizeView(
       skipped[i] = ck.completed[i].skipped;
     }
   } else {
-    // Optional inverted index: prunes the sequences that need any DP work.
-    std::optional<InvertedIndex> index;
-    if (opts.use_index) index.emplace(db);
-
     // Stage 1 of Algorithm 1: matching-set sizes for every sequence
-    // (Lemma 2 / Lemma 4 DPs), row-partitioned across the pool. The
-    // per-pattern supports fall out of the same pass — pattern_support[p]
-    // is exactly "this row supports pattern p" — so no separate
-    // supports-before scan is needed.
+    // (Lemma 2 / Lemma 4 DPs), row-partitioned across the pool and
+    // screened by row signature (ComputeMatchInfo). The per-pattern
+    // supports fall out of the same pass — pattern_support[p] is exactly
+    // "this row supports pattern p" — so no separate supports-before scan
+    // is needed.
     std::vector<SequenceMatchInfo> info;
     {
       obs::ScopedTimer stage_timer(&report.stages.count_seconds);
       SEQHIDE_TRACE_SPAN("count");
-      if (index) {
-        info = ComputeMatchInfoIndexed(db, patterns, constraints, *index,
-                                       match_kernel, threads,
-                                       &report.count_rows);
-      } else {
-        info = ComputeMatchInfo(db, patterns, constraints, threads,
-                                match_kernel);
-        report.count_rows = db.size() * num_patterns;
-      }
+      info = ComputeMatchInfo(db, patterns, constraints, threads,
+                              match_kernel, &report.count_rows);
+      SEQHIDE_COUNTER_ADD("sanitize.count_screen_pruned",
+                          db.size() * num_patterns - report.count_rows);
       report.supports_before.assign(num_patterns, 0);
       for (const auto& i : info) {
-        if (i.matching_count > 0) ++report.sequences_supporting_before;
+        if (i.matching_count == 0) continue;
+        ++report.sequences_supporting_before;
+        if (i.matching_count == kCountSaturated) ++report.saturated_rows;
         for (size_t p = 0; p < num_patterns; ++p) {
           if (i.pattern_support[p]) ++report.supports_before[p];
         }
       }
+      SEQHIDE_COUNTER_ADD("sanitize.saturated_rows", report.saturated_rows);
     }
     SEQHIDE_TELEMETRY(kStage, "count.done", report.count_rows,
                       report.sequences_supporting_before);
@@ -671,10 +606,13 @@ Result<SanitizeResult> SanitizeView(
       // degraded runs (the arithmetic must hold regardless); the
       // disclosure check is skipped — a degraded run *reports* exposure
       // through `exposed` instead of failing.
-      report.verify_rescan_rows = db.size() * num_patterns;
+      const std::vector<size_t> rescans = RescanSupports(
+          after, match_kernel, threads, &report.verify_rescan_rows);
+      SEQHIDE_COUNTER_ADD("sanitize.scan_dp_rows", report.verify_rescan_rows);
+      SEQHIDE_COUNTER_ADD("sanitize.verify_screen_pruned",
+                          db.size() * num_patterns - report.verify_rescan_rows);
       for (size_t p = 0; p < num_patterns; ++p) {
-        const size_t rescan =
-            ConstrainedSupport(after, match_kernel, p, threads);
+        const size_t rescan = rescans[p];
         if (rescan != report.supports_after[p]) {
           return Status::Internal(
               "incremental supports-after mismatch for pattern " +

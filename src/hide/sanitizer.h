@@ -85,14 +85,26 @@ struct SanitizeReport {
   // deterministic — identical for every thread count — so rows/worker
   // (the load-balance figure) is rows / threads_used.
   //
-  // count_rows: (sequence, pattern) DP evaluations in stage 1 (index
-  // pruning shrinks this). verify_recount_rows: victim rows recounted for
-  // the incremental supports-after. verify_rescan_rows: full-database
-  // rows rescanned by the opts.verify cross-check (0 when verify=false).
+  // count_rows: (sequence, pattern) pairs stage 1 evaluated — the pairs
+  // whose row signature admits the pattern (src/seq/signature.h); the
+  // other |D|·|S| − count_rows pairs count 0 with no DP.
+  // verify_recount_rows: victim rows recounted for the incremental
+  // supports-after. verify_rescan_rows: (sequence, pattern) pairs the
+  // opts.verify full rescan evaluated, screened the same way by a
+  // signature it recomputes from each released row (0 when
+  // verify=false).
   size_t threads_used = 1;
   size_t count_rows = 0;
   size_t verify_recount_rows = 0;
   size_t verify_rescan_rows = 0;
+
+  // Supporters whose stage-1 matching count saturated at kCountSaturated
+  // (2^64 − 1, src/match/count.h; reached at Lemma 1 scale, e.g. a^32 in
+  // a 128-symbol row of a). Their true |M| are not compared: when two or
+  // more saturate, HH's ascending order (and the per-pattern-ψ
+  // descending order) among them is row-index order. A resumed run does
+  // not re-run stage 1 and reports 0 here.
+  size_t saturated_rows = 0;
 
   // Resolved matching-kernel engine ("scalar"/"bitset"/"trie"; never
   // "auto") — what SanitizeOptions::kernel dispatched to. Purely

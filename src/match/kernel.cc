@@ -7,6 +7,7 @@
 #include "src/match/count.h"
 #include "src/match/subsequence.h"
 #include "src/obs/macros.h"
+#include "src/seq/signature.h"
 
 namespace seqhide {
 namespace {
@@ -74,6 +75,10 @@ MatchKernel::MatchKernel(const std::vector<Sequence>& patterns,
       engine_(ResolveKernelEngine(requested, patterns, constraints)) {
   SEQHIDE_CHECK(constraints.empty() || constraints.size() == patterns.size())
       << "constraints must be empty or parallel to patterns";
+  pattern_signatures_.reserve(patterns.size());
+  for (const auto& p : patterns) {
+    pattern_signatures_.push_back(SequenceSignature(p));
+  }
   if (engine_ == KernelEngine::kBitset || engine_ == KernelEngine::kTrie) {
     masks_.reserve(patterns.size());
     for (const auto& p : patterns) masks_.emplace_back(p);
@@ -106,20 +111,25 @@ uint64_t MatchKernel::CountPattern(size_t p, SequenceView seq,
 
 uint64_t MatchKernel::CountRow(SequenceView seq, MatchScratch* scratch,
                                std::vector<uint64_t>* counts) const {
+  return CountRow(seq, ~uint64_t{0}, scratch, counts);
+}
+
+uint64_t MatchKernel::CountRow(SequenceView seq, uint64_t row_signature,
+                               MatchScratch* scratch,
+                               std::vector<uint64_t>* counts) const {
   const size_t np = patterns_->size();
   counts->assign(np, 0);
-  if (engine_ == KernelEngine::kTrie && trie_->num_covered() > 0 &&
-      trie_->CountAll(seq, scratch, counts->data())) {
-    uint64_t total = 0;
-    for (size_t p = 0; p < np; ++p) {
-      if (!trie_->Covers(p)) (*counts)[p] = CountPattern(p, seq, scratch);
-      total = SatAdd(total, (*counts)[p]);
-    }
-    return total;
-  }
+  // One trie pass counts every covered pattern, admitted or not: a
+  // pattern the row does not admit has no embedding, so it counts 0.
+  const bool trie_counted = engine_ == KernelEngine::kTrie &&
+                            trie_->num_covered() > 0 &&
+                            trie_->CountAll(seq, scratch, counts->data());
   uint64_t total = 0;
   for (size_t p = 0; p < np; ++p) {
-    (*counts)[p] = CountPattern(p, seq, scratch);
+    const bool by_trie = trie_counted && trie_->Covers(p);
+    if (!by_trie && Admits(p, row_signature)) {
+      (*counts)[p] = CountPattern(p, seq, scratch);
+    }
     total = SatAdd(total, (*counts)[p]);
   }
   return total;

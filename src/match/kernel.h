@@ -89,6 +89,21 @@ class MatchKernel {
   uint64_t CountRow(SequenceView seq, MatchScratch* scratch,
                     std::vector<uint64_t>* counts) const;
 
+  // Screened CountRow: `row_signature` is SequenceSignature(seq) (or any
+  // superset of its bits). A pattern outside the trie that the signature
+  // does not admit counts 0 with no work; the counts are identical to the
+  // unscreened call's.
+  uint64_t CountRow(SequenceView seq, uint64_t row_signature,
+                    MatchScratch* scratch,
+                    std::vector<uint64_t>* counts) const;
+
+  // False iff a row with this signature lacks a symbol of pattern p, and
+  // so can hold no matching of it (src/seq/signature.h). True is only a
+  // "maybe": distinct symbols may share a bit.
+  bool Admits(size_t p, uint64_t row_signature) const {
+    return (pattern_signatures_[p] & ~row_signature) == 0;
+  }
+
   // Does pattern p have a (constrained) matching in seq? Early-exits via
   // Shift-And / greedy subsequence scan where the engine allows.
   bool HasMatch(size_t p, SequenceView seq, MatchScratch* scratch) const;
@@ -115,6 +130,8 @@ class MatchKernel {
   // mean m > 64 → scalar fallback for that pattern).
   std::vector<SymbolMasks> masks_;
   std::optional<PatternTrie> trie_;
+  // SequenceSignature of each pattern (Admits).
+  std::vector<uint64_t> pattern_signatures_;
 };
 
 }  // namespace seqhide

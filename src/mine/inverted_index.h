@@ -5,8 +5,9 @@
 // for every pattern; an inverted index prunes that to the sequences that
 // contain every pattern symbol with sufficient multiplicity (a superset
 // of the true supporters, verified by the exact subsequence test).
-// bench_kernels quantifies the speedup; the Sanitizer uses the index
-// automatically (SanitizeOptions::use_index).
+// bench_kernels (BM_SupportIndexed) measures it. The sanitizer does
+// not use it: its count stage screens rows by their 64-bit symbol
+// signature instead (src/seq/signature.h), which needs no index build.
 //
 // The index is a snapshot: it refers to sequence ids of the database it
 // was built from and must be rebuilt after mutations.

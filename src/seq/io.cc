@@ -1,7 +1,10 @@
 #include "src/seq/io.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -179,17 +182,59 @@ Status WriteDatabase(const DatabaseView& db, std::ostream& out) {
   const Alphabet& alphabet = db.alphabet();
   out << "# seqhide sequence database; |D|=" << db.size()
       << " |Sigma|=" << alphabet.size() << "\n";
-  std::string line;
+
+  // Token table: entry k is symbol id k − 1 (Δ is entry 0), its name and
+  // one space, padded to a fixed stride: the longest name plus one,
+  // rounded up to whole 8-byte words. token_len[k] counts the bytes that
+  // belong to the token. A symbol renders by copying its whole stride a
+  // word at a time and advancing by its token's length, and the row's
+  // last space becomes its newline, so every name length takes the same
+  // path. The table costs (|Σ| + 1) · stride bytes per call.
+  constexpr size_t kWord = 8;
+  const size_t num_tokens = alphabet.size() + 1;
+  size_t longest = Alphabet::DeltaToken().size();
+  for (size_t k = 1; k < num_tokens; ++k) {
+    longest = std::max(longest,
+                       alphabet.Name(static_cast<SymbolId>(k - 1)).size());
+  }
+  const size_t stride = (longest + 1 + kWord - 1) / kWord * kWord;
+  std::vector<char> table(num_tokens * stride, ' ');
+  std::vector<size_t> token_len(num_tokens);
+  for (size_t k = 0; k < num_tokens; ++k) {
+    const std::string& name = alphabet.Name(static_cast<SymbolId>(k) - 1);
+    std::memcpy(table.data() + k * stride, name.data(), name.size());
+    token_len[k] = name.size() + 1;
+  }
+
+  // Rows render into one reusable buffer, written out in large blocks; a
+  // row longer than the buffer grows it.
+  constexpr size_t kFlushBytes = size_t{1} << 18;
+  std::vector<char> buf(kFlushBytes);
+  size_t used = 0;
   for (size_t t = 0; t < db.size(); ++t) {
     const SequenceView row = db.row(t);
-    line.clear();
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) line += ' ';
-      line += alphabet.Name(row[i]);
+    const size_t need = row.size() * stride + 1;
+    if (used + need > buf.size()) {
+      out.write(buf.data(), static_cast<std::streamsize>(used));
+      used = 0;
+      if (need > buf.size()) buf.resize(need);
     }
-    line += '\n';
-    out << line;
+    char* p = buf.data() + used;
+    for (size_t i = 0; i < row.size(); ++i) {
+      const size_t k = static_cast<size_t>(int64_t{row[i]} + 1);
+      // Neither Δ nor a symbol of the alphabet: Name() fails its check.
+      if (k >= num_tokens) (void)alphabet.Name(row[i]);
+      const char* token = table.data() + k * stride;
+      for (size_t w = 0; w < stride; w += kWord) {
+        std::memcpy(p + w, token + w, kWord);
+      }
+      p += token_len[k];
+    }
+    if (!row.empty()) --p;  // the last token's space becomes the newline
+    *p++ = '\n';
+    used = static_cast<size_t>(p - buf.data());
   }
+  out.write(buf.data(), static_cast<std::streamsize>(used));
   if (!out) return Status::IOError("stream write failure");
   return Status::OK();
 }

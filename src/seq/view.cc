@@ -14,6 +14,16 @@ DatabaseView::DatabaseView(const SequenceDatabase& db)
   }
 }
 
+DatabaseView DatabaseView::WithSignatures(
+    const std::vector<uint64_t>& signatures) const {
+  SEQHIDE_CHECK(signatures.size() == num_rows_)
+      << signatures.size() << " signatures for a " << num_rows_
+      << "-row database";
+  DatabaseView out = *this;
+  out.signatures_ = signatures.data();
+  return out;
+}
+
 DatabaseView DatabaseView::Overlay(
     const std::vector<std::pair<size_t, Sequence>>& rows) const {
   DatabaseView out;

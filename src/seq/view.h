@@ -116,19 +116,34 @@ class DatabaseView {
 
   const Alphabet& alphabet() const { return *alphabet_; }
 
+  // Per-row 64-bit symbol signatures (src/seq/signature.h), one per row,
+  // or nullptr when the view carries none. A holder that already built
+  // them (the server, at load) attaches them so the sanitize count stage
+  // screens rows without rescanning them; every other reader computes a
+  // row's signature from the row itself.
+  const uint64_t* signatures() const { return signatures_; }
+
   // The same rows read against `alphabet`, which must extend this view's
   // (e.g. a request-private copy that interned extra pattern symbols).
-  // `alphabet` must outlive the result.
+  // Keeps the signatures: the rows are the same. `alphabet` must outlive
+  // the result.
   DatabaseView WithAlphabet(const Alphabet& alphabet) const {
     DatabaseView out = *this;
     out.alphabet_ = &alphabet;
     return out;
   }
 
+  // The same rows with `signatures` attached: signatures[t] must hold
+  // every bit of SequenceSignature(row(t)) (extra bits only weaken the
+  // screen), and the vector must hold size() entries and outlive the
+  // result and every view derived from it.
+  DatabaseView WithSignatures(const std::vector<uint64_t>& signatures) const;
+
   // This view with `rows[i].second` read in place of row `rows[i].first`
   // — a sanitize overlay. O(|D|) pointers, no symbol copies: untouched
   // rows still point into the original storage. Every row index must be
-  // < size(); `rows` must outlive the result.
+  // < size(); `rows` must outlive the result. The result carries no
+  // signatures: the overlay rows are not the base rows.
   DatabaseView Overlay(
       const std::vector<std::pair<size_t, Sequence>>& rows) const;
 
@@ -141,6 +156,7 @@ class DatabaseView {
   size_t num_rows_ = 0;
   size_t num_symbols_ = 0;
   const Alphabet* alphabet_ = nullptr;
+  const uint64_t* signatures_ = nullptr;
 };
 
 }  // namespace seqhide

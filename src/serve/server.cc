@@ -203,6 +203,8 @@ Status Server::LoadDatabase() {
     db_max_length_ = std::max(db_max_length_, row.size());
     if (!mapped_.has_value()) row_signatures_[t] = SequenceSignature(row);
   }
+  // Sanitize requests screen their count stage with the same signatures.
+  db_ = db_.WithSignatures(row_signatures_);
   return Status::OK();
 }
 
@@ -617,6 +619,10 @@ uint64_t Server::ComputePatternValue(Method method,
 
 Response Server::DoSanitize(const std::shared_ptr<WorkItem>& item,
                             bool resume) {
+  // Not "serve/sanitize": span readers match paths by their last
+  // component, and "sanitize" is the pipeline's own span.
+  SEQHIDE_TRACE_SPAN("serve");
+  SEQHIDE_TRACE_SPAN("sanitize_request");
   const Request& req = item->req;
   if (req.patterns.empty()) {
     return ErrorResponse(req.id, Status::InvalidArgument(
@@ -671,32 +677,39 @@ Response Server::DoSanitize(const std::shared_ptr<WorkItem>& item,
   std::vector<Sequence> patterns;
   std::vector<ConstraintSpec> constraints;
   patterns.reserve(req.patterns.size());
-  for (const std::string& text : req.patterns) {
-    auto p = ParseConstrainedPattern(&alphabet, text);
-    if (!p.ok()) {
-      if (!spec_path.empty()) (void)::unlink(spec_path.c_str());
-      return ErrorResponse(req.id, p.status());
+  {
+    SEQHIDE_TRACE_SPAN("parse");
+    for (const std::string& text : req.patterns) {
+      auto p = ParseConstrainedPattern(&alphabet, text);
+      if (!p.ok()) {
+        if (!spec_path.empty()) (void)::unlink(spec_path.c_str());
+        return ErrorResponse(req.id, p.status());
+      }
+      patterns.push_back(std::move(p->pattern));
+      constraints.push_back(std::move(p->constraints));
     }
-    patterns.push_back(std::move(p->pattern));
-    constraints.push_back(std::move(p->constraints));
   }
 
   // The pipeline marks private copies of its victims only; the shared
-  // image is read in place, never copied.
+  // image is read in place, never copied, and its count stage screens
+  // rows with the signatures db_ carries.
   const DatabaseView db = db_.WithAlphabet(alphabet);
-  auto run = [&]() { return SanitizeView(db, patterns, constraints, opts); };
-  auto result = run();
-  if (!result.ok() && opts.resume &&
-      (result.status().IsCorruption() || result.status().IsIOError() ||
-       result.status().IsFailedPrecondition())) {
-    // A checkpoint this run cannot use (corrupt, torn, or from different
-    // inputs) must not wedge recovery: drop it and run fresh.
-    SEQHIDE_LOG(Warn) << "job '" << req.job << "': checkpoint unusable ("
-                      << result.status().ToString() << "); restarting fresh";
-    (void)::unlink(opts.checkpoint_path.c_str());
-    opts.resume = false;
-    result = run();
-  }
+  auto result = [&]() {
+    SEQHIDE_TRACE_SPAN("pipeline");
+    auto run = SanitizeView(db, patterns, constraints, opts);
+    if (!run.ok() && opts.resume &&
+        (run.status().IsCorruption() || run.status().IsIOError() ||
+         run.status().IsFailedPrecondition())) {
+      // A checkpoint this run cannot use (corrupt, torn, or from
+      // different inputs) must not wedge recovery: drop it and run fresh.
+      SEQHIDE_LOG(Warn) << "job '" << req.job << "': checkpoint unusable ("
+                        << run.status().ToString() << "); restarting fresh";
+      (void)::unlink(opts.checkpoint_path.c_str());
+      opts.resume = false;
+      run = SanitizeView(db, patterns, constraints, opts);
+    }
+    return run;
+  }();
   if (!result.ok()) {
     // Terminal failure: answer it and retire the job — re-running a
     // request the engine rejects would crash-loop recovery forever.
@@ -743,8 +756,10 @@ Response Server::DoSanitize(const std::shared_ptr<WorkItem>& item,
     return resp;
   }
 
-  const Status written =
-      WriteDatabaseToFile(db.Overlay(result->overlay), req.out);
+  const Status written = [&]() {
+    SEQHIDE_TRACE_SPAN("write");
+    return WriteDatabaseToFile(db.Overlay(result->overlay), req.out);
+  }();
   if (!spec_path.empty()) {
     // Success (the checkpoint was already deleted by SanitizeView) or a
     // definitively answered write failure either way retires the spec.

@@ -150,7 +150,9 @@ SanitizeOptions GenSanitizeOptions(Rng* rng, size_t db_size) {
   opts.seed = rng->NextU64();
   static constexpr size_t kThreadChoices[] = {1, 2, 3, 8};
   opts.num_threads = kThreadChoices[rng->NextBounded(4)];
-  opts.use_index = rng->NextBernoulli(0.3);
+  // The draw of a retired index-pruning option: kept, and discarded, so
+  // every seeded instance stays the same.
+  (void)rng->NextBernoulli(0.3);
   opts.verify = true;
   SEQHIDE_CHECK(opts.Validate().ok());
   return opts;
@@ -239,8 +241,7 @@ std::string PropInstance::DebugString() const {
          " global=" + ToString(options.global) +
          " psi=" + std::to_string(options.psi) +
          " seed=" + std::to_string(options.seed) +
-         " threads=" + std::to_string(options.num_threads) +
-         (options.use_index ? " use_index" : "") + "\n";
+         " threads=" + std::to_string(options.num_threads) + "\n";
   return out;
 }
 

@@ -65,7 +65,7 @@ struct GenOptions {
 
   // When false, GenInstance leaves SanitizeOptions at HH defaults with a
   // small random ψ; when true it also randomizes strategies, threads,
-  // use_index, and seed.
+  // and seed.
   bool randomize_options = true;
 };
 
@@ -97,7 +97,7 @@ ConstraintSpec GenConstraintSpec(Rng* rng, size_t pattern_length,
                                  size_t max_seq_length);
 
 // Random SanitizeOptions: strategy pair, ψ in [0, db_size], thread count
-// in {1, 2, 3, 8}, use_index, and RNG seed. Always passes Validate().
+// in {1, 2, 3, 8}, and RNG seed. Always passes Validate().
 SanitizeOptions GenSanitizeOptions(Rng* rng, size_t db_size);
 
 // One complete property-test instance: everything Sanitize() consumes.

@@ -151,14 +151,10 @@ ShrinkResult ShrinkInstance(const PropInstance& failing,
       if (try_adopt(Unconstrain(result.instance, p))) progress = true;
     }
 
-    {
-      PropInstance plain = result.instance;
-      plain.options.num_threads = 1;
-      plain.options.use_index = false;
-      if (plain.options.num_threads != result.instance.options.num_threads ||
-          plain.options.use_index != result.instance.options.use_index) {
-        if (try_adopt(std::move(plain))) progress = true;
-      }
+    if (result.instance.options.num_threads != 1) {
+      PropInstance serial = result.instance;
+      serial.options.num_threads = 1;
+      if (try_adopt(std::move(serial))) progress = true;
     }
     if (result.instance.options.psi > 0) {
       PropInstance zero_psi = result.instance;

@@ -33,7 +33,8 @@ TEST_F(GlobalSelectionTest, MatchInfoCountsAndSupports) {
   EXPECT_EQ(info_[2].matching_count, 2u);
   EXPECT_EQ(info_[3].matching_count, 0u);
   EXPECT_TRUE(info_[0].pattern_support[0]);
-  EXPECT_FALSE(info_[3].pattern_support[0]);
+  // A non-supporter's per-pattern bits are left empty (global.h).
+  EXPECT_TRUE(info_[3].pattern_support.empty());
 }
 
 TEST_F(GlobalSelectionTest, PsiZeroSelectsAllSupporters) {

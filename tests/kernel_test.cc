@@ -142,29 +142,25 @@ TEST(KernelEngineTest, EngineIsInvisibleInSanitizeOutput) {
   for (KernelEngine engine : {KernelEngine::kScalar, KernelEngine::kBitset,
                               KernelEngine::kTrie}) {
     for (size_t threads : {1u, 2u, 8u}) {
-      for (bool use_index : {false, true}) {
-        SanitizeOptions opts = reference_opts;
-        opts.kernel = engine;
-        opts.num_threads = threads;
-        opts.use_index = use_index;
-        SequenceDatabase db = base;
-        auto report = Sanitize(&db, patterns, opts);
-        const std::string what = ToString(engine) + "/threads=" +
-                                 std::to_string(threads) +
-                                 (use_index ? "/indexed" : "");
-        ASSERT_TRUE(report.ok()) << what << ": " << report.status();
-        EXPECT_EQ(report->kernel_engine, ToString(engine)) << what;
-        ASSERT_EQ(db.size(), reference_db.size()) << what;
-        for (size_t t = 0; t < db.size(); ++t) {
-          EXPECT_TRUE(db[t] == reference_db[t]) << what << " row " << t;
-        }
-        EXPECT_EQ(report->marks_introduced, reference->marks_introduced)
-            << what;
-        EXPECT_EQ(report->sequences_sanitized, reference->sequences_sanitized)
-            << what;
-        EXPECT_EQ(report->supports_before, reference->supports_before) << what;
-        EXPECT_EQ(report->supports_after, reference->supports_after) << what;
+      SanitizeOptions opts = reference_opts;
+      opts.kernel = engine;
+      opts.num_threads = threads;
+      SequenceDatabase db = base;
+      auto report = Sanitize(&db, patterns, opts);
+      const std::string what =
+          ToString(engine) + "/threads=" + std::to_string(threads);
+      ASSERT_TRUE(report.ok()) << what << ": " << report.status();
+      EXPECT_EQ(report->kernel_engine, ToString(engine)) << what;
+      ASSERT_EQ(db.size(), reference_db.size()) << what;
+      for (size_t t = 0; t < db.size(); ++t) {
+        EXPECT_TRUE(db[t] == reference_db[t]) << what << " row " << t;
       }
+      EXPECT_EQ(report->marks_introduced, reference->marks_introduced)
+          << what;
+      EXPECT_EQ(report->sequences_sanitized, reference->sequences_sanitized)
+          << what;
+      EXPECT_EQ(report->supports_before, reference->supports_before) << what;
+      EXPECT_EQ(report->supports_after, reference->supports_after) << what;
     }
   }
 }

@@ -55,8 +55,8 @@ void ExpectSameOutcome(const SequenceDatabase& original,
   EXPECT_EQ(a.degraded, e.degraded) << what;
   EXPECT_EQ(a.victims_skipped, e.victims_skipped) << what;
   EXPECT_EQ(a.threads_used, e.threads_used) << what;
-  // Both representations prune with an InvertedIndex over the view, so
-  // the row workloads match too, with or without use_index.
+  // Neither view carries signatures, so both screens compute them from
+  // the same rows, and the row workloads match too.
   EXPECT_EQ(a.count_rows, e.count_rows) << what;
   EXPECT_EQ(a.verify_recount_rows, e.verify_recount_rows) << what;
   EXPECT_EQ(a.verify_rescan_rows, e.verify_rescan_rows) << what;
@@ -104,15 +104,11 @@ TEST(MappedSanitizeTest, MatchesInMemoryWithConstraintsAndThreads) {
     constraints.push_back(proptest::GenConstraintSpec(&rng, p.size(), 12));
   }
   for (size_t threads : {size_t{1}, size_t{3}}) {
-    for (bool use_index : {false, true}) {
-      SanitizeOptions opts;
-      opts.psi = 1;
-      opts.num_threads = threads;
-      opts.use_index = use_index;
-      ExpectSameOutcome(db, patterns, constraints, opts,
-                        "threads=" + std::to_string(threads) +
-                            " use_index=" + std::to_string(use_index));
-    }
+    SanitizeOptions opts;
+    opts.psi = 1;
+    opts.num_threads = threads;
+    ExpectSameOutcome(db, patterns, constraints, opts,
+                      "threads=" + std::to_string(threads));
   }
 }
 

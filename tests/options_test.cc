@@ -15,7 +15,6 @@ TEST(OptionsTest, DefaultsAreThePaperAlgorithm) {
   EXPECT_EQ(opts.psi, 0u);
   EXPECT_TRUE(opts.per_pattern_psi.empty());
   EXPECT_TRUE(opts.verify);
-  EXPECT_FALSE(opts.use_index);
   EXPECT_EQ(opts.num_threads, 1u);
 }
 

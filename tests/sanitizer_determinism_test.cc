@@ -91,15 +91,14 @@ std::vector<Config> Configs() {
   hh.psi = 3;
   SanitizeOptions rr = SanitizeOptions::RR(99);
   rr.psi = 5;
-  SanitizeOptions hh_indexed = SanitizeOptions::HH();
-  hh_indexed.psi = 2;
-  hh_indexed.use_index = true;
+  SanitizeOptions hh_psi2 = SanitizeOptions::HH();
+  hh_psi2.psi = 2;
   return {
       {"HH/unconstrained", hh, false},
       {"RR/unconstrained", rr, false},
       {"HH/constrained", hh, true},
       {"RR/constrained", rr, true},
-      {"HH/indexed", hh_indexed, false},
+      {"HH/psi=2", hh_psi2, false},
   };
 }
 

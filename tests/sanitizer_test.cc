@@ -6,6 +6,7 @@
 #include "src/match/constrained_count.h"
 #include "src/match/subsequence.h"
 #include "src/mine/constrained_miner.h"
+#include "src/seq/signature.h"
 #include "tests/test_util.h"
 
 namespace seqhide {
@@ -204,6 +205,56 @@ TEST(SanitizerTest, MarksOnlyInSelectedSequences) {
   // Non-supporters keep zero marks.
   EXPECT_EQ(db[2].MarkCount(), 0u);
   EXPECT_EQ(db[3].MarkCount(), 0u);
+}
+
+// The count stage trusts the view's signatures; the verify rescan must
+// not. A stored signature that hides a supporter from stage 1 leaves that
+// row unsanitized, and the rescan — which recomputes every released
+// row's signature itself — must report the gap instead of passing it.
+TEST(SanitizerTest, RescanCatchesAWrongStoredSignature) {
+  SequenceDatabase db = SmallDb();
+  std::vector<Sequence> patterns = {Seq(&db.alphabet(), "a b c")};
+  std::vector<uint64_t> signatures;
+  for (size_t t = 0; t < db.size(); ++t) {
+    signatures.push_back(SequenceSignature(db[t]));
+  }
+  const DatabaseView view = DatabaseView(db).WithSignatures(signatures);
+  auto honest = SanitizeView(view, patterns, {}, SanitizeOptions::HH());
+  ASSERT_TRUE(honest.ok()) << honest.status();
+  EXPECT_EQ(honest->report.supports_before[0], 2u);
+
+  signatures[1] = SymbolSignatureBit(db.alphabet().Intern("x"));  // row 1
+  auto lied = SanitizeView(view, patterns, {}, SanitizeOptions::HH());
+  ASSERT_FALSE(lied.ok());
+  EXPECT_TRUE(lied.status().IsInternal()) << lied.status();
+  EXPECT_NE(lied.status().message().find("supports-after mismatch"),
+            std::string::npos)
+      << lied.status();
+}
+
+// Lemma 1 scale: a^32 in rows of 130 and 128 a's has C(130,32) and
+// C(128,32) matchings, both above 2^64, so both counts saturate. HH's
+// ascending order then falls back to row index — it sanitizes row 0 and
+// keeps row 1, though row 1 has the smaller true |M|. The report says so
+// through saturated_rows; the choice itself is pinned, not changed.
+TEST(SanitizerTest, SaturatedSupportersAreCountedAndOrderedByIndex) {
+  SequenceDatabase db;
+  db.AddFromNames(std::vector<std::string>(130, "a"));
+  db.AddFromNames(std::vector<std::string>(128, "a"));
+  db.AddFromNames({"b"});
+  const SymbolId a = db.alphabet().Intern("a");
+  std::vector<Sequence> patterns = {Sequence(std::vector<SymbolId>(32, a))};
+  SanitizeOptions opts = SanitizeOptions::HH();
+  opts.psi = 1;
+  const SequenceDatabase before = db;
+  auto report = Sanitize(&db, patterns, opts);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->saturated_rows, 2u);
+  EXPECT_EQ(report->sequences_supporting_before, 2u);
+  EXPECT_GT(db[0].MarkCount(), 0u);
+  EXPECT_TRUE(db[1] == before[1]);
+  EXPECT_EQ(report->supports_after[0], 1u);
+  EXPECT_NE(report->ToString().find("saturated=2"), std::string::npos);
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ std::string InstanceToJson(const proptest::PropInstance& inst, Rng* rng) {
   }
   out += "],\"options\":{\"psi\":" + std::to_string(inst.options.psi) +
          ",\"threads\":" + std::to_string(inst.options.num_threads) +
-         ",\"use_index\":" + (inst.options.use_index ? "true" : "false") +
+         ",\"verify\":" + (inst.options.verify ? "true" : "false") +
          ",\"note\":" + (rng->NextBernoulli(0.5) ? "null" : "\"g\\u00e9n\"") +
          ",\"ratio\":" + std::to_string(rng->NextDouble()) + "}}";
   return out;

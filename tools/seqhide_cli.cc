@@ -356,6 +356,7 @@ struct StatsJsonInput {
   size_t victims_skipped = 0;
   size_t checkpoints_written = 0;
   bool resumed = false;
+  size_t saturated_rows = 0;
   ReadReport read_report;
   size_t faults_armed = 0;
   size_t faults_fired = 0;
@@ -430,6 +431,7 @@ Status WriteStatsJson(const std::string& path, const ParsedArgs& args,
     json.KeyUint("victims_skipped", input.victims_skipped);
     json.KeyUint("checkpoints_written", input.checkpoints_written);
     json.KeyBool("resumed", input.resumed);
+    json.KeyUint("saturated_rows", input.saturated_rows);
     json.Key("exposed").BeginArray();
     for (const ExposedPattern& e : input.exposed) {
       json.BeginObject();
@@ -908,6 +910,7 @@ Status RunSanitize(const ParsedArgs& args) {
     stats.victims_skipped = report.victims_skipped;
     stats.checkpoints_written = report.checkpoints_written;
     stats.resumed = report.resumed;
+    stats.saturated_rows = report.saturated_rows;
     stats.read_report = read_report;
     stats.faults_armed = FaultInjector::Default().ArmedCount();
     stats.faults_fired = FaultInjector::Default().FaultsFired();
