@@ -28,7 +28,6 @@
 #include "src/match/prefix_table.h"
 #include "src/match/scratch.h"
 #include "src/match/subsequence.h"
-#include "src/mine/inverted_index.h"
 #include "src/mine/level_wise.h"
 #include "src/mine/prefix_span.h"
 
@@ -169,22 +168,6 @@ void BM_SupportScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SupportScan)->Range(256, 16384);
-
-void BM_SupportIndexed(benchmark::State& state) {
-  RandomDatabaseOptions gen;
-  gen.num_sequences = static_cast<size_t>(state.range(0));
-  gen.min_length = 10;
-  gen.max_length = 30;
-  gen.alphabet_size = 100;
-  gen.seed = 21;
-  SequenceDatabase db = MakeRandomDatabase(gen);
-  InvertedIndex index(db);
-  Sequence pattern = MakeSeq(2, 100, 22);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Support(pattern, db));
-  }
-}
-BENCHMARK(BM_SupportIndexed)->Range(256, 16384);
 
 // Algorithm 1 end to end with the row-signature screen in the count and
 // verify stages (src/seq/signature.h). count_rows and rescan_rows are the
@@ -391,8 +374,8 @@ BENCHMARK(BM_MineLevelWiseTrucks)->Arg(10)->Arg(20)->Arg(40);
 
 // Custom main (instead of BENCHMARK_MAIN) so the run is harness-wrapped
 // (--json/--trace-json/--quick) and the cumulative obs counter dump
-// lands after the benchmark table: time can be attributed to DP rows /
-// index pruning instead of guessed at.
+// lands after the benchmark table: time can be attributed to DP rows and
+// screened rows instead of guessed at.
 int main(int argc, char** argv) {
   return seqhide::bench::RunGoogleBenchmark("bench_kernels", argc, argv, [] {
     std::cout << "\n== obs counters (cumulative over all benchmarks) ==\n"

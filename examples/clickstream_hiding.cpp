@@ -14,7 +14,7 @@
 
 #include "src/constraints/constraints.h"
 #include "src/hide/sanitizer.h"
-#include "src/mine/constrained_miner.h"
+#include "src/match/constrained_count.h"
 #include "src/seq/io.h"
 
 int main() {

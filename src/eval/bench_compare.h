@@ -12,7 +12,7 @@
 //     drift finding. Intentional changes are ratified by refreshing
 //     bench/baselines/ in the same PR.
 //   * Instrumented pool peaks (the report-level memory block's
-//     dp_scratch / posting_list peak_bytes) regress like timings — over
+//     dp_scratch / kernel_tables peak_bytes) regress like timings — over
 //     a relative threshold — but only when BOTH reports carry a memory
 //     block and timings are being judged (pool peaks are exact bytes,
 //     but chunking and thread count move them, so shared CI runners in

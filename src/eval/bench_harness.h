@@ -35,7 +35,7 @@
 //                   "mean_ns", "stddev_ns",
 //                   "counters": {name: per-repeat value}}, ...],
 //     "memory": {"current_rss_bytes", "peak_rss_bytes",
-//                "pools": {"dp_scratch": {...}, "posting_list": {...}}},
+//                "pools": {"dp_scratch": {...}, "kernel_tables": {...}}},
 //     "counters": {...}, "gauges": {...}, "spans": {...},
 //     "histograms": {...}        // cumulative registry dump
 //   }

@@ -3,8 +3,11 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/match/bitset_match.h"
 #include "src/match/count.h"
+#include "src/match/subsequence.h"
 #include "src/obs/macros.h"
+#include "src/seq/signature.h"
 
 namespace seqhide {
 namespace {
@@ -197,6 +200,61 @@ bool HasConstrainedMatch(const Sequence& pattern, const ConstraintSpec& spec,
 bool HasConstrainedMatch(const Sequence& pattern, const ConstraintSpec& spec,
                          SequenceView seq, MatchScratch* scratch) {
   return CountConstrainedMatchings(pattern, spec, seq, scratch) > 0;
+}
+
+namespace {
+
+// The screened loop of ConstrainedSupport / ConstrainedMatchCount;
+// `count_matchings` picks Σ|M| over the supporting-row count.
+uint64_t ScreenedDatabaseQuery(const Sequence& pattern,
+                               const ConstraintSpec& spec,
+                               const DatabaseView& db, bool count_matchings,
+                               MatchScratch* scratch) {
+  MatchScratch local;
+  if (scratch == nullptr) scratch = &local;
+  const uint64_t* signatures = db.signatures();
+  const uint64_t need = SequenceSignature(pattern);
+  const SymbolMasks masks(pattern);
+  uint64_t value = 0;
+  size_t scanned = 0;
+  for (size_t t = 0; t < db.size(); ++t) {
+    if (signatures != nullptr && (signatures[t] & need) != need) continue;
+    ++scanned;
+    const SequenceView row = db.row(t);
+    const bool embeds = masks.usable() ? HasSubsequenceBitParallel(masks, row)
+                                       : IsSubsequence(pattern, row);
+    if (!embeds) continue;
+    if (count_matchings) {
+      value = SatAdd(value,
+                     CountConstrainedMatchings(pattern, spec, row, scratch));
+    } else if (spec.IsUnconstrained() ||
+               HasConstrainedMatch(pattern, spec, row, scratch)) {
+      ++value;
+    }
+  }
+  SEQHIDE_COUNTER_ADD("bindb.candidate.rows", scanned);
+  SEQHIDE_COUNTER_ADD("bindb.candidate.pruned", db.size() - scanned);
+  return value;
+}
+
+}  // namespace
+
+size_t ConstrainedSupport(const Sequence& pattern, const ConstraintSpec& spec,
+                          const DatabaseView& db, MatchScratch* scratch) {
+  return static_cast<size_t>(ScreenedDatabaseQuery(
+      pattern, spec, db, /*count_matchings=*/false, scratch));
+}
+
+size_t ConstrainedSupport(const Sequence& pattern, const ConstraintSpec& spec,
+                          const SequenceDatabase& db) {
+  return ConstrainedSupport(pattern, spec, DatabaseView(db));
+}
+
+uint64_t ConstrainedMatchCount(const Sequence& pattern,
+                               const ConstraintSpec& spec,
+                               const DatabaseView& db, MatchScratch* scratch) {
+  return ScreenedDatabaseQuery(pattern, spec, db, /*count_matchings=*/true,
+                               scratch);
 }
 
 }  // namespace seqhide

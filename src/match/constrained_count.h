@@ -17,12 +17,14 @@
 #ifndef SEQHIDE_MATCH_CONSTRAINED_COUNT_H_
 #define SEQHIDE_MATCH_CONSTRAINED_COUNT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "src/constraints/constraints.h"
 #include "src/match/prefix_table.h"
 #include "src/match/scratch.h"
+#include "src/seq/database.h"
 #include "src/seq/sequence.h"
 #include "src/seq/view.h"
 
@@ -86,6 +88,35 @@ bool HasConstrainedMatch(const Sequence& pattern, const ConstraintSpec& spec,
 // Scratch-reusing variant of the support predicate.
 bool HasConstrainedMatch(const Sequence& pattern, const ConstraintSpec& spec,
                          SequenceView seq, MatchScratch* scratch);
+
+// Whole-database answers under `spec`: the one loop behind the server's
+// support / match-count requests, the CLI's `support` and the
+// constrained miner. Per row it
+//   1. skips the row when db.signatures() is attached and the row's
+//      signature lacks a bit of the pattern's (src/seq/signature.h);
+//   2. skips it when the pattern does not embed at all (Shift-And for
+//      m <= 64, greedy IsSubsequence otherwise): no embedding, no
+//      matching under any constraint;
+//   3. runs the exact constrained kernel on the rest.
+// The rows step 1 let through go to the `bindb.candidate.rows` counter,
+// the rest to `bindb.candidate.pruned` (all rows pass when no signatures
+// are attached). Equal, on every view, to the unscreened definitions:
+// HasConstrainedMatch / CountConstrainedMatchings row by row (tested).
+// `scratch` may be null.
+
+// Rows with >= 1 occurrence of `pattern` satisfying `spec` (sup_D(S)
+// when `spec` is unconstrained).
+size_t ConstrainedSupport(const Sequence& pattern, const ConstraintSpec& spec,
+                          const DatabaseView& db,
+                          MatchScratch* scratch = nullptr);
+size_t ConstrainedSupport(const Sequence& pattern, const ConstraintSpec& spec,
+                          const SequenceDatabase& db);
+
+// Σ_T |M_S^T| over the rows under `spec` (saturating).
+uint64_t ConstrainedMatchCount(const Sequence& pattern,
+                               const ConstraintSpec& spec,
+                               const DatabaseView& db,
+                               MatchScratch* scratch = nullptr);
 
 }  // namespace seqhide
 

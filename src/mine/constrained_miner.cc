@@ -4,15 +4,6 @@
 
 namespace seqhide {
 
-size_t ConstrainedSupport(const Sequence& pattern, const ConstraintSpec& spec,
-                          const SequenceDatabase& db) {
-  size_t count = 0;
-  for (const auto& seq : db.sequences()) {
-    if (HasConstrainedMatch(pattern, spec, seq)) ++count;
-  }
-  return count;
-}
-
 Result<FrequentPatternSet> MineConstrainedFrequentSequences(
     const SequenceDatabase& db, const ConstraintSpec& uniform_spec,
     const MinerOptions& opts) {

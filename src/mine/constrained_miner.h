@@ -25,13 +25,8 @@
 
 namespace seqhide {
 
-// Constrained support: rows of `db` with >= 1 occurrence of `pattern`
-// satisfying `spec` (spec applied with per-length validation; a spec with
-// per-arrow bounds must match the pattern length).
-size_t ConstrainedSupport(const Sequence& pattern, const ConstraintSpec& spec,
-                          const SequenceDatabase& db);
-
-// Mines { S : constrained-sup_D(S) >= σ } where every candidate pattern is
+// Mines { S : constrained-sup_D(S) >= σ } (ConstrainedSupport in
+// src/match/constrained_count.h) where every candidate pattern is
 // constrained by `uniform_spec` interpreted uniformly: the gap bound (if
 // any) applies to every arrow of every candidate, the window (if any) to
 // every candidate. Only uniform/window specs are meaningful here — specs

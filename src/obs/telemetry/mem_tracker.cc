@@ -39,7 +39,6 @@ uint64_t ReadProcStatusKb(const char* key) {
 const char* MemPoolName(MemPool pool) {
   switch (pool) {
     case MemPool::kDpScratch: return "dp_scratch";
-    case MemPool::kPostingList: return "posting_list";
     case MemPool::kKernelTables: return "kernel_tables";
   }
   return "unknown";

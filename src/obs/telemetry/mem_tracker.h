@@ -1,12 +1,13 @@
 // Per-pool memory accounting and process RSS sampling.
 //
 // The paper's §8 names large-dataset efficiency as the open problem, and
-// the two data structures that actually grow with the dataset are the DP
-// scratch tables (src/match/scratch.h) and the inverted index's posting
-// lists (src/mine/inverted_index.h). MemTracker gives each of those a
-// named pool of three relaxed atomics (current bytes, peak bytes,
-// allocation count), fed by PoolAllocator — a stateless std::allocator
-// wrapper that the scratch/posting vector typedefs plug in. The result
+// the working sets of the matching kernels grow with the dataset and the
+// pattern set: the DP scratch tables (src/match/scratch.h) and the
+// per-symbol masks and pattern-trie arrays (src/match/bitset_match.h).
+// MemTracker gives each of those a named pool of three relaxed atomics
+// (current bytes, peak bytes, allocation count), fed by PoolAllocator — a
+// stateless std::allocator wrapper that the kernels' vector typedefs
+// plug in. The result
 // is exact byte-level accounting of the paths that matter, surfaced as
 // the `memory` block in --stats-json, in BENCH JSON, and gated by
 // tools/bench_compare.
@@ -41,10 +42,9 @@ namespace telemetry {
 // sync when adding one.
 enum class MemPool : size_t {
   kDpScratch = 0,     // DP rows/tables sized (n, m) — src/match/scratch.h
-  kPostingList = 1,   // inverted-index posting lists — src/mine/
-  kKernelTables = 2,  // per-symbol masks / pattern-trie arrays — src/match/
+  kKernelTables = 1,  // per-symbol masks / pattern-trie arrays — src/match/
 };
-inline constexpr size_t kNumMemPools = 3;
+inline constexpr size_t kNumMemPools = 2;
 
 const char* MemPoolName(MemPool pool);
 

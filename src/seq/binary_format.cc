@@ -512,108 +512,6 @@ MappedDatabase::RowIdSpan MappedDatabase::PostingList(SymbolId s) const {
   return RowIdSpan{post_rows_ + begin, static_cast<size_t>(end - begin)};
 }
 
-std::vector<size_t> MappedDatabase::CandidateRows(
-    const Sequence& pattern) const {
-  SEQHIDE_COUNTER_INC("bindb.candidate.calls");
-  const size_t num_rows = size();
-  std::vector<size_t> result;
-  const auto finish = [&](std::vector<size_t> rows) {
-    SEQHIDE_COUNTER_ADD("bindb.candidate.rows", rows.size());
-    SEQHIDE_COUNTER_ADD("bindb.candidate.pruned", num_rows - rows.size());
-    return rows;
-  };
-
-  // Gather the posting list of every distinct real symbol; a symbol with
-  // no postings (or outside the alphabet) proves support 0. Δ symbols in
-  // the pattern are ignored here — pruning must stay a superset and the
-  // kernels define Δ semantics.
-  std::vector<RowIdSpan> spans;
-  std::vector<SymbolId> distinct;
-  for (size_t i = 0; i < pattern.size(); ++i) {
-    const SymbolId s = pattern[i];
-    if (!IsRealSymbol(s)) continue;
-    if (std::find(distinct.begin(), distinct.end(), s) != distinct.end()) {
-      continue;
-    }
-    distinct.push_back(s);
-    RowIdSpan span = PostingList(s);
-    if (span.size == 0) return finish({});
-    spans.push_back(span);
-  }
-
-  // Prefix index: the pattern's first prefix_k symbols must occur (in
-  // order, gaps allowed) in any supporting row, so a key miss is a
-  // proof of support 0 and a hit is one more list to intersect.
-  const uint64_t k = header_.prefix_k;
-  if (k > 0 && pattern.size() >= k) {
-    bool usable = true;
-    for (uint64_t i = 0; i < k; ++i) {
-      if (!IsRealSymbol(pattern[i])) usable = false;
-    }
-    if (usable) {
-      const SymbolId* key = pattern.symbols().data();
-      size_t lo = 0, hi = static_cast<size_t>(header_.num_prefix_keys);
-      while (lo < hi) {
-        const size_t mid = lo + (hi - lo) / 2;
-        if (CompareKeys(prefix_keys_ + mid * k, key, k) < 0) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      if (lo == header_.num_prefix_keys ||
-          CompareKeys(prefix_keys_ + lo * k, key, k) != 0) {
-        return finish({});
-      }
-      // Prefix offsets are not validated at open (the key space can be
-      // |Σ|^k); clamp like row() does.
-      const uint64_t total = header_.sections[kSecPrefixRows].bytes / 4;
-      uint64_t begin = prefix_offsets_[lo];
-      uint64_t end = prefix_offsets_[lo + 1];
-      if (begin > total) begin = total;
-      if (end > total || end < begin) end = begin;
-      spans.push_back(
-          RowIdSpan{prefix_rows_ + begin, static_cast<size_t>(end - begin)});
-      if (spans.back().size == 0) return finish({});
-    }
-  }
-
-  if (spans.empty()) {
-    // Nothing to prune on (empty or all-Δ pattern): every row qualifies.
-    result.resize(num_rows);
-    for (size_t t = 0; t < num_rows; ++t) result[t] = t;
-    return finish(std::move(result));
-  }
-
-  // Intersect smallest-first; all lists are sorted. Row ids out of range
-  // (possible only in a corrupt file, since ids are validated lazily)
-  // are dropped so callers can always index row() with the result.
-  std::sort(spans.begin(), spans.end(),
-            [](const RowIdSpan& a, const RowIdSpan& b) {
-              return a.size < b.size;
-            });
-  std::vector<uint32_t> acc(spans[0].begin(), spans[0].end());
-  std::vector<uint32_t> tmp;
-  for (size_t i = 1; i < spans.size() && !acc.empty(); ++i) {
-    tmp.clear();
-    std::set_intersection(acc.begin(), acc.end(), spans[i].begin(),
-                          spans[i].end(), std::back_inserter(tmp));
-    acc.swap(tmp);
-  }
-  result.reserve(acc.size());
-  for (uint32_t t : acc) {
-    if (t < num_rows) result.push_back(t);
-  }
-  // Corrupt (unverified) posting lists may be unsorted or carry
-  // duplicate ids, which set_intersection then propagates. Sort + dedupe
-  // so the result keeps the sorted-unique contract, duplicate candidates
-  // are never scored twice, and rows.size() can never exceed num_rows
-  // (which would underflow the pruned counters).
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
-  return finish(std::move(result));
-}
-
 Status MappedDatabase::ValidateRows(std::vector<uint64_t>* signatures,
                                     size_t max_threads) const {
   const uint64_t num_rows = header_.num_rows;

@@ -8,7 +8,10 @@
 // row ids, plus a pattern-prefix index keyed on the first k symbols of a
 // pattern). Every integer is little-endian; the header and every section
 // carry an FNV-1a-64 checksum; the header pins an explicit version and
-// endianness tag.
+// endianness tag. No query reads the two indexes any more: queries
+// screen rows by their symbol signatures (src/seq/signature.h), and the
+// indexes stay in v1 files so existing images keep their layout;
+// VerifyChecksums() still validates them.
 //
 // MappedDatabase::OpenMapped validates the header, the section-table
 // geometry, and the alphabet — O(header + |Σ|) work, independent of the
@@ -176,13 +179,6 @@ class MappedDatabase {
   // Sorted row ids containing at least one occurrence of `s`; empty for
   // Δ or ids outside the alphabet.
   RowIdSpan PostingList(SymbolId s) const;
-
-  // Sorted row ids that can possibly support `pattern` as a subsequence:
-  // the intersection of its distinct symbols' posting lists, further
-  // narrowed by the prefix index when the pattern has >= prefix_k
-  // symbols. Exact superset of the true supporter set; an empty pattern
-  // matches everything, so every row is a candidate.
-  std::vector<size_t> CandidateRows(const Sequence& pattern) const;
 
   // Structural row check, O(|D| + num_symbols) with no checksums: row
   // offsets start at 0, are monotone and end at num_symbols, and every

@@ -15,11 +15,8 @@
 #include "src/common/logging.h"
 #include "src/constraints/constraints.h"
 #include "src/hide/sanitizer.h"
-#include "src/match/bitset_match.h"
 #include "src/match/constrained_count.h"
-#include "src/match/count.h"
 #include "src/match/scratch.h"
-#include "src/match/subsequence.h"
 #include "src/obs/macros.h"
 #include "src/seq/io.h"
 #include "src/seq/signature.h"
@@ -203,7 +200,7 @@ Status Server::LoadDatabase() {
     db_max_length_ = std::max(db_max_length_, row.size());
     if (!mapped_.has_value()) row_signatures_[t] = SequenceSignature(row);
   }
-  // Sanitize requests screen their count stage with the same signatures.
+  // Queries and sanitize count stages screen rows with these signatures.
   db_ = db_.WithSignatures(row_signatures_);
   return Status::OK();
 }
@@ -577,44 +574,16 @@ Response Server::DoQuery(const std::shared_ptr<WorkItem>& item) {
         return ErrorResponse(req.id,
                              Status::DeadlineExceeded("deadline exceeded"));
       }
-      resp.values.push_back(ComputePatternValue(req.method, cp, &scratch));
+      resp.values.push_back(
+          req.method == Method::kSupport
+              ? ConstrainedSupport(cp.pattern, cp.constraints, db_, &scratch)
+              : ConstrainedMatchCount(cp.pattern, cp.constraints, db_,
+                                      &scratch));
     }
   }
   cache_.Insert(db_fingerprint_, patterns_fp, resp.values);
   resp.cache = "miss";
   return resp;
-}
-
-uint64_t Server::ComputePatternValue(Method method,
-                                     const ConstrainedPattern& cp,
-                                     MatchScratch* scratch) const {
-  const Sequence& pattern = cp.pattern;
-  const ConstraintSpec& spec = cp.constraints;
-  const uint64_t need = SequenceSignature(pattern);
-  const SymbolMasks masks(pattern);
-  uint64_t value = 0;
-  size_t scanned = 0;
-  for (size_t t = 0; t < db_.size(); ++t) {
-    if ((row_signatures_[t] & need) != need) continue;
-    ++scanned;
-    const SequenceView row = db_.row(t);
-    // No unconstrained embedding means no matching under any constraint.
-    const bool embeds = masks.usable() ? HasSubsequenceBitParallel(masks, row)
-                                       : IsSubsequence(pattern, row);
-    if (!embeds) continue;
-    if (method == Method::kSupport) {
-      if (spec.IsUnconstrained() ||
-          HasConstrainedMatch(pattern, spec, row, scratch)) {
-        ++value;
-      }
-    } else {
-      value = SatAdd(value,
-                     CountConstrainedMatchings(pattern, spec, row, scratch));
-    }
-  }
-  SEQHIDE_COUNTER_ADD("bindb.candidate.rows", scanned);
-  SEQHIDE_COUNTER_ADD("bindb.candidate.pruned", db_.size() - scanned);
-  return value;
 }
 
 Response Server::DoSanitize(const std::shared_ptr<WorkItem>& item,

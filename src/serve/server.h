@@ -59,9 +59,6 @@
 #include "src/serve/protocol.h"
 
 namespace seqhide {
-
-struct MatchScratch;
-
 namespace serve {
 
 struct ServerOptions {
@@ -166,11 +163,6 @@ class Server {
   // `resume` re-runs a recovered job from its checkpoint.
   Response DoSanitize(const std::shared_ptr<WorkItem>& item, bool resume);
 
-  // One pattern's answer: rows whose signature lacks a pattern symbol's
-  // bit are skipped, the Shift-And screen drops the rest that hold no
-  // embedding, and the exact kernel runs on the survivors.
-  uint64_t ComputePatternValue(Method method, const ConstrainedPattern& cp,
-                               MatchScratch* scratch) const;
   // Seals one request: timings, outcome stats, ledger record, response
   // write (or drop).
   void FinishItem(const std::shared_ptr<WorkItem>& item, Response resp,

@@ -9,12 +9,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/common/fault_injection.h"
 #include "src/common/random.h"
+#include "src/match/constrained_count.h"
 #include "src/match/subsequence.h"
 #include "src/seq/binary_format.h"
 #include "src/seq/io.h"
@@ -209,25 +209,6 @@ TEST(BinaryFormatTest, PostingListsAreExact) {
       0u);
 }
 
-TEST(BinaryFormatTest, CandidateRowsIsAnExactSuperset) {
-  Rng rng(23);
-  SequenceDatabase db = testutil::RandomDb(&rng, 50, 0, 15, 4);
-  MappedDatabase mapped = MustOpen(MustWrite(db));
-  for (int i = 0; i < 50; ++i) {
-    Sequence pattern = testutil::RandomSeq(&rng, 1 + i % 4, 4);
-    std::vector<size_t> candidates = mapped.CandidateRows(pattern);
-    EXPECT_TRUE(std::is_sorted(candidates.begin(), candidates.end()));
-    std::set<size_t> candidate_set(candidates.begin(), candidates.end());
-    for (size_t t = 0; t < db.size(); ++t) {
-      if (IsSubsequence(pattern, db[t])) {
-        EXPECT_TRUE(candidate_set.count(t))
-            << "supporter row " << t << " pruned for pattern "
-            << pattern.DebugString();
-      }
-    }
-  }
-}
-
 TEST(BinaryFormatTest, PrefixIndexOffRoundTrips) {
   Rng rng(29);
   SequenceDatabase db = testutil::RandomDb(&rng, 20, 0, 10, 4);
@@ -240,15 +221,13 @@ TEST(BinaryFormatTest, PrefixIndexOffRoundTrips) {
   auto back = mapped.ToDatabase();
   ASSERT_TRUE(back.ok());
   ExpectSameDb(db, *back);
-  // Candidate pruning still works off the posting lists alone.
+  // Without a prefix index the image answers the same support.
   Sequence pattern = testutil::RandomSeq(&rng, 2, 4);
-  std::set<size_t> cands;
-  for (size_t t : mapped.CandidateRows(pattern)) cands.insert(t);
-  for (size_t t = 0; t < db.size(); ++t) {
-    if (IsSubsequence(pattern, db[t])) {
-      EXPECT_TRUE(cands.count(t)) << t;
-    }
-  }
+  std::vector<uint64_t> signatures;
+  ASSERT_TRUE(mapped.ValidateRows(&signatures).ok());
+  EXPECT_EQ(ConstrainedSupport(pattern, ConstraintSpec(),
+                               mapped.view().WithSignatures(signatures)),
+            Support(pattern, db));
 }
 
 TEST(BinaryFormatTest, WriterRejectsUnsupportedPrefixK) {
@@ -403,23 +382,6 @@ TEST(BinaryFormatTest, ValidateRowsNamesTheLowestErrorAtEveryThreadCount) {
               "seqhidb row 301 has corrupt offsets (not monotone)")
         << threads << " threads";
   }
-}
-
-TEST(BinaryFormatTest, CandidateRowsDedupesCorruptPostingLists) {
-  const std::string bytes = MustWrite(SpecExampleDb());
-  MappedDatabase good = MustOpen(bytes);
-  const uint64_t off = good.header().sections[kSecPostRows].offset;
-  // Symbol a's posting run is {0, 2}; corrupt it to {0, 0}. Unverified
-  // opens accept this, and without dedup CandidateRows would return row
-  // 0 twice (double-counting matchings and underflowing the pruned
-  // counter).
-  std::string corrupt = bytes;
-  OverwriteU32(&corrupt, off + 4, 0);
-  auto lax = MappedDatabase::FromBuffer(corrupt);
-  ASSERT_TRUE(lax.ok()) << lax.status();
-  Sequence pattern;
-  pattern.Append(0);  // "a"
-  EXPECT_EQ(lax->CandidateRows(pattern), std::vector<size_t>({0}));
 }
 
 TEST(BinaryFormatTest, EmptyAlphabetRejectsDanglingPostingRows) {

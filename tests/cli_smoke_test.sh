@@ -30,6 +30,37 @@ STATS_EXPLICIT="$("$CLI" stats --db "$WORK/db.txt" --format seq)"
 OUT="$("$CLI" support --db "$WORK/db.txt" --pattern "a -> b -> c")"
 echo "$OUT" | grep -q "support=3"
 
+# support on a seqhidb image: the same stdout as on the text database
+"$CLI" convert --db "$WORK/db.txt" --to binary --out "$WORK/db.hidb" > /dev/null
+for f in db.txt db.hidb; do
+  "$CLI" support --db "$WORK/$f" --pattern "a -> b -> c" \
+      --pattern "a ->[0..1] b" --pattern "ghost -> a" > "$WORK/support_$f.out"
+done
+cmp "$WORK/support_db.txt.out" "$WORK/support_db.hidb.out"
+
+# support on a corrupt seqhidb image fails with ValidateRows' Corruption
+# instead of answering from clamped rows. u64_at FILE OFFSET reads a
+# little-endian u64; bytes 112 and 136 hold the row_offsets and columns
+# section offsets (docs/binary-format.md).
+u64_at() { od -An -tu8 -j "$2" -N 8 "$1" | tr -d ' '; }
+patch_at() { printf "$3" | dd of="$1" bs=1 seek="$2" conv=notrunc 2>/dev/null; }
+ROWS_AT="$(u64_at "$WORK/db.hidb" 112)"
+COLS_AT="$(u64_at "$WORK/db.hidb" 136)"
+cp "$WORK/db.hidb" "$WORK/bad_column.hidb"
+patch_at "$WORK/bad_column.hidb" "$COLS_AT" '\377\377\377\177'
+cp "$WORK/db.hidb" "$WORK/bad_offset.hidb"
+patch_at "$WORK/bad_offset.hidb" $((ROWS_AT + 8)) '\377\377\377\377\377\377\377\177'
+for bad in bad_column bad_offset; do
+  if "$CLI" support --db "$WORK/$bad.hidb" --pattern "a -> b" \
+      > /dev/null 2> "$WORK/$bad.err"; then
+    echo "FAIL: support answered on $bad.hidb"; exit 1
+  fi
+done
+grep -q "Corruption: seqhidb column 0 references symbol id 2147483647 outside the alphabet" \
+    "$WORK/bad_column.err"
+grep -q "Corruption: seqhidb row 1 has corrupt offsets (not monotone)" \
+    "$WORK/bad_offset.err"
+
 # mine
 "$CLI" mine --db "$WORK/db.txt" --sigma 2 --top 3 | grep -q "frequent patterns"
 

@@ -9,8 +9,9 @@
 //   * verified open implies unverified open (verification only rejects
 //     more);
 //   * whatever opens is memory-safe to read: every row view, posting
-//     list, candidate query, and Stats() runs within bounds (ASan is the
-//     judge);
+//     list, and Stats() runs within bounds (ASan is the judge);
+//   * whatever passes ValidateRows answers a support query the same with
+//     its row signatures attached as without them;
 //   * whatever passes full verification materializes cleanly, and its
 //     re-serialization parses back to a database of the same shape.
 //
@@ -21,7 +22,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "src/constraints/constraints.h"
+#include "src/match/constrained_count.h"
 #include "src/seq/binary_format.h"
 
 namespace {
@@ -74,11 +78,19 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       auto span = lax->PostingList(s);
       for (uint32_t r : span) (void)r;
     }
-    seqhide::Sequence probe;
-    if (lax->alphabet().size() > 0) {
+    // Rows that pass the structural check carry signatures, and the
+    // screen they feed never changes an answer: the screened support
+    // equals the same loop over the unscreened view.
+    std::vector<uint64_t> signatures;
+    if (lax->ValidateRows(&signatures).ok() && lax->alphabet().size() > 0) {
+      seqhide::Sequence probe;
       probe.Append(0);
       probe.Append(static_cast<seqhide::SymbolId>(lax->alphabet().size() - 1));
-      (void)lax->CandidateRows(probe);
+      const seqhide::ConstraintSpec spec;
+      Check(seqhide::ConstrainedSupport(
+                probe, spec, lax->view().WithSignatures(signatures)) ==
+                seqhide::ConstrainedSupport(probe, spec, lax->view()),
+            "screened support differs from the unscreened loop");
     }
     (void)lax->Stats();
     (void)lax->VerifyChecksums();  // any verdict, just no crash

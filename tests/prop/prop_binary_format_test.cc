@@ -1,7 +1,8 @@
 // Property suites for the seqhidb binary format: on generated instances
-// (PR5 generators), (1) text→binary→text round trips are identity, (2)
-// every mapped matching kernel is differentially equal to its in-memory
-// counterpart, and (3) SanitizeView on the mapped view reproduces
+// (src/testing generators), (1) text→binary→text round trips are
+// identity, (2) the screened support / match-count loop answers the
+// oracles' values on the in-memory and mapped views alike, with or
+// without row signatures, and (3) SanitizeView on the mapped view reproduces
 // Sanitize() byte for byte — report and output database alike.
 
 #include <gtest/gtest.h>
@@ -12,12 +13,11 @@
 #include "src/hide/sanitizer.h"
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
-#include "src/match/mapped_match.h"
 #include "src/match/scratch.h"
-#include "src/match/subsequence.h"
-#include "src/mine/constrained_miner.h"
+#include "src/obs/metrics.h"
 #include "src/seq/binary_format.h"
 #include "src/seq/io.h"
+#include "src/testing/oracles.h"
 #include "tests/prop/prop_gtest.h"
 
 namespace seqhide {
@@ -56,49 +56,94 @@ TEST(BinaryFormatProps, TextBinaryRoundTripIsIdentity) {
   }));
 }
 
+#if !defined(SEQHIDE_OBS_DISABLED)
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Default().GetCounter(name)->Value();
+}
+#endif
+
+// The screened support / match-count loop answers the same on every view
+// of one database: the in-memory rows, the mapped rows with no signatures
+// (no screen), the mapped rows with their ValidateRows signatures, and
+// all-ones signatures (a screen that keeps every row). Alphabets run to
+// 96 symbols, so ids 64 apart share a signature bit and ids 63, 127 share
+// Δ's; each pattern also gets ghost variants whose last symbol is outside
+// the alphabet, one of them on Δ's bit so Δ-marked rows pass the screen.
 TEST(BinaryFormatProps, MappedKernelsEqualInMemoryKernels) {
   PropConfig config;
-  config.name = "binary/mapped-kernels-differential";
+  config.name = "binary/screened-loop-differential";
   config.seed = 0x5eedb002;
+  config.gen.min_alphabet = 2;
+  config.gen.max_alphabet = 96;
+  config.gen.delta_density = 0.2;
   EXPECT_PROP_OK(CheckProperty(config, [](const PropInstance& inst) {
     auto mapped = MapInstance(inst);
     if (!mapped.ok()) return "write/open failed: " + mapped.status().ToString();
+    std::vector<uint64_t> signatures;
+    const Status valid = mapped->ValidateRows(&signatures);
+    if (!valid.ok()) return "ValidateRows: " + valid.ToString();
+    const std::vector<uint64_t> all_ones(inst.db.size(), ~uint64_t{0});
+    const DatabaseView views[] = {
+        DatabaseView(inst.db), mapped->view(),
+        mapped->view().WithSignatures(signatures),
+        mapped->view().WithSignatures(all_ones)};
+    const char* view_names[] = {"in-memory", "mapped", "mapped+signatures",
+                                "mapped+all-ones"};
+
+    const SymbolId sigma = static_cast<SymbolId>(inst.db.alphabet().size());
+    const SymbolId ghost_on_delta_bit = (sigma / 64 + 1) * 64 + 63;
+    std::vector<Sequence> patterns;
+    std::vector<ConstraintSpec> specs;
+    for (size_t p = 0; p < inst.patterns.size(); ++p) {
+      const ConstraintSpec spec = inst.constraints.empty()
+                                      ? ConstraintSpec()
+                                      : inst.constraints[p];
+      patterns.push_back(inst.patterns[p]);
+      specs.push_back(spec);
+      for (SymbolId ghost : {sigma, ghost_on_delta_bit}) {
+        const Sequence& base = inst.patterns[p];
+        Sequence variant;
+        for (size_t i = 0; i + 1 < base.size(); ++i) variant.Append(base[i]);
+        variant.Append(ghost);
+        patterns.push_back(std::move(variant));
+        specs.push_back(spec);
+      }
+    }
+
     MatchScratch scratch;
-    for (size_t p = 0; p < inst.patterns.size(); ++p) {
-      const Sequence& pattern = inst.patterns[p];
-      const ConstraintSpec& spec = inst.constraints.empty()
-                                       ? ConstraintSpec()
-                                       : inst.constraints[p];
-      if (SupportMapped(pattern, *mapped) != Support(pattern, inst.db)) {
-        return "SupportMapped mismatch for S" + std::to_string(p);
-      }
-      if (ConstrainedSupportMapped(pattern, spec, *mapped) !=
-          ConstrainedSupport(pattern, spec, inst.db)) {
-        return "ConstrainedSupportMapped mismatch for S" + std::to_string(p);
-      }
-      uint64_t expected = 0;
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      const Sequence& pattern = patterns[p];
+      const ConstraintSpec& spec = specs[p];
+      const size_t support = OracleSupport(pattern, spec, inst.db);
+      uint64_t matchings = 0;
       for (size_t t = 0; t < inst.db.size(); ++t) {
-        expected =
-            SatAdd(expected, CountMatchings(pattern, inst.db[t], &scratch));
+        matchings = SatAdd(matchings,
+                           OracleConstrainedCount(pattern, spec, inst.db[t]));
       }
-      if (CountMatchingsMapped(pattern, *mapped) != expected) {
-        return "CountMatchingsMapped mismatch for S" + std::to_string(p);
+      for (size_t v = 0; v < 4; ++v) {
+        const std::string where = std::string(view_names[v]) + " S" +
+                                  std::to_string(p) + " " +
+                                  pattern.DebugString();
+#if !defined(SEQHIDE_OBS_DISABLED)
+        const uint64_t rows_before = CounterValue("bindb.candidate.rows");
+        const uint64_t pruned_before = CounterValue("bindb.candidate.pruned");
+#endif
+        if (ConstrainedSupport(pattern, spec, views[v], &scratch) != support) {
+          return "ConstrainedSupport != oracle on " + where;
+        }
+#if !defined(SEQHIDE_OBS_DISABLED)
+        const uint64_t screened =
+            (CounterValue("bindb.candidate.rows") - rows_before) +
+            (CounterValue("bindb.candidate.pruned") - pruned_before);
+        if (screened != inst.db.size()) {
+          return "rows + pruned != |D| on " + where;
+        }
+#endif
+        if (ConstrainedMatchCount(pattern, spec, views[v], &scratch) !=
+            matchings) {
+          return "ConstrainedMatchCount != oracle on " + where;
+        }
       }
-    }
-    uint64_t total = 0;
-    for (size_t p = 0; p < inst.patterns.size(); ++p) {
-      const ConstraintSpec& spec = inst.constraints.empty()
-                                       ? ConstraintSpec()
-                                       : inst.constraints[p];
-      for (size_t t = 0; t < inst.db.size(); ++t) {
-        total = SatAdd(total, CountConstrainedMatchings(
-                                  inst.patterns[p], spec, inst.db[t],
-                                  &scratch));
-      }
-    }
-    if (CountConstrainedMatchingsTotalMapped(inst.patterns, inst.constraints,
-                                             *mapped) != total) {
-      return std::string("CountConstrainedMatchingsTotalMapped mismatch");
     }
     return std::string();
   }));

@@ -5,7 +5,6 @@
 #include "src/data/workload.h"
 #include "src/match/constrained_count.h"
 #include "src/match/subsequence.h"
-#include "src/mine/constrained_miner.h"
 #include "src/seq/signature.h"
 #include "tests/test_util.h"
 

@@ -1,21 +1,23 @@
-// Differential tests for the mapped matching kernels
-// (src/match/mapped_match.h): on seeded random databases, every mapped
-// kernel must return exactly what its in-memory counterpart returns —
-// the index pruning is an optimization, never a semantics change. Also
-// covers the DatabaseView adapter overloads the kernels build on.
+// Differential tests for the screened whole-database loop
+// (ConstrainedSupport / ConstrainedMatchCount in
+// src/match/constrained_count.h) over mapped seqhidb images: on seeded
+// random databases, the loop over a mapped view with its ValidateRows
+// signatures attached must return exactly what the unscreened in-memory
+// definitions return — the signature screen is an optimization, never a
+// semantics change. Also covers the DatabaseView adapter overloads the
+// kernels build on.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/constraints/constraints.h"
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
-#include "src/match/mapped_match.h"
 #include "src/match/scratch.h"
 #include "src/match/subsequence.h"
-#include "src/mine/constrained_miner.h"
 #include "src/seq/binary_format.h"
 #include "src/seq/view.h"
 #include "tests/test_util.h"
@@ -23,22 +25,32 @@
 namespace seqhide {
 namespace {
 
-MappedDatabase Map(const SequenceDatabase& db) {
-  auto bytes = WriteBinaryDatabaseToString(db);
-  EXPECT_TRUE(bytes.ok()) << bytes.status();
-  auto mapped = MappedDatabase::FromBuffer(*bytes);
-  EXPECT_TRUE(mapped.ok()) << mapped.status();
-  return std::move(mapped).value();
-}
+// A seqhidb image of `db`, with the row signatures its ValidateRows pass
+// yields; view() is the screened view the server and the CLI query.
+struct Mapped {
+  explicit Mapped(const SequenceDatabase& db) {
+    auto bytes = WriteBinaryDatabaseToString(db);
+    EXPECT_TRUE(bytes.ok()) << bytes.status();
+    auto opened = MappedDatabase::FromBuffer(*bytes);
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    image.emplace(std::move(opened).value());
+    EXPECT_TRUE(image->ValidateRows(&signatures).ok());
+  }
+  DatabaseView view() const { return image->view().WithSignatures(signatures); }
+
+  std::optional<MappedDatabase> image;
+  std::vector<uint64_t> signatures;
+};
 
 TEST(MappedMatchTest, SupportMatchesInMemory) {
   Rng rng(101);
   for (int round = 0; round < 10; ++round) {
     SequenceDatabase db = testutil::RandomDb(&rng, 30, 0, 12, 4);
-    MappedDatabase mapped = Map(db);
+    const Mapped mapped(db);
     for (int i = 0; i < 20; ++i) {
       Sequence pattern = testutil::RandomSeq(&rng, 1 + i % 5, 4);
-      EXPECT_EQ(SupportMapped(pattern, mapped), Support(pattern, db))
+      EXPECT_EQ(ConstrainedSupport(pattern, ConstraintSpec(), mapped.view()),
+                Support(pattern, db))
           << pattern.DebugString();
     }
   }
@@ -47,7 +59,7 @@ TEST(MappedMatchTest, SupportMatchesInMemory) {
 TEST(MappedMatchTest, CountMatchingsMatchesInMemory) {
   Rng rng(103);
   SequenceDatabase db = testutil::RandomDb(&rng, 25, 0, 10, 3);
-  MappedDatabase mapped = Map(db);
+  const Mapped mapped(db);
   MatchScratch scratch;
   for (int i = 0; i < 30; ++i) {
     Sequence pattern = testutil::RandomSeq(&rng, 1 + i % 4, 3);
@@ -55,7 +67,8 @@ TEST(MappedMatchTest, CountMatchingsMatchesInMemory) {
     for (size_t t = 0; t < db.size(); ++t) {
       expected = SatAdd(expected, CountMatchings(pattern, db[t], &scratch));
     }
-    EXPECT_EQ(CountMatchingsMapped(pattern, mapped), expected)
+    EXPECT_EQ(ConstrainedMatchCount(pattern, ConstraintSpec(), mapped.view()),
+              expected)
         << pattern.DebugString();
   }
 }
@@ -63,13 +76,16 @@ TEST(MappedMatchTest, CountMatchingsMatchesInMemory) {
 TEST(MappedMatchTest, ConstrainedSupportMatchesInMemory) {
   Rng rng(107);
   SequenceDatabase db = testutil::RandomDb(&rng, 30, 0, 14, 4);
-  MappedDatabase mapped = Map(db);
+  const Mapped mapped(db);
   for (int i = 0; i < 25; ++i) {
     Sequence pattern = testutil::RandomSeq(&rng, 2 + i % 3, 4);
     ConstraintSpec spec =
         proptest::GenConstraintSpec(&rng, pattern.size(), 14);
-    EXPECT_EQ(ConstrainedSupportMapped(pattern, spec, mapped),
-              ConstrainedSupport(pattern, spec, db))
+    size_t expected = 0;
+    for (size_t t = 0; t < db.size(); ++t) {
+      if (HasConstrainedMatch(pattern, spec, db[t])) ++expected;
+    }
+    EXPECT_EQ(ConstrainedSupport(pattern, spec, mapped.view()), expected)
         << pattern.DebugString();
   }
 }
@@ -77,7 +93,7 @@ TEST(MappedMatchTest, ConstrainedSupportMatchesInMemory) {
 TEST(MappedMatchTest, ConstrainedTotalMatchesInMemory) {
   Rng rng(109);
   SequenceDatabase db = testutil::RandomDb(&rng, 20, 0, 10, 4);
-  MappedDatabase mapped = Map(db);
+  const Mapped mapped(db);
   MatchScratch scratch;
   std::vector<Sequence> patterns;
   std::vector<ConstraintSpec> constraints;
@@ -94,9 +110,13 @@ TEST(MappedMatchTest, ConstrainedTotalMatchesInMemory) {
                                       &scratch));
     }
   }
-  EXPECT_EQ(CountConstrainedMatchingsTotalMapped(patterns, constraints, mapped),
-            expected);
-  // Empty constraint list = all unconstrained.
+  uint64_t total = 0;
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    total = SatAdd(total, ConstrainedMatchCount(patterns[p], constraints[p],
+                                                mapped.view(), &scratch));
+  }
+  EXPECT_EQ(total, expected);
+  // And with every pattern unconstrained.
   uint64_t unconstrained = 0;
   for (size_t p = 0; p < patterns.size(); ++p) {
     for (size_t t = 0; t < db.size(); ++t) {
@@ -106,28 +126,35 @@ TEST(MappedMatchTest, ConstrainedTotalMatchesInMemory) {
                                     &scratch));
     }
   }
-  EXPECT_EQ(CountConstrainedMatchingsTotalMapped(patterns, {}, mapped),
-            unconstrained);
+  total = 0;
+  for (const Sequence& pattern : patterns) {
+    total = SatAdd(total, ConstrainedMatchCount(pattern, ConstraintSpec(),
+                                                mapped.view(), &scratch));
+  }
+  EXPECT_EQ(total, unconstrained);
 }
 
 TEST(MappedMatchTest, UnknownSymbolsHaveZeroSupport) {
   Rng rng(113);
   SequenceDatabase db = testutil::RandomDb(&rng, 10, 1, 8, 3);
-  MappedDatabase mapped = Map(db);
+  const Mapped mapped(db);
   // A pattern symbol the file has never seen: id beyond alphabet_size.
   Sequence pattern;
   pattern.Append(static_cast<SymbolId>(db.alphabet().size() + 5));
-  EXPECT_EQ(SupportMapped(pattern, mapped), 0u);
-  EXPECT_EQ(CountMatchingsMapped(pattern, mapped), 0u);
-  EXPECT_TRUE(mapped.CandidateRows(pattern).empty());
+  EXPECT_EQ(ConstrainedSupport(pattern, ConstraintSpec(), mapped.view()), 0u);
+  EXPECT_EQ(ConstrainedMatchCount(pattern, ConstraintSpec(), mapped.view()),
+            0u);
+  EXPECT_EQ(ConstrainedSupport(pattern, ConstraintSpec::Window(3),
+                               mapped.view()),
+            0u);
 }
 
 TEST(MappedMatchTest, DatabaseViewOverloadsMatchSequenceDatabase) {
   Rng rng(127);
   SequenceDatabase db = testutil::RandomDb(&rng, 15, 0, 10, 4);
-  MappedDatabase mapped = Map(db);
-  DatabaseView adapter(db);       // in-memory adapter
-  DatabaseView columnar = mapped.view();  // columnar mapped view
+  const Mapped mapped(db);
+  DatabaseView adapter(db);                      // in-memory adapter
+  DatabaseView columnar = mapped.image->view();  // columnar mapped view
   ASSERT_EQ(adapter.size(), columnar.size());
   for (int i = 0; i < 20; ++i) {
     Sequence pattern = testutil::RandomSeq(&rng, 1 + i % 4, 4);

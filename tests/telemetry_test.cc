@@ -118,10 +118,10 @@ TEST(MemTrackerTest, PoolAllocatorChargesThePool) {
 }
 
 TEST(MemTrackerTest, PoolsAreIndependent) {
-  const MemPoolStats posting_before = MemTracker::Stats(MemPool::kPostingList);
+  const MemPoolStats tables_before = MemTracker::Stats(MemPool::kKernelTables);
   std::vector<uint64_t, PoolAllocator<uint64_t, MemPool::kDpScratch>> v(64);
-  EXPECT_EQ(MemTracker::Stats(MemPool::kPostingList).current_bytes,
-            posting_before.current_bytes);
+  EXPECT_EQ(MemTracker::Stats(MemPool::kKernelTables).current_bytes,
+            tables_before.current_bytes);
 }
 #endif  // !SEQHIDE_OBS_DISABLED
 

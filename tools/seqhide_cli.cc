@@ -61,6 +61,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,9 +84,7 @@
 #include "src/itemset/itemset_io.h"
 #include "src/itemset/itemset_match.h"
 #include "src/itemset/itemset_mine.h"
-#include "src/match/mapped_match.h"
-#include "src/match/subsequence.h"
-#include "src/mine/constrained_miner.h"
+#include "src/match/constrained_count.h"
 #include "src/mine/prefix_span.h"
 #include "src/seq/binary_format.h"
 #include "src/seq/io.h"
@@ -614,40 +613,36 @@ Status RunStats(const ParsedArgs& args) {
 Status RunSupport(const ParsedArgs& args) {
   SEQHIDE_ASSIGN_OR_RETURN(std::string path, DbPath(args));
   SEQHIDE_ASSIGN_OR_RETURN(DbFormat format, ResolveDbFormat(args, path));
+  // One answer path for both formats: the screened support loop over a
+  // DatabaseView. A seqhidb image is answered off the mapping, after the
+  // structural row check that also yields the row signatures the loop
+  // screens with; a corrupt image fails here instead of being answered
+  // from clamped rows.
+  std::optional<MappedDatabase> mapped;
+  std::vector<uint64_t> signatures;
+  SequenceDatabase text_db;
+  DatabaseView db;
   if (format == DbFormat::kBinary) {
-    // Mapped path: the file's posting-list/prefix indexes prune the rows
-    // that need any DP work; results equal the text path's. Patterns may
-    // intern symbols the file has never seen — those get fresh ids with
-    // empty posting lists, i.e. support 0, which is correct.
-    SEQHIDE_ASSIGN_OR_RETURN(MappedDatabase mapped,
-                             MappedDatabase::OpenMapped(path));
-    Alphabet alphabet = mapped.alphabet();
-    SEQHIDE_ASSIGN_OR_RETURN(std::vector<ConstrainedPattern> patterns,
-                             ParsePatterns(args, &alphabet));
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      size_t constrained = ConstrainedSupportMapped(
-          patterns[i].pattern, patterns[i].constraints, mapped);
-      std::cout << "pattern " << i + 1 << ": \"" << args.patterns[i]
-                << "\"  support=" << constrained;
-      if (!patterns[i].constraints.IsUnconstrained()) {
-        std::cout << "  (unconstrained support="
-                  << SupportMapped(patterns[i].pattern, mapped) << ")";
-      }
-      std::cout << "\n";
-    }
-    return Status::OK();
+    SEQHIDE_ASSIGN_OR_RETURN(mapped, MappedDatabase::OpenMapped(path));
+    SEQHIDE_RETURN_IF_ERROR(mapped->ValidateRows(&signatures));
+    db = mapped->view().WithSignatures(signatures);
+  } else {
+    SEQHIDE_ASSIGN_OR_RETURN(text_db, LoadDb(args));
+    db = DatabaseView(text_db);
   }
-  SEQHIDE_ASSIGN_OR_RETURN(SequenceDatabase db, LoadDb(args));
+  // Symbols the database has never seen get fresh ids, which no row
+  // holds: support 0.
+  Alphabet alphabet = db.alphabet();
   SEQHIDE_ASSIGN_OR_RETURN(std::vector<ConstrainedPattern> patterns,
-                           ParsePatterns(args, &db.alphabet()));
+                           ParsePatterns(args, &alphabet));
   for (size_t i = 0; i < patterns.size(); ++i) {
-    size_t constrained =
-        ConstrainedSupport(patterns[i].pattern, patterns[i].constraints, db);
+    const Sequence& pattern = patterns[i].pattern;
+    const ConstraintSpec& spec = patterns[i].constraints;
     std::cout << "pattern " << i + 1 << ": \"" << args.patterns[i]
-              << "\"  support=" << constrained;
-    if (!patterns[i].constraints.IsUnconstrained()) {
+              << "\"  support=" << ConstrainedSupport(pattern, spec, db);
+    if (!spec.IsUnconstrained()) {
       std::cout << "  (unconstrained support="
-                << Support(patterns[i].pattern, db) << ")";
+                << ConstrainedSupport(pattern, ConstraintSpec(), db) << ")";
     }
     std::cout << "\n";
   }
