@@ -6,6 +6,7 @@
 //     prefix-sum variant,
 //   * δ(T[i]) — paper's deletion method (Thm. 2) vs forward×backward,
 //   * constrained counting (gaps / window),
+//   * the matching kernel: one trie pass vs a DP per pattern,
 //   * single-sequence sanitization,
 //   * PrefixSpan vs level-wise mining.
 
@@ -19,11 +20,9 @@
 #include "src/data/workload.h"
 #include "src/hide/local.h"
 #include "src/hide/sanitizer.h"
-#include "src/match/bitset_match.h"
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
 #include "src/match/kernel.h"
-#include "src/match/pattern_trie.h"
 #include "src/match/position_delta.h"
 #include "src/match/prefix_table.h"
 #include "src/match/scratch.h"
@@ -208,113 +207,100 @@ void BM_SanitizeScreened(benchmark::State& state) {
 }
 BENCHMARK(BM_SanitizeScreened);
 
-// --- Bit-parallel / multi-pattern kernels (docs/kernels.md) ---
+// --- The matching kernel (docs/kernels.md) ---
 
-// Shift-And existence scan vs the greedy scalar subsequence scan, on a
-// text that does NOT contain the pattern (both must walk the whole text).
-void BM_ShiftAndScan(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Sequence t = MakeSeq(n, 10, 1);
-  Sequence s = MakeSeq(8, 10, 2);
-  s.Append(static_cast<SymbolId>(10));  // one symbol the text never has
-  const SymbolMasks masks(s);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(HasSubsequenceBitParallel(masks, t));
-  }
-}
-BENCHMARK(BM_ShiftAndScan)->Range(16, 4096);
-
+// The greedy embedding screen on a text that does NOT contain the pattern
+// (the scan walks the whole text).
 void BM_GreedySubsequenceScan(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Sequence t = MakeSeq(n, 10, 1);
   Sequence s = MakeSeq(8, 10, 2);
-  s.Append(static_cast<SymbolId>(10));
+  s.Append(static_cast<SymbolId>(10));  // one symbol the text never has
   for (auto _ : state) {
     benchmark::DoNotOptimize(IsSubsequence(s, t));
   }
 }
 BENCHMARK(BM_GreedySubsequenceScan)->Range(16, 4096);
 
-// Cache-blocked counting DP; same shape as BM_CountMatchings above so the
-// two tables read side by side.
-void BM_CountMatchingsBlocked(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Sequence t = MakeSeq(n, 10, 1);
-  Sequence s = MakeSeq(3, 10, 2);
-  const SymbolMasks masks(s);
-  MatchScratch scratch;
-  const uint64_t rows_before = CounterValue("match.bitset.dp_rows");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CountMatchingsBlocked(s, masks, t, &scratch));
-  }
-  state.counters["dp_rows"] = benchmark::Counter(
-      static_cast<double>(CounterValue("match.bitset.dp_rows") - rows_before),
-      benchmark::Counter::kAvgIterations);
-  state.SetComplexityN(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_CountMatchingsBlocked)->Range(16, 4096)->Complexity(benchmark::oN);
+// The multi-pattern input: a 16-pattern sensitive set over 256 rows of
+// 40-80 symbols, in four shared-prefix families of four.
+struct MultiPatternInput {
+  SequenceDatabase db;
+  std::vector<Sequence> patterns;
+};
 
-// The headline multi-pattern section: total matching count of a 16-pattern
-// sensitive set over a database, per engine. The trie engine replaces the
-// |S| DP passes per row with one shared-prefix pass.
-void BM_MultiPatternCount(benchmark::State& state) {
-  const KernelEngine engine = static_cast<KernelEngine>(state.range(0) + 1);
+MultiPatternInput MakeMultiPatternInput() {
   RandomDatabaseOptions gen;
   gen.num_sequences = 256;
   gen.min_length = 40;
   gen.max_length = 80;
   gen.alphabet_size = 8;
   gen.seed = 31;
-  const SequenceDatabase db = MakeRandomDatabase(gen);
-  // Sixteen patterns in four shared-prefix families of four.
-  std::vector<Sequence> patterns;
+  MultiPatternInput input{MakeRandomDatabase(gen), {}};
   for (uint64_t family = 0; family < 4; ++family) {
     const Sequence prefix = MakeSeq(3, 8, 32 + family);
     for (uint64_t leaf = 0; leaf < 4; ++leaf) {
       Sequence s = prefix;
       Sequence tail = MakeSeq(2, 8, 64 + 4 * family + leaf);
       for (size_t i = 0; i < tail.size(); ++i) s.Append(tail[i]);
-      patterns.push_back(std::move(s));
+      input.patterns.push_back(std::move(s));
     }
   }
+  return input;
+}
+
+// Total matching count of the set through MatchKernel::CountRow: one
+// shared-prefix trie pass per row.
+void BM_MultiPatternCount(benchmark::State& state) {
+  const MultiPatternInput input = MakeMultiPatternInput();
   const std::vector<ConstraintSpec> none;
-  const MatchKernel kernel(patterns, none, engine);
+  const MatchKernel kernel(input.patterns, none);
   MatchScratch scratch;
   std::vector<uint64_t> counts;
   const uint64_t node_updates_before = CounterValue("match.trie.node_updates");
-  const uint64_t dp_rows_before = CounterValue("match.count.dp_rows") +
-                                  CounterValue("match.bitset.dp_rows");
   for (auto _ : state) {
     uint64_t total = 0;
-    for (size_t t = 0; t < db.size(); ++t) {
-      total = SatAdd(total, kernel.CountRow(db[t], &scratch, &counts));
+    for (size_t t = 0; t < input.db.size(); ++t) {
+      total = SatAdd(total, kernel.CountRow(input.db[t], &scratch, &counts));
     }
     benchmark::DoNotOptimize(total);
   }
-  state.counters["dp_rows"] = benchmark::Counter(
-      static_cast<double>(CounterValue("match.count.dp_rows") +
-                          CounterValue("match.bitset.dp_rows") -
-                          dp_rows_before),
-      benchmark::Counter::kAvgIterations);
   state.counters["trie_node_updates"] = benchmark::Counter(
       static_cast<double>(CounterValue("match.trie.node_updates") -
                           node_updates_before),
       benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_MultiPatternCount)
-    ->Arg(0)  // scalar
-    ->Arg(1)  // bitset
-    ->Arg(2)  // trie
-    ->ArgNames({"engine"});
+BENCHMARK(BM_MultiPatternCount);
 
-// Engine sweep over the full pipeline. The semantic counters recorded
+// The reference for BM_MultiPatternCount: one Lemma 2 DP per pattern per
+// row (|S| passes instead of one).
+void BM_MultiPatternCountPerPattern(benchmark::State& state) {
+  const MultiPatternInput input = MakeMultiPatternInput();
+  MatchScratch scratch;
+  const uint64_t dp_rows_before = CounterValue("match.count.dp_rows");
+  for (auto _ : state) {
+    uint64_t total = 0;
+    for (size_t t = 0; t < input.db.size(); ++t) {
+      for (const Sequence& pattern : input.patterns) {
+        total = SatAdd(total, CountMatchings(pattern, input.db[t], &scratch));
+      }
+    }
+    benchmark::DoNotOptimize(total);
+  }
+  state.counters["dp_rows"] = benchmark::Counter(
+      static_cast<double>(CounterValue("match.count.dp_rows") -
+                          dp_rows_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_MultiPatternCountPerPattern);
+
+// Thread sweep over the full pipeline. The semantic counters recorded
 // here — marks, supports-after, stage-1 rows — must be identical in every
-// engine × thread section of the checked-in baseline: the engine and the
-// thread count are speed knobs, never result knobs. bench_compare's
-// bit-stable counter gate enforces that on every CI run.
-void BM_SanitizeEngineSweep(benchmark::State& state) {
-  const KernelEngine engine = static_cast<KernelEngine>(state.range(0) + 1);
-  const size_t threads = static_cast<size_t>(state.range(1));
+// thread section of the checked-in baseline: the thread count is a speed
+// knob, never a result knob. bench_compare's bit-stable counter gate
+// enforces that on every CI run.
+void BM_SanitizeKernelThreadSweep(benchmark::State& state) {
+  const size_t threads = static_cast<size_t>(state.range(0));
   RandomDatabaseOptions gen;
   gen.num_sequences = 512;
   gen.min_length = 10;
@@ -330,7 +316,6 @@ void BM_SanitizeEngineSweep(benchmark::State& state) {
     SequenceDatabase db = base;
     SanitizeOptions opts = SanitizeOptions::HH();
     opts.psi = 4;
-    opts.kernel = engine;
     opts.num_threads = threads;
     auto report = Sanitize(&db, patterns, opts);
     benchmark::DoNotOptimize(report.ok());
@@ -348,14 +333,11 @@ void BM_SanitizeEngineSweep(benchmark::State& state) {
   state.counters["count_rows"] =
       benchmark::Counter(static_cast<double>(count_rows));
 }
-BENCHMARK(BM_SanitizeEngineSweep)
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({0, 8})
-    ->Args({1, 8})
-    ->Args({2, 8})
-    ->ArgNames({"engine", "threads"});
+BENCHMARK(BM_SanitizeKernelThreadSweep)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(8)
+    ->ArgNames({"threads"});
 
 void BM_MineLevelWiseTrucks(benchmark::State& state) {
   ExperimentWorkload w = MakeTrucksWorkload();

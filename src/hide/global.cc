@@ -42,7 +42,7 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, size_t num_threads) {
-  const MatchKernel kernel(patterns, constraints, KernelEngine::kAuto);
+  const MatchKernel kernel(patterns, constraints);
   return ComputeMatchInfo(db, patterns, constraints, num_threads, kernel);
 }
 
@@ -61,7 +61,7 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
       db.size(), num_threads, [&](size_t begin, size_t end) -> uint64_t {
         // One scratch per chunk: warm across the chunk's rows, and never
         // shared between workers. The kernel itself is immutable shared
-        // state (masks/trie built once, read concurrently).
+        // state (the trie built once, read concurrently).
         MatchScratch scratch;
         uint64_t pairs = 0;
         for (size_t t = begin; t < end; ++t) {

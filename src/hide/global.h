@@ -51,12 +51,11 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, size_t num_threads);
 
-// Kernel-explicit variant: the counting engine is chosen by the caller
-// (Sanitize builds one MatchKernel per run from SanitizeOptions::kernel).
-// The overloads above delegate here with an auto-dispatched kernel. The
-// result is bit-identical for every engine and thread count. When
-// `admitted_pairs` is non-null it receives the number of (row, pattern)
-// pairs the signature screen let through to the kernel.
+// Kernel-explicit variant: Sanitize builds one MatchKernel per run and
+// shares it with the verify stage; the overloads above delegate here with
+// a kernel of their own. The result is bit-identical for every thread
+// count. When `admitted_pairs` is non-null it receives the number of
+// (row, pattern) pairs the signature screen let through to the kernel.
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, size_t num_threads,

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/match/kernel.h"
 
 namespace seqhide {
 
@@ -111,13 +110,6 @@ struct SanitizeOptions {
   // Efficiency knobs (paper §8 lists large-dataset efficiency as future
   // work; these do not change any result, only wall time):
   //
-  // Matching-kernel engine for the counting/support hot paths (see
-  // match/kernel.h): kAuto picks by pattern-set shape (overridable via
-  // the SEQHIDE_KERNEL environment variable); scalar/bitset/trie pin one
-  // engine. Results are bit-identical for every setting — this is purely
-  // a speed knob. The resolved engine is recorded in
-  // SanitizeReport::kernel_engine.
-  KernelEngine kernel = KernelEngine::kAuto;
   // Upper bound on worker threads for the parallel pipeline stages
   // (count, mark, verify — sequences are row-partitioned and
   // independent). 0 = auto: use every hardware thread. Values above

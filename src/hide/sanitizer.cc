@@ -159,7 +159,7 @@ std::string SanitizeReport::ToString() const {
     if (i > 0) out << ",";
     out << supports_after[i];
   }
-  out << "] kernel=" << kernel_engine << " threads=" << threads_used
+  out << "] threads=" << threads_used
       << " rows{count=" << count_rows
       << " verify_recount=" << verify_recount_rows
       << " verify_rescan=" << verify_rescan_rows << "}"
@@ -202,15 +202,9 @@ Result<SanitizeResult> SanitizeView(
   const RunBudget& budget = opts.budget;
   const bool checkpointing = !opts.checkpoint_path.empty();
 
-  // One kernel per run: masks/trie built once from the pattern set, then
-  // shared read-only by the count and verify stages' workers. Engine
-  // choice never changes the output, so it is excluded from the
-  // checkpoint fingerprint — a run may resume under a different kernel.
-  const MatchKernel match_kernel(patterns, constraints, opts.kernel);
-  report.kernel_engine = ToString(match_kernel.engine());
-  SEQHIDE_TELEMETRY(kStage, "kernel.resolved",
-                    static_cast<uint64_t>(match_kernel.engine()),
-                    num_patterns);
+  // One kernel per run: the trie built once from the pattern set, then
+  // shared read-only by the count and verify stages' workers.
+  const MatchKernel match_kernel(patterns, constraints);
 
   uint64_t fingerprint = 0;
   if (checkpointing) {

@@ -106,11 +106,6 @@ struct SanitizeReport {
   // not re-run stage 1 and reports 0 here.
   size_t saturated_rows = 0;
 
-  // Resolved matching-kernel engine ("scalar"/"bitset"/"trie"; never
-  // "auto") — what SanitizeOptions::kernel dispatched to. Purely
-  // informational: every engine produces this identical report.
-  std::string kernel_engine;
-
   // --- Robustness (RunBudget / checkpointing; see options.h) ---
 
   // True when a resource budget (or injected fault at a stage boundary)

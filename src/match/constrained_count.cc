@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
-#include "src/match/bitset_match.h"
 #include "src/match/count.h"
 #include "src/match/subsequence.h"
 #include "src/obs/macros.h"
@@ -214,16 +213,13 @@ uint64_t ScreenedDatabaseQuery(const Sequence& pattern,
   if (scratch == nullptr) scratch = &local;
   const uint64_t* signatures = db.signatures();
   const uint64_t need = SequenceSignature(pattern);
-  const SymbolMasks masks(pattern);
   uint64_t value = 0;
   size_t scanned = 0;
   for (size_t t = 0; t < db.size(); ++t) {
     if (signatures != nullptr && (signatures[t] & need) != need) continue;
     ++scanned;
     const SequenceView row = db.row(t);
-    const bool embeds = masks.usable() ? HasSubsequenceBitParallel(masks, row)
-                                       : IsSubsequence(pattern, row);
-    if (!embeds) continue;
+    if (!ScreenEmbeds(pattern, row)) continue;
     if (count_matchings) {
       value = SatAdd(value,
                      CountConstrainedMatchings(pattern, spec, row, scratch));

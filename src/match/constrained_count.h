@@ -94,9 +94,8 @@ bool HasConstrainedMatch(const Sequence& pattern, const ConstraintSpec& spec,
 // constrained miner. Per row it
 //   1. skips the row when db.signatures() is attached and the row's
 //      signature lacks a bit of the pattern's (src/seq/signature.h);
-//   2. skips it when the pattern does not embed at all (Shift-And for
-//      m <= 64, greedy IsSubsequence otherwise): no embedding, no
-//      matching under any constraint;
+//   2. skips it when the pattern does not embed at all (the greedy
+//      ScreenEmbeds): no embedding, no matching under any constraint;
 //   3. runs the exact constrained kernel on the rest.
 // The rows step 1 let through go to the `bindb.candidate.rows` counter,
 // the rest to `bindb.candidate.pruned` (all rows pass when no signatures

@@ -61,8 +61,11 @@ PatternTrie::PatternTrie(const std::vector<Sequence>& patterns,
   for (size_t t = 1; t < group_begin_.size(); ++t) {
     group_begin_[t] += group_begin_[t - 1];
   }
-  SEQHIDE_COUNTER_INC("match.trie.builds");
-  SEQHIDE_COUNTER_ADD("match.trie.nodes", parent_.size());
+  // A trie that covers no pattern is never scanned, so it is not counted.
+  if (num_covered_ > 0) {
+    SEQHIDE_COUNTER_INC("match.trie.builds");
+    SEQHIDE_COUNTER_ADD("match.trie.nodes", parent_.size());
+  }
 }
 
 bool PatternTrie::CountAll(SequenceView seq, MatchScratch* scratch,

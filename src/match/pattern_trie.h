@@ -13,15 +13,15 @@
 //   count[v] = SatAdd(count[v], count[parent(v)])
 // — the trie edge v is the "pattern row" S[i] == t. Nodes of one symbol
 // are stored deepest-first, so a same-symbol parent→child chain reads the
-// parent's previous-column value, exactly like the scalar kernel's
+// parent's previous-column value, exactly like CountMatchings'
 // descending-i in-place update. Each node's value is therefore a pure
 // function of (its prefix string, the sequence prefix) — identical to the
-// per-pattern scalar DP value — and reading pattern p's count at its
+// per-pattern DP value — and reading pattern p's count at its
 // terminal node is bit-identical to CountMatchings(patterns[p], seq).
 //
 // The trie covers the *unconstrained* patterns only (a gap/window spec
 // changes the recurrence per arrow, which shared prefixes cannot express);
-// constrained patterns stay with the scalar kernels. Build cost is
+// constrained patterns stay with their own Lemma 4 / 5 DPs. Build cost is
 // O(Σ|S_i|) once per run; the per-row state is one counter per node,
 // reused via MatchScratch::trie_counts.
 
@@ -33,12 +33,20 @@
 #include <vector>
 
 #include "src/constraints/constraints.h"
-#include "src/match/bitset_match.h"
 #include "src/match/scratch.h"
+#include "src/obs/telemetry/mem_tracker.h"
 #include "src/seq/sequence.h"
 #include "src/seq/view.h"
 
 namespace seqhide {
+
+// Vector charged to the kernel_tables memory pool: trie structures built
+// once per run (not per row), accounted separately from the per-row DP
+// scratch so --stats-json shows what the kernel tables themselves cost.
+template <typename T>
+using KernelVec =
+    std::vector<T, obs::telemetry::PoolAllocator<
+                       T, obs::telemetry::MemPool::kKernelTables>>;
 
 class PatternTrie {
  public:

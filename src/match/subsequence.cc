@@ -1,6 +1,7 @@
 #include "src/match/subsequence.h"
 
 #include "src/common/logging.h"
+#include "src/obs/macros.h"
 
 namespace seqhide {
 namespace {
@@ -25,6 +26,11 @@ bool IsSubsequence(const Sequence& pattern, SequenceView seq) {
     if (seq[j] == pattern[k]) ++k;
   }
   return k == pattern.size();
+}
+
+bool ScreenEmbeds(const Sequence& pattern, SequenceView seq) {
+  SEQHIDE_COUNTER_INC("match.embed_screen.calls");
+  return IsSubsequence(pattern, seq);
 }
 
 std::optional<std::vector<size_t>> FirstEmbedding(const Sequence& pattern,

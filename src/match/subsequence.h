@@ -21,6 +21,12 @@ namespace seqhide {
 // True iff `pattern` is a subsequence of `seq`.
 bool IsSubsequence(const Sequence& pattern, SequenceView seq);
 
+// IsSubsequence as the matching kernels' embedding screen: every gap- or
+// window-constrained matching is in particular an embedding, so false
+// means "no matching under any constraint" and the DP can be skipped.
+// Counted as match.embed_screen.calls.
+bool ScreenEmbeds(const Sequence& pattern, SequenceView seq);
+
 // Leftmost embedding of `pattern` in `seq` as 0-based positions, or nullopt
 // when `pattern` is not a subsequence. Greedy leftmost matching is minimal
 // position-wise, which makes it a convenient canonical witness.

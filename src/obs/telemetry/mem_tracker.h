@@ -3,7 +3,7 @@
 // The paper's §8 names large-dataset efficiency as the open problem, and
 // the working sets of the matching kernels grow with the dataset and the
 // pattern set: the DP scratch tables (src/match/scratch.h) and the
-// per-symbol masks and pattern-trie arrays (src/match/bitset_match.h).
+// pattern-trie arrays (src/match/pattern_trie.h).
 // MemTracker gives each of those a named pool of three relaxed atomics
 // (current bytes, peak bytes, allocation count), fed by PoolAllocator — a
 // stateless std::allocator wrapper that the kernels' vector typedefs
@@ -42,7 +42,7 @@ namespace telemetry {
 // sync when adding one.
 enum class MemPool : size_t {
   kDpScratch = 0,     // DP rows/tables sized (n, m) — src/match/scratch.h
-  kKernelTables = 1,  // per-symbol masks / pattern-trie arrays — src/match/
+  kKernelTables = 1,  // pattern-trie arrays — src/match/pattern_trie.h
 };
 inline constexpr size_t kNumMemPools = 2;
 

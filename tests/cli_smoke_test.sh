@@ -60,6 +60,18 @@ grep -q "Corruption: seqhidb column 0 references symbol id 2147483647 outside th
     "$WORK/bad_column.err"
 grep -q "Corruption: seqhidb row 1 has corrupt offsets (not monotone)" \
     "$WORK/bad_offset.err"
+# stats runs the same row check: no totals from clamped rows, exit 2
+for bad in bad_column bad_offset; do
+  set +e
+  "$CLI" stats --db "$WORK/$bad.hidb" > /dev/null 2> "$WORK/stats_$bad.err"
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || { echo "FAIL: stats on $bad.hidb exited $rc"; exit 1; }
+done
+grep -q "Corruption: seqhidb column 0 references symbol id 2147483647 outside the alphabet" \
+    "$WORK/stats_bad_column.err"
+grep -q "Corruption: seqhidb row 1 has corrupt offsets (not monotone)" \
+    "$WORK/stats_bad_offset.err"
 
 # mine
 "$CLI" mine --db "$WORK/db.txt" --sigma 2 --top 3 | grep -q "frequent patterns"

@@ -1,126 +1,198 @@
-// Unit tests for the matching-kernel dispatch layer (match/kernel.h):
-// flag parsing, the auto-dispatch heuristic and its SEQHIDE_KERNEL
-// override, the m = 64 / m = 65 single-word boundary, and the contract
-// that the chosen engine is invisible in every sanitize output.
+// Unit tests for the matching kernel (match/kernel.h): CountRow (plain and
+// signature-screened), CountPattern and HasMatch against the brute-force
+// oracles of src/testing/ on every pattern-set shape the kernel routes
+// differently — one unconstrained pattern, shared-prefix sets,
+// constrained-only and mixed sets, patterns past 64 symbols, Δ rows, and
+// a scratch budget that refuses the trie's node row — plus the contract
+// that the thread count is invisible in every sanitize output.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/hide/sanitizer.h"
-#include "src/match/bitset_match.h"
 #include "src/match/count.h"
 #include "src/match/kernel.h"
 #include "src/match/scratch.h"
+#include "src/seq/signature.h"
+#include "src/testing/oracles.h"
 #include "tests/test_util.h"
 
 namespace seqhide {
 namespace {
 
-Sequence CyclicPattern(size_t length, size_t alphabet_size) {
-  Sequence seq;
-  for (size_t i = 0; i < length; ++i) {
-    seq.Append(static_cast<SymbolId>(i % alphabet_size));
+using proptest::OracleConstrainedCount;
+using proptest::OracleHasMatch;
+
+// Every kernel entry point on every (row, pattern) pair equals the
+// enumeration oracle; CountRow's total is the saturating oracle sum.
+void ExpectKernelMatchesOracle(const std::vector<Sequence>& patterns,
+                               const std::vector<ConstraintSpec>& constraints,
+                               const std::vector<Sequence>& rows,
+                               MatchScratch* scratch) {
+  const MatchKernel kernel(patterns, constraints);
+  const ConstraintSpec unconstrained;
+  std::vector<uint64_t> counts;
+  std::vector<uint64_t> screened;
+  for (size_t t = 0; t < rows.size(); ++t) {
+    const uint64_t total = kernel.CountRow(rows[t], scratch, &counts);
+    const uint64_t screened_total = kernel.CountRow(
+        rows[t], SequenceSignature(rows[t]), scratch, &screened);
+    ASSERT_EQ(counts.size(), patterns.size());
+    uint64_t sum = 0;
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      const ConstraintSpec& spec =
+          constraints.empty() ? unconstrained : constraints[p];
+      const uint64_t oracle = OracleConstrainedCount(patterns[p], spec, rows[t]);
+      sum = SatAdd(sum, oracle);
+      const std::string where =
+          "row " + std::to_string(t) + " pattern " + std::to_string(p);
+      EXPECT_EQ(counts[p], oracle) << where;
+      EXPECT_EQ(screened[p], oracle) << where;
+      EXPECT_EQ(kernel.CountPattern(p, rows[t], scratch), oracle) << where;
+      EXPECT_EQ(kernel.HasMatch(p, rows[t], scratch),
+                OracleHasMatch(patterns[p], spec, rows[t]))
+          << where;
+    }
+    EXPECT_EQ(total, sum) << "row " << t;
+    EXPECT_EQ(screened_total, sum) << "row " << t;
   }
-  return seq;
 }
 
-TEST(KernelEngineTest, ParseAndToStringRoundTrip) {
-  for (KernelEngine engine : {KernelEngine::kAuto, KernelEngine::kScalar,
-                              KernelEngine::kBitset, KernelEngine::kTrie}) {
-    KernelEngine parsed;
-    ASSERT_TRUE(ParseKernelEngine(ToString(engine), &parsed))
-        << ToString(engine);
-    EXPECT_EQ(parsed, engine);
+std::vector<Sequence> RandomRows(Rng* rng, size_t count, size_t length,
+                                 size_t alphabet) {
+  std::vector<Sequence> rows;
+  for (size_t i = 0; i < count; ++i) {
+    rows.push_back(testutil::RandomSeq(rng, length, alphabet));
   }
-  KernelEngine parsed;
-  EXPECT_FALSE(ParseKernelEngine("", &parsed));
-  EXPECT_FALSE(ParseKernelEngine("Trie", &parsed));
-  EXPECT_FALSE(ParseKernelEngine("simd", &parsed));
+  return rows;
 }
 
-TEST(KernelEngineTest, AutoDispatchHeuristic) {
+TEST(MatchKernelTest, SinglePatternMatchesOracle) {
+  Rng rng(11);
+  const std::vector<Sequence> rows = RandomRows(&rng, 24, 12, 3);
+  const std::vector<Sequence> patterns = {Sequence{0, 1, 0}};
   const std::vector<ConstraintSpec> none;
-  // Two unconstrained patterns share a trie.
-  {
-    std::vector<Sequence> patterns = {Sequence{0, 1}, Sequence{1, 2, 0}};
-    EXPECT_EQ(ResolveKernelEngine(KernelEngine::kAuto, patterns, none),
-              KernelEngine::kTrie);
-  }
-  // A single word-sized pattern gets the bit-parallel kernel.
-  {
-    std::vector<Sequence> patterns = {Sequence{0, 1, 2}};
-    EXPECT_EQ(ResolveKernelEngine(KernelEngine::kAuto, patterns, none),
-              KernelEngine::kBitset);
-  }
-  // Constrained patterns never reach the trie; word-sized ones still
-  // benefit from the Shift-And screen.
-  {
-    std::vector<Sequence> patterns = {Sequence{0, 1}, Sequence{1, 2}};
-    std::vector<ConstraintSpec> constraints(2,
-                                            ConstraintSpec::UniformGap(0, 2));
-    EXPECT_EQ(ResolveKernelEngine(KernelEngine::kAuto, patterns, constraints),
-              KernelEngine::kBitset);
-  }
-  // A pattern past the 64-symbol word falls back to scalar.
-  {
-    std::vector<Sequence> patterns = {CyclicPattern(65, 4)};
-    EXPECT_EQ(ResolveKernelEngine(KernelEngine::kAuto, patterns, none),
-              KernelEngine::kScalar);
-  }
-  // An explicit pin always wins.
-  {
-    std::vector<Sequence> patterns = {Sequence{0, 1}, Sequence{1, 2, 0}};
-    EXPECT_EQ(ResolveKernelEngine(KernelEngine::kScalar, patterns, none),
-              KernelEngine::kScalar);
-  }
-}
-
-TEST(KernelEngineTest, EnvironmentOverridesAuto) {
-  const std::vector<ConstraintSpec> none;
-  std::vector<Sequence> patterns = {Sequence{0, 1}, Sequence{1, 2, 0}};
-  ASSERT_EQ(::setenv("SEQHIDE_KERNEL", "scalar", 1), 0);
-  EXPECT_EQ(ResolveKernelEngine(KernelEngine::kAuto, patterns, none),
-            KernelEngine::kScalar);
-  // The env pin only fills in auto; explicit requests are untouched.
-  EXPECT_EQ(ResolveKernelEngine(KernelEngine::kTrie, patterns, none),
-            KernelEngine::kTrie);
-  // Garbage in the env var is ignored, not fatal.
-  ASSERT_EQ(::setenv("SEQHIDE_KERNEL", "warp", 1), 0);
-  EXPECT_EQ(ResolveKernelEngine(KernelEngine::kAuto, patterns, none),
-            KernelEngine::kTrie);
-  ASSERT_EQ(::unsetenv("SEQHIDE_KERNEL"), 0);
-}
-
-// The single-word boundary: m = 64 still runs bit-parallel, m = 65 does
-// not — and both count exactly like the scalar DP.
-TEST(KernelEngineTest, WordBoundaryAt64Symbols) {
-  const size_t kAlphabet = 4;
-  Rng rng(77);
-  const Sequence text = testutil::RandomSeq(&rng, 400, kAlphabet);
   MatchScratch scratch;
-  const std::vector<ConstraintSpec> none;  // MatchKernel borrows this
-  for (size_t m : {63u, 64u, 65u}) {
-    const Sequence pattern = CyclicPattern(m, kAlphabet);
-    const SymbolMasks masks(pattern);
-    EXPECT_EQ(masks.usable(), m <= kBitsetMaxPatternLength) << m;
-
-    const std::vector<Sequence> patterns = {pattern};
-    const MatchKernel kernel(patterns, none, KernelEngine::kBitset);
-    const uint64_t scalar = CountMatchings(pattern, text, &scratch);
-    EXPECT_EQ(kernel.CountPattern(0, text, &scratch), scalar) << m;
-    EXPECT_EQ(kernel.HasMatch(0, text, &scratch), scalar > 0) << m;
-  }
+  ExpectKernelMatchesOracle(patterns, none, rows, &scratch);
+  EXPECT_FALSE(scratch.exhausted);
 }
 
-// --kernel is a pure speed knob: every engine × thread count must release
-// the identical database and report. (The bench engine-sweep additionally
-// pins the semantic counters; this is the library-level contract.)
-TEST(KernelEngineTest, EngineIsInvisibleInSanitizeOutput) {
+TEST(MatchKernelTest, SharedPrefixPatternsMatchOracle) {
+  Rng rng(12);
+  const std::vector<Sequence> rows = RandomRows(&rng, 24, 12, 3);
+  // Shared prefixes, a pattern that is a prefix of another, and a
+  // same-symbol parent→child chain (the trie's deepest-first order).
+  const std::vector<Sequence> patterns = {
+      Sequence{0, 1}, Sequence{0, 1, 2}, Sequence{0, 1, 1},
+      Sequence{0, 0, 0}, Sequence{2, 1}};
+  const std::vector<ConstraintSpec> none;
+  MatchScratch scratch;
+  ExpectKernelMatchesOracle(patterns, none, rows, &scratch);
+}
+
+TEST(MatchKernelTest, ConstrainedOnlySetMatchesOracle) {
+  Rng rng(13);
+  const std::vector<Sequence> rows = RandomRows(&rng, 24, 12, 3);
+  const std::vector<Sequence> patterns = {Sequence{0, 1}, Sequence{1, 2, 0},
+                                          Sequence{0, 0}};
+  const std::vector<ConstraintSpec> constraints = {
+      ConstraintSpec::UniformGap(0, 2), ConstraintSpec::Window(5),
+      ConstraintSpec::UniformGap(1, 3)};
+  MatchScratch scratch;
+  ExpectKernelMatchesOracle(patterns, constraints, rows, &scratch);
+}
+
+TEST(MatchKernelTest, MixedSetMatchesOracle) {
+  Rng rng(14);
+  const std::vector<Sequence> rows = RandomRows(&rng, 24, 12, 3);
+  const std::vector<Sequence> patterns = {Sequence{0, 1}, Sequence{0, 1, 2},
+                                          Sequence{1, 2}, Sequence{2, 0, 1}};
+  const std::vector<ConstraintSpec> constraints = {
+      ConstraintSpec(), ConstraintSpec::UniformGap(0, 1), ConstraintSpec(),
+      ConstraintSpec::Window(4)};
+  MatchScratch scratch;
+  ExpectKernelMatchesOracle(patterns, constraints, rows, &scratch);
+}
+
+// m = 63 / 64 / 65 straddle the 64-symbol word limit of the deleted
+// bit-parallel engine; every length now counts on the trie alone or
+// together with its prefixes. The rows hold 65 distinct symbols with nine
+// of them doubled, so the oracle walks at most 2^9 embeddings.
+TEST(MatchKernelTest, WordBoundaryAt64Symbols) {
+  Sequence full;
+  for (SymbolId s = 0; s < 65; ++s) full.Append(s);
+  Sequence doubled;
+  for (SymbolId s = 0; s < 65; ++s) {
+    doubled.Append(s);
+    if (s % 8 == 0) doubled.Append(s);
+  }
+  Sequence missing_one = doubled;
+  missing_one.Mark(40);  // Δ over symbol 35: no full-length embedding
+  const std::vector<Sequence> rows = {full, doubled, missing_one};
+  const std::vector<ConstraintSpec> none;
+  std::vector<Sequence> all;
+  for (size_t m : {63u, 64u, 65u}) {
+    Sequence prefix;
+    for (size_t i = 0; i < m; ++i) prefix.Append(full[i]);
+    all.push_back(prefix);
+    MatchScratch scratch;
+    ExpectKernelMatchesOracle({prefix}, none, rows, &scratch);
+  }
+  MatchScratch scratch;
+  ExpectKernelMatchesOracle(all, none, rows, &scratch);
+  // And against the per-pattern DP where the oracle is not needed.
+  const MatchKernel kernel(all, none);
+  std::vector<uint64_t> counts;
+  kernel.CountRow(doubled, &scratch, &counts);
+  EXPECT_EQ(counts[2], CountMatchings(all[2], doubled));
+  EXPECT_EQ(counts[2], uint64_t{1} << 9);
+}
+
+TEST(MatchKernelTest, DeltaRowsMatchOracle) {
+  Rng rng(15);
+  std::vector<Sequence> rows;
+  for (size_t i = 0; i < 24; ++i) {
+    rows.push_back(proptest::GenSequence(&rng, 12, 3, /*delta_density=*/0.3,
+                                         /*repeat_bias=*/0.2));
+  }
+  rows.push_back(Sequence{kDeltaSymbol, kDeltaSymbol});
+  rows.push_back(Sequence{});
+  const std::vector<Sequence> patterns = {Sequence{0, 1}, Sequence{0, 1, 2},
+                                          Sequence{1, 1}};
+  const std::vector<ConstraintSpec> constraints = {
+      ConstraintSpec(), ConstraintSpec(), ConstraintSpec::UniformGap(0, 2)};
+  MatchScratch scratch;
+  ExpectKernelMatchesOracle(patterns, constraints, rows, &scratch);
+}
+
+// A budget of m+1 cells for the longest pattern admits every per-pattern
+// Lemma 2 row but refuses the trie's node row (9 nodes here): CountRow
+// falls back per pattern with the same counts, and the refusal is
+// reported through the scratch's sticky flag.
+TEST(MatchKernelTest, BudgetRefusingTheTrieRowFallsBackPerPattern) {
+  Rng rng(16);
+  const std::vector<Sequence> rows = RandomRows(&rng, 24, 12, 3);
+  const std::vector<Sequence> patterns = {Sequence{0, 1, 2},
+                                          Sequence{1, 2, 0}, Sequence{2, 2}};
+  const std::vector<ConstraintSpec> none;
+  MatchScratch scratch;
+  scratch.max_table_bytes = 4 * sizeof(uint64_t);
+  ExpectKernelMatchesOracle(patterns, none, rows, &scratch);
+  EXPECT_TRUE(scratch.exhausted);
+
+  MatchScratch roomy;
+  roomy.max_table_bytes = 9 * sizeof(uint64_t);
+  ExpectKernelMatchesOracle(patterns, none, rows, &roomy);
+  EXPECT_FALSE(roomy.exhausted);
+}
+
+// The thread count is a pure speed knob: every count releases the
+// identical database and report.
+TEST(MatchKernelTest, ThreadCountIsInvisibleInSanitizeOutput) {
   Rng rng(4242);
   SequenceDatabase base = testutil::RandomDb(&rng, /*rows=*/60,
                                              /*min_length=*/6,
@@ -132,36 +204,27 @@ TEST(KernelEngineTest, EngineIsInvisibleInSanitizeOutput) {
 
   SanitizeOptions reference_opts = SanitizeOptions::HH();
   reference_opts.psi = 2;
-  reference_opts.kernel = KernelEngine::kScalar;
   reference_opts.num_threads = 1;
   SequenceDatabase reference_db = base;
   auto reference = Sanitize(&reference_db, patterns, reference_opts);
   ASSERT_TRUE(reference.ok()) << reference.status();
-  EXPECT_EQ(reference->kernel_engine, "scalar");
 
-  for (KernelEngine engine : {KernelEngine::kScalar, KernelEngine::kBitset,
-                              KernelEngine::kTrie}) {
-    for (size_t threads : {1u, 2u, 8u}) {
-      SanitizeOptions opts = reference_opts;
-      opts.kernel = engine;
-      opts.num_threads = threads;
-      SequenceDatabase db = base;
-      auto report = Sanitize(&db, patterns, opts);
-      const std::string what =
-          ToString(engine) + "/threads=" + std::to_string(threads);
-      ASSERT_TRUE(report.ok()) << what << ": " << report.status();
-      EXPECT_EQ(report->kernel_engine, ToString(engine)) << what;
-      ASSERT_EQ(db.size(), reference_db.size()) << what;
-      for (size_t t = 0; t < db.size(); ++t) {
-        EXPECT_TRUE(db[t] == reference_db[t]) << what << " row " << t;
-      }
-      EXPECT_EQ(report->marks_introduced, reference->marks_introduced)
-          << what;
-      EXPECT_EQ(report->sequences_sanitized, reference->sequences_sanitized)
-          << what;
-      EXPECT_EQ(report->supports_before, reference->supports_before) << what;
-      EXPECT_EQ(report->supports_after, reference->supports_after) << what;
+  for (size_t threads : {2u, 8u}) {
+    SanitizeOptions opts = reference_opts;
+    opts.num_threads = threads;
+    SequenceDatabase db = base;
+    auto report = Sanitize(&db, patterns, opts);
+    const std::string what = "threads=" + std::to_string(threads);
+    ASSERT_TRUE(report.ok()) << what << ": " << report.status();
+    ASSERT_EQ(db.size(), reference_db.size()) << what;
+    for (size_t t = 0; t < db.size(); ++t) {
+      EXPECT_TRUE(db[t] == reference_db[t]) << what << " row " << t;
     }
+    EXPECT_EQ(report->marks_introduced, reference->marks_introduced) << what;
+    EXPECT_EQ(report->sequences_sanitized, reference->sequences_sanitized)
+        << what;
+    EXPECT_EQ(report->supports_before, reference->supports_before) << what;
+    EXPECT_EQ(report->supports_after, reference->supports_after) << what;
   }
 }
 

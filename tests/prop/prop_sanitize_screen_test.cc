@@ -68,7 +68,7 @@ std::string ReportDiff(const SanitizeReport& a, const SanitizeReport& b) {
       a.verify_recount_rows != b.verify_recount_rows ||
       a.verify_rescan_rows != b.verify_rescan_rows ||
       a.saturated_rows != b.saturated_rows ||
-      a.kernel_engine != b.kernel_engine || a.degraded != b.degraded ||
+      a.degraded != b.degraded ||
       a.stop_reason != b.stop_reason || !exposed_eq(a.exposed, b.exposed) ||
       a.rounds_completed != b.rounds_completed ||
       a.rounds_total != b.rounds_total ||

@@ -109,7 +109,6 @@ void PrintUsage() {
       "  sanitize --db FILE --out FILE --pattern P [--pattern P ...]\n"
       "           [--psi N] [--algo HH|HR|RH|RR] [--seed N]\n"
       "           [--threads N (0=auto)]\n"
-      "           [--kernel auto|scalar|bitset|trie]\n"
       "           [--stage2 keep|delete|replace] [--format seq|itemset]\n"
       "           [--stats-json FILE] [--trace-json FILE]\n"
       "           [--ledger FILE] [--metrics-prom FILE]\n"
@@ -178,7 +177,7 @@ Status ValidateFlags(const ParsedArgs& args) {
          "inject-fault"}}},
       {"sanitize",
        {true,
-        {"db", "out", "psi", "algo", "seed", "threads", "kernel", "stage2",
+        {"db", "out", "psi", "algo", "seed", "threads", "stage2",
          "format",
          "db-format", "stats-json", "trace-json", "input-mode", "inject-fault",
          "ledger", "metrics-prom", "telemetry-interval-ms",
@@ -331,9 +330,6 @@ struct StatsJsonInput {
   std::vector<size_t> supports_before;
   std::vector<size_t> supports_after;
   double elapsed_seconds = 0.0;
-  // Resolved matching-kernel engine (seq pipeline only; empty for the
-  // itemset path, which has no kernel dispatch).
-  std::string kernel_engine;
   bool has_stages = false;
   StageTimings stages;
   // Parallel configuration (seq pipeline only, has_parallel): resolved
@@ -402,9 +398,6 @@ Status WriteStatsJson(const std::string& path, const ParsedArgs& args,
   for (size_t s : input.supports_after) json.Uint(s);
   json.EndArray();
   json.KeyDouble("elapsed_seconds", input.elapsed_seconds);
-  if (!input.kernel_engine.empty()) {
-    json.KeyString("kernel_engine", input.kernel_engine);
-  }
   if (input.has_stages) {
     json.Key("stages").BeginObject();
     json.KeyDouble("count_seconds", input.stages.count_seconds);
@@ -593,9 +586,12 @@ Status RunStats(const ParsedArgs& args) {
   SEQHIDE_ASSIGN_OR_RETURN(DbFormat format, ResolveDbFormat(args, path));
   DatabaseStats stats;
   if (format == DbFormat::kBinary) {
-    // Answered straight off the mapping — no row materialization.
+    // Answered straight off the mapping — no row materialization — after
+    // the structural row check: a corrupt image fails with Corruption
+    // instead of being summarized from clamped rows.
     SEQHIDE_ASSIGN_OR_RETURN(MappedDatabase mapped,
                              MappedDatabase::OpenMapped(path));
+    SEQHIDE_RETURN_IF_ERROR(mapped.ValidateRows());
     stats = mapped.Stats();
   } else {
     SEQHIDE_ASSIGN_OR_RETURN(SequenceDatabase db, LoadDb(args));
@@ -758,12 +754,6 @@ Status RunSanitize(const ParsedArgs& args) {
   SEQHIDE_ASSIGN_OR_RETURN(opts.psi, FlagAsSize(args, "psi", 0));
   SEQHIDE_ASSIGN_OR_RETURN(opts.seed, FlagAsSize(args, "seed", 1));
   SEQHIDE_ASSIGN_OR_RETURN(opts.num_threads, FlagAsSize(args, "threads", 1));
-  if (auto it = args.flags.find("kernel"); it != args.flags.end()) {
-    if (!ParseKernelEngine(it->second, &opts.kernel)) {
-      return Status::InvalidArgument(
-          "--kernel must be auto, scalar, bitset or trie");
-    }
-  }
   SEQHIDE_ASSIGN_OR_RETURN(opts.budget.deadline_seconds,
                            FlagAsDouble(args, "deadline-seconds", 0.0));
   // --deadline-ms is the serving-world spelling of the same budget; when
@@ -888,7 +878,6 @@ Status RunSanitize(const ParsedArgs& args) {
     stats.supports_before = report.supports_before;
     stats.supports_after = report.supports_after;
     stats.elapsed_seconds = report.elapsed_seconds;
-    stats.kernel_engine = report.kernel_engine;
     stats.has_stages = true;
     stats.stages = report.stages;
     stats.has_parallel = true;
