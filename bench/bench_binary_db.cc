@@ -1,4 +1,4 @@
-// Benchmarks for the seqhidb v1 binary database (src/seq/binary_format.h).
+// Benchmarks for the seqhidb binary database (src/seq/binary_format.h).
 // The headline claim — and the reason the format exists — is that
 // OpenMapped() does O(header + |Σ|) work regardless of database size:
 // it checksums the 288-byte header, validates section geometry and the
@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -47,15 +48,19 @@ SequenceDatabase MakeDb(size_t rows, size_t mean_len, uint64_t seed) {
   return db;
 }
 
-// One scratch file per row count, written on first use and reused across
-// the benchmarks so BM_OpenMapped and BM_ReadTextDb time reading, not
-// setup.
-std::string BinaryPathFor(size_t rows) {
+// One scratch file per row count and format, written on first use in
+// this process and reused across the benchmarks so BM_OpenMapped and
+// BM_ReadTextDb time reading, not setup. A file left by an earlier run
+// is overwritten: it may hold an older seqhidb layout.
+std::string ScratchPathFor(size_t rows, const std::string& ext) {
   static std::filesystem::path dir = std::filesystem::temp_directory_path();
+  static std::set<std::string> written;
   std::string path =
-      (dir / ("seqhide_bench_" + std::to_string(rows) + ".hidb")).string();
-  if (!std::filesystem::exists(path)) {
-    Status s = WriteBinaryDatabaseToFile(MakeDb(rows, 16, rows), path);
+      (dir / ("seqhide_bench_" + std::to_string(rows) + ext)).string();
+  if (written.insert(path).second) {
+    const SequenceDatabase db = MakeDb(rows, 16, rows);
+    Status s = ext == ".hidb" ? WriteBinaryDatabaseToFile(db, path)
+                              : WriteDatabaseToFile(db, path);
     if (!s.ok()) {
       std::fprintf(stderr, "bench setup failed: %s\n", s.ToString().c_str());
       std::exit(1);
@@ -64,19 +69,8 @@ std::string BinaryPathFor(size_t rows) {
   return path;
 }
 
-std::string TextPathFor(size_t rows) {
-  static std::filesystem::path dir = std::filesystem::temp_directory_path();
-  std::string path =
-      (dir / ("seqhide_bench_" + std::to_string(rows) + ".txt")).string();
-  if (!std::filesystem::exists(path)) {
-    Status s = WriteDatabaseToFile(MakeDb(rows, 16, rows), path);
-    if (!s.ok()) {
-      std::fprintf(stderr, "bench setup failed: %s\n", s.ToString().c_str());
-      std::exit(1);
-    }
-  }
-  return path;
-}
+std::string BinaryPathFor(size_t rows) { return ScratchPathFor(rows, ".hidb"); }
+std::string TextPathFor(size_t rows) { return ScratchPathFor(rows, ".txt"); }
 
 // The headline: open time must stay flat as file_bytes grows ~64x.
 void BM_OpenMapped(benchmark::State& state) {

@@ -11,7 +11,8 @@
 // per-iteration values before reporting — the gbench analogue of the
 // harness's per-repeat counters, deterministic regardless of how many
 // iterations the timer chose, so tools/bench_compare can hold them
-// bit-stable.
+// bit-stable. The cumulative registry dump is left out of these reports:
+// it would sum over the timer's iteration count and never reproduce.
 //
 // --quick injects --benchmark_min_time=0.01 (unless the caller already
 // passed one), shrinking the timer budget without changing what any
@@ -114,7 +115,7 @@ inline int RunGoogleBenchmark(std::string_view bench_name, int argc,
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   if (after_run) after_run();
-  return harness.Finish();
+  return harness.Finish(/*registry_dump=*/false);
 }
 
 }  // namespace bench

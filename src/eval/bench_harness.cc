@@ -195,7 +195,9 @@ std::string BenchReportToJson(const BenchReport& report) {
   obs::telemetry::WriteMemoryMembers(report.memory, &json);
   json.EndObject();
 
-  obs::WriteSnapshotMembers(report.registry, &json);
+  if (report.registry.has_value()) {
+    obs::WriteSnapshotMembers(*report.registry, &json);
+  }
   json.EndObject();
   return json.str();
 }
@@ -294,7 +296,7 @@ void BenchHarness::AddSection(BenchSection section) {
   sections_.push_back(std::move(section));
 }
 
-int BenchHarness::Finish() {
+int BenchHarness::Finish(bool registry_dump) {
   finished_ = true;
   if (!config_.json_path.empty()) {
     BenchReport report;
@@ -302,7 +304,9 @@ int BenchHarness::Finish() {
     report.environment = BenchEnvironment::Capture();
     report.config = config_;
     report.sections = sections_;
-    report.registry = obs::MetricsRegistry::Default().Snapshot();
+    if (registry_dump) {
+      report.registry = obs::MetricsRegistry::Default().Snapshot();
+    }
     report.memory = obs::telemetry::MemorySnapshot::Capture();
     Status status = WriteBenchReportJson(report, config_.json_path);
     if (!status.ok()) {

@@ -37,7 +37,8 @@
 //     "memory": {"current_rss_bytes", "peak_rss_bytes",
 //                "pools": {"dp_scratch": {...}, "kernel_tables": {...}}},
 //     "counters": {...}, "gauges": {...}, "spans": {...},
-//     "histograms": {...}        // cumulative registry dump
+//     "histograms": {...}        // cumulative registry dump; absent in
+//                                // google-benchmark reports
 //   }
 //
 // The memory block's pool peaks are deterministic for deterministic
@@ -52,6 +53,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -122,9 +124,11 @@ struct BenchReport {
   BenchEnvironment environment;
   BenchConfig config;
   std::vector<BenchSection> sections;
-  obs::MetricsSnapshot registry;
+  // The process-wide cumulative registry dump (top-level counters,
+  // gauges, spans, histograms); absent for google-benchmark binaries.
+  std::optional<obs::MetricsSnapshot> registry;
   // Captured by Finish() after the last section: peak RSS plus the
-  // instrumented allocator pools (DP scratch, posting lists).
+  // instrumented allocator pools (DP scratch, kernel tables).
   obs::telemetry::MemorySnapshot memory;
 };
 
@@ -192,7 +196,10 @@ class BenchHarness {
 
   // Writes the --json / --trace-json outputs if requested. Returns the
   // process exit code (0, or 2 when an output file cannot be written).
-  int Finish();
+  // `registry_dump` adds the cumulative registry to the report. The
+  // google-benchmark adapter passes false: there the totals would sum
+  // over however many iterations the timer chose.
+  int Finish(bool registry_dump = true);
 
  private:
   BenchConfig config_;

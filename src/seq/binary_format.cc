@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <utility>
 
@@ -83,32 +82,11 @@ Status ValidateSymbolName(std::string_view name) {
   return Status::OK();
 }
 
-// Lexicographic compare of two k-symbol prefix keys.
-int CompareKeys(const SymbolId* a, const SymbolId* b, size_t k) {
-  for (size_t i = 0; i < k; ++i) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
-  }
-  return 0;
-}
-
 }  // namespace
 
-Result<std::string> WriteBinaryDatabaseToString(const SequenceDatabase& db,
-                                                const BinaryWriteOptions& opts) {
-  if (opts.prefix_k != 0 && opts.prefix_k != 2) {
-    return Status::InvalidArgument(
-        "seqhidb v1 writes prefix_k = 0 or 2, got " +
-        std::to_string(opts.prefix_k));
-  }
+Result<std::string> WriteBinaryDatabaseToString(const SequenceDatabase& db) {
   const Alphabet& alpha = db.alphabet();
-  if (db.size() > uint64_t{0xFFFFFFFF}) {
-    return Status::InvalidArgument(
-        "seqhidb v1 posting lists hold u32 row ids; database has " +
-        std::to_string(db.size()) + " rows");
-  }
-  const size_t prefix_k =
-      alpha.size() > kBinaryPrefixAlphabetLimit ? 0 : opts.prefix_k;
-
+  // Sections 4-8 (the v1 indexes) stay empty.
   std::string sections[kBinaryNumSections];
 
   // Alphabet: byte offsets into the concatenated names blob.
@@ -123,76 +101,17 @@ Result<std::string> WriteBinaryDatabaseToString(const SequenceDatabase& db,
     PutU64(&sections[kSecAlphaOffsets], off);
   }
 
-  // Columnar rows plus per-symbol posting lists in one pass.
+  // Columnar rows.
   uint64_t num_symbols = 0;
-  std::vector<std::vector<uint32_t>> postings(alpha.size());
-  {
-    for (size_t t = 0; t < db.size(); ++t) {
-      PutU64(&sections[kSecRowOffsets], num_symbols);
-      const Sequence& seq = db[t];
-      for (size_t j = 0; j < seq.size(); ++j) {
-        const SymbolId s = seq[j];
-        PutI32(&sections[kSecColumns], s);
-        if (IsRealSymbol(s)) {
-          std::vector<uint32_t>& rows = postings[static_cast<size_t>(s)];
-          if (rows.empty() || rows.back() != t) {
-            rows.push_back(static_cast<uint32_t>(t));
-          }
-        }
-      }
-      num_symbols += seq.size();
-    }
+  for (size_t t = 0; t < db.size(); ++t) {
     PutU64(&sections[kSecRowOffsets], num_symbols);
-
-    uint64_t post_off = 0;
-    for (size_t s = 0; s < alpha.size(); ++s) {
-      PutU64(&sections[kSecPostOffsets], post_off);
-      for (uint32_t t : postings[s]) PutU32(&sections[kSecPostRows], t);
-      post_off += postings[s].size();
+    const Sequence& seq = db[t];
+    for (size_t j = 0; j < seq.size(); ++j) {
+      PutI32(&sections[kSecColumns], seq[j]);
     }
-    PutU64(&sections[kSecPostOffsets], post_off);
+    num_symbols += seq.size();
   }
-
-  // Prefix index: for every ordered pair of symbols (a, b) occurring as a
-  // length-2 subsequence of some row, the sorted rows containing it. A
-  // pattern's first two symbols must form such a pair, so a key miss
-  // proves support 0 without any DP. std::map keeps the keys sorted for
-  // the reader's binary search.
-  uint64_t num_prefix_keys = 0;
-  if (prefix_k == 2) {
-    std::map<std::pair<SymbolId, SymbolId>, std::vector<uint32_t>> prefix;
-    std::vector<char> seen(alpha.size(), 0);
-    std::vector<SymbolId> seen_list;
-    for (size_t t = 0; t < db.size(); ++t) {
-      std::fill(seen.begin(), seen.end(), 0);
-      seen_list.clear();
-      const Sequence& seq = db[t];
-      for (size_t j = 0; j < seq.size(); ++j) {
-        const SymbolId b = seq[j];
-        if (!IsRealSymbol(b)) continue;
-        for (SymbolId a : seen_list) {
-          std::vector<uint32_t>& rows = prefix[{a, b}];
-          if (rows.empty() || rows.back() != t) {
-            rows.push_back(static_cast<uint32_t>(t));
-          }
-        }
-        if (!seen[static_cast<size_t>(b)]) {
-          seen[static_cast<size_t>(b)] = 1;
-          seen_list.push_back(b);
-        }
-      }
-    }
-    num_prefix_keys = prefix.size();
-    uint64_t off = 0;
-    for (const auto& [key, rows] : prefix) {
-      PutI32(&sections[kSecPrefixKeys], key.first);
-      PutI32(&sections[kSecPrefixKeys], key.second);
-      PutU64(&sections[kSecPrefixOffsets], off);
-      for (uint32_t t : rows) PutU32(&sections[kSecPrefixRows], t);
-      off += rows.size();
-    }
-    PutU64(&sections[kSecPrefixOffsets], off);
-  }
+  PutU64(&sections[kSecRowOffsets], num_symbols);
 
   // Canonical layout: sections in enum order, each 8-aligned directly
   // after the previous one, zero padding between.
@@ -213,8 +132,8 @@ Result<std::string> WriteBinaryDatabaseToString(const SequenceDatabase& db,
   PutU64(&out, db.size());
   PutU64(&out, num_symbols);
   PutU64(&out, alpha.size());
-  PutU64(&out, prefix_k);
-  PutU64(&out, num_prefix_keys);
+  PutU64(&out, 0);  // reserved (v1: pair-index key length)
+  PutU64(&out, 0);  // reserved (v1: pair-index key count)
   for (size_t i = 0; i < kBinaryNumSections; ++i) {
     PutU64(&out, offsets[i]);
     PutU64(&out, sections[i].size());
@@ -236,10 +155,8 @@ Result<std::string> WriteBinaryDatabaseToString(const SequenceDatabase& db,
 }
 
 Status WriteBinaryDatabaseToFile(const SequenceDatabase& db,
-                                 const std::string& path,
-                                 const BinaryWriteOptions& opts) {
-  SEQHIDE_ASSIGN_OR_RETURN(std::string image,
-                           WriteBinaryDatabaseToString(db, opts));
+                                 const std::string& path) {
+  SEQHIDE_ASSIGN_OR_RETURN(std::string image, WriteBinaryDatabaseToString(db));
   // Write, fsync, then rename: the destination is either the complete
   // new image or whatever was there before — never a torn file — across
   // both process crashes and power loss. Without the fsync a journaling
@@ -377,8 +294,6 @@ Status MappedDatabase::Init(const MappedOpenOptions& opts) {
   header_.num_rows = GetU64(data_ + 24);
   header_.num_symbols = GetU64(data_ + 32);
   header_.alphabet_size = GetU64(data_ + 40);
-  header_.prefix_k = GetU64(data_ + 48);
-  header_.num_prefix_keys = GetU64(data_ + 56);
   for (size_t i = 0; i < kBinaryNumSections; ++i) {
     const unsigned char* p = data_ + 64 + i * 24;
     header_.sections[i].offset = GetU64(p);
@@ -392,39 +307,27 @@ Status MappedDatabase::Init(const MappedOpenOptions& opts) {
         std::to_string(header_.file_bytes) + " bytes, file has " +
         std::to_string(size_));
   }
-  if (header_.num_rows > uint64_t{0xFFFFFFFF}) {
-    return Status::Corruption(
-        "seqhidb v1 posting lists hold u32 row ids; header claims " +
-        std::to_string(header_.num_rows) + " rows");
-  }
   if (header_.num_rows > kMaxCount || header_.num_symbols > kMaxCount ||
-      header_.alphabet_size > kMaxCount ||
-      header_.num_prefix_keys > kMaxCount || header_.prefix_k > 16) {
+      header_.alphabet_size > kMaxCount) {
     return Status::Corruption("seqhidb header counts are implausibly large");
   }
-  if (header_.prefix_k == 0 && header_.num_prefix_keys != 0) {
-    return Status::Corruption(
-        "seqhidb header has prefix keys but no prefix index");
+  // The one difference between the versions: v1 stored its index
+  // parameters in header words 48/56 and its indexes in sections 4-8,
+  // which v2 reserves as zero and empty.
+  const bool v1 = header_.version == 1;
+  if (!v1 && (GetU64(data_ + 48) != 0 || GetU64(data_ + 56) != 0)) {
+    return Status::Corruption("seqhidb v2 reserved header words are not zero");
   }
 
-  // Expected byte counts (0 means variable-length, checked for
-  // granularity only) and the canonical section placement: each section
-  // sits 8-aligned directly after the previous one.
-  const uint64_t expected[kBinaryNumSections] = {
+  // Sections 0, 2 and 3 have sizes fully determined by the header
+  // counts; the names and the v1 index sections are variable-length.
+  // Every section sits 8-aligned directly after the previous one.
+  const uint64_t expected[kSecFirstV1Index] = {
       (header_.alphabet_size + 1) * 8,
       0,
       (header_.num_rows + 1) * 8,
       header_.num_symbols * 4,
-      (header_.alphabet_size + 1) * 8,
-      0,
-      header_.num_prefix_keys * header_.prefix_k * 4,
-      header_.prefix_k == 0 ? 0 : (header_.num_prefix_keys + 1) * 8,
-      0,
   };
-  // Sections whose size is fully determined by the header counts; the
-  // others (names, posting rows, prefix rows) are variable-length.
-  const bool fixed_size[kBinaryNumSections] = {
-      true, false, true, true, true, false, true, true, false};
   uint64_t cursor = kBinaryHeaderBytes;
   for (size_t i = 0; i < kBinaryNumSections; ++i) {
     const BinarySection& sec = header_.sections[i];
@@ -436,15 +339,16 @@ Status MappedDatabase::Init(const MappedOpenOptions& opts) {
       return Status::Corruption("seqhidb section " + std::to_string(i) +
                                 " extends past the end of the file");
     }
-    if (fixed_size[i] && sec.bytes != expected[i]) {
+    if (i < kSecFirstV1Index && i != kSecAlphaNames &&
+        sec.bytes != expected[i]) {
       return Status::Corruption(
           "seqhidb section " + std::to_string(i) + " has " +
           std::to_string(sec.bytes) + " bytes, expected " +
           std::to_string(expected[i]));
     }
-    if ((i == kSecPostRows || i == kSecPrefixRows) && sec.bytes % 4 != 0) {
-      return Status::Corruption("seqhidb section " + std::to_string(i) +
-                                " is not a whole number of u32 entries");
+    if (i >= kSecFirstV1Index && !v1 && sec.bytes != 0) {
+      return Status::Corruption("seqhidb v2 section " + std::to_string(i) +
+                                " is not empty");
     }
     cursor = Align8(sec.offset + sec.bytes);
   }
@@ -459,15 +363,16 @@ Status MappedDatabase::Init(const MappedOpenOptions& opts) {
       reinterpret_cast<const char*>(sec_ptr(kSecAlphaNames));
   row_offsets_ = reinterpret_cast<const uint64_t*>(sec_ptr(kSecRowOffsets));
   columns_ = reinterpret_cast<const SymbolId*>(sec_ptr(kSecColumns));
-  post_offsets_ = reinterpret_cast<const uint64_t*>(sec_ptr(kSecPostOffsets));
-  post_rows_ = reinterpret_cast<const uint32_t*>(sec_ptr(kSecPostRows));
-  prefix_keys_ = reinterpret_cast<const SymbolId*>(sec_ptr(kSecPrefixKeys));
-  prefix_offsets_ =
-      reinterpret_cast<const uint64_t*>(sec_ptr(kSecPrefixOffsets));
-  prefix_rows_ = reinterpret_cast<const uint32_t*>(sec_ptr(kSecPrefixRows));
 
   // Build the alphabet — the one per-element cost of opening, O(|Σ|).
+  // The offsets cover the names section exactly, as the writer emits
+  // them, so every image that opens has a single canonical encoding.
   const uint64_t names_bytes = header_.sections[kSecAlphaNames].bytes;
+  if (alpha_offsets[0] != 0 ||
+      alpha_offsets[header_.alphabet_size] != names_bytes) {
+    return Status::Corruption(
+        "seqhidb alphabet offsets do not cover the names section");
+  }
   for (uint64_t i = 0; i < header_.alphabet_size; ++i) {
     const uint64_t begin = alpha_offsets[i];
     const uint64_t end = alpha_offsets[i + 1];
@@ -483,33 +388,10 @@ Status MappedDatabase::Init(const MappedOpenOptions& opts) {
     return Status::Corruption("seqhidb alphabet contains duplicate names");
   }
 
-  // Posting offsets are (|Σ|+1) entries — cheap to pin down now so
-  // PostingList() needs no per-call clamping.
-  const uint64_t num_post_rows = header_.sections[kSecPostRows].bytes / 4;
-  for (uint64_t i = 0; i < header_.alphabet_size; ++i) {
-    if (post_offsets_[i] > post_offsets_[i + 1]) {
-      return Status::Corruption("seqhidb posting offsets are not monotone");
-    }
-  }
-  // Also pins alphabet_size == 0: post_offsets_[0] is then both ends of
-  // the table, so a canonical file must carry an empty post-rows section.
-  if (post_offsets_[0] != 0 ||
-      post_offsets_[header_.alphabet_size] != num_post_rows) {
-    return Status::Corruption("seqhidb posting offsets do not cover the "
-                              "posting rows section");
-  }
-
   if (opts.verify_checksums) {
     SEQHIDE_RETURN_IF_ERROR(VerifyChecksums());
   }
   return Status::OK();
-}
-
-MappedDatabase::RowIdSpan MappedDatabase::PostingList(SymbolId s) const {
-  if (!alphabet_.Contains(s)) return {};
-  const uint64_t begin = post_offsets_[s];
-  const uint64_t end = post_offsets_[s + 1];
-  return RowIdSpan{post_rows_ + begin, static_cast<size_t>(end - begin)};
 }
 
 Status MappedDatabase::ValidateRows(std::vector<uint64_t>* signatures,
@@ -622,63 +504,6 @@ Status MappedDatabase::VerifyChecksums() const {
   }
 
   SEQHIDE_RETURN_IF_ERROR(ValidateRows());
-
-  // Posting lists must exactly match a recount of the columns: strictly
-  // ascending row ids, one run per symbol.
-  {
-    std::vector<std::vector<uint32_t>> expect(alphabet_.size());
-    for (uint64_t t = 0; t < header_.num_rows; ++t) {
-      for (uint64_t j = row_offsets_[t]; j < row_offsets_[t + 1]; ++j) {
-        const SymbolId s = columns_[j];
-        if (!IsRealSymbol(s)) continue;
-        std::vector<uint32_t>& rows = expect[static_cast<size_t>(s)];
-        if (rows.empty() || rows.back() != t) {
-          rows.push_back(static_cast<uint32_t>(t));
-        }
-      }
-    }
-    for (size_t s = 0; s < alphabet_.size(); ++s) {
-      const RowIdSpan got = PostingList(static_cast<SymbolId>(s));
-      if (got.size != expect[s].size() ||
-          !std::equal(got.begin(), got.end(), expect[s].begin())) {
-        return Status::Corruption("seqhidb posting list for symbol " +
-                                  std::to_string(s) +
-                                  " disagrees with the columns");
-      }
-    }
-  }
-
-  // Prefix index structure: strictly ascending keys, offsets covering
-  // the rows section, each run strictly ascending with in-range ids.
-  if (header_.prefix_k > 0) {
-    const uint64_t k = header_.prefix_k;
-    const uint64_t nkeys = header_.num_prefix_keys;
-    for (uint64_t i = 1; i < nkeys; ++i) {
-      if (CompareKeys(prefix_keys_ + (i - 1) * k, prefix_keys_ + i * k,
-                      static_cast<size_t>(k)) >= 0) {
-        return Status::Corruption("seqhidb prefix keys are not sorted");
-      }
-    }
-    const uint64_t total = header_.sections[kSecPrefixRows].bytes / 4;
-    if (prefix_offsets_[0] != 0 || prefix_offsets_[nkeys] != total) {
-      return Status::Corruption(
-          "seqhidb prefix offsets do not cover the prefix rows section");
-    }
-    for (uint64_t i = 0; i < nkeys; ++i) {
-      const uint64_t begin = prefix_offsets_[i];
-      const uint64_t end = prefix_offsets_[i + 1];
-      if (begin > end) {
-        return Status::Corruption("seqhidb prefix offsets are not monotone");
-      }
-      for (uint64_t j = begin; j < end; ++j) {
-        if (prefix_rows_[j] >= header_.num_rows ||
-            (j > begin && prefix_rows_[j - 1] >= prefix_rows_[j])) {
-          return Status::Corruption("seqhidb prefix posting run " +
-                                    std::to_string(i) + " is corrupt");
-        }
-      }
-    }
-  }
 
   // Canonical padding: every gap between sections is zero bytes.
   for (size_t i = 0; i < kBinaryNumSections; ++i) {

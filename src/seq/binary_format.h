@@ -1,17 +1,17 @@
-// seqhidb v1: a versioned, mmap-able binary sequence-database format.
+// seqhidb: a versioned, mmap-able binary sequence-database format.
 //
 // The text format (src/seq/io.h) is the import path; seqhidb is the
 // serving path. A file holds one header plus nine 8-byte-aligned
-// sections: the interned alphabet (offsets + concatenated names),
-// columnar sequence storage (one flat symbol array + a row-offset
-// table), and precomputed sorted indexes (per-symbol posting lists of
-// row ids, plus a pattern-prefix index keyed on the first k symbols of a
-// pattern). Every integer is little-endian; the header and every section
-// carry an FNV-1a-64 checksum; the header pins an explicit version and
-// endianness tag. No query reads the two indexes any more: queries
-// screen rows by their symbol signatures (src/seq/signature.h), and the
-// indexes stay in v1 files so existing images keep their layout;
-// VerifyChecksums() still validates them.
+// sections: the interned alphabet (offsets + concatenated names) and
+// columnar sequence storage (one flat symbol array + a row-offset table)
+// fill sections 0-3. Sections 4-8 held per-symbol posting lists and a
+// pattern-prefix index in version 1; no query reads them (queries screen
+// rows by their symbol signatures, src/seq/signature.h), so the version 2
+// writer leaves them empty. The reader accepts both versions through one
+// header parser: on a v1 file the index sections are covered by
+// VerifyChecksums() but never parsed. Every integer is little-endian; the
+// header and every section carry an FNV-1a-64 checksum; the header pins
+// an explicit version and endianness tag.
 //
 // MappedDatabase::OpenMapped validates the header, the section-table
 // geometry, and the alphabet — O(header + |Σ|) work, independent of the
@@ -44,7 +44,8 @@ namespace seqhide {
 // "SEQHIDB\0" — the first eight bytes of every seqhidb file.
 inline constexpr unsigned char kBinaryMagic[8] = {'S', 'E', 'Q', 'H',
                                                   'I', 'D', 'B', '\0'};
-inline constexpr uint32_t kBinaryFormatVersion = 1;
+// The version the writer emits; the reader accepts 1 through this.
+inline constexpr uint32_t kBinaryFormatVersion = 2;
 // Stored in the header as written; a byte-swapped value on read means the
 // file was produced on (or mangled for) a big-endian machine.
 inline constexpr uint32_t kBinaryEndianTag = 0x1A2B3C4Du;
@@ -59,11 +60,9 @@ enum BinarySectionId : size_t {
   kSecAlphaNames = 1,     // concatenated UTF-8 symbol names
   kSecRowOffsets = 2,     // (|D|+1) × u64 symbol-index offsets into columns
   kSecColumns = 3,        // num_symbols × i32 symbol ids (Δ = -1)
-  kSecPostOffsets = 4,    // (|Σ|+1) × u64 element offsets into post_rows
-  kSecPostRows = 5,       // sorted u32 row ids, one run per symbol
-  kSecPrefixKeys = 6,     // num_prefix_keys × prefix_k × i32, sorted keys
-  kSecPrefixOffsets = 7,  // (num_prefix_keys+1) × u64 offsets into prefix_rows
-  kSecPrefixRows = 8,     // sorted u32 row ids, one run per key
+  // Sections 4-8 are the v1 posting and prefix indexes: empty in v2,
+  // checksummed but never parsed in v1.
+  kSecFirstV1Index = 4,
 };
 
 struct BinarySection {
@@ -78,35 +77,20 @@ struct BinaryHeader {
   uint64_t num_rows = 0;
   uint64_t num_symbols = 0;  // total symbols across rows, Δ included
   uint64_t alphabet_size = 0;
-  uint64_t prefix_k = 0;  // 0 = no prefix index
-  uint64_t num_prefix_keys = 0;
   BinarySection sections[kBinaryNumSections];
   uint64_t header_fnv = 0;
 };
 
-struct BinaryWriteOptions {
-  // First-k-symbols pattern index. v1 writers emit k = 0 (disabled) or
-  // k = 2 (ordered symbol pairs); readers accept any k. The writer
-  // silently disables the index above kBinaryPrefixAlphabetLimit symbols
-  // — the pair space gets too dense to be worth the bytes.
-  size_t prefix_k = 2;
-};
-
-// Alphabets larger than this get no prefix index from the v1 writer.
-inline constexpr size_t kBinaryPrefixAlphabetLimit = 4096;
-
-// Serializes `db` as a seqhidb v1 image. Deterministic: equal databases
-// produce byte-identical images.
-Result<std::string> WriteBinaryDatabaseToString(
-    const SequenceDatabase& db, const BinaryWriteOptions& opts = {});
+// Serializes `db` as a seqhidb image of version kBinaryFormatVersion.
+// Deterministic: equal databases produce byte-identical images.
+Result<std::string> WriteBinaryDatabaseToString(const SequenceDatabase& db);
 
 // Writes atomically: <path>.tmp, fsync, then rename (plus a best-effort
 // directory fsync). The destination is either the complete new file or
 // whatever was there before — never a torn write — across both process
 // crashes and power loss.
 Status WriteBinaryDatabaseToFile(const SequenceDatabase& db,
-                                 const std::string& path,
-                                 const BinaryWriteOptions& opts = {});
+                                 const std::string& path);
 
 // True if the buffer starts with the seqhidb magic (format sniffing for
 // --db-format auto; a positive does not imply the file is valid).
@@ -121,18 +105,9 @@ struct MappedOpenOptions {
 };
 
 // A read-only sequence database served from a seqhidb image without
-// materializing rows. Rows, posting lists, and prefix postings are
-// zero-copy pointers into the mapping.
+// materializing rows. Rows are zero-copy pointers into the mapping.
 class MappedDatabase {
  public:
-  // Sorted row ids inside a mapped index section.
-  struct RowIdSpan {
-    const uint32_t* data = nullptr;
-    size_t size = 0;
-    const uint32_t* begin() const { return data; }
-    const uint32_t* end() const { return data + size; }
-  };
-
   MappedDatabase(MappedDatabase&&) noexcept = default;
   MappedDatabase& operator=(MappedDatabase&&) noexcept = default;
   MappedDatabase(const MappedDatabase&) = delete;
@@ -176,10 +151,6 @@ class MappedDatabase {
                         &alphabet_);
   }
 
-  // Sorted row ids containing at least one occurrence of `s`; empty for
-  // Δ or ids outside the alphabet.
-  RowIdSpan PostingList(SymbolId s) const;
-
   // Structural row check, O(|D| + num_symbols) with no checksums: row
   // offsets start at 0, are monotone and end at num_symbols, and every
   // column symbol is Δ or in the alphabet. Corruption otherwise, naming
@@ -200,9 +171,9 @@ class MappedDatabase {
   // Equivalent of SequenceDatabase::Stats() computed off the mapping.
   DatabaseStats Stats() const;
 
-  // Full O(file) validation: recomputes every section checksum and
-  // checks the structural invariants open-time validation skips
-  // (ValidateRows(), plus postings and prefix keys sorted and in range).
+  // Full O(file) validation: recomputes every section checksum (the v1
+  // index sections included), runs ValidateRows(), and checks that the
+  // alignment padding is zero.
   Status VerifyChecksums() const;
 
  private:
@@ -220,11 +191,6 @@ class MappedDatabase {
   Alphabet alphabet_;
   const uint64_t* row_offsets_ = nullptr;
   const SymbolId* columns_ = nullptr;
-  const uint64_t* post_offsets_ = nullptr;
-  const uint32_t* post_rows_ = nullptr;
-  const SymbolId* prefix_keys_ = nullptr;
-  const uint64_t* prefix_offsets_ = nullptr;
-  const uint32_t* prefix_rows_ = nullptr;
 };
 
 }  // namespace seqhide

@@ -62,7 +62,7 @@ namespace seqhide {
 namespace serve {
 
 struct ServerOptions {
-  // Database image: text or seqhidb v1, sniffed by magic. A binary image
+  // Database image: text or seqhidb (v1 or v2), sniffed by magic. A binary image
   // is mmapped and served zero-copy; a text database is materialized
   // once. Either way every request reads that one image: sanitize
   // requests mark private copies of their victim rows only, so the

@@ -244,6 +244,40 @@ TEST(BenchHarnessTest, FinishWritesParseableJson) {
   std::remove(path.c_str());
 }
 
+TEST(BenchHarnessTest, FinishWithoutRegistryDumpKeepsSectionCounters) {
+  // The google-benchmark adapter's report: per-iteration section
+  // counters only, no cumulative registry block.
+  std::string path = testing::TempDir() + "/bench_harness_test_gbench.json";
+  BenchConfig config;
+  config.bench_name = "gbench_test";
+  config.json_path = path;
+  {
+    BenchHarness harness(config);
+    BenchSection section;
+    section.name = "BM_Work/8";
+    section.counters["rows"] = 8;
+    harness.AddSection(std::move(section));
+    EXPECT_EQ(harness.Finish(/*registry_dump=*/false), 0);
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  Result<obs::JsonValue> parsed = obs::JsonValue::Parse(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  for (const char* key : {"counters", "gauges", "spans", "histograms"}) {
+    EXPECT_EQ(parsed->Find(key), nullptr) << key;
+  }
+  EXPECT_NE(parsed->Find("memory"), nullptr);
+  const obs::JsonValue* sections = parsed->Find("sections");
+  ASSERT_NE(sections, nullptr);
+  ASSERT_EQ(sections->AsArray().size(), 1u);
+  const obs::JsonValue* counters = sections->AsArray()[0].Find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_DOUBLE_EQ(counters->NumberOr("rows", 0), 8.0);
+  std::remove(path.c_str());
+}
+
 TEST(BenchHarnessTest, FinishFailsOnUnwritablePath) {
   BenchConfig config;
   config.bench_name = "t";

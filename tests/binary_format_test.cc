@@ -1,12 +1,12 @@
-// Unit tests for the seqhidb v1 binary format (src/seq/binary_format.h):
+// Unit tests for the seqhidb binary format (src/seq/binary_format.h):
 // layout pinning against docs/binary-format.md, text↔binary round trips,
-// corruption handling (truncation and bit-flip sweeps — never a crash,
-// always a clean Corruption-class error), index correctness, format
-// sniffing, and the io.bindb.* fault-injection sites.
+// version 1 compatibility and version 2 strictness, corruption handling
+// (truncation and bit-flip sweeps — never a crash, always a clean
+// Corruption-class error), format sniffing, and the io.bindb.*
+// fault-injection sites.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -14,8 +14,6 @@
 
 #include "src/common/fault_injection.h"
 #include "src/common/random.h"
-#include "src/match/constrained_count.h"
-#include "src/match/subsequence.h"
 #include "src/seq/binary_format.h"
 #include "src/seq/io.h"
 #include "src/seq/signature.h"
@@ -35,9 +33,106 @@ SequenceDatabase SpecExampleDb() {
   return db;
 }
 
-std::string MustWrite(const SequenceDatabase& db,
-                      const BinaryWriteOptions& opts = {}) {
-  auto bytes = WriteBinaryDatabaseToString(db, opts);
+// The worked example as the version 1 writer serialized it (the 520-byte
+// hex dump earlier revisions of docs/binary-format.md printed), with its
+// posting lists in sections 4-5 and its pair-prefix index in 6-8.
+constexpr unsigned char kSpecV1Image[] = {
+    0x53, 0x45, 0x51, 0x48, 0x49, 0x44, 0x42, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x4d, 0x3c, 0x2b, 0x1a, 0x08, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x20, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa5, 0xf1, 0x5b, 0xab,
+    0xc3, 0xcb, 0xdb, 0x64, 0x40, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4b, 0x57, 0x41, 0x05,
+    0x19, 0xa2, 0x1f, 0xe7, 0x48, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0xd6, 0xd6, 0x7d,
+    0xfa, 0x7c, 0xfc, 0x72, 0x68, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x1c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc1, 0x92, 0x77, 0x90,
+    0xea, 0x38, 0x02, 0x0f, 0x88, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa5, 0xfd, 0xe8, 0x91,
+    0xe1, 0x99, 0xce, 0x5b, 0xa8, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x18, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x87, 0x98, 0x12, 0x4c,
+    0x03, 0xe0, 0xe2, 0xf0, 0xc0, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x18, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x95, 0xec, 0x24, 0xec,
+    0x2d, 0xfa, 0x31, 0x69, 0xd8, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x42, 0x13, 0x8e, 0x8a,
+    0xa8, 0x76, 0xeb, 0x07, 0xf8, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd4, 0xa7, 0xc9, 0x0a,
+    0xb1, 0x73, 0x25, 0xe8, 0x84, 0xb9, 0x51, 0x80, 0x7d, 0x22, 0xaf, 0x23,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x61, 0x62, 0x63, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
+    0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00,
+};
+
+std::string SpecV1Image() {
+  return std::string(reinterpret_cast<const char*>(kSpecV1Image),
+                     sizeof(kSpecV1Image));
+}
+
+// The worked example in the current (version 2) layout: the hex dump of
+// docs/binary-format.md.
+constexpr unsigned char kSpecV2Image[] = {
+    0x53, 0x45, 0x51, 0x48, 0x49, 0x44, 0x42, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x4d, 0x3c, 0x2b, 0x1a, 0x88, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x20, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa5, 0xf1, 0x5b, 0xab,
+    0xc3, 0xcb, 0xdb, 0x64, 0x40, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4b, 0x57, 0x41, 0x05,
+    0x19, 0xa2, 0x1f, 0xe7, 0x48, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0xd6, 0xd6, 0x7d,
+    0xfa, 0x7c, 0xfc, 0x72, 0x68, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x1c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc1, 0x92, 0x77, 0x90,
+    0xea, 0x38, 0x02, 0x0f, 0x88, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x25, 0x23, 0x22, 0x84,
+    0xe4, 0x9c, 0xf2, 0xcb, 0x88, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x25, 0x23, 0x22, 0x84,
+    0xe4, 0x9c, 0xf2, 0xcb, 0x88, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x25, 0x23, 0x22, 0x84,
+    0xe4, 0x9c, 0xf2, 0xcb, 0x88, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x25, 0x23, 0x22, 0x84,
+    0xe4, 0x9c, 0xf2, 0xcb, 0x88, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x25, 0x23, 0x22, 0x84,
+    0xe4, 0x9c, 0xf2, 0xcb, 0x26, 0xd0, 0x14, 0xd8, 0x21, 0xa5, 0x7b, 0x6d,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x61, 0x62, 0x63, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
+    0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+};
+
+std::string SpecV2Image() {
+  return std::string(reinterpret_cast<const char*>(kSpecV2Image),
+                     sizeof(kSpecV2Image));
+}
+
+std::string MustWrite(const SequenceDatabase& db) {
+  auto bytes = WriteBinaryDatabaseToString(db);
   EXPECT_TRUE(bytes.ok()) << bytes.status();
   return std::move(bytes).value();
 }
@@ -85,18 +180,21 @@ void ExpectSameDb(const SequenceDatabase& a, const SequenceDatabase& b) {
 
 TEST(BinaryFormatTest, SpecExampleLayoutIsPinned) {
   const std::string bytes = MustWrite(SpecExampleDb());
-  ASSERT_GE(bytes.size(), kBinaryHeaderBytes);
+  // Byte for byte the hex dump of docs/binary-format.md.
+  EXPECT_EQ(bytes, SpecV2Image());
 
   // Magic + fixed header fields, exactly as docs/binary-format.md states.
   EXPECT_EQ(0, std::memcmp(bytes.data(), kBinaryMagic, 8));
   MappedDatabase db = MustOpen(bytes, {.verify_checksums = true});
   const BinaryHeader& h = db.header();
+  EXPECT_EQ(h.version, 2u);
   EXPECT_EQ(h.version, kBinaryFormatVersion);
-  EXPECT_EQ(h.file_bytes, bytes.size());
+  EXPECT_EQ(h.file_bytes, 392u);
   EXPECT_EQ(h.num_rows, 3u);
   EXPECT_EQ(h.num_symbols, 7u);  // 4 + 2 + 1, Δ included
   EXPECT_EQ(h.alphabet_size, 3u);
-  EXPECT_EQ(h.prefix_k, 2u);
+  EXPECT_EQ(std::string(bytes.data() + 48, 16), std::string(16, '\0'))
+      << "reserved header words 48 and 56";
 
   // Canonical section placement: enum order, 8-aligned, gap-free (modulo
   // alignment padding), starting right after the header.
@@ -109,12 +207,139 @@ TEST(BinaryFormatTest, SpecExampleLayoutIsPinned) {
   }
   EXPECT_EQ((cursor + 7) & ~uint64_t{7}, bytes.size());
 
-  // Known section sizes for this db.
+  // Known section sizes for this db; the v1 index sections are empty and
+  // sit at the aligned end of the columns.
   EXPECT_EQ(h.sections[kSecAlphaOffsets].bytes, 4u * 8);  // |Σ|+1
   EXPECT_EQ(h.sections[kSecAlphaNames].bytes, 3u);        // "abc"
   EXPECT_EQ(h.sections[kSecRowOffsets].bytes, 4u * 8);    // |D|+1
   EXPECT_EQ(h.sections[kSecColumns].bytes, 7u * 4);
-  EXPECT_EQ(h.sections[kSecPostOffsets].bytes, 4u * 8);
+  for (size_t i = kSecFirstV1Index; i < kBinaryNumSections; ++i) {
+    EXPECT_EQ(h.sections[i].offset, 392u) << "section " << i;
+    EXPECT_EQ(h.sections[i].bytes, 0u) << "section " << i;
+  }
+}
+
+TEST(BinaryFormatTest, V1SpecImageOpensAndUpgradesToV2) {
+  const std::string v1 = SpecV1Image();
+  MappedDatabase mapped = MustOpen(v1);
+  EXPECT_EQ(mapped.header().version, 1u);
+  EXPECT_EQ(mapped.header().file_bytes, 520u);
+  std::vector<uint64_t> signatures;
+  EXPECT_TRUE(mapped.ValidateRows(&signatures).ok());
+  EXPECT_TRUE(mapped.VerifyChecksums().ok());
+  auto back = mapped.ToDatabase();
+  ASSERT_TRUE(back.ok()) << back.status();
+  ExpectSameDb(SpecExampleDb(), *back);
+  // The upgrade path: materialize, then write with the current writer.
+  EXPECT_EQ(MustWrite(*back), SpecV2Image());
+}
+
+TEST(BinaryFormatTest, V1IndexSectionsAreStillChecksummed) {
+  const std::string v1 = SpecV1Image();
+  const BinaryHeader h = MustOpen(v1).header();
+  for (size_t i = kSecFirstV1Index; i < kBinaryNumSections; ++i) {
+    ASSERT_GT(h.sections[i].bytes, 0u) << "section " << i;
+    std::string corrupt = v1;
+    corrupt[h.sections[i].offset] ^= 0x01;
+    // The header does not cover payload sections: the image still opens,
+    // and only the full checksum pass notices.
+    MappedDatabase lax = MustOpen(corrupt);
+    const Status status = lax.VerifyChecksums();
+    EXPECT_TRUE(status.IsCorruption()) << status;
+    EXPECT_EQ(status.message(),
+              "seqhidb section " + std::to_string(i) + " checksum mismatch");
+  }
+}
+
+// Re-stamps the header checksum after a patch to bytes [0, 280).
+void ResealHeader(std::string* bytes) {
+  OverwriteU64(bytes, kBinaryHeaderBytes - 8,
+               TestFnv(bytes->data(), kBinaryHeaderBytes - 8));
+}
+
+// Splices 8 bytes into section `sec` of a canonical image and re-stamps
+// everything else (section size and checksum, later section offsets,
+// file size, header checksum), so only the version rules can object.
+std::string WithIndexBytes(const std::string& bytes, size_t sec) {
+  const BinaryHeader h = MustOpen(bytes).header();
+  const uint64_t ins = h.sections[sec].offset + h.sections[sec].bytes;
+  std::string out = bytes.substr(0, static_cast<size_t>(ins)) +
+                    "\x01\x02\x03\x04\x05\x06\x07\x08" +
+                    bytes.substr(static_cast<size_t>(ins));
+  const uint64_t new_bytes = h.sections[sec].bytes + 8;
+  OverwriteU64(&out, 16, h.file_bytes + 8);
+  OverwriteU64(&out, 64 + sec * 24 + 8, new_bytes);
+  OverwriteU64(&out, 64 + sec * 24 + 16,
+               TestFnv(out.data() + h.sections[sec].offset, new_bytes));
+  for (size_t i = sec + 1; i < kBinaryNumSections; ++i) {
+    OverwriteU64(&out, 64 + i * 24, h.sections[i].offset + 8);
+  }
+  ResealHeader(&out);
+  return out;
+}
+
+TEST(BinaryFormatTest, V2RejectsNonEmptyIndexSections) {
+  const std::string v2 = SpecV2Image();
+  for (size_t i = kSecFirstV1Index; i < kBinaryNumSections; ++i) {
+    const std::string corrupt = WithIndexBytes(v2, i);
+    auto mapped = MappedDatabase::FromBuffer(corrupt);
+    ASSERT_FALSE(mapped.ok()) << "section " << i;
+    EXPECT_TRUE(mapped.status().IsCorruption()) << mapped.status();
+    EXPECT_EQ(mapped.status().message(),
+              "seqhidb v2 section " + std::to_string(i) + " is not empty");
+    // The same bytes under a v1 header are an (unparsed) index section.
+    std::string as_v1 = corrupt;
+    OverwriteU32(&as_v1, 8, 1);
+    ResealHeader(&as_v1);
+    EXPECT_TRUE(MappedDatabase::FromBuffer(as_v1, {.verify_checksums = true})
+                    .ok())
+        << "section " << i;
+  }
+}
+
+TEST(BinaryFormatTest, V2RejectsNonZeroReservedHeaderWords) {
+  for (const uint64_t word : {48u, 56u}) {
+    std::string corrupt = SpecV2Image();
+    OverwriteU64(&corrupt, word, 2);
+    ResealHeader(&corrupt);
+    auto mapped = MappedDatabase::FromBuffer(corrupt);
+    ASSERT_FALSE(mapped.ok()) << "word " << word;
+    EXPECT_TRUE(mapped.status().IsCorruption()) << mapped.status();
+    EXPECT_EQ(mapped.status().message(),
+              "seqhidb v2 reserved header words are not zero");
+    // v1 kept its index parameters there; the reader ignores them.
+    std::string as_v1 = corrupt;
+    OverwriteU32(&as_v1, 8, 1);
+    ResealHeader(&as_v1);
+    EXPECT_TRUE(MappedDatabase::FromBuffer(as_v1).ok()) << "word " << word;
+  }
+}
+
+TEST(BinaryFormatTest, UnknownVersionsAreRejectedAsUnsupported) {
+  for (const uint32_t version : {0u, kBinaryFormatVersion + 1}) {
+    std::string image = SpecV2Image();
+    OverwriteU32(&image, 8, version);
+    ResealHeader(&image);
+    auto mapped = MappedDatabase::FromBuffer(image);
+    EXPECT_TRUE(mapped.status().IsFailedPrecondition()) << mapped.status();
+    EXPECT_EQ(mapped.status().message(),
+              "seqhidb version " + std::to_string(version) +
+                  " is not supported by this build (max 2)");
+  }
+}
+
+TEST(BinaryFormatTest, AlphabetOffsetsMustCoverTheNames) {
+  SequenceDatabase db;
+  db.AddFromNames({"ab", "c"});
+  std::string bytes = MustWrite(db);
+  const uint64_t offsets = MustOpen(bytes).header().sections[0].offset;
+  // alpha_offsets[0] := 1 leaves names "b", "c" — valid names, but the
+  // leading byte of the names section belongs to no symbol.
+  OverwriteU64(&bytes, offsets, 1);
+  auto mapped = MappedDatabase::FromBuffer(bytes);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().message(),
+            "seqhidb alphabet offsets do not cover the names section");
 }
 
 TEST(BinaryFormatTest, WriterIsDeterministic) {
@@ -184,59 +409,6 @@ TEST(BinaryFormatTest, StatsMatchesInMemory) {
   EXPECT_EQ(a.alphabet_size, b.alphabet_size);
 }
 
-TEST(BinaryFormatTest, PostingListsAreExact) {
-  Rng rng(19);
-  SequenceDatabase db = testutil::RandomDb(&rng, 35, 0, 12, 5);
-  MappedDatabase mapped = MustOpen(MustWrite(db));
-  for (SymbolId s = 0; s < static_cast<SymbolId>(db.alphabet().size()); ++s) {
-    std::vector<uint32_t> expected;
-    for (size_t t = 0; t < db.size(); ++t) {
-      for (size_t i = 0; i < db[t].size(); ++i) {
-        if (db[t][i] == s) {
-          expected.push_back(static_cast<uint32_t>(t));
-          break;
-        }
-      }
-    }
-    MappedDatabase::RowIdSpan span = mapped.PostingList(s);
-    ASSERT_EQ(span.size, expected.size()) << "symbol " << s;
-    EXPECT_TRUE(std::equal(span.begin(), span.end(), expected.begin()));
-  }
-  // Δ and out-of-alphabet ids have empty postings.
-  EXPECT_EQ(mapped.PostingList(kDeltaSymbol).size, 0u);
-  EXPECT_EQ(
-      mapped.PostingList(static_cast<SymbolId>(db.alphabet().size())).size,
-      0u);
-}
-
-TEST(BinaryFormatTest, PrefixIndexOffRoundTrips) {
-  Rng rng(29);
-  SequenceDatabase db = testutil::RandomDb(&rng, 20, 0, 10, 4);
-  BinaryWriteOptions opts;
-  opts.prefix_k = 0;
-  const std::string bytes = MustWrite(db, opts);
-  MappedDatabase mapped = MustOpen(bytes, {.verify_checksums = true});
-  EXPECT_EQ(mapped.header().prefix_k, 0u);
-  EXPECT_EQ(mapped.header().num_prefix_keys, 0u);
-  auto back = mapped.ToDatabase();
-  ASSERT_TRUE(back.ok());
-  ExpectSameDb(db, *back);
-  // Without a prefix index the image answers the same support.
-  Sequence pattern = testutil::RandomSeq(&rng, 2, 4);
-  std::vector<uint64_t> signatures;
-  ASSERT_TRUE(mapped.ValidateRows(&signatures).ok());
-  EXPECT_EQ(ConstrainedSupport(pattern, ConstraintSpec(),
-                               mapped.view().WithSignatures(signatures)),
-            Support(pattern, db));
-}
-
-TEST(BinaryFormatTest, WriterRejectsUnsupportedPrefixK) {
-  BinaryWriteOptions opts;
-  opts.prefix_k = 5;
-  auto bytes = WriteBinaryDatabaseToString(SpecExampleDb(), opts);
-  EXPECT_TRUE(bytes.status().IsInvalidArgument()) << bytes.status();
-}
-
 TEST(BinaryFormatTest, SniffingRecognizesTheMagic) {
   const std::string bytes = MustWrite(SpecExampleDb());
   EXPECT_TRUE(LooksLikeBinaryDatabase(
@@ -248,42 +420,46 @@ TEST(BinaryFormatTest, SniffingRecognizesTheMagic) {
 }
 
 TEST(BinaryFormatTest, TruncationSweepNeverCrashesAndNeverParses) {
-  const std::string bytes = MustWrite(SpecExampleDb());
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    auto mapped = MappedDatabase::FromBuffer(bytes.substr(0, len));
-    EXPECT_FALSE(mapped.ok()) << "truncated to " << len << " bytes parsed";
-    EXPECT_TRUE(mapped.status().IsCorruption() ||
-                mapped.status().IsInvalidArgument())
-        << len << ": " << mapped.status();
+  for (const std::string& bytes : {SpecV2Image(), SpecV1Image()}) {
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      auto mapped = MappedDatabase::FromBuffer(bytes.substr(0, len));
+      EXPECT_FALSE(mapped.ok()) << "truncated to " << len << " bytes parsed";
+      EXPECT_TRUE(mapped.status().IsCorruption() ||
+                  mapped.status().IsInvalidArgument())
+          << len << ": " << mapped.status();
+    }
+    // Trailing garbage is equally rejected (file_bytes pins the size).
+    auto grown = MappedDatabase::FromBuffer(bytes + std::string(8, '\0'));
+    EXPECT_FALSE(grown.ok());
   }
-  // Trailing garbage is equally rejected (file_bytes pins the size).
-  auto grown = MappedDatabase::FromBuffer(bytes + std::string(8, '\0'));
-  EXPECT_FALSE(grown.ok());
 }
 
 TEST(BinaryFormatTest, HeaderBitFlipsAreAlwaysDetectedAtOpen) {
-  const std::string bytes = MustWrite(SpecExampleDb());
-  for (size_t pos = 0; pos < kBinaryHeaderBytes; ++pos) {
-    for (unsigned char flip : {0x01, 0x80}) {
-      std::string corrupt = bytes;
-      corrupt[pos] = static_cast<char>(corrupt[pos] ^ flip);
-      auto mapped = MappedDatabase::FromBuffer(corrupt);
-      EXPECT_FALSE(mapped.ok())
-          << "header byte " << pos << " flipped by " << int(flip)
-          << " went unnoticed";
+  for (const std::string& bytes : {SpecV2Image(), SpecV1Image()}) {
+    for (size_t pos = 0; pos < kBinaryHeaderBytes; ++pos) {
+      for (unsigned char flip : {0x01, 0x80}) {
+        std::string corrupt = bytes;
+        corrupt[pos] = static_cast<char>(corrupt[pos] ^ flip);
+        auto mapped = MappedDatabase::FromBuffer(corrupt);
+        EXPECT_FALSE(mapped.ok())
+            << "header byte " << pos << " flipped by " << int(flip)
+            << " went unnoticed (" << bytes.size() << "-byte image)";
+      }
     }
   }
 }
 
 TEST(BinaryFormatTest, AnyBitFlipIsDetectedByVerifyChecksums) {
-  const std::string bytes = MustWrite(SpecExampleDb());
-  for (size_t pos = 0; pos < bytes.size(); ++pos) {
-    std::string corrupt = bytes;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x40);
-    auto mapped =
-        MappedDatabase::FromBuffer(corrupt, {.verify_checksums = true});
-    EXPECT_FALSE(mapped.ok())
-        << "byte " << pos << " flipped but full verification passed";
+  for (const std::string& bytes : {SpecV2Image(), SpecV1Image()}) {
+    for (size_t pos = 0; pos < bytes.size(); ++pos) {
+      std::string corrupt = bytes;
+      corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x40);
+      auto mapped =
+          MappedDatabase::FromBuffer(corrupt, {.verify_checksums = true});
+      EXPECT_FALSE(mapped.ok())
+          << "byte " << pos << " of the " << bytes.size()
+          << "-byte image flipped but full verification passed";
+    }
   }
 }
 
@@ -382,37 +558,6 @@ TEST(BinaryFormatTest, ValidateRowsNamesTheLowestErrorAtEveryThreadCount) {
               "seqhidb row 301 has corrupt offsets (not monotone)")
         << threads << " threads";
   }
-}
-
-TEST(BinaryFormatTest, EmptyAlphabetRejectsDanglingPostingRows) {
-  const std::string bytes = MustWrite(SequenceDatabase());
-  MappedDatabase good = MustOpen(bytes);
-  const BinaryHeader& h = good.header();
-  ASSERT_EQ(h.alphabet_size, 0u);
-
-  // Splice two phantom u32 row ids into the (empty) post-rows section
-  // and re-stamp the header so everything but the offsets-coverage rule
-  // is consistent: section size + fnv, later section offsets, file size,
-  // header fnv.
-  const uint64_t ins = h.sections[kSecPostRows].offset;
-  std::string corrupt = bytes.substr(0, static_cast<size_t>(ins)) +
-                        std::string(8, '\0') +
-                        bytes.substr(static_cast<size_t>(ins));
-  OverwriteU32(&corrupt, ins, 1);
-  OverwriteU32(&corrupt, ins + 4, 2);
-  OverwriteU64(&corrupt, 16, h.file_bytes + 8);
-  OverwriteU64(&corrupt, 64 + kSecPostRows * 24 + 8, 8);
-  OverwriteU64(&corrupt, 64 + kSecPostRows * 24 + 16,
-               TestFnv(corrupt.data() + ins, 8));
-  for (size_t i = kSecPrefixKeys; i < kBinaryNumSections; ++i) {
-    OverwriteU64(&corrupt, 64 + i * 24, h.sections[i].offset + 8);
-  }
-  OverwriteU64(&corrupt, kBinaryHeaderBytes - 8,
-               TestFnv(corrupt.data(), kBinaryHeaderBytes - 8));
-
-  auto mapped = MappedDatabase::FromBuffer(corrupt);
-  ASSERT_FALSE(mapped.ok()) << "dangling post rows accepted";
-  EXPECT_TRUE(mapped.status().IsCorruption()) << mapped.status();
 }
 
 TEST(BinaryFormatTest, OpenMappedServesFilesAndReportsNotFound) {

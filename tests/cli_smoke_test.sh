@@ -38,6 +38,40 @@ for f in db.txt db.hidb; do
 done
 cmp "$WORK/support_db.txt.out" "$WORK/support_db.hidb.out"
 
+# A checked-in seqhidb v1 image (version 1 writer, posting lists and a
+# prefix index in sections 4-8), its v2 conversion and its text export
+# answer stats and support identically.
+V1="$(dirname "$0")/fuzz/corpus/binary_db/v1_02.hidb"
+"$CLI" convert --db "$V1" --to binary --out "$WORK/v2.hidb" > /dev/null
+"$CLI" convert --db "$V1" --to text --out "$WORK/v1_export.txt" > /dev/null
+for f in "$V1" "$WORK/v2.hidb" "$WORK/v1_export.txt"; do
+  "$CLI" stats --db "$f"
+  "$CLI" support --db "$f" --pattern "s0 -> s2" --pattern "s2 ->[0] s3"
+done > "$WORK/versions.out"
+"$CLI" stats --db "$V1" > "$WORK/v1_stats.out"
+"$CLI" support --db "$V1" --pattern "s0 -> s2" --pattern "s2 ->[0] s3" \
+    >> "$WORK/v1_stats.out"
+cat "$WORK/v1_stats.out" "$WORK/v1_stats.out" "$WORK/v1_stats.out" \
+    | cmp - "$WORK/versions.out"
+grep -q "sequences       3" "$WORK/v1_stats.out"
+grep -q "support=2" "$WORK/v1_stats.out"
+# inspect: the conversion is version 2 with empty v1 index sections
+"$CLI" inspect --db "$V1" | grep -q "seqhidb version  1"
+"$CLI" inspect --db "$WORK/v2.hidb" --verify > "$WORK/v2_inspect.out"
+grep -q "seqhidb version  2" "$WORK/v2_inspect.out"
+for i in 4 5 6 7 8; do
+  grep -q "^  $i v1 [a-z_]*  [0-9]* / 0 / " "$WORK/v2_inspect.out" || {
+    echo "FAIL: section $i of the v2 image is not empty"; exit 1; }
+done
+grep -q "checksums OK" "$WORK/v2_inspect.out"
+# the removed index-size flag is now an unknown flag: usage error, exit 1
+set +e
+"$CLI" convert --db "$WORK/db.txt" --to binary --out "$WORK/pk.hidb" \
+    --prefix-k 2 > /dev/null 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 1 ] || { echo "FAIL: convert with the index flag exited $rc"; exit 1; }
+
 # support on a corrupt seqhidb image fails with ValidateRows' Corruption
 # instead of answering from clamped rows. u64_at FILE OFFSET reads a
 # little-endian u64; bytes 112 and 136 hold the row_offsets and columns

@@ -8,12 +8,14 @@
 //     never anything else and never an abort;
 //   * verified open implies unverified open (verification only rejects
 //     more);
-//   * whatever opens is memory-safe to read: every row view, posting
-//     list, and Stats() runs within bounds (ASan is the judge);
+//   * whatever opens is memory-safe to read: every row view and Stats()
+//     runs within bounds (ASan is the judge);
 //   * whatever passes ValidateRows answers a support query the same with
 //     its row signatures attached as without them;
-//   * whatever passes full verification materializes cleanly, and its
-//     re-serialization parses back to a database of the same shape.
+//   * whatever passes full verification materializes cleanly and
+//     re-serializes to a verified v2 image: byte-identical to a v2 input
+//     (a v2 image that verifies is canonical), and materializing to the
+//     same database as a v1 input.
 //
 // Build (clang only):
 //   cmake -B build-fuzz -DSEQHIDE_BUILD_FUZZERS=ON -DCMAKE_CXX_COMPILER=clang++
@@ -41,6 +43,21 @@ bool IsCleanFailure(const seqhide::Status& s) {
   return s.IsCorruption() || s.IsInvalidArgument() || s.IsFailedPrecondition();
 }
 
+bool SameDatabase(const seqhide::SequenceDatabase& a,
+                  const seqhide::SequenceDatabase& b) {
+  if (a.size() != b.size() || a.alphabet().size() != b.alphabet().size()) {
+    return false;
+  }
+  for (size_t s = 0; s < a.alphabet().size(); ++s) {
+    const auto id = static_cast<seqhide::SymbolId>(s);
+    if (a.alphabet().Name(id) != b.alphabet().Name(id)) return false;
+  }
+  for (size_t t = 0; t < a.size(); ++t) {
+    if (!(a[t] == b[t])) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -58,8 +75,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   Check(!strict.ok() || lax.ok(), "verified ok but unverified failed");
 
   if (lax.ok()) {
-    // Every read path must be memory-safe even when row offsets, posting
-    // lists, or prefix runs are garbage (open-time validation skips them).
+    // Every read path must be memory-safe even when row offsets are
+    // garbage (open-time validation skips them).
     size_t touched = 0;
     for (size_t t = 0; t < lax->size(); ++t) {
       seqhide::SequenceView row = lax->row(t);
@@ -73,11 +90,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       for (size_t i = 0; i < row.size(); ++i) touched += row[i] >= 0;
     }
     (void)touched;
-    for (seqhide::SymbolId s = -1;
-         s <= static_cast<seqhide::SymbolId>(lax->alphabet().size()); ++s) {
-      auto span = lax->PostingList(s);
-      for (uint32_t r : span) (void)r;
-    }
     // Rows that pass the structural check carry signatures, and the
     // screen they feed never changes an answer: the screened support
     // equals the same loop over the unscreened view.
@@ -100,20 +112,24 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
 
   if (strict.ok()) {
-    // A fully verified image materializes and round-trips.
+    // A fully verified image materializes and round-trips through the
+    // current writer.
     auto db = strict->ToDatabase();
     Check(db.ok(), "verified image failed to materialize");
-    const uint64_t k = strict->header().prefix_k;
-    seqhide::BinaryWriteOptions opts;
-    opts.prefix_k = (k == 0 || k == 2) ? static_cast<size_t>(k) : 2;
-    auto again = seqhide::WriteBinaryDatabaseToString(*db, opts);
+    auto again = seqhide::WriteBinaryDatabaseToString(*db);
     Check(again.ok(), "re-serialization of a verified image failed");
-    auto reopened = seqhide::MappedDatabase::FromBuffer(
-        *again, {.verify_checksums = true});
-    Check(reopened.ok(), "re-serialized image failed to open");
-    Check(reopened->size() == strict->size(), "round-trip row count");
-    Check(reopened->total_symbols() == strict->total_symbols(),
-          "round-trip symbol count");
+    if (strict->header().version == seqhide::kBinaryFormatVersion) {
+      Check(*again == bytes, "verified v2 image is not canonical");
+    } else {
+      auto reopened = seqhide::MappedDatabase::FromBuffer(
+          *again, {.verify_checksums = true});
+      Check(reopened.ok(), "re-serialized v1 image failed to open as v2");
+      Check(reopened->header().version == seqhide::kBinaryFormatVersion,
+            "re-serialized v1 image is not v2");
+      auto back = reopened->ToDatabase();
+      Check(back.ok() && SameDatabase(*back, *db),
+            "v1 image and its v2 re-serialization differ");
+    }
   }
   return 0;
 }

@@ -8,9 +8,9 @@
 //
 // Writes <corpus_root>/db_reader/gen_<nn>.txt,
 // <corpus_root>/json/gen_<nn>.json and
-// <corpus_root>/binary_db/gen_<nn>.hidb (seqhidb v1 images for the
-// binary reader harness; even indexes keep the prefix index, odd ones
-// drop it so both layouts are seeded). Deterministic for a fixed seed;
+// <corpus_root>/binary_db/gen_<nn>.hidb (seqhidb images of the current
+// version for the binary reader harness; the v1_<nn>.hidb seeds beside
+// them keep the older layout covered). Deterministic for a fixed seed;
 // the checked-in corpus under tests/fuzz/corpus/ was produced with the
 // defaults (12 files per harness, seed 0xC0B905).
 
@@ -121,9 +121,7 @@ int main(int argc, char** argv) {
                             seqhide::InstanceToJson(inst, &rng))) {
       return 1;
     }
-    seqhide::BinaryWriteOptions bin_opts;
-    bin_opts.prefix_k = (i % 2 == 0) ? 2 : 0;
-    auto image = seqhide::WriteBinaryDatabaseToString(inst.db, bin_opts);
+    auto image = seqhide::WriteBinaryDatabaseToString(inst.db);
     if (!image.ok()) {
       std::fprintf(stderr, "binary serialization failed: %s\n",
                    image.status().ToString().c_str());

@@ -12,18 +12,18 @@
 //                        [--max-rounds N] [--round-size N]
 //                        [--checkpoint FILE] [--checkpoint-every N]
 //                        [--resume]
-//   seqhide_cli convert  --db IN --out OUT --to text|binary [--prefix-k N]
+//   seqhide_cli convert  --db IN --out OUT --to text|binary
 //   seqhide_cli inspect  --db FILE [--verify]
 //
 // On-disk formats (docs/binary-format.md): every db-loading seq command
 // takes --db-format text|binary|auto (default auto: sniff the magic).
 // Binary databases are served through the mmap reader — `stats` answers
-// from the mapped file without materializing rows, `support` prunes with
-// the file's posting-list and prefix indexes, `mine`/`sanitize`
-// materialize first. `convert` translates between the formats (the
-// binary side round-trips byte-identically); `inspect` prints the header
-// and section table of a binary database and, with --verify, runs the
-// full checksum + structural validation.
+// from the mapped file without materializing rows, `support` screens
+// rows by their symbol signatures, `mine`/`sanitize` materialize first.
+// `convert` translates between the formats (the binary side writes the
+// current seqhidb version, so it also upgrades a v1 image); `inspect`
+// prints the header and section table of a binary database and, with
+// --verify, runs the full checksum + structural validation.
 //
 // --threads bounds the worker count for the parallel pipeline stages;
 // 0 means "auto" (all hardware threads). Results are bit-identical for
@@ -117,7 +117,7 @@ void PrintUsage() {
       "           [--max-table-bytes N]\n"
       "           [--max-rounds N] [--round-size N]\n"
       "           [--checkpoint FILE] [--checkpoint-every N] [--resume]\n"
-      "  convert  --db IN --out OUT --to text|binary [--prefix-k 0|2]\n"
+      "  convert  --db IN --out OUT --to text|binary\n"
       "  inspect  --db FILE [--verify]\n"
       "common:    [--input-mode strict|lenient] [--inject-fault site:k,...]\n"
       "           [--db-format text|binary|auto] (seq commands; default "
@@ -186,8 +186,7 @@ Status ValidateFlags(const ParsedArgs& args) {
          "checkpoint", "checkpoint-every", "resume"}}},
       {"convert",
        {false,
-        {"db", "out", "to", "prefix-k", "db-format", "input-mode",
-         "inject-fault"}}},
+        {"db", "out", "to", "db-format", "input-mode", "inject-fault"}}},
       {"inspect", {false, {"db", "verify", "inject-fault"}}},
   };
   auto it = kCommands.find(args.command);
@@ -659,11 +658,7 @@ Status RunConvert(const ParsedArgs& args) {
   // materializing path, so convert doubles as an integrity check.
   SEQHIDE_ASSIGN_OR_RETURN(SequenceDatabase db, LoadDb(args));
   if (to_it->second == "binary") {
-    BinaryWriteOptions opts;
-    SEQHIDE_ASSIGN_OR_RETURN(opts.prefix_k,
-                             FlagAsSize(args, "prefix-k", opts.prefix_k));
-    SEQHIDE_RETURN_IF_ERROR(
-        WriteBinaryDatabaseToFile(db, out_it->second, opts));
+    SEQHIDE_RETURN_IF_ERROR(WriteBinaryDatabaseToFile(db, out_it->second));
   } else if (to_it->second == "text") {
     SEQHIDE_RETURN_IF_ERROR(WriteDatabaseToFile(db, out_it->second));
   } else {
@@ -684,13 +679,12 @@ Status RunInspect(const ParsedArgs& args) {
             << "sequences        " << h.num_rows << "\n"
             << "total symbols    " << h.num_symbols << "\n"
             << "alphabet         " << h.alphabet_size << "\n"
-            << "prefix index     k=" << h.prefix_k << " keys="
-            << h.num_prefix_keys << "\n"
             << "sections (offset/bytes/fnv):\n";
+  // Sections 4-8 hold the v1 indexes; a v2 image writes them empty.
   static const char* kSectionNames[kBinaryNumSections] = {
-      "alpha_offsets", "alpha_names",    "row_offsets",
-      "columns",       "post_offsets",   "post_rows",
-      "prefix_keys",   "prefix_offsets", "prefix_rows"};
+      "alpha_offsets", "alpha_names",     "row_offsets",
+      "columns",       "v1 post_offsets", "v1 post_rows",
+      "v1 pair_keys",  "v1 pair_offsets", "v1 pair_rows"};
   for (size_t i = 0; i < kBinaryNumSections; ++i) {
     const BinarySection& s = h.sections[i];
     std::cout << "  " << i << " " << kSectionNames[i] << "  " << s.offset
