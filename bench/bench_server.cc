@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "bench/gbench_json.h"
@@ -51,10 +52,16 @@ using serve::ServerOptions;
 // timed region's noise floor.
 constexpr size_t kRows = 2048;
 
+// Written once per process, never reused from an earlier run: a file of
+// that name left in the temp directory may describe another database.
+// The rows go to a pid-named file renamed into place, so a concurrent
+// run never reads a half-written one.
 std::string TextDbPath() {
   static std::filesystem::path dir = std::filesystem::temp_directory_path();
+  static bool written = false;
   std::string path = (dir / "seqhide_bench_serve_db.txt").string();
-  if (!std::filesystem::exists(path)) {
+  if (!written) {
+    written = true;
     Rng rng(kRows);
     SequenceDatabase db;
     const size_t alphabet = 32;
@@ -69,7 +76,11 @@ std::string TextDbPath() {
       }
       db.Add(std::move(seq));
     }
-    Status s = WriteDatabaseToFile(db, path);
+    const std::string tmp = path + "." + std::to_string(::getpid());
+    Status s = WriteDatabaseToFile(db, tmp);
+    std::error_code renamed;
+    if (s.ok()) std::filesystem::rename(tmp, path, renamed);
+    if (s.ok() && renamed) s = Status::IOError("rename: " + renamed.message());
     if (!s.ok()) {
       std::fprintf(stderr, "bench setup failed: %s\n", s.ToString().c_str());
       std::exit(1);

@@ -1,7 +1,10 @@
 #include "src/hide/global.h"
 
 #include <algorithm>
+#include <iterator>
+#include <mutex>
 #include <unordered_set>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/thread_pool.h"
@@ -56,16 +59,20 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
   SEQHIDE_COUNTER_ADD("global.match_info_rows", db.size() * patterns.size());
   const size_t num_patterns = patterns.size();
   const uint64_t* signatures = db.signatures();
-  std::vector<SequenceMatchInfo> info(db.size());
+  // Each chunk lists its own supporters in row order; the lists are
+  // joined in chunk order below, so the result is the same at every
+  // thread count.
+  std::mutex mu;
+  std::vector<std::pair<size_t, std::vector<SequenceMatchInfo>>> chunks;
   const uint64_t admitted = ThreadPool::Shared().ParallelReduceSum(
       db.size(), num_threads, [&](size_t begin, size_t end) -> uint64_t {
         // One scratch per chunk: warm across the chunk's rows, and never
         // shared between workers. The kernel itself is immutable shared
         // state (the trie built once, read concurrently).
         MatchScratch scratch;
+        std::vector<SequenceMatchInfo> supporters;
         uint64_t pairs = 0;
         for (size_t t = begin; t < end; ++t) {
-          info[t].index = t;
           const SequenceView row = db.row(t);
           const uint64_t sig =
               signatures != nullptr ? signatures[t] : SequenceSignature(row);
@@ -76,17 +83,31 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
           if (row_pairs == 0) continue;
           pairs += row_pairs;
           std::vector<uint64_t>& counts = scratch.pattern_counts;
-          info[t].matching_count = kernel.CountRow(row, sig, &scratch, &counts);
-          if (info[t].matching_count == 0) continue;
-          info[t].pattern_support.resize(num_patterns);
+          const uint64_t count = kernel.CountRow(row, sig, &scratch, &counts);
+          if (count == 0) continue;
+          SequenceMatchInfo& info = supporters.emplace_back();
+          info.index = t;
+          info.matching_count = count;
+          info.pattern_support.resize(num_patterns);
           for (size_t p = 0; p < num_patterns; ++p) {
-            info[t].pattern_support[p] = (counts[p] > 0);
+            info.pattern_support[p] = (counts[p] > 0);
           }
+        }
+        if (!supporters.empty()) {
+          std::lock_guard<std::mutex> lock(mu);
+          chunks.emplace_back(begin, std::move(supporters));
         }
         return pairs;
       });
   if (admitted_pairs != nullptr) {
     *admitted_pairs = static_cast<size_t>(admitted);
+  }
+  std::sort(chunks.begin(), chunks.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<SequenceMatchInfo> info;
+  for (auto& chunk : chunks) {
+    std::move(chunk.second.begin(), chunk.second.end(),
+              std::back_inserter(info));
   }
   return info;
 }
@@ -97,64 +118,62 @@ std::vector<size_t> SelectSequencesToSanitize(
   SEQHIDE_CHECK(strategy != GlobalStrategy::kRandom || rng != nullptr)
       << "the Random global strategy needs an Rng";
 
-  std::vector<size_t> supporters;
-  for (const auto& i : info) {
-    if (i.matching_count > 0) supporters.push_back(i.index);
-  }
-  SEQHIDE_GAUGE_SET("global.supporters", supporters.size());
-  if (supporters.size() <= psi) return {};  // already disclosed safely
-  const size_t to_sanitize = supporters.size() - psi;
+  // Positions in `info`, which lists the supporters in row order, so
+  // every stable sort below breaks ties toward the smaller row index.
+  std::vector<size_t> order(info.size());
+  for (size_t k = 0; k < info.size(); ++k) order[k] = k;
+  SEQHIDE_GAUGE_SET("global.supporters", order.size());
+  if (order.size() <= psi) return {};  // already disclosed safely
+  const size_t to_sanitize = order.size() - psi;
   SEQHIDE_GAUGE_SET("global.victims", to_sanitize);
 
+  auto row_of = [&](size_t k) { return info[k].index; };
   switch (strategy) {
     case GlobalStrategy::kHeuristic:
       // Ascending matching-set size; ties toward the smaller index.
-      std::stable_sort(supporters.begin(), supporters.end(),
-                       [&](size_t a, size_t b) {
-                         return info[a].matching_count <
-                                info[b].matching_count;
-                       });
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return info[a].matching_count < info[b].matching_count;
+      });
       break;
     case GlobalStrategy::kRandom:
-      rng->Shuffle(&supporters);
+      rng->Shuffle(&order);
       break;
     case GlobalStrategy::kAscendingLength:
-      std::stable_sort(supporters.begin(), supporters.end(),
-                       [&](size_t a, size_t b) {
-                         return db[a].size() < db[b].size();
-                       });
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return db[row_of(a)].size() < db[row_of(b)].size();
+      });
       break;
     case GlobalStrategy::kHighAutocorrelationFirst:
-      std::stable_sort(supporters.begin(), supporters.end(),
-                       [&](size_t a, size_t b) {
-                         return AutocorrelationScore(db[a]) >
-                                AutocorrelationScore(db[b]);
-                       });
+      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return AutocorrelationScore(db[row_of(a)]) >
+               AutocorrelationScore(db[row_of(b)]);
+      });
       break;
   }
-  supporters.resize(to_sanitize);
-  std::sort(supporters.begin(), supporters.end());
-  return supporters;
+  order.resize(to_sanitize);
+  std::vector<size_t> victims;
+  victims.reserve(to_sanitize);
+  for (size_t k : order) victims.push_back(row_of(k));
+  std::sort(victims.begin(), victims.end());
+  return victims;
 }
 
 std::vector<size_t> SelectSequencesToSanitizeMultiThreshold(
     const std::vector<SequenceMatchInfo>& info,
     const std::vector<size_t>& per_pattern_psi) {
-  std::vector<size_t> supporters;
-  for (const auto& i : info) {
-    if (i.matching_count > 0) supporters.push_back(i.index);
-  }
-  // Most expensive sequences first: they are the ones worth keeping
-  // unsanitized, so give them the first claim on the allowances.
-  std::stable_sort(supporters.begin(), supporters.end(),
-                   [&](size_t a, size_t b) {
-                     return info[a].matching_count > info[b].matching_count;
-                   });
+  // Positions in `info` (supporters in row order). Most expensive
+  // sequences first: they are the ones worth keeping unsanitized, so
+  // give them the first claim on the allowances.
+  std::vector<size_t> order(info.size());
+  for (size_t k = 0; k < info.size(); ++k) order[k] = k;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return info[a].matching_count > info[b].matching_count;
+  });
 
   std::vector<size_t> allowance = per_pattern_psi;
   std::vector<size_t> to_sanitize;
-  for (size_t t : supporters) {
-    const auto& support = info[t].pattern_support;
+  for (size_t k : order) {
+    const auto& support = info[k].pattern_support;
     SEQHIDE_CHECK_EQ(support.size(), allowance.size());
     bool can_keep = true;
     for (size_t p = 0; p < support.size(); ++p) {
@@ -168,7 +187,7 @@ std::vector<size_t> SelectSequencesToSanitizeMultiThreshold(
         if (support[p]) --allowance[p];
       }
     } else {
-      to_sanitize.push_back(t);
+      to_sanitize.push_back(info[k].index);
     }
   }
   std::sort(to_sanitize.begin(), to_sanitize.end());

@@ -20,33 +20,35 @@
 
 namespace seqhide {
 
-// Per-sequence statistics driving the global choice.
+// Per-supporter statistics driving the global choice.
 struct SequenceMatchInfo {
-  size_t index = 0;           // position in the database
-  uint64_t matching_count = 0;  // |M_{S_h}^T| under constraints
+  size_t index = 0;           // row index in the database
+  uint64_t matching_count = 0;  // |M_{S_h}^T| under constraints, > 0
   // pattern_support[i] is true iff this sequence has a constrained
-  // matching of patterns[i] (drives the per-pattern-ψ extension). Empty
-  // when matching_count == 0 — a non-supporter supports no pattern — so
-  // the rows the count stage screens out cost no allocation; it has one
-  // entry per pattern otherwise.
+  // matching of patterns[i] (drives the per-pattern-ψ extension); one
+  // entry per pattern.
   std::vector<bool> pattern_support;
 };
 
-// Computes SequenceMatchInfo for every sequence of `db`; the view serves
-// in-memory and memory-mapped databases alike. Rows are screened by
-// their 64-bit symbol signature (src/seq/signature.h): db.signatures()
-// when the view carries them, else computed from each row in the same
-// pass. A (row, pattern) pair the signature does not admit counts 0 with
-// no DP, and a row that admits no pattern is not scanned at all; the
-// result is identical to counting every pair.
+// Computes SequenceMatchInfo for the supporters of `db` — the rows with
+// matching_count > 0 — in ascending row order; a row that supports no
+// pattern has no entry, so the result grows with the supporters, never
+// with |D|. The view serves in-memory and memory-mapped databases alike.
+// Rows are screened by their 64-bit symbol signature
+// (src/seq/signature.h): db.signatures() when the view carries them, else
+// computed from each row in the same pass. A (row, pattern) pair the
+// signature does not admit counts 0 with no DP, and a row that admits no
+// pattern is not scanned at all; the result is identical to counting
+// every pair.
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints);
 
 // Parallel variant: partitions the database rows across up to
-// `num_threads` workers (0 = auto, 1 = serial; see thread_pool.h). Every
-// row writes only its own info slot, so the result is bit-identical to
-// the serial overload for any thread count.
+// `num_threads` workers (0 = auto, 1 = serial; see thread_pool.h). Each
+// chunk lists its own supporters and the lists are joined in chunk
+// order, so the result is bit-identical to the serial overload for any
+// thread count.
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, size_t num_threads);
@@ -61,9 +63,10 @@ std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const std::vector<ConstraintSpec>& constraints, size_t num_threads,
     const MatchKernel& kernel, size_t* admitted_pairs = nullptr);
 
-// Returns the indices of the sequences to sanitize so that at most `psi`
-// sequences keep a matching. Only supporters (matching_count > 0) are ever
-// selected. `rng` is needed only by GlobalStrategy::kRandom. `db` is
+// Returns the row indices of the sequences to sanitize, ascending, so
+// that at most `psi` sequences keep a matching. `info` is
+// ComputeMatchInfo's supporter list (row order), and only its rows are
+// ever selected. `rng` is needed only by GlobalStrategy::kRandom. `db` is
 // consulted only by the length/autocorrelation tie-break strategies, and
 // works zero-copy off a mapped database.
 std::vector<size_t> SelectSequencesToSanitize(

@@ -319,10 +319,10 @@ Result<SanitizeResult> SanitizeView(
   } else {
     // Stage 1 of Algorithm 1: matching-set sizes for every sequence
     // (Lemma 2 / Lemma 4 DPs), row-partitioned across the pool and
-    // screened by row signature (ComputeMatchInfo). The per-pattern
-    // supports fall out of the same pass — pattern_support[p] is exactly
-    // "this row supports pattern p" — so no separate supports-before scan
-    // is needed.
+    // screened by row signature (ComputeMatchInfo), kept for the
+    // supporters only. The per-pattern supports fall out of the same
+    // pass — pattern_support[p] is exactly "this row supports pattern
+    // p" — so no separate supports-before scan is needed.
     std::vector<SequenceMatchInfo> info;
     {
       obs::ScopedTimer stage_timer(&report.stages.count_seconds);
@@ -332,9 +332,8 @@ Result<SanitizeResult> SanitizeView(
       SEQHIDE_COUNTER_ADD("sanitize.count_screen_pruned",
                           db.size() * num_patterns - report.count_rows);
       report.supports_before.assign(num_patterns, 0);
+      report.sequences_supporting_before = info.size();
       for (const auto& i : info) {
-        if (i.matching_count == 0) continue;
-        ++report.sequences_supporting_before;
         if (i.matching_count == kCountSaturated) ++report.saturated_rows;
         for (size_t p = 0; p < num_patterns; ++p) {
           if (i.pattern_support[p]) ++report.supports_before[p];
@@ -366,10 +365,16 @@ Result<SanitizeResult> SanitizeView(
       rng_after_select = rng.SaveState();
       selection_done = true;
 
+      // `info` lists the supporters in row order, and every victim is one
+      // of them: find each victim's entry by binary search.
       victim_support.assign(victims.size() * num_patterns, 0);
       for (size_t i = 0; i < victims.size(); ++i) {
+        const auto entry = std::lower_bound(
+            info.begin(), info.end(), victims[i],
+            [](const SequenceMatchInfo& s, size_t t) { return s.index < t; });
+        SEQHIDE_CHECK(entry != info.end() && entry->index == victims[i]);
         for (size_t p = 0; p < num_patterns; ++p) {
-          if (info[victims[i]].pattern_support[p]) {
+          if (entry->pattern_support[p]) {
             victim_support[i * num_patterns + p] = 1;
           }
         }

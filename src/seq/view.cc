@@ -6,13 +6,9 @@
 namespace seqhide {
 
 DatabaseView::DatabaseView(const SequenceDatabase& db)
-    : num_rows_(db.size()), alphabet_(&db.alphabet()) {
-  rows_.reserve(db.size());
-  for (size_t t = 0; t < db.size(); ++t) {
-    rows_.push_back(SequenceView(db[t]));
-    num_symbols_ += db[t].size();
-  }
-}
+    : sequences_(db.sequences().data()),
+      num_rows_(db.size()),
+      alphabet_(&db.alphabet()) {}
 
 DatabaseView DatabaseView::WithSignatures(
     const std::vector<uint64_t>& signatures) const {
@@ -26,17 +22,18 @@ DatabaseView DatabaseView::WithSignatures(
 
 DatabaseView DatabaseView::Overlay(
     const std::vector<std::pair<size_t, Sequence>>& rows) const {
-  DatabaseView out;
-  out.num_rows_ = num_rows_;
-  out.alphabet_ = alphabet_;
-  out.rows_.reserve(num_rows_);
-  for (size_t t = 0; t < num_rows_; ++t) out.rows_.push_back(row(t));
-  for (const auto& [t, seq] : rows) {
-    SEQHIDE_CHECK(t < num_rows_)
-        << "overlay row " << t << " is out of range for a " << num_rows_
-        << "-row database";
-    out.rows_[t] = SequenceView(seq);
+  SEQHIDE_CHECK(overlay_ == nullptr) << "an overlay view cannot be overlaid";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    SEQHIDE_CHECK(rows[i].first < num_rows_)
+        << "overlay row " << rows[i].first << " is out of range for a "
+        << num_rows_ << "-row database";
+    SEQHIDE_CHECK(i == 0 || rows[i - 1].first < rows[i].first)
+        << "overlay rows must be strictly ascending: row " << rows[i].first
+        << " follows row " << rows[i - 1].first;
   }
+  DatabaseView out = *this;
+  out.signatures_ = nullptr;
+  out.overlay_ = &rows;
   return out;
 }
 

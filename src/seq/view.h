@@ -14,6 +14,7 @@
 #ifndef SEQHIDE_SEQ_VIEW_H_
 #define SEQHIDE_SEQ_VIEW_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -76,13 +77,16 @@ class SequenceView {
 
 // A read-only, row-addressable view over a whole database: either a thin
 // adapter over an in-memory SequenceDatabase or a (columns, row_offsets)
-// pair straight out of a mapped seqhidb file. Row lengths are O(1) from
-// the offset table in both representations.
+// pair straight out of a mapped seqhidb file, optionally with a sparse
+// overlay of replacement rows on top (Overlay()). Row lengths are O(1)
+// from the offset table in both representations, and copying a view is
+// O(1): it holds pointers only.
 class DatabaseView {
  public:
   DatabaseView() = default;
 
-  // Adapter over an in-memory database; O(|D|) pointers, no symbol copies.
+  // Adapter over an in-memory database: points at its rows, O(1), no
+  // copies. The database must not gain or lose rows while viewed.
   explicit DatabaseView(const SequenceDatabase& db);
 
   // Columnar representation: row t spans columns[row_offsets[t] ..
@@ -102,6 +106,9 @@ class DatabaseView {
   bool empty() const { return num_rows_ == 0; }
 
   SequenceView row(size_t t) const {
+    if (overlay_ != nullptr) {
+      if (const Sequence* replaced = OverlayRow(t)) return *replaced;
+    }
     if (row_offsets_ != nullptr) {
       uint64_t begin = row_offsets_[t];
       uint64_t end = row_offsets_[t + 1];
@@ -110,7 +117,7 @@ class DatabaseView {
       if (end > n || end < begin) end = begin;
       return SequenceView(columns_ + begin, static_cast<size_t>(end - begin));
     }
-    return rows_[t];
+    return sequences_[t];
   }
   SequenceView operator[](size_t t) const { return row(t); }
 
@@ -140,16 +147,22 @@ class DatabaseView {
   DatabaseView WithSignatures(const std::vector<uint64_t>& signatures) const;
 
   // This view with `rows[i].second` read in place of row `rows[i].first`
-  // — a sanitize overlay. O(|D|) pointers, no symbol copies: untouched
-  // rows still point into the original storage. Every row index must be
-  // < size(); `rows` must outlive the result. The result carries no
-  // signatures: the overlay rows are not the base rows.
+  // — a sanitize overlay. O(1) and allocation-free: the result keeps this
+  // view's storage and a pointer to `rows`, and row(t) binary-searches
+  // `rows` before falling back to the base, so its cost grows with the
+  // victims, never with |D|. Row indices must be < size() and strictly
+  // ascending; this view must not itself be an overlay; `rows` must
+  // outlive the result. The result carries no signatures: the overlay
+  // rows are not the base rows.
   DatabaseView Overlay(
       const std::vector<std::pair<size_t, Sequence>>& rows) const;
 
  private:
-  // In-memory adapter / overlay state.
-  std::vector<SequenceView> rows_;
+  // The overlay's replacement for row t, or nullptr when t is a base row.
+  const Sequence* OverlayRow(size_t t) const;
+
+  // In-memory adapter state (nullptr when columnar).
+  const Sequence* sequences_ = nullptr;
   // Columnar state (nullptr when adapting an in-memory database).
   const SymbolId* columns_ = nullptr;
   const uint64_t* row_offsets_ = nullptr;
@@ -157,7 +170,22 @@ class DatabaseView {
   size_t num_symbols_ = 0;
   const Alphabet* alphabet_ = nullptr;
   const uint64_t* signatures_ = nullptr;
+  // Sorted (row, replacement) pairs read in place of base rows, or null.
+  const std::vector<std::pair<size_t, Sequence>>* overlay_ = nullptr;
 };
+
+inline const Sequence* DatabaseView::OverlayRow(size_t t) const {
+  const auto& rows = *overlay_;
+  if (rows.empty() || t < rows.front().first || t > rows.back().first) {
+    return nullptr;
+  }
+  const auto it = std::lower_bound(
+      rows.begin(), rows.end(), t,
+      [](const std::pair<size_t, Sequence>& entry, size_t row) {
+        return entry.first < row;
+      });
+  return it->first == t ? &it->second : nullptr;
+}
 
 }  // namespace seqhide
 

@@ -13,6 +13,7 @@
 
 #include "src/common/fault_injection.h"
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 #include "src/constraints/constraints.h"
 #include "src/hide/sanitizer.h"
 #include "src/match/constrained_count.h"
@@ -161,9 +162,6 @@ Result<std::unique_ptr<Server>> Server::Create(const ServerOptions& opts) {
     return Status::InvalidArgument(
         "exactly one of socket_path / tcp_port must be set");
   }
-  if (opts.num_workers == 0) {
-    return Status::InvalidArgument("num_workers must be >= 1");
-  }
   if (opts.admission.queue_limit == 0) {
     return Status::InvalidArgument("queue_limit must be >= 1");
   }
@@ -215,7 +213,9 @@ Status Server::Start() {
   } else {
     SEQHIDE_RETURN_IF_ERROR(listener_.ListenTcp(*opts_.tcp_port));
   }
-  for (size_t i = 0; i < opts_.num_workers; ++i) {
+  const size_t num_workers = ResolveThreadCount(opts_.num_workers);
+  SEQHIDE_GAUGE_SET("serve.workers", static_cast<int64_t>(num_workers));
+  for (size_t i = 0; i < num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });

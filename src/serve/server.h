@@ -74,8 +74,9 @@ struct ServerOptions {
   std::string socket_path;
   std::optional<uint16_t> tcp_port;
 
-  // Worker threads popping the request queue (request-level parallelism).
-  size_t num_workers = 2;
+  // Worker threads popping the request queue (request-level
+  // parallelism). 0 = one per hardware thread (ResolveThreadCount).
+  size_t num_workers = 0;
   // Threads per sanitize/count run (row-sharded stage parallelism,
   // SanitizeOptions::num_threads). 0 = auto.
   size_t num_threads = 1;
@@ -137,6 +138,8 @@ class Server {
   uint16_t port() const { return listener_.port(); }
   const std::string& socket_path() const { return opts_.socket_path; }
   uint64_t db_fingerprint() const { return db_fingerprint_; }
+  // Worker threads Start() spawned (0 before Start and after Join).
+  size_t num_workers() const { return workers_.size(); }
   size_t db_rows() const { return db_.size(); }
 
   ServerStats stats() const;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "tests/test_util.h"
 
 namespace seqhide {
@@ -27,14 +29,18 @@ class GlobalSelectionTest : public ::testing::Test {
 };
 
 TEST_F(GlobalSelectionTest, MatchInfoCountsAndSupports) {
-  ASSERT_EQ(info_.size(), 4u);
+  // Row 3 supports nothing, so it has no entry (global.h).
+  ASSERT_EQ(info_.size(), 3u);
+  EXPECT_EQ(info_[0].index, 0u);
+  EXPECT_EQ(info_[1].index, 1u);
+  EXPECT_EQ(info_[2].index, 2u);
   EXPECT_EQ(info_[0].matching_count, 3u);
   EXPECT_EQ(info_[1].matching_count, 1u);
   EXPECT_EQ(info_[2].matching_count, 2u);
-  EXPECT_EQ(info_[3].matching_count, 0u);
-  EXPECT_TRUE(info_[0].pattern_support[0]);
-  // A non-supporter's per-pattern bits are left empty (global.h).
-  EXPECT_TRUE(info_[3].pattern_support.empty());
+  for (const SequenceMatchInfo& s : info_) {
+    ASSERT_EQ(s.pattern_support.size(), 1u);
+    EXPECT_TRUE(s.pattern_support[0]);
+  }
 }
 
 TEST_F(GlobalSelectionTest, PsiZeroSelectsAllSupporters) {
@@ -72,7 +78,7 @@ TEST_F(GlobalSelectionTest, RandomSelectsRightCountAmongSupporters) {
                                            GlobalStrategy::kRandom, 1, &rng);
   EXPECT_EQ(victims.size(), 2u);
   for (size_t v : victims) {
-    EXPECT_GT(info_[v].matching_count, 0u) << "non-supporter selected";
+    EXPECT_NE(v, 3u) << "non-supporter selected";
   }
 }
 
@@ -127,12 +133,16 @@ TEST(GlobalSelectionRandomizedTest, EveryStrategyKeepsAtMostPsiSupporters) {
     proptest::PropInstance inst = proptest::GenInstance(&rng, gen);
     auto info = ComputeMatchInfo(DatabaseView(inst.db), inst.patterns,
                                  inst.constraints);
-    size_t supporters = 0;
+    std::vector<size_t> supporters;
     for (const SequenceMatchInfo& s : info) {
-      if (s.matching_count > 0) ++supporters;
+      EXPECT_GT(s.matching_count, 0u) << "non-supporter listed";
+      EXPECT_TRUE(supporters.empty() || supporters.back() < s.index)
+          << "supporters out of row order";
+      supporters.push_back(s.index);
     }
     size_t psi = rng.NextBounded(inst.db.size() + 1);
-    size_t expect_victims = supporters > psi ? supporters - psi : 0;
+    size_t expect_victims =
+        supporters.size() > psi ? supporters.size() - psi : 0;
     for (GlobalStrategy strategy :
          {GlobalStrategy::kHeuristic, GlobalStrategy::kRandom,
           GlobalStrategy::kAscendingLength,
@@ -143,7 +153,8 @@ TEST(GlobalSelectionRandomizedTest, EveryStrategyKeepsAtMostPsiSupporters) {
           << "strategy=" << ToString(strategy) << " psi=" << psi << "\n"
           << inst.DebugString();
       for (size_t v : victims) {
-        EXPECT_GT(info[v].matching_count, 0u)
+        EXPECT_TRUE(std::binary_search(supporters.begin(), supporters.end(),
+                                       v))
             << "non-supporter selected by " << ToString(strategy);
       }
     }

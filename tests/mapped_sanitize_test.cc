@@ -193,6 +193,65 @@ TEST(MappedSanitizeTest, OverlayHelpersRejectBadRows) {
   // both the in-memory and the mapped view refuse it.
   EXPECT_DEATH(mapped.view().Overlay(bogus), "out of range");
   EXPECT_DEATH(DatabaseView(db).Overlay(bogus), "out of range");
+  // row() binary-searches the overlay, so its rows must be strictly
+  // ascending: a descending pair or a repeated row is refused too.
+  std::vector<std::pair<size_t, Sequence>> unsorted;
+  unsorted.emplace_back(3, db[0]);
+  unsorted.emplace_back(1, db[0]);
+  EXPECT_DEATH(mapped.view().Overlay(unsorted), "strictly ascending");
+  EXPECT_DEATH(DatabaseView(db).Overlay(unsorted), "strictly ascending");
+  std::vector<std::pair<size_t, Sequence>> duplicate;
+  duplicate.emplace_back(2, db[0]);
+  duplicate.emplace_back(2, db[1]);
+  EXPECT_DEATH(mapped.view().Overlay(duplicate), "strictly ascending");
+  EXPECT_DEATH(DatabaseView(db).Overlay(duplicate), "strictly ascending");
+  // Overlays do not nest.
+  std::vector<std::pair<size_t, Sequence>> one;
+  one.emplace_back(0, db[1]);
+  EXPECT_DEATH(DatabaseView(db).Overlay(one).Overlay(one), "overlaid");
+}
+
+// A sparse overlay reads its replacement rows in place of the base rows
+// and every other row from the base storage, on the in-memory adapter
+// and the columnar mapped view alike, and drops the base's signatures.
+TEST(MappedSanitizeTest, OverlayReadsReplacementsOverBaseRows) {
+  Rng rng(241);
+  SequenceDatabase db = testutil::RandomDb(&rng, 9, 1, 6, 4);
+  MappedDatabase mapped = Map(db);
+  std::vector<uint64_t> signatures(db.size(), ~uint64_t{0});
+  std::vector<std::pair<size_t, Sequence>> rows;
+  for (size_t t : {0u, 4u, 8u}) {
+    Sequence marked = db[t];
+    marked.Mark(0);
+    rows.emplace_back(t, std::move(marked));
+  }
+  const std::vector<std::pair<size_t, Sequence>> none;
+  for (const DatabaseView& base :
+       {DatabaseView(db).WithSignatures(signatures),
+        mapped.view().WithSignatures(signatures)}) {
+    const DatabaseView view = base.Overlay(rows);
+    ASSERT_EQ(view.size(), db.size());
+    EXPECT_EQ(&view.alphabet(), &base.alphabet());
+    EXPECT_EQ(view.signatures(), nullptr);
+    size_t next = 0;
+    for (size_t t = 0; t < db.size(); ++t) {
+      if (next < rows.size() && rows[next].first == t) {
+        EXPECT_EQ(view.row(t).Materialize(), rows[next].second) << t;
+        EXPECT_EQ(view.row(t).data(), rows[next].second.symbols().data())
+            << "overlay row " << t << " is read in place";
+        ++next;
+      } else {
+        EXPECT_EQ(view.row(t).Materialize(), db[t]) << t;
+        EXPECT_EQ(view.row(t).data(), base.row(t).data())
+            << "base row " << t << " is read in place";
+      }
+    }
+    const DatabaseView empty = base.Overlay(none);
+    EXPECT_EQ(empty.signatures(), nullptr);
+    for (size_t t = 0; t < db.size(); ++t) {
+      EXPECT_EQ(empty.row(t).data(), base.row(t).data()) << t;
+    }
+  }
 }
 
 }  // namespace

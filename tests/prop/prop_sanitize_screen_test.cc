@@ -14,7 +14,9 @@
 // The instances cover what a screen can get wrong: alphabets above 64
 // symbols (distinct symbols share a bit), rows that already hold Δ (Δ
 // shares bit 0 with symbol 63), constraints, per-pattern ψ, and a budget
-// stop followed by a resume from the checkpoint it left.
+// stop followed by a resume from the checkpoint it left. A second
+// property runs SanitizeView on large, mostly screened-out databases at
+// several thread counts against Sanitize() on the materialized rows.
 
 #include <gtest/gtest.h>
 
@@ -196,6 +198,93 @@ TEST(SanitizeScreenProps, SignatureSourceNeverChangesARun) {
     }
     return std::string();
   }));
+}
+
+// Large databases the screen mostly rejects: short rows over a wide
+// alphabet, patterns of two or more symbols. The count stage then keeps
+// state for a few supporters and the overlay for a few victims, so this
+// is where a slip in mapping supporter positions back to rows, or in the
+// overlay's row lookup, would show.
+GenOptions SparseGen() {
+  GenOptions gen;
+  gen.min_sequences = 200;
+  gen.max_sequences = 2000;
+  gen.min_length = 1;
+  gen.max_length = 10;
+  gen.min_alphabet = 16;
+  gen.max_alphabet = 48;
+  gen.delta_density = 0.05;
+  gen.min_pattern_length = 2;
+  gen.max_patterns = 3;
+  return gen;
+}
+
+// Small thresholds, so most supporters become victims; per-pattern ψ on
+// a third of the cases.
+SanitizeOptions SparseOptions(const PropInstance& inst) {
+  SanitizeOptions opts = inst.options;
+  opts.psi = inst.options.seed % 3;
+  opts.per_pattern_psi.clear();
+  if (inst.options.seed % 3 == 1) {
+    for (size_t p = 0; p < inst.patterns.size(); ++p) {
+      opts.per_pattern_psi.push_back((inst.options.seed >> (8 * p)) % 3);
+    }
+  }
+  return opts;
+}
+
+TEST(SanitizeScreenProps, SparseStateMatchesMaterializedSanitize) {
+  PropConfig config;
+  config.name = "sanitize/sparse-state-vs-materialized";
+  config.seed = 0x5ba75e;
+  config.cases = 40;
+  config.gen = SparseGen();
+  size_t all_pairs = 0;
+  size_t admitted_pairs = 0;
+  EXPECT_PROP_OK(CheckProperty(config, [&](const PropInstance& inst) {
+    auto bytes = WriteBinaryDatabaseToString(inst.db);
+    if (!bytes.ok()) return "write failed: " + bytes.status().ToString();
+    auto image = MappedDatabase::FromBuffer(*bytes, {});
+    if (!image.ok()) return "open failed: " + image.status().ToString();
+    std::vector<uint64_t> built;
+    Status valid = image->ValidateRows(&built);
+    if (!valid.ok()) return "ValidateRows: " + valid.ToString();
+    const DatabaseView view = image->view().WithSignatures(built);
+
+    for (const size_t threads : {1u, 2u, 8u}) {
+      SanitizeOptions opts = SparseOptions(inst);
+      opts.num_threads = threads;
+      const std::string what = "threads=" + std::to_string(threads);
+      const RunOutcome run = RunOn(view, inst, opts);
+      SequenceDatabase materialized = inst.db;
+      auto expected =
+          Sanitize(&materialized, inst.patterns, inst.constraints, opts);
+      if (run.status.code() != expected.status().code()) {
+        return what + ": status " + run.status.ToString() + " vs " +
+               expected.status().ToString();
+      }
+      if (!run.status.ok()) continue;
+      const std::string diff = ReportDiff(run.report, *expected);
+      if (!diff.empty()) return what + ": report " + diff;
+      if (run.report.count_rows != expected->count_rows) {
+        return what + ": count_rows " + std::to_string(run.report.count_rows) +
+               " vs " + std::to_string(expected->count_rows);
+      }
+      if (run.text != WriteDatabaseToString(materialized)) {
+        return what + ": outputs differ";
+      }
+      if (threads == 1) {
+        all_pairs += inst.db.size() * inst.patterns.size();
+        admitted_pairs += run.report.count_rows;
+      }
+    }
+    return std::string();
+  }));
+  // The generator is tuned so the screen rejects most (row, pattern)
+  // pairs; if it stopped doing so, this property would no longer test
+  // the sparse case.
+  EXPECT_LT(2 * admitted_pairs, all_pairs)
+      << admitted_pairs << " of " << all_pairs << " pairs admitted";
 }
 
 }  // namespace

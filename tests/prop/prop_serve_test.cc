@@ -237,7 +237,8 @@ TEST(ServeProps, AnswersEqualDirectKernelsOnTextAndBinaryImages) {
   PropConfig config;
   config.name = "serve/answers-equal-kernels";
   config.seed = 0x5e7e51;
-  // Each case boots six real servers (two images × three worker counts)
+  // Each case boots eight real servers (two images × four worker counts,
+  // 0 = one per hardware thread)
   // and plays the volley twice on each — fewer, richer cases.
   config.cases = 20;
   config.gen = ServeGen();
@@ -267,7 +268,7 @@ TEST(ServeProps, AnswersEqualDirectKernelsOnTextAndBinaryImages) {
           {binary_path, &*binary_image}}) {
       auto want = ExpectedValues(*image, volley);
       if (!want.ok()) return "expected: " + want.status().ToString();
-      for (const size_t workers : {1u, 2u, 8u}) {
+      for (const size_t workers : {0u, 1u, 2u, 8u}) {
         const std::string tag = path.substr(path.rfind('.')) +
                                 " workers=" + std::to_string(workers);
         const std::string socket =

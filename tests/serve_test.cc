@@ -23,8 +23,10 @@
 #include <vector>
 
 #include "src/common/fault_injection.h"
+#include "src/common/thread_pool.h"
 #include "src/constraints/constraints.h"
 #include "src/hide/sanitizer.h"
+#include "src/obs/metrics.h"
 #include "src/seq/binary_format.h"
 #include "src/seq/io.h"
 #include "src/serve/admission.h"
@@ -373,6 +375,34 @@ TEST_F(ServerTest, PingAndQueriesEndToEnd) {
   server->Join();
   // Pings answer inline without touching the worker-side counters.
   EXPECT_EQ(server->stats().requests_ok, 3u);
+}
+
+TEST_F(ServerTest, ZeroWorkersStartsOnePerHardwareThread) {
+  ServerOptions opts = BaseOptions();
+  opts.num_workers = 0;
+  auto server = StartServer(opts);
+  ASSERT_NE(server, nullptr);
+  EXPECT_EQ(server->num_workers(), ResolveThreadCount(0));
+#if !defined(SEQHIDE_OBS_DISABLED)
+  EXPECT_EQ(obs::MetricsRegistry::Default().Snapshot().gauges.at(
+                "serve.workers"),
+            static_cast<int64_t>(ResolveThreadCount(0)));
+#endif
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  Request sup;
+  sup.id = 1;
+  sup.method = Method::kSupport;
+  sup.patterns = {"a -> b"};
+  auto answered = client->Call(sup);
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_EQ(answered->status, "ok");
+  ASSERT_EQ(answered->values.size(), 1u);
+  EXPECT_EQ(answered->values[0], 4u);
+
+  server->RequestDrain();
+  server->Join();
+  EXPECT_EQ(server->num_workers(), 0u);
 }
 
 TEST_F(ServerTest, SanitizeMatchesDirectLibraryRun) {

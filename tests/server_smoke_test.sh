@@ -4,7 +4,8 @@
 # armed, and assert the no-silent-drop contract: every request ends in an
 # ok response or an explicit shed/deadline status (loadgen exits 0),
 # SIGTERM drains cleanly, the ledger holds the full audit trail, and the
-# served database file is untouched.
+# served database file is untouched. Then a second server at the default
+# worker count answers a sanitize under load with the CLI's exact bytes.
 #
 # Usage: server_smoke_test.sh SERVER LOADGEN CLI on|off
 set -eu
@@ -16,7 +17,7 @@ FAULTS="${4:-on}"
 
 WORK="${TMPDIR:-/tmp}/seqhide_server_smoke_$$"
 mkdir -p "$WORK"
-trap 'kill -9 "${SRV_PID:-0}" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+trap 'for p in ${SRV_PID:-} ${LOAD_PID:-}; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$WORK"' EXIT
 
 : > "$WORK/db.txt"
 i=0
@@ -89,5 +90,40 @@ grep -q '"type":"request"' "$WORK/ledger.jsonl" \
 # Serving never mutates the database image.
 cmp -s "$WORK/db.hidb" "$WORK/db.hidb.orig" \
     || { echo "FAIL: served database file changed"; exit 1; }
+
+# Sanitize under load at the default worker count (one per hardware
+# thread): a support loadgen keeps the workers busy while one HH sanitize
+# runs beside it, and the file the server writes must equal the CLI's
+# sanitize of the same fixture, patterns and psi byte for byte.
+"$SERVER" --db "$WORK/db.hidb" --socket "$WORK/d.sock" \
+    > "$WORK/server_default.out" 2>/dev/null &
+SRV_PID=$!
+TRIES=0
+while ! grep -q "^listening" "$WORK/server_default.out" 2>/dev/null; do
+  kill -0 "$SRV_PID" 2>/dev/null || { echo "FAIL: server died"; exit 1; }
+  TRIES=$((TRIES + 1))
+  [ "$TRIES" -gt 600 ] && { echo "FAIL: server never listened"; exit 1; }
+  sleep 0.05
+done
+"$LOADGEN" --socket "$WORK/d.sock" --method support \
+    --pattern "a -> b" --pattern "b -> c -> a" \
+    --concurrency 4 --duration-ms 1500 > "$WORK/loadgen_bg.out" &
+LOAD_PID=$!
+sleep 0.2
+echo '{"id":7,"method":"sanitize","patterns":["a -> b -> c","c -> a"],"psi":10,"algo":"HH","out":"'"$WORK"'/sanitized_server.txt"}' \
+    > "$WORK/sanitize.json"
+"$LOADGEN" --socket "$WORK/d.sock" --one "$WORK/sanitize.json" \
+    > "$WORK/sanitize.out"
+grep -q '"status":"ok"' "$WORK/sanitize.out" \
+    || { echo "FAIL: sanitize under load not ok"; cat "$WORK/sanitize.out"; exit 1; }
+wait "$LOAD_PID" || { echo "FAIL: background loadgen failed"; exit 1; }
+grep -q "hard=0" "$WORK/loadgen_bg.out" \
+    || { echo "FAIL: hard failures beside the sanitize"; exit 1; }
+kill -TERM "$SRV_PID"
+wait "$SRV_PID" 2>/dev/null || true
+"$CLI" sanitize --db "$WORK/db.txt" --out "$WORK/sanitized_cli.txt" \
+    --pattern "a -> b -> c" --pattern "c -> a" --psi 10 --algo HH > /dev/null
+cmp "$WORK/sanitized_server.txt" "$WORK/sanitized_cli.txt" \
+    || { echo "FAIL: server sanitize under load differs from the CLI"; exit 1; }
 
 echo "server smoke test passed"

@@ -12,8 +12,10 @@
 //
 // Serves newline-delimited JSON requests (src/serve/protocol.h) on a
 // Unix-domain socket or loopback TCP port (--port 0 lets the kernel
-// pick; the chosen port is printed). On startup, leftover durable jobs
-// in --state-dir are re-run to completion before the endpoint binds.
+// pick; the chosen port is printed). --workers N request workers run
+// side by side; 0 (the default) starts one per hardware thread. On
+// startup, leftover durable jobs in --state-dir are re-run to completion
+// before the endpoint binds.
 //
 // The first stdout line once the server is ready is
 //   listening <endpoint>
@@ -130,7 +132,9 @@ void Usage() {
          "           [--state-dir DIR] [--round-size N]\n"
          "           [--checkpoint-every N] [--ledger FILE]\n"
          "           [--metrics-prom FILE] [--telemetry-interval-ms MS]\n"
-         "           [--inject-fault site:k,...]\n";
+         "           [--inject-fault site:k,...]\n"
+         "  --workers N  request worker threads; 0 (default) = one per\n"
+         "               hardware thread\n";
 }
 
 int Run(int argc, char** argv) {
