@@ -2,17 +2,20 @@
 // motivated by the border-based hiding literature of §2): fraction of the
 // positive border Bd+(F(D,σ)) destroyed by sanitization, versus ψ, for the
 // four algorithms on TRUCKS (σ = max(ψ,1), mining capped at length 4).
-// F(D,σ) is mined once per ψ; each sanitized copy's F(D',σ) is derived
-// from it (src/mine/marked_supports.h).
+// F(D,σ) is mined once per ψ and its border found by one-symbol
+// deletions; each sanitized copy's supports are derived from F(D,σ)
+// (FrequentPatternSet::SupportsAfter, src/mine/pattern_set.h) and read
+// at the border's indices.
 
 #include <iomanip>
 #include <iostream>
+#include <vector>
 
 #include "src/data/workload.h"
 #include "src/eval/bench_harness.h"
 #include "src/eval/border.h"
 #include "src/hide/sanitizer.h"
-#include "src/mine/marked_supports.h"
+#include "src/mine/pattern_set.h"
 #include "src/mine/prefix_span.h"
 
 namespace seqhide {
@@ -21,6 +24,7 @@ namespace {
 void Run(const bench::SectionRun& run) {
   bench::SectionOutput out(run);
   ExperimentWorkload w = MakeTrucksWorkload();
+  const DatabaseView original(w.db);
   out.out() << "workload " << w.name << ": |D|=" << w.db.size() << "\n\n";
   out.out() << "== Border damage vs psi (sigma = psi), TRUCKS ==\n";
   out.out() << std::setw(6) << "psi" << std::setw(10) << "|Bd+|";
@@ -38,10 +42,8 @@ void Run(const bench::SectionRun& run) {
       return;
     }
     // Miner output is downward closed within the length cap, so the
-    // insertion-based fast path applies.
-    FrequentPatternSet border = PositiveBorderOfClosedSet(*before);
-    // F(D', σ) ⊆ F(D, σ): each run derives it instead of mining D'.
-    MarkedSupports derive(*before, w.db);
+    // deletion-based border applies.
+    const std::vector<size_t> border = PositiveBorderOfClosedSet(*before);
     out.out() << std::setw(6) << psi << std::setw(10) << border.size();
 
     SanitizeOptions configs[] = {SanitizeOptions::HH(),
@@ -57,19 +59,19 @@ void Run(const bench::SectionRun& run) {
         SanitizeOptions opts = base;
         opts.psi = psi;
         opts.seed = 3000 + rep;
-        SequenceDatabase db = w.db;
-        auto report = Sanitize(&db, w.sensitive, opts);
-        if (!report.ok()) {
-          out.out() << "\nerror: " << report.status() << "\n";
+        auto sanitized = SanitizeView(original, w.sensitive, {}, opts);
+        if (!sanitized.ok()) {
+          out.out() << "\nerror: " << sanitized.status() << "\n";
           return;
         }
-        auto supports_after = derive.SupportsAfter(db);
+        // F(D', σ) ⊆ F(D, σ): each run derives it instead of mining D'.
+        auto supports_after = before->SupportsAfter(
+            original, original.Overlay(sanitized->overlay));
         if (!supports_after.ok()) {
           out.out() << "\nderive error: " << supports_after.status() << "\n";
           return;
         }
-        auto damage = BorderDamageAgainst(
-            border, FrequentAfterMarking(*before, *supports_after, psi));
+        auto damage = MeasureBorderDamage(border, *supports_after, psi);
         total += damage.ok() ? *damage : 0.0;
       }
       out.out() << std::setw(10) << std::fixed << std::setprecision(4)

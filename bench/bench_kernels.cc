@@ -27,8 +27,8 @@
 #include "src/match/prefix_table.h"
 #include "src/match/scratch.h"
 #include "src/match/subsequence.h"
-#include "src/mine/level_wise.h"
 #include "src/mine/prefix_span.h"
+#include "src/testing/level_wise.h"
 
 namespace seqhide {
 namespace {
@@ -345,7 +345,7 @@ void BM_MineLevelWiseTrucks(benchmark::State& state) {
   opts.min_support = static_cast<size_t>(state.range(0));
   opts.max_length = 6;
   for (auto _ : state) {
-    auto result = MineFrequentSequencesLevelWise(w.db, opts);
+    auto result = proptest::MineFrequentSequencesLevelWise(w.db, opts);
     benchmark::DoNotOptimize(result.ok());
   }
 }

@@ -13,7 +13,7 @@
 #include "src/eval/metrics.h"
 #include "src/hide/sanitizer.h"
 #include "src/match/subsequence.h"
-#include "src/mine/marked_supports.h"
+#include "src/mine/pattern_set.h"
 #include "src/mine/prefix_span.h"
 
 int main() {
@@ -64,17 +64,17 @@ int main() {
   // 4. What does the released data still support? Marking only removes
   //    embeddings, so F(released) is derived from F(original) without a
   //    second mining pass.
-  MarkedSupports frequent(*before, workload.db);
-  Result<std::vector<size_t>> supports_after = frequent.SupportsAfter(released);
+  Result<std::vector<size_t>> supports_after = before->SupportsAfter(
+      DatabaseView(workload.db), DatabaseView(released));
   if (!supports_after.ok()) {
     std::cerr << "support derivation failed: " << supports_after.status()
               << "\n";
     return 1;
   }
-  Result<double> m2 = MeasureM2(frequent.supports_before(), *supports_after,
-                                miner.min_support);
-  Result<double> m3 = MeasureM3(frequent.supports_before(), *supports_after,
-                                miner.min_support);
+  Result<double> m2 =
+      MeasureM2(before->supports(), *supports_after, miner.min_support);
+  Result<double> m3 =
+      MeasureM3(before->supports(), *supports_after, miner.min_support);
   std::cout << "\nrelease quality:\n";
   std::cout << "  M1 (cells marked)             : " << MeasureM1(released)
             << "\n";

@@ -1,77 +1,44 @@
 #include "src/eval/border.h"
 
-#include <vector>
+#include <algorithm>
+#include <utility>
 
 #include "src/match/subsequence.h"
 
 namespace seqhide {
+namespace {
+
+Result<double> LostFraction(size_t lost, size_t border_size) {
+  if (border_size == 0) {
+    return Status::FailedPrecondition(
+        "border damage undefined: the original positive border is empty");
+  }
+  return static_cast<double>(lost) / static_cast<double>(border_size);
+}
+
+}  // namespace
 
 FrequentPatternSet PositiveBorder(const FrequentPatternSet& frequent) {
   // A pattern can only be dominated by a strictly longer pattern, so
   // bucket by length and test against longer buckets only.
-  std::vector<std::pair<const Sequence*, size_t>> patterns;
+  std::vector<std::pair<Sequence, size_t>> patterns;
   size_t max_len = 0;
-  for (const auto& [pattern, support] : frequent.patterns()) {
-    patterns.emplace_back(&pattern, support);
+  frequent.ForEach([&](const std::vector<SymbolId>& pattern, size_t support) {
+    patterns.emplace_back(Sequence(pattern), support);
     max_len = std::max(max_len, pattern.size());
-  }
+  });
   std::vector<std::vector<const Sequence*>> by_length(max_len + 1);
   for (const auto& [pattern, support] : patterns) {
     (void)support;
-    by_length[pattern->size()].push_back(pattern);
+    by_length[pattern.size()].push_back(&pattern);
   }
 
   FrequentPatternSet border;
   for (const auto& [pattern, support] : patterns) {
     bool maximal = true;
-    for (size_t len = pattern->size() + 1; len <= max_len && maximal;
-         ++len) {
+    for (size_t len = pattern.size() + 1; len <= max_len && maximal; ++len) {
       for (const Sequence* longer : by_length[len]) {
-        if (IsSubsequence(*pattern, *longer)) {
-          maximal = false;
-          break;
-        }
-      }
-    }
-    if (maximal) border.Add(*pattern, support);
-  }
-  return border;
-}
-
-FrequentPatternSet PositiveBorderOfClosedSet(
-    const FrequentPatternSet& frequent) {
-  // Symbols present anywhere in the collection.
-  std::vector<SymbolId> symbols;
-  {
-    std::vector<bool> seen;
-    for (const auto& [pattern, support] : frequent.patterns()) {
-      (void)support;
-      for (size_t i = 0; i < pattern.size(); ++i) {
-        size_t id = static_cast<size_t>(pattern[i]);
-        if (id >= seen.size()) seen.resize(id + 1, false);
-        seen[id] = true;
-      }
-    }
-    for (size_t id = 0; id < seen.size(); ++id) {
-      if (seen[id]) symbols.push_back(static_cast<SymbolId>(id));
-    }
-  }
-
-  FrequentPatternSet border;
-  for (const auto& [pattern, support] : frequent.patterns()) {
-    bool maximal = true;
-    // Try every single-symbol insertion; downward closure guarantees a
-    // dominating super-pattern implies one of these is present.
-    for (size_t pos = 0; pos <= pattern.size() && maximal; ++pos) {
-      for (SymbolId symbol : symbols) {
-        std::vector<SymbolId> extended;
-        extended.reserve(pattern.size() + 1);
-        for (size_t i = 0; i < pos; ++i) extended.push_back(pattern[i]);
-        extended.push_back(symbol);
-        for (size_t i = pos; i < pattern.size(); ++i) {
-          extended.push_back(pattern[i]);
-        }
-        if (frequent.Contains(Sequence(std::move(extended)))) {
+        if (IsSubsequence(pattern, *longer)) {
           maximal = false;
           break;
         }
@@ -82,26 +49,47 @@ FrequentPatternSet PositiveBorderOfClosedSet(
   return border;
 }
 
+std::vector<size_t> PositiveBorderOfClosedSet(
+    const FrequentPatternSet& frequent) {
+  std::vector<bool> dominated(frequent.size(), false);
+  std::vector<SymbolId> deletion;
+  frequent.ForEach([&](const std::vector<SymbolId>& pattern, size_t) {
+    for (size_t i = 0; i < pattern.size(); ++i) {
+      // Deleting either of two equal neighbours leaves the same pattern.
+      if (i > 0 && pattern[i] == pattern[i - 1]) continue;
+      deletion.assign(pattern.begin(), pattern.begin() + i);
+      deletion.insert(deletion.end(), pattern.begin() + i + 1, pattern.end());
+      const size_t k = frequent.IndexOf(deletion);
+      if (k != FrequentPatternSet::kNotFound) dominated[k] = true;
+    }
+  });
+  std::vector<size_t> border;
+  for (size_t k = 0; k < dominated.size(); ++k) {
+    if (!dominated[k]) border.push_back(k);
+  }
+  return border;
+}
+
+Result<double> MeasureBorderDamage(const std::vector<size_t>& border,
+                                   const std::vector<size_t>& supports_after,
+                                   size_t min_support) {
+  size_t lost = 0;
+  for (size_t k : border) {
+    if (k >= supports_after.size()) {
+      return Status::InvalidArgument(
+          "border index past the supports of F(D, sigma)");
+    }
+    if (supports_after[k] < min_support) ++lost;
+  }
+  return LostFraction(lost, border.size());
+}
+
 Result<double> MeasureBorderDamage(
     const FrequentPatternSet& frequent_original,
     const FrequentPatternSet& frequent_sanitized) {
-  return BorderDamageAgainst(PositiveBorder(frequent_original),
-                             frequent_sanitized);
-}
-
-Result<double> BorderDamageAgainst(
-    const FrequentPatternSet& border,
-    const FrequentPatternSet& frequent_sanitized) {
-  if (border.empty()) {
-    return Status::FailedPrecondition(
-        "border damage undefined: the original positive border is empty");
-  }
-  size_t lost = 0;
-  for (const auto& [pattern, support] : border.patterns()) {
-    (void)support;
-    if (!frequent_sanitized.Contains(pattern)) ++lost;
-  }
-  return static_cast<double>(lost) / static_cast<double>(border.size());
+  const FrequentPatternSet border = PositiveBorder(frequent_original);
+  return LostFraction(border.CountMissingFrom(frequent_sanitized),
+                      border.size());
 }
 
 }  // namespace seqhide

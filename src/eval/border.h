@@ -10,6 +10,9 @@
 #ifndef SEQHIDE_EVAL_BORDER_H_
 #define SEQHIDE_EVAL_BORDER_H_
 
+#include <cstddef>
+#include <vector>
+
 #include "src/common/result.h"
 #include "src/mine/pattern_set.h"
 
@@ -17,28 +20,27 @@ namespace seqhide {
 
 // The positive border Bd+ of a frequent pattern collection: members with
 // no proper frequent super-pattern (by the subsequence relation) in the
-// collection. Quadratic in the collection size (evaluation-path code).
+// collection. Quadratic in the collection size (the tests' reference).
 FrequentPatternSet PositiveBorder(const FrequentPatternSet& frequent);
 
-// Fast positive border for *downward-closed* collections (every
-// subsequence of a member within the mining length cap is a member —
-// exactly what MineFrequentSequences produces): P is non-maximal iff some
-// single-symbol insertion into P is in the collection, so the test is
-// |P|+1 times |Σ| membership lookups instead of a quadratic scan.
-// Agrees with PositiveBorder on closed inputs (tested); meaningless on
-// arbitrary collections.
-FrequentPatternSet PositiveBorderOfClosedSet(
+// Bd+ as ascending canonical indices into `frequent`, which must be
+// downward closed within its length window, as every miner output is. A
+// member is then dominated iff it is a one-symbol deletion of another
+// member, so each member's |P| deletions are looked up and flagged.
+// Agrees with PositiveBorder there (tested).
+std::vector<size_t> PositiveBorderOfClosedSet(
     const FrequentPatternSet& frequent);
 
-// Border damage against a precomputed border (avoids recomputing Bd+ for
-// every sanitized variant in a sweep). `border` must be the positive
-// border of the original collection.
-Result<double> BorderDamageAgainst(const FrequentPatternSet& border,
-                                   const FrequentPatternSet& frequent_sanitized);
+// Fraction of `border` (as PositiveBorderOfClosedSet returns it) whose
+// support in `supports_after` (sup_D′ of F(D,σ), in canonical order, as
+// MeasureM2 takes it) fell below `min_support`. FailedPrecondition when
+// the border is empty; InvalidArgument when an index is out of range.
+Result<double> MeasureBorderDamage(const std::vector<size_t>& border,
+                                   const std::vector<size_t>& supports_after,
+                                   size_t min_support);
 
-// Fraction of the original positive border whose patterns fell out of
-// F(D',σ). 0 = border intact, 1 = border destroyed. Errors when the
-// original border is empty (nothing was frequent).
+// The same from two mined sets: the fraction of
+// PositiveBorder(frequent_original) absent from frequent_sanitized.
 Result<double> MeasureBorderDamage(
     const FrequentPatternSet& frequent_original,
     const FrequentPatternSet& frequent_sanitized);

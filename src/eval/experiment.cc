@@ -8,7 +8,7 @@
 #include "src/common/logging.h"
 #include "src/eval/metrics.h"
 #include "src/hide/sanitizer.h"
-#include "src/mine/marked_supports.h"
+#include "src/mine/pattern_set.h"
 #include "src/mine/prefix_span.h"
 
 namespace seqhide {
@@ -55,20 +55,20 @@ Result<SweepResult> RunSweep(const ExperimentWorkload& workload,
       options.algorithms.size(),
       std::vector<SweepCell>(options.psi_values.size(), SweepCell{}));
 
+  const DatabaseView original(workload.db);
   for (size_t pi = 0; pi < options.psi_values.size(); ++pi) {
     const size_t psi = options.psi_values[pi];
     const size_t sigma = std::max<size_t>(psi, 1);
 
     // F(D, σ) is mined once and shared by every run at this ψ: each run
     // derives its F(D', σ) ⊆ F(D, σ) from it instead of mining D'.
-    std::optional<MarkedSupports> frequent_original;
+    std::optional<FrequentPatternSet> frequent_original;
     if (options.compute_pattern_measures) {
       MinerOptions miner;
       miner.min_support = sigma;
       miner.max_length = options.miner_max_length;
-      SEQHIDE_ASSIGN_OR_RETURN(FrequentPatternSet frequent,
+      SEQHIDE_ASSIGN_OR_RETURN(frequent_original,
                                MineFrequentSequences(workload.db, miner));
-      frequent_original.emplace(frequent, workload.db);
     }
 
     for (size_t ai = 0; ai < options.algorithms.size(); ++ai) {
@@ -82,8 +82,6 @@ Result<SweepResult> RunSweep(const ExperimentWorkload& workload,
       size_t m3_runs = 0;
 
       for (size_t run = 0; run < runs; ++run) {
-        SequenceDatabase copy = workload.db;
-
         SanitizeOptions opts;
         opts.local = alg.local;
         opts.global = alg.global;
@@ -94,16 +92,18 @@ Result<SweepResult> RunSweep(const ExperimentWorkload& workload,
         if (!alg.constraint.IsUnconstrained()) {
           constraints.assign(workload.sensitive.size(), alg.constraint);
         }
+        // The sanitized copy is read through the overlay; D is not copied.
         SEQHIDE_ASSIGN_OR_RETURN(
-            SanitizeReport report,
-            Sanitize(&copy, workload.sensitive, constraints, opts));
-        m1_sum += static_cast<double>(report.marks_introduced);
+            SanitizeResult sanitized,
+            SanitizeView(original, workload.sensitive, constraints, opts));
+        m1_sum += static_cast<double>(sanitized.report.marks_introduced);
 
         if (frequent_original.has_value()) {
-          const std::vector<size_t>& before =
-              frequent_original->supports_before();
-          SEQHIDE_ASSIGN_OR_RETURN(std::vector<size_t> after,
-                                   frequent_original->SupportsAfter(copy));
+          const std::vector<size_t>& before = frequent_original->supports();
+          SEQHIDE_ASSIGN_OR_RETURN(
+              std::vector<size_t> after,
+              frequent_original->SupportsAfter(
+                  original, original.Overlay(sanitized.overlay)));
           SEQHIDE_RETURN_IF_ERROR(AddMeasure(
               MeasureM2(before, after, sigma), &m2_sum, &m2_runs));
           SEQHIDE_RETURN_IF_ERROR(AddMeasure(

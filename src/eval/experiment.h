@@ -74,8 +74,9 @@ struct SweepResult {
   std::vector<std::vector<SweepCell>> cells;
 };
 
-// Runs the sweep. The workload database is copied per run; the input
-// workload is never modified. A run whose M2 or M3 is undefined
+// Runs the sweep. Each run sanitizes a read-only view of the workload
+// database (SanitizeView) and reads its result through the overlay, so
+// the database is neither copied nor modified. A run whose M2 or M3 is undefined
 // (FailedPrecondition: F(D, σ) or F(D', σ) empty) is left out of that
 // cell's average, and the cell is NaN when no run defines it; any other
 // measure error breaks an invariant and is returned.

@@ -8,10 +8,11 @@
 //
 // Marking never increases a support, so F(D',σ) ⊆ F(D,σ) and both M2 and
 // M3 lie in [0, 1]. M2/M3 are therefore computed without mining D′: only
-// F(D,σ) is mined, MarkedSupports (src/mine/marked_supports.h) re-checks
-// its patterns on the rows that gained a Δ, and F(D',σ) is the patterns
-// whose derived support stays ≥ σ. The set-based forms over a
-// mined F(D',σ) are kept as test oracles in src/testing/set_metrics.h.
+// F(D,σ) is mined, FrequentPatternSet::SupportsAfter
+// (src/mine/pattern_set.h) re-checks its patterns on the rows that gained
+// a Δ, and F(D',σ) is the patterns whose derived support stays ≥ σ. The
+// set-based forms over a mined F(D',σ) are kept as test oracles in
+// src/testing/set_metrics.h.
 
 #ifndef SEQHIDE_EVAL_METRICS_H_
 #define SEQHIDE_EVAL_METRICS_H_
@@ -28,7 +29,8 @@ namespace seqhide {
 size_t MeasureM1(const SequenceDatabase& sanitized);
 
 // M2 and M3 from the supports of F(D,σ)'s patterns in D and in D′,
-// parallel and in canonical order (as MarkedSupports provides them).
+// parallel and in canonical order (FrequentPatternSet::supports() and
+// SupportsAfter()).
 // F(D′,σ) is the patterns whose support in D′ is ≥ `min_support`; the
 // sums run in canonical order, so the doubles equal those of the
 // set-based measures on a mined F(D′,σ) bit for bit.

@@ -1,5 +1,7 @@
 #include "src/mine/constrained_miner.h"
 
+#include <vector>
+
 #include "src/match/constrained_count.h"
 
 namespace seqhide {
@@ -17,16 +19,16 @@ Result<FrequentPatternSet> MineConstrainedFrequentSequences(
   SEQHIDE_ASSIGN_OR_RETURN(FrequentPatternSet candidates,
                            MineFrequentSequences(db, opts));
   FrequentPatternSet result;
-  for (const auto& [pattern, unconstrained_support] : candidates.patterns()) {
-    (void)unconstrained_support;
+  candidates.ForEach([&](const std::vector<SymbolId>& symbols, size_t) {
     // A window must be able to fit the pattern; skip impossible lengths.
     if (uniform_spec.HasWindow() &&
-        *uniform_spec.max_window() < pattern.size()) {
-      continue;
+        *uniform_spec.max_window() < symbols.size()) {
+      return;
     }
+    const Sequence pattern(symbols);
     size_t support = ConstrainedSupport(pattern, uniform_spec, db);
     if (support >= opts.min_support) result.Add(pattern, support);
-  }
+  });
   return result;
 }
 

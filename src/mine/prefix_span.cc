@@ -129,7 +129,7 @@ class PrefixSpanMiner {
               "frequent pattern count exceeded max_patterns cap");
           break;
         }
-        result_.Add(Sequence(prefix_), support);
+        result_.Add(prefix_, support);
       }
       if (!leaves) status = Grow(depth + 1, buckets[sym]);
       prefix_.pop_back();

@@ -3,10 +3,11 @@
 // a memory-mapped seqhidb column section (src/seq/binary_format.h).
 //
 // SequenceView is the haystack type accepted by every matching kernel in
-// src/match/: a (pointer, length) pair over SymbolId. A Sequence converts
-// implicitly, so existing call sites keep working unchanged; a mapped
-// database hands out views directly into the file's columnar storage, so
-// the kernels run without copying a single symbol.
+// src/match/: a (pointer, length) pair over SymbolId. A Sequence (or a
+// std::vector<SymbolId>) converts implicitly, so existing call sites keep
+// working unchanged; a mapped database hands out views directly into the
+// file's columnar storage, so the kernels run without copying a single
+// symbol.
 //
 // Views borrow. The underlying Sequence, SequenceDatabase, or mapping
 // must outlive every view taken from it.
@@ -36,9 +37,12 @@ class SequenceView {
       : data_(data), size_(size) {}
 
   // Implicit: lets every kernel that takes a SequenceView haystack keep
-  // accepting a Sequence at the call site.
+  // accepting a Sequence (or a bare symbol vector) at the call site.
   SequenceView(const Sequence& seq)  // NOLINT(google-explicit-constructor)
       : data_(seq.symbols().data()), size_(seq.size()) {}
+  SequenceView(  // NOLINT(google-explicit-constructor)
+      const std::vector<SymbolId>& symbols)
+      : data_(symbols.data()), size_(symbols.size()) {}
 
   constexpr size_t size() const { return size_; }
   constexpr bool empty() const { return size_ == 0; }

@@ -1,11 +1,14 @@
-#include "src/mine/level_wise.h"
+#include "src/testing/level_wise.h"
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/match/subsequence.h"
 #include "src/obs/macros.h"
 
 namespace seqhide {
+namespace proptest {
 
 Result<FrequentPatternSet> MineFrequentSequencesLevelWise(
     const SequenceDatabase& db, const MinerOptions& opts) {
@@ -18,7 +21,8 @@ Result<FrequentPatternSet> MineFrequentSequencesLevelWise(
   }
 
   SEQHIDE_TRACE_SPAN("mine_level_wise");
-  FrequentPatternSet result;
+  // Found level by level, added in canonical order at the end.
+  std::vector<std::pair<Sequence, size_t>> found;
 
   // Level 1: frequent symbols.
   std::vector<size_t> symbol_support(db.alphabet().size(), 0);
@@ -43,11 +47,11 @@ Result<FrequentPatternSet> MineFrequentSequencesLevelWise(
   for (SymbolId s : frequent_symbols) {
     Sequence p{s};
     if (opts.min_length <= 1) {
-      if (opts.max_patterns != 0 && result.size() >= opts.max_patterns) {
+      if (opts.max_patterns != 0 && found.size() >= opts.max_patterns) {
         return Status::OutOfRange(
             "frequent pattern count exceeded max_patterns cap");
       }
-      result.Add(p, symbol_support[static_cast<size_t>(s)]);
+      found.emplace_back(p, symbol_support[static_cast<size_t>(s)]);
     }
     frontier.push_back(std::move(p));
   }
@@ -65,11 +69,11 @@ Result<FrequentPatternSet> MineFrequentSequencesLevelWise(
         size_t support = Support(candidate, db);
         if (support < opts.min_support) continue;
         if (candidate.size() >= opts.min_length) {
-          if (opts.max_patterns != 0 && result.size() >= opts.max_patterns) {
+          if (opts.max_patterns != 0 && found.size() >= opts.max_patterns) {
             return Status::OutOfRange(
                 "frequent pattern count exceeded max_patterns cap");
           }
-          result.Add(candidate, support);
+          found.emplace_back(candidate, support);
         }
         next.push_back(std::move(candidate));
       }
@@ -77,7 +81,11 @@ Result<FrequentPatternSet> MineFrequentSequencesLevelWise(
     frontier = std::move(next);
     ++level;
   }
+  std::sort(found.begin(), found.end());
+  FrequentPatternSet result;
+  for (const auto& [pattern, support] : found) result.Add(pattern, support);
   return result;
 }
 
+}  // namespace proptest
 }  // namespace seqhide

@@ -11,8 +11,8 @@
 // that guarantees the production miner's completeness (tested on every
 // workload class) and as the comparison baseline in bench_kernels.
 
-#ifndef SEQHIDE_MINE_LEVEL_WISE_H_
-#define SEQHIDE_MINE_LEVEL_WISE_H_
+#ifndef SEQHIDE_TESTING_LEVEL_WISE_H_
+#define SEQHIDE_TESTING_LEVEL_WISE_H_
 
 #include "src/common/result.h"
 #include "src/mine/pattern_set.h"
@@ -20,11 +20,13 @@
 #include "src/seq/database.h"
 
 namespace seqhide {
+namespace proptest {
 
 // Mines F(D, σ) with the same option semantics as MineFrequentSequences.
 Result<FrequentPatternSet> MineFrequentSequencesLevelWise(
     const SequenceDatabase& db, const MinerOptions& opts);
 
+}  // namespace proptest
 }  // namespace seqhide
 
-#endif  // SEQHIDE_MINE_LEVEL_WISE_H_
+#endif  // SEQHIDE_TESTING_LEVEL_WISE_H_

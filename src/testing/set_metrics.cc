@@ -4,6 +4,36 @@
 
 namespace seqhide {
 namespace proptest {
+namespace {
+
+// M3 over F(D', σ) with each pattern's sup_D from `support_before`.
+template <typename SupportBefore>
+Result<double> MeanRelativeLoss(const FrequentPatternSet& frequent_sanitized,
+                                SupportBefore support_before) {
+  if (frequent_sanitized.empty()) {
+    return Status::FailedPrecondition(
+        "M3 undefined: F(D', sigma) is empty");
+  }
+  double total = 0.0;
+  bool consistent = true;
+  frequent_sanitized.ForEach([&](const std::vector<SymbolId>& pattern,
+                                 size_t after) {
+    const size_t before = support_before(Sequence(pattern));
+    consistent = consistent && before != 0 && before >= after;
+    if (consistent) {
+      total += static_cast<double>(before - after) /
+               static_cast<double>(before);
+    }
+  });
+  if (!consistent) {
+    return Status::InvalidArgument(
+        "a pattern of F(D', sigma) is absent from D or its support grew; "
+        "inputs inconsistent");
+  }
+  return total / static_cast<double>(frequent_sanitized.size());
+}
+
+}  // namespace
 
 Result<double> OracleMeasureM2(const FrequentPatternSet& frequent_original,
                                const FrequentPatternSet& frequent_sanitized) {
@@ -24,49 +54,16 @@ Result<double> OracleMeasureM2(const FrequentPatternSet& frequent_original,
 
 Result<double> OracleMeasureM3(const SequenceDatabase& original,
                                const FrequentPatternSet& frequent_sanitized) {
-  if (frequent_sanitized.empty()) {
-    return Status::FailedPrecondition(
-        "M3 undefined: F(D', sigma) is empty");
-  }
-  double total = 0.0;
-  for (const auto& [pattern, support_after] : frequent_sanitized.patterns()) {
-    size_t support_before = Support(pattern, original);
-    if (support_before < support_after) {
-      return Status::InvalidArgument(
-          "pattern support grew after sanitization; inputs inconsistent");
-    }
-    if (support_before == 0) {
-      return Status::InvalidArgument(
-          "pattern frequent in D' but absent from D; inputs inconsistent");
-    }
-    total += static_cast<double>(support_before - support_after) /
-             static_cast<double>(support_before);
-  }
-  return total / static_cast<double>(frequent_sanitized.size());
+  return MeanRelativeLoss(frequent_sanitized, [&](const Sequence& pattern) {
+    return Support(pattern, original);
+  });
 }
 
 Result<double> OracleMeasureM3(const FrequentPatternSet& frequent_original,
                                const FrequentPatternSet& frequent_sanitized) {
-  if (frequent_sanitized.empty()) {
-    return Status::FailedPrecondition(
-        "M3 undefined: F(D', sigma) is empty");
-  }
-  double total = 0.0;
-  for (const auto& [pattern, support_after] : frequent_sanitized.patterns()) {
-    size_t support_before = frequent_original.SupportOf(pattern);
-    if (support_before == 0) {
-      return Status::InvalidArgument(
-          "pattern frequent in D' but absent from F(D, sigma); "
-          "inputs inconsistent");
-    }
-    if (support_before < support_after) {
-      return Status::InvalidArgument(
-          "pattern support grew after sanitization; inputs inconsistent");
-    }
-    total += static_cast<double>(support_before - support_after) /
-             static_cast<double>(support_before);
-  }
-  return total / static_cast<double>(frequent_sanitized.size());
+  return MeanRelativeLoss(frequent_sanitized, [&](const Sequence& pattern) {
+    return frequent_original.SupportOf(pattern);
+  });
 }
 
 }  // namespace proptest

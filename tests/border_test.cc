@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/data/workload.h"
 #include "src/hide/sanitizer.h"
 #include "src/match/subsequence.h"
@@ -13,12 +15,23 @@ namespace {
 
 using testutil::Seq;
 
+// Canonical indices in `frequent` of the patterns of `subset`.
+std::vector<size_t> IndicesIn(const FrequentPatternSet& subset,
+                              const FrequentPatternSet& frequent) {
+  std::vector<size_t> indices;
+  subset.ForEach([&](const std::vector<SymbolId>& pattern, size_t) {
+    indices.push_back(frequent.IndexOf(pattern));
+  });
+  return indices;
+}
+
 TEST(PositiveBorderTest, KeepsOnlyMaximalPatterns) {
   Alphabet a;
   FrequentPatternSet frequent;
+  Seq(&a, "x y z");  // ids ascend x < y < z
   frequent.Add(Seq(&a, "x"), 5);
-  frequent.Add(Seq(&a, "y"), 5);
   frequent.Add(Seq(&a, "x y"), 4);
+  frequent.Add(Seq(&a, "y"), 5);
   frequent.Add(Seq(&a, "z"), 3);
   FrequentPatternSet border = PositiveBorder(frequent);
   // "x" and "y" are subsumed by "x y"; "z" is maximal on its own.
@@ -62,43 +75,53 @@ TEST(PositiveBorderTest, BorderIsDownwardComplete) {
   ASSERT_TRUE(frequent.ok());
   FrequentPatternSet border = PositiveBorder(*frequent);
   EXPECT_LE(border.size(), frequent->size());
-  for (const auto& [pattern, support] : frequent->patterns()) {
-    (void)support;
+  std::vector<Sequence> maximal;
+  border.ForEach([&](const std::vector<SymbolId>& pattern, size_t) {
+    maximal.emplace_back(pattern);
+  });
+  frequent->ForEach([&](const std::vector<SymbolId>& symbols, size_t) {
+    const Sequence pattern(symbols);
     bool covered = false;
-    for (const auto& [maximal, msupport] : border.patterns()) {
-      (void)msupport;
-      if (IsSubsequence(pattern, maximal)) {
+    for (const Sequence& m : maximal) {
+      if (IsSubsequence(pattern, m)) {
         covered = true;
         break;
       }
     }
     EXPECT_TRUE(covered) << pattern.DebugString();
-  }
+  });
 }
 
 TEST(PositiveBorderTest, ClosedSetFastPathMatchesGeneric) {
-  // Mined sets are downward closed within the cap; the insertion-based
-  // fast path must agree with the quadratic definition on them.
+  // Mined sets are downward closed within their length window, a
+  // min_length > 1 window included; the deletion-based fast path must
+  // agree with the quadratic definition on them.
   Rng rng(4242);
-  for (int trial = 0; trial < 10; ++trial) {
+  size_t compared = 0;
+  for (int trial = 0; trial < 40; ++trial) {
     SequenceDatabase db = MakeRandomDatabase({
         .num_sequences = 25,
         .min_length = 3,
         .max_length = 9,
-        .alphabet_size = 4,
+        .alphabet_size = 4 + static_cast<size_t>(trial % 3),
         .repeat_bias = trial % 2 ? 0.3 : 0.0,
         .seed = rng.NextU64(),
     });
     MinerOptions opts;
     opts.min_support = 3 + rng.NextBounded(4);
-    opts.max_length = 4;
+    opts.min_length = 1 + rng.NextBounded(3);
+    opts.max_length = trial % 4 == 0 ? 0 : opts.min_length + rng.NextBounded(3);
     auto frequent = MineFrequentSequences(db, opts);
     ASSERT_TRUE(frequent.ok());
-    if (frequent->empty()) continue;
+    const FrequentPatternSet reference = PositiveBorder(*frequent);
     EXPECT_EQ(PositiveBorderOfClosedSet(*frequent),
-              PositiveBorder(*frequent))
-        << "trial " << trial;
+              IndicesIn(reference, *frequent))
+        << "trial " << trial << " sigma=" << opts.min_support
+        << " min_length=" << opts.min_length
+        << " max_length=" << opts.max_length;
+    if (!frequent->empty()) ++compared;
   }
+  EXPECT_GE(compared, 30u);
 }
 
 TEST(BorderDamageTest, AgainstPrecomputedBorderMatches) {
@@ -110,10 +133,23 @@ TEST(BorderDamageTest, AgainstPrecomputedBorderMatches) {
   after.Add(Seq(&a, "x"), 6);
   after.Add(Seq(&a, "z"), 3);
   auto direct = MeasureBorderDamage(before, after);
-  auto precomputed = BorderDamageAgainst(PositiveBorder(before), after);
+  // The same from the border's indices and F(D)'s supports in D'.
+  std::vector<size_t> supports_after;
+  before.ForEach([&](const std::vector<SymbolId>& pattern, size_t) {
+    supports_after.push_back(after.SupportOf(pattern));
+  });
+  const std::vector<size_t> border = PositiveBorderOfClosedSet(before);
+  EXPECT_EQ(border, IndicesIn(PositiveBorder(before), before));
+  auto precomputed = MeasureBorderDamage(border, supports_after, 3);
   ASSERT_TRUE(direct.ok() && precomputed.ok());
   EXPECT_DOUBLE_EQ(*direct, *precomputed);
   EXPECT_DOUBLE_EQ(*direct, 0.5);  // "x y" lost, "z" kept
+  EXPECT_TRUE(MeasureBorderDamage({}, supports_after, 3)
+                  .status()
+                  .IsFailedPrecondition());
+  EXPECT_TRUE(MeasureBorderDamage({3}, supports_after, 3)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(BorderDamageTest, ZeroWhenNothingLost) {
@@ -128,8 +164,8 @@ TEST(BorderDamageTest, ZeroWhenNothingLost) {
 TEST(BorderDamageTest, FullWhenBorderGone) {
   Alphabet a;
   FrequentPatternSet before, after;
-  before.Add(Seq(&a, "x y"), 4);
   before.Add(Seq(&a, "x"), 6);
+  before.Add(Seq(&a, "x y"), 4);
   after.Add(Seq(&a, "x"), 6);  // the maximal "x y" is gone
   auto damage = MeasureBorderDamage(before, after);
   ASSERT_TRUE(damage.ok());

@@ -107,8 +107,13 @@ grep -q "Corruption: seqhidb column 0 references symbol id 2147483647 outside th
 grep -q "Corruption: seqhidb row 1 has corrupt offsets (not monotone)" \
     "$WORK/stats_bad_offset.err"
 
-# mine
-"$CLI" mine --db "$WORK/db.txt" --sigma 2 --top 3 | grep -q "frequent patterns"
+# mine: the whole listing (order and format) against a checked-in golden,
+# and --top cutting it after N patterns
+GOLDEN="$(dirname "$0")/golden/mine_sigma2.txt"
+"$CLI" mine --db "$WORK/db.txt" --sigma 2 > "$WORK/mine.txt"
+cmp "$WORK/mine.txt" "$GOLDEN"
+"$CLI" mine --db "$WORK/db.txt" --sigma 2 --top 3 > "$WORK/mine_top3.txt"
+{ head -n 4 "$GOLDEN"; echo "... (8 more)"; } | cmp - "$WORK/mine_top3.txt"
 
 # sanitize (keep deltas), verify hidden
 "$CLI" sanitize --db "$WORK/db.txt" --out "$WORK/out.txt" \

@@ -90,9 +90,9 @@ TEST(ConstrainedMinerTest, ReportedSupportsAreConstrained) {
   auto result = MineConstrainedFrequentSequences(db, adjacent, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->SupportOf(Seq(&db.alphabet(), "a b")), 1u);
-  for (const auto& [pattern, support] : result->patterns()) {
-    EXPECT_EQ(support, ConstrainedSupport(pattern, adjacent, db));
-  }
+  result->ForEach([&](const std::vector<SymbolId>& pattern, size_t support) {
+    EXPECT_EQ(support, ConstrainedSupport(Sequence(pattern), adjacent, db));
+  });
 }
 
 // Property: the constrained result is exactly the filter of the
@@ -115,16 +115,16 @@ TEST(ConstrainedMinerTest, PropertyFilterSemantics) {
     auto plain = MineFrequentSequences(db, opts);
     auto constrained = MineConstrainedFrequentSequences(db, spec, opts);
     ASSERT_TRUE(plain.ok() && constrained.ok());
-    for (const auto& [pattern, support] : plain->patterns()) {
-      (void)support;
-      if (spec.HasWindow() && *spec.max_window() < pattern.size()) continue;
+    plain->ForEach([&](const std::vector<SymbolId>& symbols, size_t) {
+      if (spec.HasWindow() && *spec.max_window() < symbols.size()) return;
+      const Sequence pattern(symbols);
       size_t cs = ConstrainedSupport(pattern, spec, db);
       if (cs >= opts.min_support) {
         EXPECT_EQ(constrained->SupportOf(pattern), cs);
       } else {
         EXPECT_FALSE(constrained->Contains(pattern));
       }
-    }
+    });
   }
 }
 

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
+#include "src/data/workload.h"
 #include "src/eval/report.h"
+#include "src/hide/sanitizer.h"
+#include "src/mine/prefix_span.h"
+#include "src/testing/set_metrics.h"
 #include "tests/test_util.h"
 
 namespace seqhide {
@@ -96,6 +101,82 @@ TEST(ExperimentTest, UndefinedPatternMeasuresLeaveCellsNaN) {
     EXPECT_TRUE(std::isnan(result->cells[a][1].m3));
     EXPECT_DOUBLE_EQ(result->cells[a][1].m1, 0.0);
   }
+}
+
+// Every HH and RR cell's M2/M3, derived from F(D, σ) through the
+// sanitize overlay, equals bit for bit the mean of the set-based oracles
+// on a mined F(D', σ) of an in-place sanitized copy, run by run with the
+// sweep's seeds.
+TEST(ExperimentTest, PatternMeasuresEqualMinedOracles) {
+  ExperimentWorkload w;
+  w.name = "random";
+  w.db = MakeRandomDatabase({
+      .num_sequences = 40,
+      .min_length = 4,
+      .max_length = 12,
+      .alphabet_size = 6,
+      .repeat_bias = 0.2,
+      .seed = 7,
+  });
+  w.sensitive = {Sequence{0, 1}, Sequence{2, 3, 1}};
+  SweepOptions opts;
+  opts.psi_values = {0, 2, 5};
+  opts.algorithms = {AlgorithmSpec::HH(), AlgorithmSpec::RR()};
+  opts.random_runs = 3;
+  opts.compute_pattern_measures = true;
+  opts.miner_max_length = 3;
+  auto result = RunSweep(w, opts);
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  size_t defined = 0;
+  for (size_t pi = 0; pi < opts.psi_values.size(); ++pi) {
+    const size_t psi = opts.psi_values[pi];
+    MinerOptions miner;
+    miner.min_support = std::max<size_t>(psi, 1);
+    miner.max_length = opts.miner_max_length;
+    auto before = MineFrequentSequences(w.db, miner);
+    ASSERT_TRUE(before.ok());
+    for (size_t ai = 0; ai < opts.algorithms.size(); ++ai) {
+      const AlgorithmSpec& alg = opts.algorithms[ai];
+      const size_t runs = alg.IsRandomized() ? opts.random_runs : 1;
+      double m2_sum = 0.0;
+      double m3_sum = 0.0;
+      size_t m2_runs = 0;
+      size_t m3_runs = 0;
+      for (size_t run = 0; run < runs; ++run) {
+        SanitizeOptions sanitize;
+        sanitize.local = alg.local;
+        sanitize.global = alg.global;
+        sanitize.psi = psi;
+        sanitize.seed = opts.base_seed + 7919 * run + 104729 * ai;
+        SequenceDatabase copy = w.db;
+        ASSERT_TRUE(Sanitize(&copy, w.sensitive, sanitize).ok());
+        auto after = MineFrequentSequences(copy, miner);
+        ASSERT_TRUE(after.ok());
+        auto m2 = proptest::OracleMeasureM2(*before, *after);
+        auto m3 = proptest::OracleMeasureM3(*before, *after);
+        if (m2.ok()) {
+          m2_sum += *m2;
+          ++m2_runs;
+        }
+        if (m3.ok()) {
+          m3_sum += *m3;
+          ++m3_runs;
+        }
+      }
+      const SweepCell& cell = result->cells[ai][pi];
+      SCOPED_TRACE(alg.label + " psi=" + std::to_string(psi));
+      ASSERT_GT(m2_runs, 0u);
+      EXPECT_EQ(cell.m2, m2_sum / static_cast<double>(m2_runs));
+      if (m3_runs > 0) {
+        EXPECT_EQ(cell.m3, m3_sum / static_cast<double>(m3_runs));
+        ++defined;
+      } else {
+        EXPECT_TRUE(std::isnan(cell.m3));
+      }
+    }
+  }
+  EXPECT_GT(defined, 0u);
 }
 
 TEST(ExperimentTest, ConstraintReducesDistortion) {

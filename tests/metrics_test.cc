@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/hide/sanitizer.h"
-#include "src/mine/marked_supports.h"
+#include "src/mine/pattern_set.h"
 #include "src/mine/prefix_span.h"
 #include "src/testing/set_metrics.h"
 #include "tests/test_util.h"
@@ -28,9 +28,10 @@ TEST(MeasureM1Test, CountsMarks) {
 TEST(MeasureM2Test, FractionOfLostPatterns) {
   Alphabet a;
   FrequentPatternSet before, after;
+  Seq(&a, "x y z");  // ids ascend x < y < z
   before.Add(Seq(&a, "x"), 5);
-  before.Add(Seq(&a, "y"), 4);
   before.Add(Seq(&a, "x y"), 3);
+  before.Add(Seq(&a, "y"), 4);
   before.Add(Seq(&a, "z"), 3);
   after.Add(Seq(&a, "x"), 5);
   after.Add(Seq(&a, "z"), 3);
@@ -206,13 +207,13 @@ TEST(MetricsIntegrationTest, SanitizationProducesBoundedMeasures) {
   EXPECT_GE(*m3, 0.0);
   EXPECT_LE(*m3, 1.0);
 
-  MarkedSupports derive(*before, original);
-  auto supports_after = derive.SupportsAfter(sanitized);
+  auto supports_after = before->SupportsAfter(DatabaseView(original),
+                                              DatabaseView(sanitized));
   ASSERT_TRUE(supports_after.ok()) << supports_after.status();
-  auto derived_m2 = MeasureM2(derive.supports_before(), *supports_after,
-                              miner.min_support);
-  auto derived_m3 = MeasureM3(derive.supports_before(), *supports_after,
-                              miner.min_support);
+  auto derived_m2 =
+      MeasureM2(before->supports(), *supports_after, miner.min_support);
+  auto derived_m3 =
+      MeasureM3(before->supports(), *supports_after, miner.min_support);
   auto lookup_m3 = OracleMeasureM3(*before, *after);
   ASSERT_TRUE(derived_m2.ok() && derived_m3.ok() && lookup_m3.ok());
   EXPECT_EQ(*derived_m2, *m2);

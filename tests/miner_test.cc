@@ -8,12 +8,13 @@
 
 #include "src/data/workload.h"
 #include "src/match/subsequence.h"
-#include "src/mine/level_wise.h"
+#include "src/testing/level_wise.h"
 #include "tests/test_util.h"
 
 namespace seqhide {
 namespace {
 
+using proptest::MineFrequentSequencesLevelWise;
 using testutil::Seq;
 
 SequenceDatabase TinyDb() {
@@ -97,10 +98,11 @@ TEST(PrefixSpanTest, SupportsAreActualSupports) {
   opts.min_support = 1;
   auto result = MineFrequentSequences(db, opts);
   ASSERT_TRUE(result.ok());
-  for (const auto& [pattern, support] : result->patterns()) {
+  result->ForEach([&](const std::vector<SymbolId>& symbols, size_t support) {
+    const Sequence pattern(symbols);
     EXPECT_EQ(support, Support(pattern, db))
         << pattern.ToString(db.alphabet());
-  }
+  });
 }
 
 TEST(PrefixSpanTest, EmptyDatabaseMinesNothing) {
@@ -181,16 +183,17 @@ TEST(MinerCrossCheckTest, SparseAndLargeSymbolIdsMineLikeDenseOnes) {
     ASSERT_TRUE(mined.ok()) << mined.status();
     ASSERT_TRUE(oracle.ok()) << oracle.status();
     FrequentPatternSet mapped_back;
-    for (const auto& [pattern, support] : mined->patterns()) {
+    // kSparse ascends, so mapping back keeps the canonical order.
+    mined->ForEach([&](const std::vector<SymbolId>& pattern, size_t support) {
       std::vector<SymbolId> ids;
-      for (SymbolId s : pattern.symbols()) {
+      for (SymbolId s : pattern) {
         const SymbolId* it =
             std::find(std::begin(kSparse), std::end(kSparse), s);
         ASSERT_NE(it, std::end(kSparse)) << "mined an unknown id " << s;
         ids.push_back(static_cast<SymbolId>(it - std::begin(kSparse)));
       }
-      mapped_back.Add(Sequence(std::move(ids)), support);
-    }
+      mapped_back.Add(ids, support);
+    });
     EXPECT_EQ(mapped_back, *oracle) << "trial " << trial;
   }
 }
@@ -240,10 +243,10 @@ TEST(MinerCrossCheckTest, AllDeltaRowsContributeNothing) {
     auto b = MineFrequentSequencesLevelWise(db, opts);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(*a, *b) << "sigma=" << sigma;
-    for (const auto& [pattern, support] : a->patterns()) {
-      EXPECT_EQ(support, Support(pattern, db));
+    a->ForEach([&](const std::vector<SymbolId>& pattern, size_t support) {
+      EXPECT_EQ(support, Support(Sequence(pattern), db));
       EXPECT_LE(support, 3u);  // only the three real rows can support
-    }
+    });
   }
 
   SequenceDatabase only_delta;
@@ -304,9 +307,10 @@ TEST(LevelWiseTest, MatchesPrefixSpanOnTinyDb) {
 TEST(PatternSetTest, CountMissingFrom) {
   Alphabet a;
   FrequentPatternSet big, small;
+  Seq(&a, "x y");  // ids ascend x < y
   big.Add(Seq(&a, "x"), 5);
-  big.Add(Seq(&a, "y"), 4);
   big.Add(Seq(&a, "x y"), 3);
+  big.Add(Seq(&a, "y"), 4);
   small.Add(Seq(&a, "x"), 5);
   EXPECT_EQ(big.CountMissingFrom(small), 2u);
   EXPECT_EQ(small.CountMissingFrom(big), 0u);

@@ -1,5 +1,5 @@
 // Differential properties for the derived supports
-// (mine/marked_supports.h): deriving F(D′,σ) from F(D,σ) on the rows that
+// (FrequentPatternSet::SupportsAfter, mine/pattern_set.h): deriving F(D′,σ) from F(D,σ) on the rows that
 // gained a Δ must equal mining D′ with PrefixSpan, for random Δ-markings
 // and for the sanitizer's own output, over σ from 1 up, max_length in
 // {0, 2, 4} and min_length > 1. The M2/M3 computed from the derived
@@ -14,7 +14,7 @@
 #include "src/eval/metrics.h"
 #include "src/hide/sanitizer.h"
 #include "src/match/subsequence.h"
-#include "src/mine/marked_supports.h"
+#include "src/mine/pattern_set.h"
 #include "src/mine/prefix_span.h"
 #include "src/testing/set_metrics.h"
 #include "tests/prop/prop_gtest.h"
@@ -77,36 +77,39 @@ std::string CheckDerivation(const SequenceDatabase& original,
   if (!before.ok() || !mined_after.ok()) {
     return "mining failed" + Describe(opts);
   }
-  MarkedSupports derive(*before, original);
-  auto supports = derive.SupportsAfter(marked);
+  auto supports =
+      before->SupportsAfter(DatabaseView(original), DatabaseView(marked));
   if (!supports.ok()) {
     return "derivation failed: " + supports.status().ToString() +
            Describe(opts);
   }
   size_t k = 0;
-  for (const auto& [pattern, support] : before->patterns()) {
-    (void)support;
+  std::string wrong;
+  // F(D', σ): the patterns whose derived support stays ≥ σ.
+  FrequentPatternSet derived;
+  before->ForEach([&](const std::vector<SymbolId>& symbols, size_t) {
+    const size_t after = (*supports)[k++];
+    const Sequence pattern(symbols);
     const size_t truth = Support(pattern, marked);
-    if ((*supports)[k] != truth) {
-      return "derived sup_D'(" + pattern.DebugString() +
-             ")=" + std::to_string((*supports)[k]) + " but recount " +
-             std::to_string(truth) + Describe(opts);
+    if (after != truth && wrong.empty()) {
+      wrong = "derived sup_D'(" + pattern.DebugString() + ")=" +
+              std::to_string(after) + " but recount " + std::to_string(truth) +
+              Describe(opts);
     }
-    ++k;
-  }
-  FrequentPatternSet derived =
-      FrequentAfterMarking(*before, *supports, opts.min_support);
+    if (after >= opts.min_support) derived.Add(pattern, after);
+  });
+  if (!wrong.empty()) return wrong;
   if (!(derived == *mined_after)) {
     return "derived |F(D')|=" + std::to_string(derived.size()) +
            " != PrefixSpan(D') " + std::to_string(mined_after->size()) +
            Describe(opts);
   }
   std::string m2 = SameMeasure(
-      "M2", MeasureM2(derive.supports_before(), *supports, opts.min_support),
+      "M2", MeasureM2(before->supports(), *supports, opts.min_support),
       OracleMeasureM2(*before, *mined_after));
   if (!m2.empty()) return m2 + Describe(opts);
   std::string m3 = SameMeasure(
-      "M3", MeasureM3(derive.supports_before(), *supports, opts.min_support),
+      "M3", MeasureM3(before->supports(), *supports, opts.min_support),
       OracleMeasureM3(*before, *mined_after));
   if (!m3.empty()) return m3 + Describe(opts);
   return std::string();

@@ -57,6 +57,7 @@
 // src/constraints/constraints.h ("a ->[0] b ->[2..6] c ; window<=10").
 // Exit code 0 on success, 1 on usage errors, 2 on runtime failures.
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -712,14 +713,15 @@ Status RunMine(const ParsedArgs& args) {
                            MineFrequentSequences(db, opts));
   std::cout << "# " << mined.size() << " frequent patterns (sigma=" << sigma
             << ")\n";
+  const size_t shown = top == 0 ? mined.size() : std::min(top, mined.size());
   size_t printed = 0;
-  for (const auto& [pattern, support] : mined.patterns()) {
-    if (top != 0 && printed >= top) {
-      std::cout << "... (" << mined.size() - printed << " more)\n";
-      break;
-    }
-    std::cout << support << "\t" << pattern.ToString(db.alphabet()) << "\n";
-    ++printed;
+  mined.ForEach([&](const std::vector<SymbolId>& pattern, size_t support) {
+    if (printed++ >= shown) return;
+    std::cout << support << "\t" << Sequence(pattern).ToString(db.alphabet())
+              << "\n";
+  });
+  if (shown < mined.size()) {
+    std::cout << "... (" << mined.size() - shown << " more)\n";
   }
   return Status::OK();
 }
