@@ -1,5 +1,7 @@
 #include "src/common/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <system_error>
 
@@ -14,10 +16,36 @@ namespace {
 // enough that per-chunk setup (a scratch buffer) stays amortized.
 constexpr size_t kChunksPerThread = 8;
 
+// CPUs this thread may run on: its affinity mask (taskset, cpusets), or
+// every online CPU when the mask cannot be read.
 size_t HardwareThreads() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int allowed = CPU_COUNT(&set);
+    if (allowed > 0) return static_cast<size_t>(allowed);
+  }
   size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
+
+// The pool whose region body this thread is running, or null.
+thread_local const ThreadPool* t_region_pool = nullptr;
+
+// Marks the calling thread as inside a region of `pool` for its lifetime.
+class RegionScope {
+ public:
+  explicit RegionScope(const ThreadPool* pool) : saved_(t_region_pool) {
+    t_region_pool = pool;
+  }
+  ~RegionScope() { t_region_pool = saved_; }
+
+  RegionScope(const RegionScope&) = delete;
+  RegionScope& operator=(const RegionScope&) = delete;
+
+ private:
+  const ThreadPool* saved_;
+};
 
 // Task-context hooks (constant-initialized: safe to set from the obs
 // layer's static registrar before main).
@@ -126,7 +154,8 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
   }
 }
 
-size_t ThreadPool::RunChunks(Region* region) {
+size_t ThreadPool::RunChunks(Region* region) const {
+  RegionScope scope(this);
   const size_t total = region->chunks.size();
   size_t ran = 0;
   for (;;) {
@@ -144,13 +173,21 @@ size_t ThreadPool::RunChunks(Region* region) {
   }
 }
 
+void ThreadPool::CheckNotNested() const {
+  SEQHIDE_CHECK(t_region_pool != this)
+      << "a ThreadPool region body called into the same pool; nested "
+         "regions are not supported";
+}
+
 void ThreadPool::ParallelFor(size_t n, size_t max_threads,
                              const std::function<void(size_t, size_t)>& body) {
+  CheckNotNested();
   if (n == 0) return;
   regions_.fetch_add(1, std::memory_order_relaxed);
   size_t threads = std::min(ResolveThreadCount(max_threads), n);
   threads = std::min(threads, max_workers_ + 1);
   if (threads <= 1) {
+    RegionScope scope(this);
     body(0, n);
     chunks_executed_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -197,6 +234,7 @@ void ThreadPool::ParallelFor(size_t n, size_t max_threads,
 uint64_t ThreadPool::ParallelReduceSum(
     size_t n, size_t max_threads,
     const std::function<uint64_t(size_t, size_t)>& map) {
+  CheckNotNested();
   if (n == 0) return 0;
   // Per-chunk partials keyed by chunk *start* keep the reduction order
   // independent of which thread ran which chunk.

@@ -18,7 +18,9 @@
 // Reentrancy: a ParallelFor body must not itself call into the same pool
 // (the calling thread participates in the region, so nested use cannot
 // deadlock, but nested regions would fight over the chunk queue and are
-// a design smell). No body may throw.
+// a design smell). ParallelFor and ParallelReduceSum CHECK-fail when
+// called from inside a region body of the same pool, the inline serial
+// body included. Other pools may be entered. No body may throw.
 
 #ifndef SEQHIDE_COMMON_THREAD_POOL_H_
 #define SEQHIDE_COMMON_THREAD_POOL_H_
@@ -41,7 +43,8 @@ namespace seqhide {
 // real machine).
 inline constexpr size_t kMaxThreads = 256;
 
-// `requested` threads with 0 meaning "auto": all hardware threads.
+// `requested` threads with 0 meaning "auto": every CPU the calling thread
+// may run on (its affinity mask, so taskset and cpusets are honoured).
 size_t ResolveThreadCount(size_t requested);
 
 // Point-in-time view of a pool's activity counters (ThreadPool::Stats).
@@ -127,9 +130,12 @@ class ThreadPool {
   };
 
   void WorkerLoop(size_t worker_index);
-  // Claims and runs chunks until the region is drained; returns how many
-  // this thread executed.
-  static size_t RunChunks(Region* region);
+  // CHECK-fails when the calling thread is inside a region of this pool.
+  void CheckNotNested() const;
+  // Claims and runs chunks until the region is drained, marking the
+  // calling thread as inside a region of this pool; returns how many this
+  // thread executed.
+  size_t RunChunks(Region* region) const;
   // Spawns workers (under mu_) until `target` exist or the cap is hit.
   void EnsureWorkersLocked(size_t target);
 

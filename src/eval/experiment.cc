@@ -10,6 +10,7 @@
 #include "src/hide/sanitizer.h"
 #include "src/mine/pattern_set.h"
 #include "src/mine/prefix_span.h"
+#include "src/obs/macros.h"
 
 namespace seqhide {
 namespace {
@@ -100,10 +101,14 @@ Result<SweepResult> RunSweep(const ExperimentWorkload& workload,
 
         if (frequent_original.has_value()) {
           const std::vector<size_t>& before = frequent_original->supports();
-          SEQHIDE_ASSIGN_OR_RETURN(
-              std::vector<size_t> after,
-              frequent_original->SupportsAfter(
-                  original, original.Overlay(sanitized.overlay)));
+          std::vector<size_t> after;
+          {
+            SEQHIDE_TRACE_SPAN("derive");
+            SEQHIDE_ASSIGN_OR_RETURN(
+                after, frequent_original->SupportsAfter(
+                           original, original.Overlay(sanitized.overlay)));
+          }
+          SEQHIDE_TRACE_SPAN("measure");
           SEQHIDE_RETURN_IF_ERROR(AddMeasure(
               MeasureM2(before, after, sigma), &m2_sum, &m2_runs));
           SEQHIDE_RETURN_IF_ERROR(AddMeasure(

@@ -101,6 +101,52 @@ void FrequentPatternSet::Add(SequenceView pattern, size_t support) {
   max_depth_ = std::max(max_depth_, static_cast<uint32_t>(pattern.size()));
 }
 
+FrequentPatternSet FrequentPatternSet::Splice(
+    std::vector<FrequentPatternSet> fragments) {
+  size_t node_count = 0;
+  size_t pattern_count = 0;
+  FrequentPatternSet* only = nullptr;
+  size_t non_empty = 0;
+  for (FrequentPatternSet& fragment : fragments) {
+    node_count += fragment.nodes_.size();
+    pattern_count += fragment.supports_.size();
+    if (!fragment.nodes_.empty()) {
+      only = &fragment;
+      ++non_empty;
+    }
+  }
+  // A lone non-empty fragment is the result as it stands: no copy.
+  if (non_empty == 1) return std::move(*only);
+  SEQHIDE_CHECK(node_count < kNoPattern)
+      << "FrequentPatternSet outgrew its 32-bit node indices";
+  FrequentPatternSet out;
+  out.nodes_.reserve(node_count);
+  out.supports_.reserve(pattern_count);
+  for (FrequentPatternSet& fragment : fragments) {
+    if (fragment.nodes_.empty()) continue;
+    // path_[0] is the last root-level node so far; the fragment's first
+    // node is its first root-level node.
+    SEQHIDE_CHECK(out.path_.empty() ||
+                  out.nodes_[out.path_[0]].symbol < fragment.nodes_[0].symbol)
+        << "FrequentPatternSet::Splice needs fragments of disjoint root "
+           "subtrees in ascending symbol order";
+    const uint32_t node_offset = static_cast<uint32_t>(out.nodes_.size());
+    const uint32_t pattern_offset = static_cast<uint32_t>(out.supports_.size());
+    for (Node node : fragment.nodes_) {
+      node.subtree_end += node_offset;
+      if (node.pattern != kNoPattern) node.pattern += pattern_offset;
+      out.nodes_.push_back(node);
+    }
+    out.supports_.insert(out.supports_.end(), fragment.supports_.begin(),
+                         fragment.supports_.end());
+    out.path_.clear();
+    for (uint32_t n : fragment.path_) out.path_.push_back(n + node_offset);
+    out.max_depth_ = std::max(out.max_depth_, fragment.max_depth_);
+    fragment = FrequentPatternSet();
+  }
+  return out;
+}
+
 size_t FrequentPatternSet::IndexOf(SequenceView pattern) const {
   if (pattern.empty()) return kNotFound;
   // [first, end) holds the children of the node matched so far.

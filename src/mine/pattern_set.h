@@ -42,6 +42,16 @@ class FrequentPatternSet {
   // nodes past the prefix shared with the previous pattern are added.
   void Add(SequenceView pattern, size_t support);
 
+  // Concatenates `fragments`, in order, into one set, as a miner that
+  // builds disjoint root subtrees apart needs. Every pattern of a fragment
+  // must start with a symbol above the first symbol of every pattern in
+  // the fragments before it (empty fragments are skipped); a violation
+  // fails a CHECK. The result equals Add-ing every fragment's patterns in
+  // order, and Add may continue on it. The result is sized exactly, and
+  // each fragment is freed as soon as it is copied; a lone non-empty
+  // fragment is moved, not copied.
+  static FrequentPatternSet Splice(std::vector<FrequentPatternSet> fragments);
+
   // Canonical index of `pattern` (its position in ForEach order and in
   // supports()), or kNotFound. Walks the tree from the root, jumping
   // over each non-matching sibling's subtree.

@@ -9,6 +9,16 @@
 // the current prefix — sufficient because "S appended with x is a
 // subsequence of T" iff x occurs after the leftmost embedding of S.
 // Marked (Δ) positions never contribute.
+//
+// The projections make each frequent root symbol's subtree independent of
+// the others: it reads only the shared dense copy of the database and its
+// own projection. After one serial root pass, the subtrees are mined as
+// tasks on ThreadPool::Shared() (as many threads as the process may run
+// on), each chunk of roots into its own fragment, and the fragments are
+// spliced in root order (FrequentPatternSet::Splice). The result, the max_patterns
+// decision and the mine.prefixspan.* counters of a successful mine are
+// the same at every thread count. A caller must not mine from inside a
+// region body of the shared pool.
 
 #ifndef SEQHIDE_MINE_PREFIX_SPAN_H_
 #define SEQHIDE_MINE_PREFIX_SPAN_H_

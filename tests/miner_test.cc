@@ -1,13 +1,18 @@
 #include "src/mine/prefix_span.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/data/workload.h"
 #include "src/match/subsequence.h"
+#include "src/obs/metrics.h"
 #include "src/testing/level_wise.h"
 #include "tests/test_util.h"
 
@@ -292,6 +297,153 @@ TEST(MinerCrossCheckTest, MaxPatternsCapBoundaryIsExact) {
   }
 }
 
+// A database with many frequent roots and deep subtrees: enough work that
+// the roots are mined as separate tasks.
+SequenceDatabase ManyRootsDb() {
+  RandomDatabaseOptions gen;
+  gen.num_sequences = 150;
+  gen.min_length = 4;
+  gen.max_length = 16;
+  gen.alphabet_size = 12;
+  gen.repeat_bias = 0.2;
+  gen.seed = 4242;
+  SequenceDatabase db = MakeRandomDatabase(gen);
+  for (size_t i = 0; i < db.size(); i += 7) db.mutable_sequence(i)->Mark(1);
+  return db;
+}
+
+#if !defined(SEQHIDE_OBS_DISABLED)
+std::array<uint64_t, 3> MinerCounters() {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  return {registry.GetCounter("mine.prefixspan.grow_calls")->Value(),
+          registry.GetCounter("mine.prefixspan.projected_rows")->Value(),
+          registry.GetCounter("mine.prefixspan.patterns")->Value()};
+}
+#endif
+
+// Mines `db` and returns the set with the mine's counter deltas (zeros
+// when observability is compiled out).
+std::pair<FrequentPatternSet, std::array<uint64_t, 3>> MineWithCounters(
+    const SequenceDatabase& db, const MinerOptions& opts) {
+  std::array<uint64_t, 3> delta{};
+#if !defined(SEQHIDE_OBS_DISABLED)
+  const std::array<uint64_t, 3> before = MinerCounters();
+#endif
+  auto mined = MineFrequentSequences(db, opts);
+  EXPECT_TRUE(mined.ok()) << mined.status();
+#if !defined(SEQHIDE_OBS_DISABLED)
+  const std::array<uint64_t, 3> after = MinerCounters();
+  for (size_t k = 0; k < delta.size(); ++k) delta[k] = after[k] - before[k];
+#endif
+  return {mined.ok() ? std::move(*mined) : FrequentPatternSet(), delta};
+}
+
+// Mining is deterministic across runs of the pooled miner: the same set
+// and the same mine.prefixspan.* counters every time.
+TEST(PrefixSpanTest, RepeatedMinesAreIdentical) {
+  const SequenceDatabase db = ManyRootsDb();
+  MinerOptions opts;
+  opts.min_support = 6;
+  opts.max_length = 4;
+  const auto [first, first_counters] = MineWithCounters(db, opts);
+  ASSERT_GT(first.size(), 100u);
+  for (int run = 1; run < 20; ++run) {
+    const auto [again, counters] = MineWithCounters(db, opts);
+    EXPECT_EQ(again, first) << "run " << run;
+    EXPECT_EQ(counters, first_counters) << "run " << run;
+  }
+}
+
+// The counters by their definition: one Grow for the root and one below
+// every frequent pattern short of the length cap, each projecting its
+// supporting rows (the root projects every row).
+TEST(PrefixSpanTest, CountersFollowTheirDefinition) {
+#if defined(SEQHIDE_OBS_DISABLED)
+  GTEST_SKIP() << "observability compiled out";
+#else
+  const SequenceDatabase db = ManyRootsDb();
+  for (size_t max_length : {0u, 1u, 4u}) {
+    MinerOptions opts;
+    opts.min_support = 9;
+    opts.max_length = max_length;
+    const auto [mined, counters] = MineWithCounters(db, opts);
+    auto oracle = MineFrequentSequencesLevelWise(db, opts);
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    uint64_t grow_calls = 1;
+    uint64_t projected_rows = db.size();
+    oracle->ForEach([&](const std::vector<SymbolId>& pattern, size_t support) {
+      if (max_length != 0 && pattern.size() >= max_length) return;
+      ++grow_calls;
+      projected_rows += support;
+    });
+    EXPECT_EQ(counters[0], grow_calls) << "max_length " << max_length;
+    EXPECT_EQ(counters[1], projected_rows) << "max_length " << max_length;
+    EXPECT_EQ(counters[2], mined.size()) << "max_length " << max_length;
+  }
+#endif
+}
+
+// One CPU (the root tasks run inline on the caller) and every CPU mine
+// the same set with the same counters.
+TEST(PrefixSpanTest, OneCpuAndEveryCpuMineTheSame) {
+  const SequenceDatabase db = ManyRootsDb();
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = -1;
+  for (int cpu = 0; cpu < CPU_SETSIZE && first < 0; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) first = cpu;
+  }
+  ASSERT_GE(first, 0);
+  for (size_t max_length : {0u, 1u, 3u}) {
+    MinerOptions opts;
+    opts.min_support = 8;
+    opts.max_length = max_length;
+    const auto all_cpus = MineWithCounters(db, opts);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const auto one_cpu = MineWithCounters(db, opts);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(one_cpu.first, all_cpus.first) << "max_length " << max_length;
+    EXPECT_EQ(one_cpu.second, all_cpus.second) << "max_length " << max_length;
+  }
+}
+
+// The cap at |F| and |F| - 1 with the patterns spread over many roots
+// (and so over many tasks): the decision is exact either way.
+TEST(PrefixSpanTest, MaxPatternsCapIsExactAcrossRoots) {
+  const SequenceDatabase db = ManyRootsDb();
+  for (size_t min_length : {1u, 3u}) {
+    MinerOptions opts;
+    opts.min_support = 10;
+    opts.min_length = min_length;
+    opts.max_length = 4;
+    auto full = MineFrequentSequences(db, opts);
+    ASSERT_TRUE(full.ok()) << full.status();
+    std::vector<SymbolId> roots;
+    full->ForEach([&](const std::vector<SymbolId>& pattern, size_t) {
+      if (roots.empty() || roots.back() != pattern[0]) {
+        roots.push_back(pattern[0]);
+      }
+    });
+    ASSERT_GE(roots.size(), 4u) << "min_length=" << min_length;
+
+    opts.max_patterns = full->size();
+    auto at_cap = MineFrequentSequences(db, opts);
+    ASSERT_TRUE(at_cap.ok()) << at_cap.status();
+    EXPECT_EQ(*at_cap, *full);
+
+    opts.max_patterns = full->size() - 1;
+    EXPECT_TRUE(MineFrequentSequences(db, opts).status().IsOutOfRange())
+        << "min_length=" << min_length;
+    EXPECT_TRUE(
+        MineFrequentSequencesLevelWise(db, opts).status().IsOutOfRange())
+        << "min_length=" << min_length;
+  }
+}
+
 TEST(LevelWiseTest, MatchesPrefixSpanOnTinyDb) {
   SequenceDatabase db = TinyDb();
   for (size_t sigma = 1; sigma <= 3; ++sigma) {
@@ -314,6 +466,112 @@ TEST(PatternSetTest, CountMissingFrom) {
   small.Add(Seq(&a, "x"), 5);
   EXPECT_EQ(big.CountMissingFrom(small), 2u);
   EXPECT_EQ(small.CountMissingFrom(big), 0u);
+}
+
+// Adds `patterns` (in canonical order) to `set`, each with support
+// 10 + its index.
+void AddAll(const std::vector<Sequence>& patterns, size_t first_index,
+            FrequentPatternSet* set) {
+  for (size_t k = 0; k < patterns.size(); ++k) {
+    set->Add(patterns[k], 10 + first_index + k);
+  }
+}
+
+// Splits `patterns` (canonical order) into one fragment per first symbol,
+// with an empty fragment before, between and after them.
+std::vector<FrequentPatternSet> FragmentsByRoot(
+    const std::vector<Sequence>& patterns) {
+  std::vector<FrequentPatternSet> fragments(1);
+  for (size_t k = 0; k < patterns.size(); ++k) {
+    if (k == 0 || patterns[k][0] != patterns[k - 1][0]) {
+      fragments.emplace_back();
+      fragments.emplace_back();
+    }
+    fragments[fragments.size() - 2].Add(patterns[k], 10 + k);
+  }
+  return fragments;
+}
+
+TEST(PatternSetTest, SpliceEqualsSerialAdds) {
+  Alphabet a;
+  Seq(&a, "a b c d e");  // ids ascend a < b < c < d < e
+  const std::vector<std::vector<std::string>> cases = {
+      // One-node fragments.
+      {"a", "b", "d"},
+      // Deep fragments with members at every depth.
+      {"a", "a b", "a b c", "a c", "b", "b b", "c", "c a", "c a d"},
+      // min_length 2: every root and some interior nodes are not members.
+      {"a b", "a c d", "a c e", "b a", "b e", "d c b a"},
+  };
+  for (const auto& names : cases) {
+    std::vector<Sequence> patterns;
+    for (const std::string& name : names) patterns.push_back(Seq(&a, name));
+    FrequentPatternSet serial;
+    AddAll(patterns, 0, &serial);
+    FrequentPatternSet spliced =
+        FrequentPatternSet::Splice(FragmentsByRoot(patterns));
+    EXPECT_EQ(spliced, serial) << names.front();
+    EXPECT_EQ(spliced.size(), patterns.size());
+    for (size_t k = 0; k < patterns.size(); ++k) {
+      EXPECT_EQ(spliced.IndexOf(patterns[k]), k);
+    }
+    // Add continues after the splice, below the last root and beside it.
+    Sequence below = patterns.back();
+    below.Append(a.Intern("e"));
+    const Sequence beside = Seq(&a, "e e");
+    serial.Add(below, 1);
+    spliced.Add(below, 1);
+    serial.Add(beside, 2);
+    spliced.Add(beside, 2);
+    EXPECT_EQ(spliced, serial) << names.front();
+    // The derivation walk sees the full depth of the spliced tree.
+    SequenceDatabase db;
+    db.Add(Seq(&a, "d c b a c d e e"));
+    db.Add(Seq(&a, "a b c a c e b e"));
+    SequenceDatabase marked = db;
+    marked.mutable_sequence(1)->Mark(2);
+    auto want = serial.SupportsAfter(DatabaseView(db), DatabaseView(marked));
+    auto got = spliced.SupportsAfter(DatabaseView(db), DatabaseView(marked));
+    ASSERT_EQ(want.ok(), got.ok());
+    if (want.ok()) {
+      EXPECT_EQ(*got, *want);
+    }
+  }
+}
+
+TEST(PatternSetTest, SpliceOfEmptyAndLoneFragments) {
+  EXPECT_TRUE(FrequentPatternSet::Splice({}).empty());
+  std::vector<FrequentPatternSet> empties(3);
+  FrequentPatternSet spliced = FrequentPatternSet::Splice(std::move(empties));
+  EXPECT_EQ(spliced, FrequentPatternSet());
+  Alphabet a;
+  spliced.Add(Seq(&a, "x"), 1);
+  EXPECT_EQ(spliced.SupportOf(Seq(&a, "x")), 1u);
+
+  // One non-empty fragment among empty ones, roots and interior prefixes
+  // included: the splice is that fragment, and Add continues on it.
+  Seq(&a, "y z");
+  FrequentPatternSet serial;
+  serial.Add(Seq(&a, "x y"), 4);
+  serial.Add(Seq(&a, "x y z"), 3);
+  serial.Add(Seq(&a, "y"), 5);
+  std::vector<FrequentPatternSet> fragments(4);
+  fragments[2] = serial;
+  FrequentPatternSet lone = FrequentPatternSet::Splice(std::move(fragments));
+  EXPECT_EQ(lone, serial);
+  serial.Add(Seq(&a, "y z"), 2);
+  lone.Add(Seq(&a, "y z"), 2);
+  EXPECT_EQ(lone, serial);
+}
+
+TEST(PatternSetDeathTest, SpliceRejectsOverlappingRoots) {
+  Alphabet a;
+  Seq(&a, "a b c");
+  std::vector<FrequentPatternSet> fragments(2);
+  fragments[0].Add(Seq(&a, "a b"), 1);
+  fragments[1].Add(Seq(&a, "a c"), 1);
+  EXPECT_DEATH(FrequentPatternSet::Splice(std::move(fragments)),
+               "disjoint root");
 }
 
 TEST(PatternSetTest, ToStringListsPatterns) {

@@ -1,10 +1,12 @@
 // Tests for the deterministic parallel runtime (common/thread_pool.h):
-// exact index coverage, stable reduction order, pool reuse, and the
-// serial fast path.
+// exact index coverage, stable reduction order, pool reuse, the serial
+// fast path, the affinity-aware "auto" thread count and the no-nesting
+// CHECK.
 
 #include "src/common/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <vector>
@@ -16,6 +18,27 @@ TEST(ResolveThreadCountTest, ZeroMeansHardwareConcurrency) {
   EXPECT_GE(ResolveThreadCount(0), 1u);
   EXPECT_EQ(ResolveThreadCount(1), 1u);
   EXPECT_EQ(ResolveThreadCount(7), 7u);
+}
+
+// "Auto" is the CPUs this thread may run on: narrowed to one CPU, it is
+// one; restored, it is the mask's count again.
+TEST(ResolveThreadCountTest, ZeroHonoursTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = -1;
+  for (int cpu = 0; cpu < CPU_SETSIZE && first < 0; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) first = cpu;
+  }
+  ASSERT_GE(first, 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const size_t pinned = ResolveThreadCount(0);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(ResolveThreadCount(0), static_cast<size_t>(CPU_COUNT(&saved)));
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -114,6 +137,53 @@ TEST(ThreadPoolTest, SharedPoolIsASingleton) {
     return static_cast<uint64_t>(end - begin);
   });
   EXPECT_EQ(got, 100u);
+}
+
+// A region body calling into its own pool fails a CHECK, on the inline
+// serial path and on the threaded one, for ParallelFor and
+// ParallelReduceSum alike.
+TEST(ThreadPoolDeathTest, NestedRegionOfTheSamePoolFails) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(4);
+        pool.ParallelFor(1, 1, [&](size_t, size_t) {
+          pool.ParallelFor(4, 1, [](size_t, size_t) {});
+        });
+      },
+      "nested regions");
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(4);
+        pool.ParallelFor(16, 4, [&](size_t, size_t) {
+          pool.ParallelReduceSum(4, 2, [](size_t, size_t) -> uint64_t {
+            return 0;
+          });
+        });
+      },
+      "nested regions");
+}
+
+// Another pool may be entered from a region body, and a pool is usable
+// again once its region has returned.
+TEST(ThreadPoolTest, OtherPoolsMayNestAndRegionsEndCleanly) {
+  ThreadPool outer(4);
+  ThreadPool inner(4);
+  std::atomic<uint64_t> total{0};
+  outer.ParallelFor(8, 4, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      total.fetch_add(
+          inner.ParallelReduceSum(10, 2, [](size_t b, size_t e) -> uint64_t {
+            return e - b;
+          }),
+          std::memory_order_relaxed);
+    }
+  });
+  EXPECT_EQ(total.load(), 80u);
+  outer.ParallelFor(8, 1, [](size_t, size_t) {});
+  EXPECT_EQ(outer.ParallelReduceSum(
+                8, 4, [](size_t b, size_t e) -> uint64_t { return e - b; }),
+            8u);
 }
 
 }  // namespace
