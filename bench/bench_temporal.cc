@@ -11,7 +11,8 @@
 
 #include "src/data/timed_workload.h"
 #include "src/eval/bench_harness.h"
-#include "src/temporal/timed_hide.h"
+#include "src/hide/hide_language.h"
+#include "src/temporal/timed_match.h"
 
 namespace seqhide {
 namespace {
@@ -49,7 +50,9 @@ void Run(const bench::SectionRun& run) {
       TimeConstraintSpec spec;
       spec.max_window_time = level.window_minutes;
       std::vector<TimedSequence> db = w.sequences;  // fresh copy
-      auto report = HideTimedPatterns(&db, w.sensitive, spec, psi);
+      auto report = HideLanguagePatterns<TimedLanguage>(
+          &db, w.sensitive,
+          std::vector<TimeConstraintSpec>(w.sensitive.size(), spec), psi);
       if (!report.ok()) {
         out.out() << "\nerror: " << report.status() << "\n";
         return;

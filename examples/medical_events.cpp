@@ -11,7 +11,8 @@
 #include <iostream>
 #include <vector>
 
-#include "src/itemset/itemset_hide.h"
+#include "src/hide/hide_language.h"
+#include "src/itemset/itemset_match.h"
 #include "src/seq/alphabet.h"
 #include "src/temporal/timed_match.h"
 #include "src/temporal/timed_sequence.h"
@@ -57,13 +58,13 @@ int main() {
   }
 
   std::cout << "\nsanitizing...\n";
-  size_t total_marks = 0;
-  for (auto& p : patients) {
-    TimedSanitizeResult r =
-        SanitizeTimedSequence(&p, {sensitive}, within_48h);
-    total_marks += r.marks_introduced;
+  Result<SanitizeReport> timed = HideLanguagePatterns<TimedLanguage>(
+      &patients, {sensitive}, {within_48h}, /*psi=*/0);
+  if (!timed.ok()) {
+    std::cerr << "timed hiding failed: " << timed.status() << "\n";
+    return 1;
   }
-  std::cout << "marked " << total_marks << " events in total\n\n";
+  std::cout << "marked " << timed->marks_introduced << " events in total\n\n";
   for (size_t i = 0; i < patients.size(); ++i) {
     std::cout << "  patient " << i + 1 << ": "
               << CountTimedMatchings(sensitive, within_48h, patients[i])
@@ -90,15 +91,15 @@ int main() {
 
   std::vector<ItemsetSequence> sensitive_visits = {
       ItemsetSequence{Itemset{dx}, Itemset{adv}}};
-  Result<ItemsetHideReport> report =
-      HideItemsetPatterns(&visits, sensitive_visits, /*psi=*/0);
+  Result<SanitizeReport> report = HideLanguagePatterns<ItemsetLanguage>(
+      visits.mutable_sequences(), sensitive_visits, {}, /*psi=*/0);
   if (!report.ok()) {
     std::cerr << "itemset hiding failed: " << report.status() << "\n";
     return 1;
   }
   std::cout << "  support before: " << report->supports_before[0]
             << ", after: " << report->supports_after[0]
-            << ", items marked: " << report->items_marked << "\n";
+            << ", items marked: " << report->marks_introduced << "\n";
   for (size_t i = 0; i < visits.size(); ++i) {
     std::cout << "  record " << i + 1 << ": "
               << visits[i].ToString(visits.alphabet()) << "\n";

@@ -10,7 +10,7 @@
 
 #include <iostream>
 
-#include "src/itemset/itemset_hide.h"
+#include "src/hide/hide_language.h"
 #include "src/itemset/itemset_io.h"
 #include "src/itemset/itemset_match.h"
 #include "src/itemset/itemset_mine.h"
@@ -60,12 +60,13 @@ int main() {
             << before->size() << "\n";
 
   // Hide completely with the two-level hierarchical heuristic.
-  Result<ItemsetHideReport> report = HideItemsetPatterns(&db, sensitive, 0);
+  Result<SanitizeReport> report = HideLanguagePatterns<ItemsetLanguage>(
+      db.mutable_sequences(), sensitive, {}, /*psi=*/0);
   if (!report.ok()) {
     std::cerr << "hiding failed: " << report.status() << "\n";
     return 1;
   }
-  std::cout << "hid the pattern by removing " << report->items_marked
+  std::cout << "hid the pattern by removing " << report->marks_introduced
             << " items across " << report->sequences_sanitized
             << " histories\n";
 

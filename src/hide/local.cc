@@ -35,56 +35,29 @@ LocalSanitizeResult SanitizeSequence(
                              result.marks_introduced);
     return result;
   }
-  // Hoisted out of the round loop: after the first round these only ever
-  // get reassigned, never reallocated (and the DP tables inside *scratch
-  // stay warm across rounds and across sequences on the same thread).
-  std::vector<uint64_t> deltas;
-  std::vector<size_t> candidates;
+  // The DP tables inside *scratch stay warm across rounds and across
+  // sequences on the same thread.
   scratch->exhausted = false;
-  for (;;) {
-    // Each round recomputes δ for every pattern — the dominant cost of
-    // the local stage and the number the paper's Alg. 1 loop hides. Per
-    // pattern a round is O(nm) without max gaps, O(n·m·w) with max-gap
-    // windows of w cells, and |T| recounts under a max-window; a pattern
-    // already hidden costs only its forward table. The number of rounds
-    // is the number of marks the row needs, which grows with |T|.
-    SEQHIDE_COUNTER_INC("local.delta_recomputations");
-    PositionDeltasTotalInto(patterns, constraints, *seq, scratch, &deltas);
-    if (scratch->exhausted) {
-      // A DP table blew the memory budget mid-recomputation, so `deltas`
-      // is partial; marking from it could pick a suboptimal position and
-      // the loop could not prove termination anyway. Stop here and let
-      // the caller degrade.
-      result.exhausted = true;
-      break;
-    }
-
-    // Positions involved in at least one matching ("reasonable choices").
-    candidates.clear();
-    uint64_t best_delta = 0;
-    size_t best_pos = 0;
-    for (size_t i = 0; i < deltas.size(); ++i) {
-      if (deltas[i] == 0) continue;
-      candidates.push_back(i);
-      if (deltas[i] > best_delta) {
-        best_delta = deltas[i];
-        best_pos = i;
-      }
-    }
-    if (candidates.empty()) break;  // M_{S_h}^T = ∅ — sanitized.
-
-    size_t chosen;
-    if (strategy == LocalStrategy::kHeuristic) {
-      // Ties break toward the smallest index (deterministic replays).
-      chosen = best_pos;
-    } else {
-      chosen = candidates[static_cast<size_t>(
-          rng->NextBounded(candidates.size()))];
-    }
-    seq->Mark(chosen);
-    result.marked_positions.push_back(chosen);
-    ++result.marks_introduced;
-  }
+  MarkRounds(
+      strategy, rng,
+      [&](std::vector<uint64_t>* deltas) {
+        // Each round recomputes δ for every pattern — the dominant cost of
+        // the local stage and the number the paper's Alg. 1 loop hides.
+        // Per pattern a round is O(nm) without max gaps, O(n·m·w) with
+        // max-gap windows of w cells, and |T| recounts under a max-window;
+        // a pattern already hidden costs only its forward table. The
+        // number of rounds is the number of marks the row needs, which
+        // grows with |T|. A table refused by the memory budget leaves δ
+        // partial, so the loop stops and the caller degrades.
+        SEQHIDE_COUNTER_INC("local.delta_recomputations");
+        PositionDeltasTotalInto(patterns, constraints, *seq, scratch, deltas);
+        return !scratch->exhausted;
+      },
+      [&](size_t pos) {
+        seq->Mark(pos);
+        return size_t{1};
+      },
+      &result);
   SEQHIDE_COUNTER_ADD("local.marks", result.marks_introduced);
   SEQHIDE_HISTOGRAM_RECORD("local.marks_per_sequence",
                            result.marks_introduced);

@@ -1,87 +1,13 @@
 #include "src/itemset/itemset_match.h"
 
-#include "src/common/logging.h"
-#include "src/match/count.h"
+#include "src/match/scratch.h"
 
 namespace seqhide {
-namespace {
-
-// Matches are impossible against an empty pattern element; callers ensure
-// pattern elements are non-empty (empty data elements simply match
-// nothing except the empty set, which we exclude).
-bool ElementMatches(const Itemset& pattern_element,
-                    const Itemset& data_element) {
-  if (pattern_element.empty()) return false;
-  return pattern_element.IsSubsetOf(data_element);
-}
-
-void Enumerate(const ItemsetSequence& pattern, const ConstraintSpec& spec,
-               const ItemsetSequence& seq, size_t cap,
-               std::vector<size_t>* prefix,
-               std::vector<std::vector<size_t>>* out) {
-  if (cap != 0 && out->size() >= cap) return;
-  size_t k = prefix->size();
-  if (k == pattern.size()) {
-    out->push_back(*prefix);
-    return;
-  }
-  size_t start = prefix->empty() ? 0 : prefix->back() + 1;
-  for (size_t j = start; j < seq.size(); ++j) {
-    if (!ElementMatches(pattern[k], seq[j])) continue;
-    if (!prefix->empty()) {
-      size_t between = j - prefix->back() - 1;
-      if (!spec.gap(k - 1).Allows(between)) continue;
-      if (spec.max_window().has_value() &&
-          j - prefix->front() + 1 > *spec.max_window()) {
-        break;  // spans only grow with j
-      }
-    }
-    prefix->push_back(j);
-    Enumerate(pattern, spec, seq, cap, prefix, out);
-    prefix->pop_back();
-    if (cap != 0 && out->size() >= cap) return;
-  }
-}
-
-// Gap-valid embeddings of pattern prefixes ending exactly at each position
-// within [first, last] (⊆-test analogue of constrained_count.cc).
-std::vector<std::vector<uint64_t>> ItemsetGapEndTable(
-    const ItemsetSequence& pattern, const ConstraintSpec& spec,
-    const ItemsetSequence& seq, size_t first, size_t last) {
-  const size_t m = pattern.size();
-  std::vector<std::vector<uint64_t>> ends(m,
-                                          std::vector<uint64_t>(seq.size(), 0));
-  for (size_t j = first; j <= last && j < seq.size(); ++j) {
-    if (ElementMatches(pattern[0], seq[j])) ends[0][j] = 1;
-  }
-  for (size_t k = 1; k < m; ++k) {
-    const GapBound bound = spec.gap(k - 1);
-    for (size_t j = first; j <= last && j < seq.size(); ++j) {
-      if (!ElementMatches(pattern[k], seq[j])) continue;
-      if (j == 0 || j - 1 < bound.min_gap) continue;
-      size_t hi = j - 1 - bound.min_gap;
-      size_t lo = first;
-      if (bound.max_gap != GapBound::kNoMax && j >= 1 + bound.max_gap &&
-          j - 1 - bound.max_gap > lo) {
-        lo = j - 1 - bound.max_gap;
-      }
-      uint64_t sum = 0;
-      for (size_t l = lo; l <= hi; ++l) sum = SatAdd(sum, ends[k - 1][l]);
-      ends[k][j] = sum;
-    }
-  }
-  return ends;
-}
-
-}  // namespace
 
 bool IsItemsetSubsequence(const ItemsetSequence& pattern,
                           const ItemsetSequence& seq) {
-  size_t k = 0;
-  for (size_t j = 0; j < seq.size() && k < pattern.size(); ++j) {
-    if (ElementMatches(pattern[k], seq[j])) ++k;
-  }
-  return k == pattern.size();
+  const ConstraintSpec unconstrained;
+  return Embeds(ItemsetLanguage(pattern, unconstrained, seq));
 }
 
 size_t ItemsetSupport(const ItemsetSequence& pattern,
@@ -94,170 +20,25 @@ size_t ItemsetSupport(const ItemsetSequence& pattern,
 }
 
 uint64_t CountItemsetMatchings(const ItemsetSequence& pattern,
-                               const ItemsetSequence& seq) {
-  const size_t m = pattern.size();
-  const size_t n = seq.size();
-  if (m == 0) return 1;
-  if (m > n) return 0;
-  std::vector<uint64_t> row(m + 1, 0);
-  row[0] = 1;
-  for (size_t j = 0; j < n; ++j) {
-    for (size_t i = m; i >= 1; --i) {
-      if (ElementMatches(pattern[i - 1], seq[j])) {
-        row[i] = SatAdd(row[i], row[i - 1]);
-      }
-    }
-  }
-  return row[m];
-}
-
-uint64_t CountItemsetMatchingsTotal(
-    const std::vector<ItemsetSequence>& patterns,
-    const ItemsetSequence& seq) {
-  uint64_t total = 0;
-  for (const auto& p : patterns) {
-    total = SatAdd(total, CountItemsetMatchings(p, seq));
-  }
-  return total;
-}
-
-std::vector<std::vector<size_t>> EnumerateItemsetMatchings(
-    const ItemsetSequence& pattern, const ItemsetSequence& seq, size_t cap) {
-  return EnumerateItemsetMatchings(pattern, ConstraintSpec(), seq, cap);
-}
-
-std::vector<std::vector<size_t>> EnumerateItemsetMatchings(
-    const ItemsetSequence& pattern, const ConstraintSpec& spec,
-    const ItemsetSequence& seq, size_t cap) {
-  SEQHIDE_CHECK(!pattern.empty());
-  std::vector<std::vector<size_t>> out;
-  std::vector<size_t> prefix;
-  Enumerate(pattern, spec, seq, cap, &prefix, &out);
-  return out;
-}
-
-uint64_t CountItemsetMatchings(const ItemsetSequence& pattern,
                                const ConstraintSpec& spec,
                                const ItemsetSequence& seq) {
-  const size_t m = pattern.size();
-  const size_t n = seq.size();
-  if (m == 0) return 1;
-  if (m > n) return 0;
-  if (spec.IsUnconstrained()) return CountItemsetMatchings(pattern, seq);
-
-  if (!spec.HasWindow()) {
-    auto ends = ItemsetGapEndTable(pattern, spec, seq, 0, n - 1);
-    uint64_t total = 0;
-    for (size_t j = 0; j < n; ++j) total = SatAdd(total, ends[m - 1][j]);
-    return total;
-  }
-  // Lemma 5 treatment per ending position.
-  const size_t ws = *spec.max_window();
-  uint64_t total = 0;
-  for (size_t j = 0; j < n; ++j) {
-    if (!ElementMatches(pattern[m - 1], seq[j])) continue;
-    size_t first = (j + 1 >= ws) ? j + 1 - ws : 0;
-    auto ends = ItemsetGapEndTable(pattern, spec, seq, first, j);
-    total = SatAdd(total, ends[m - 1][j]);
-  }
-  return total;
+  MatchScratch scratch;
+  return CountLanguageMatchings(ItemsetLanguage(pattern, spec, seq),
+                                &scratch);
 }
 
-uint64_t CountItemsetMatchingsTotal(
-    const std::vector<ItemsetSequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints,
-    const ItemsetSequence& seq) {
-  SEQHIDE_CHECK(constraints.empty() || constraints.size() == patterns.size())
-      << "constraints must be empty or parallel to patterns";
-  uint64_t total = 0;
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    const ConstraintSpec& spec =
-        constraints.empty() ? ConstraintSpec() : constraints[p];
-    total = SatAdd(total, CountItemsetMatchings(patterns[p], spec, seq));
+Status ValidatePattern(const ItemsetSequence& pattern,
+                       const ConstraintSpec& spec) {
+  if (pattern.empty()) {
+    return Status::InvalidArgument("sensitive pattern must be non-empty");
   }
-  return total;
-}
-
-std::vector<uint64_t> ItemsetPositionDeltas(
-    const std::vector<ItemsetSequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints,
-    const ItemsetSequence& seq) {
-  if (constraints.empty()) return ItemsetPositionDeltas(patterns, seq);
-  const uint64_t base =
-      CountItemsetMatchingsTotal(patterns, constraints, seq);
-  std::vector<uint64_t> deltas(seq.size(), 0);
-  if (base == 0) return deltas;
-  for (size_t pos = 0; pos < seq.size(); ++pos) {
-    if (seq[pos].empty()) continue;
-    ItemsetSequence cleared = seq;
-    *cleared.mutable_element(pos) = Itemset();
-    uint64_t without =
-        CountItemsetMatchingsTotal(patterns, constraints, cleared);
-    SEQHIDE_DCHECK(without <= base);
-    deltas[pos] = base - without;
-  }
-  return deltas;
-}
-
-std::vector<uint64_t> ItemsetPositionDeltas(
-    const std::vector<ItemsetSequence>& patterns,
-    const ItemsetSequence& seq) {
-  const size_t n = seq.size();
-  std::vector<uint64_t> deltas(n, 0);
-  for (const auto& pattern : patterns) {
-    const size_t m = pattern.size();
-    if (m == 0 || m > n) continue;
-    // fwd[k][j]: embeddings of pattern[0..k-1] ending exactly at j.
-    std::vector<std::vector<uint64_t>> fwd(m + 1,
-                                           std::vector<uint64_t>(n, 0));
-    // bwd[k][j]: embeddings of pattern[k..m-1] starting exactly at j.
-    std::vector<std::vector<uint64_t>> bwd(m + 1,
-                                           std::vector<uint64_t>(n, 0));
-    for (size_t j = 0; j < n; ++j) {
-      if (ElementMatches(pattern[0], seq[j])) fwd[1][j] = 1;
-      if (ElementMatches(pattern[m - 1], seq[j])) bwd[m - 1][j] = 1;
-    }
-    for (size_t k = 2; k <= m; ++k) {
-      uint64_t running = 0;  // Σ_{l<j} fwd[k-1][l]
-      for (size_t j = 0; j < n; ++j) {
-        if (ElementMatches(pattern[k - 1], seq[j])) fwd[k][j] = running;
-        running = SatAdd(running, fwd[k - 1][j]);
-      }
-    }
-    for (size_t k = m - 1; k-- >= 1;) {
-      uint64_t running = 0;  // Σ_{l>j} bwd[k+1][l]
-      for (size_t j = n; j-- > 0;) {
-        if (ElementMatches(pattern[k], seq[j])) bwd[k][j] = running;
-        running = SatAdd(running, bwd[k + 1][j]);
-      }
-      if (k == 0) break;
-    }
-    // Matchings mapping pattern position k (1-based) to j:
-    // fwd[k][j] × (embeddings of the suffix after j) where the suffix
-    // count is bwd[k][j'] summed over j' > j — precompute suffix sums.
-    for (size_t k = 1; k <= m; ++k) {
-      // suffix_after[j] = Σ_{l>j} bwd[k][l]  (suffix starting strictly
-      // after j); pattern position k 0-based index is k-1, the suffix
-      // begins at pattern index k.
-      if (k == m) {
-        for (size_t j = 0; j < n; ++j) {
-          deltas[j] = SatAdd(deltas[j], fwd[m][j]);
-        }
-        continue;
-      }
-      uint64_t running = 0;
-      std::vector<uint64_t> suffix_after(n, 0);
-      for (size_t j = n; j-- > 0;) {
-        suffix_after[j] = running;
-        running = SatAdd(running, bwd[k][j]);
-      }
-      for (size_t j = 0; j < n; ++j) {
-        if (fwd[k][j] == 0) continue;
-        deltas[j] = SatAdd(deltas[j], SatMul(fwd[k][j], suffix_after[j]));
-      }
+  for (size_t e = 0; e < pattern.size(); ++e) {
+    if (pattern[e].empty()) {
+      return Status::InvalidArgument(
+          "sensitive pattern elements must be non-empty itemsets");
     }
   }
-  return deltas;
+  return spec.Validate(pattern.size());
 }
 
 }  // namespace seqhide

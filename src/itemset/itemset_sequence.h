@@ -71,6 +71,10 @@ class ItemsetSequence {
 
   void Append(Itemset element) { elements_.push_back(std::move(element)); }
 
+  // Clears element i: every item is marked, so it matches nothing, like a
+  // Δ in a plain sequence.
+  void Mark(size_t i) { *mutable_element(i) = Itemset(); }
+
   // Total number of items across all elements.
   size_t TotalItems() const;
 
@@ -101,6 +105,7 @@ class ItemsetDatabase {
   const ItemsetSequence& operator[](size_t i) const { return sequences_[i]; }
   ItemsetSequence* mutable_sequence(size_t i);
   const std::vector<ItemsetSequence>& sequences() const { return sequences_; }
+  std::vector<ItemsetSequence>* mutable_sequences() { return &sequences_; }
 
  private:
   Alphabet alphabet_;

@@ -12,7 +12,9 @@
 // * Conjunction: the window computation simply uses Q instead of P, as in
 //   the paper's closing remark of §5.
 //
-// All counts saturate (see count.h).
+// The tables and the windowed sum are the Sequence instance of
+// language.h's templates, which every pattern language shares. All counts
+// saturate (see count.h).
 
 #ifndef SEQHIDE_MATCH_CONSTRAINED_COUNT_H_
 #define SEQHIDE_MATCH_CONSTRAINED_COUNT_H_

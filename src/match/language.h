@@ -1,0 +1,370 @@
+// One set of matching DPs for every pattern language (paper §4, §5, §7.1,
+// §7.2, §8).
+//
+// The paper states its itemset (§7.1), real-time (§7.2) and class-pattern
+// (§8) extensions as "the same machinery with the comparison swapped". The
+// templates below are that machinery, written once: the gap-end (forward)
+// table of Lemma 4, the suffix-extension (backward) table, the Lemma 5
+// windowed count, and δ — forward × backward without a window, clear and
+// recount with one. Each template reads its language through a policy L,
+// a small value built over one (pattern, spec, row) triple that supplies
+//
+//   match  bool Match(size_t k, size_t j): pattern element k matches row
+//          element j (=, ⊆ or class ∈). Δ or an empty element matches
+//          nothing.
+//   span   Arrow arrow(size_t a), for the arrow between pattern elements a
+//          and a+1, with
+//            bool Pred(size_t j, size_t* lo, size_t* hi): the positions
+//              [lo, hi] before j its predecessor may take (false: none);
+//            bool Succ(size_t j, size_t* lo, size_t* hi): the positions
+//              [lo, hi] after j its successor may take (false: none);
+//            bool bounded(): the arrow has a max gap. An unbounded arrow's
+//              Pred starts at 0 and its Succ ends at n−1, so one running
+//              sum fills its table row;
+//          and bool HasWindow() / size_t WindowStart(size_t j): the first
+//          position an embedding ending at j may start at.
+//   clear  bool Clearable(size_t i), and L Cleared(size_t i, Work* work):
+//          the policy over a copy of the row, held in *work, with position
+//          i cleared (Δ, or an emptied itemset).
+//
+// plus m() (pattern length) and n() (row length). Every span bound must be
+// non-decreasing in j, as index gaps and time gaps over non-decreasing
+// timestamps are. Policies are plain values and every call is inlined: no
+// virtual call and no std::function runs in a DP loop.
+//
+// SequenceLanguage is the paper's own instance; ItemsetLanguage
+// (src/itemset), TimedLanguage (src/temporal) and ClassLanguage
+// (src/repat) are the others. All counts saturate (count.h).
+
+#ifndef SEQHIDE_MATCH_LANGUAGE_H_
+#define SEQHIDE_MATCH_LANGUAGE_H_
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "src/common/logging.h"
+#include "src/constraints/constraints.h"
+#include "src/match/count.h"
+#include "src/match/prefix_table.h"
+#include "src/match/scratch.h"
+#include "src/seq/sequence.h"
+#include "src/seq/view.h"
+
+namespace seqhide {
+
+// One arrow of a ConstraintSpec over positions (Lemma 4): mg..Mg events
+// strictly between the two matched positions, so a successor at j has its
+// predecessor in [j−1−Mg, j−1−mg].
+class IndexArrow {
+ public:
+  IndexArrow(GapBound bound, size_t n) : bound_(bound), n_(n) {}
+
+  bool bounded() const { return bound_.max_gap != GapBound::kNoMax; }
+  bool Pred(size_t j, size_t* lo, size_t* hi) const {
+    if (j < 1 || j - 1 < bound_.min_gap) return false;
+    *hi = j - 1 - bound_.min_gap;
+    *lo = bounded() && j >= 1 + bound_.max_gap ? j - 1 - bound_.max_gap : 0;
+    return true;
+  }
+  bool Succ(size_t j, size_t* lo, size_t* hi) const {
+    *lo = j + 1 + bound_.min_gap;
+    if (*lo >= n_) return false;
+    *hi = bounded() ? std::min(n_ - 1, j + 1 + bound_.max_gap) : n_ - 1;
+    return true;
+  }
+
+ private:
+  GapBound bound_;
+  size_t n_;
+};
+
+// The spans of a ConstraintSpec: per-arrow index gaps and the Lemma 5
+// window of Ws positions. Shared by every language whose spans count
+// positions (sequences, itemset sequences, class patterns).
+class IndexSpans {
+ public:
+  IndexSpans(const ConstraintSpec& spec, size_t n) : spec_(&spec), n_(n) {}
+
+  IndexArrow arrow(size_t a) const { return IndexArrow(spec_->gap(a), n_); }
+  bool HasWindow() const { return spec_->HasWindow(); }
+  size_t WindowStart(size_t j) const {
+    const size_t ws = *spec_->max_window();
+    return j + 1 >= ws ? j + 1 - ws : 0;
+  }
+
+ protected:
+  const ConstraintSpec& spec() const { return *spec_; }
+
+ private:
+  const ConstraintSpec* spec_;
+  size_t n_;
+};
+
+// Symbol equality, the paper's element match. Patterns are Δ-free
+// (every entry point validates them), so Δ in a row matches nothing.
+inline bool MatchesSymbol(SymbolId pattern_symbol, SymbolId symbol) {
+  return pattern_symbol == symbol;
+}
+
+// A language over symbol rows whose pattern elements are tested with
+// MatchesSymbol(element, symbol): Sequence patterns here, ClassPattern in
+// src/repat. Clearing marks the position with Δ.
+template <class PatternT>
+class SymbolLanguage : public IndexSpans {
+ public:
+  using Pattern = PatternT;
+  using Spec = ConstraintSpec;
+  using Row = Sequence;
+  using Work = Sequence;
+
+  SymbolLanguage(const Pattern& pattern, const ConstraintSpec& spec,
+                 SequenceView row)
+      : IndexSpans(spec, row.size()), pattern_(pattern), row_(row) {}
+
+  size_t m() const { return pattern_.size(); }
+  size_t n() const { return row_.size(); }
+  SequenceView row() const { return row_; }
+  bool Match(size_t k, size_t j) const {
+    return MatchesSymbol(pattern_[k], row_[j]);
+  }
+  bool Clearable(size_t i) const { return IsRealSymbol(row_[i]); }
+  SymbolLanguage Cleared(size_t i, Sequence* work) const {
+    *work = row_.Materialize();
+    work->Mark(i);
+    return SymbolLanguage(pattern_, spec(), *work);
+  }
+
+ private:
+  const Pattern& pattern_;
+  SequenceView row_;
+};
+
+using SequenceLanguage = SymbolLanguage<Sequence>;
+
+// Lemma 4's table Q in PrefixEndTable layout ([m+1][n+1], 1-based columns,
+// Q[0][0] = 1): gap-valid embeddings of the length-k prefix ending exactly
+// at each position. Ignores the window. An unbounded arrow fills its row
+// from one running sum, O(n); a bounded one re-sums its span per cell,
+// O(w), because a saturated sum cannot be un-added. Returns false when
+// the scratch's budget refused the table (it is then a 1×1 zero table).
+template <class L>
+bool FillGapEndTable(const L& lang, MatchScratch* scratch,
+                     PrefixEndTable* out) {
+  const size_t m = lang.m();
+  const size_t n = lang.n();
+  PrefixEndTable& table = *out;
+  if (!TryResizeAndZeroTable(scratch, &table, m + 1, n + 1)) return false;
+  table[0][0] = 1;
+  if (m == 0) return true;
+  for (size_t j = 0; j < n; ++j) {
+    if (lang.Match(0, j)) table[1][j + 1] = 1;
+  }
+  for (size_t k = 2; k <= m; ++k) {
+    const auto arrow = lang.arrow(k - 2);
+    uint64_t prefix = 0;  // Σ table[k-1] over positions [0, next)
+    size_t next = 0;
+    for (size_t j = 0; j < n; ++j) {
+      size_t lo, hi;
+      if (!lang.Match(k - 1, j) || !arrow.Pred(j, &lo, &hi)) continue;
+      if (!arrow.bounded()) {
+        for (; next <= hi; ++next) {
+          prefix = SatAdd(prefix, table[k - 1][next + 1]);
+        }
+        table[k][j + 1] = prefix;
+        continue;
+      }
+      uint64_t sum = 0;
+      for (size_t l = lo; l <= hi; ++l) sum = SatAdd(sum, table[k - 1][l + 1]);
+      table[k][j + 1] = sum;
+    }
+  }
+  return true;
+}
+
+// Lemma 5: Σ over ending positions `last` of the gap-valid embeddings
+// confined to [WindowStart(last), last] that end exactly at `last`. Each
+// term rebuilds Lemma 4's table over its slice in scratch->window ([m][n],
+// 0-based positions); the slice is the window.
+template <class L>
+uint64_t CountWindowed(const L& lang, MatchScratch* scratch) {
+  const size_t m = lang.m();
+  const size_t n = lang.n();
+  DpTable& ends = scratch->window;
+  uint64_t total = 0;
+  for (size_t last = 0; last < n && m > 0; ++last) {
+    if (!lang.Match(m - 1, last) ||
+        !TryResizeAndZeroTable(scratch, &ends, m, n)) {
+      continue;
+    }
+    const size_t first = lang.WindowStart(last);
+    for (size_t j = first; j <= last; ++j) {
+      if (lang.Match(0, j)) ends[0][j] = 1;
+    }
+    for (size_t k = 1; k < m; ++k) {
+      const auto arrow = lang.arrow(k - 1);
+      for (size_t j = first; j <= last; ++j) {
+        size_t lo, hi;
+        if (!lang.Match(k, j) || !arrow.Pred(j, &lo, &hi)) continue;
+        uint64_t sum = 0;
+        for (size_t l = std::max(lo, first); l <= hi; ++l) {
+          sum = SatAdd(sum, ends[k - 1][l]);
+        }
+        ends[k][j] = sum;
+      }
+    }
+    total = SatAdd(total, ends[m - 1][last]);
+  }
+  return total;
+}
+
+// |M| under the spec: Σ_j Q[m][j] without a window, Lemma 5 with one.
+template <class L>
+uint64_t CountLanguageMatchings(const L& lang, MatchScratch* scratch) {
+  if (lang.m() == 0) return 1;
+  if (lang.m() > lang.n()) return 0;
+  if (lang.HasWindow()) return CountWindowed(lang, scratch);
+  FillGapEndTable(lang, scratch, &scratch->fwd);
+  return TotalFromPrefixEndTable(scratch->fwd);
+}
+
+// True iff the pattern embeds at all (greedy leftmost, spec ignored): no
+// embedding, no matching under any constraint, so the count DP can be
+// skipped.
+template <class L>
+bool Embeds(const L& lang) {
+  size_t k = 0;
+  for (size_t j = 0; j < lang.n() && k < lang.m(); ++j) {
+    if (lang.Match(k, j)) ++k;
+  }
+  return k == lang.m();
+}
+
+// |M| behind the Embeds screen.
+template <class L>
+uint64_t ScreenedCount(const L& lang, MatchScratch* scratch) {
+  return Embeds(lang) ? CountLanguageMatchings(lang, scratch) : 0;
+}
+
+// Rows with a matching of `pattern` under `spec`: support is count > 0
+// behind the screen, never an enumeration of embeddings.
+template <class L>
+size_t LanguageSupport(const typename L::Pattern& pattern,
+                       const typename L::Spec& spec,
+                       const std::vector<typename L::Row>& rows,
+                       MatchScratch* scratch) {
+  size_t support = 0;
+  for (const auto& row : rows) {
+    if (ScreenedCount(L(pattern, spec, row), scratch) > 0) ++support;
+  }
+  return support;
+}
+
+// bwd[k][j] ([m+1][n], 0-based positions): gap-valid embeddings of the
+// suffix S[k+1..m] (1-based) entirely after j, with arrow k binding
+// between j and the suffix's first matched position; bwd[m][j] = 1. Rows
+// fill right to left, from one running suffix sum for an unbounded arrow
+// and by re-summing the span for a bounded one (see FillGapEndTable).
+template <class L>
+void FillSuffixTable(const L& lang, MatchScratch* scratch, DpTable* out) {
+  const size_t m = lang.m();
+  const size_t n = lang.n();
+  DpTable& bwd = *out;
+  if (!TryResizeAndZeroTable(scratch, &bwd, m + 1, n)) return;
+  for (size_t j = 0; j < n; ++j) bwd[m][j] = 1;
+  // `k` counts consumed prefix elements: the next suffix element is
+  // pattern element k (0-based), reached over arrow k − 1.
+  for (size_t k = m; k-- > 1;) {
+    const auto arrow = lang.arrow(k - 1);
+    uint64_t suffix = 0;  // Σ bwd[k+1][l] over matching l in [next, n)
+    size_t next = n;
+    for (size_t j = n; j-- > 0;) {
+      size_t lo, hi;
+      if (!arrow.Succ(j, &lo, &hi)) continue;
+      if (!arrow.bounded()) {
+        while (next > lo) {
+          --next;
+          if (lang.Match(k, next)) suffix = SatAdd(suffix, bwd[k + 1][next]);
+        }
+        bwd[k][j] = suffix;
+        continue;
+      }
+      uint64_t sum = 0;
+      for (size_t l = lo; l <= hi; ++l) {
+        if (lang.Match(k, l)) sum = SatAdd(sum, bwd[k + 1][l]);
+      }
+      bwd[k][j] = sum;
+    }
+  }
+}
+
+// Theorem 2 without the deletion: δ(T[j]) = Σ_k fwd[k][j] × bwd[k][j] over
+// the pattern elements k that match T[j], with scratch->fwd already
+// holding FillGapEndTable's (or the Lemma 3) table. A matching maps
+// exactly one element to j, so each matching through j counts once, and
+// SatMul / SatAdd keep a saturated δ large instead of 0. The suffix table
+// is skipped when no embedding ends anywhere.
+template <class L>
+void CombineDeltas(const L& lang, MatchScratch* scratch,
+                   std::vector<uint64_t>* out) {
+  const size_t m = lang.m();
+  const size_t n = lang.n();
+  const PrefixEndTable& fwd = scratch->fwd;
+  // A budget-refused fwd is a 1×1 stub: nothing below may index it.
+  if (scratch->exhausted ||
+      std::all_of(fwd[m].begin(), fwd[m].end(),
+                  [](uint64_t c) { return c == 0; })) {
+    out->assign(n, 0);
+    return;
+  }
+  DpTable& bwd = scratch->bwd;
+  FillSuffixTable(lang, scratch, &bwd);
+  out->assign(n, 0);
+  if (scratch->exhausted) return;
+  for (size_t j = 0; j < n; ++j) {
+    uint64_t total = 0;
+    for (size_t k = 1; k <= m; ++k) {
+      if (!lang.Match(k - 1, j)) continue;
+      total = SatAdd(total, SatMul(fwd[k][j + 1], bwd[k][j]));
+    }
+    (*out)[j] = total;
+  }
+}
+
+// δ by clear and recount: count(row) − count(row with i cleared), correct
+// under any spec and the windowed fallback of every language (a window
+// couples both halves of an embedding through its first position). A
+// saturated count reads as δ = 0 here.
+template <class L, class Count>
+void DeltasByClearing(const L& lang, typename L::Work* work,
+                      const Count& count, std::vector<uint64_t>* out) {
+  const uint64_t base = count(lang);
+  out->assign(lang.n(), 0);
+  for (size_t i = 0; i < lang.n(); ++i) {
+    if (!lang.Clearable(i)) continue;
+    const uint64_t without = count(lang.Cleared(i, work));
+    SEQHIDE_DCHECK(without <= base);
+    (*out)[i] = base - without;
+  }
+}
+
+// δ for every position of the row w.r.t. one pattern.
+template <class L>
+void LanguageDeltas(const L& lang, MatchScratch* scratch,
+                    std::vector<uint64_t>* out) {
+  if (lang.HasWindow()) {
+    typename L::Work work;
+    DeltasByClearing(
+        lang, &work,
+        [scratch](const L& l) { return CountLanguageMatchings(l, scratch); },
+        out);
+    return;
+  }
+  FillGapEndTable(lang, scratch, &scratch->fwd);
+  CombineDeltas(lang, scratch, out);
+}
+
+}  // namespace seqhide
+
+#endif  // SEQHIDE_MATCH_LANGUAGE_H_

@@ -24,7 +24,9 @@
 //     cells per entry. So δ costs O(nm) when no arrow has a max gap and
 //     O(n·m·w) otherwise. Specs with a window constraint fall back to
 //     method 2, O(n) recounts (the window couples the two halves through
-//     the first matched position).
+//     the first matched position). Methods 2 and 3 are the Sequence
+//     instance of language.h's DeltasByClearing and CombineDeltas, which
+//     every pattern language shares.
 //
 // All three agree on every input where they are defined (property-tested).
 

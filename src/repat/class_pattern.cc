@@ -4,7 +4,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
-#include "src/match/count.h"
+#include "src/match/scratch.h"
 
 namespace seqhide {
 
@@ -116,222 +116,25 @@ Result<ClassPattern> ParseClassPattern(Alphabet* alphabet,
   return pattern;
 }
 
-namespace {
-
-void EnumerateRec(const ClassPattern& pattern, const ConstraintSpec& spec,
-                  const Sequence& seq, size_t cap,
-                  std::vector<size_t>* prefix,
-                  std::vector<std::vector<size_t>>* out) {
-  if (cap != 0 && out->size() >= cap) return;
-  size_t k = prefix->size();
-  if (k == pattern.size()) {
-    out->push_back(*prefix);
-    return;
-  }
-  size_t start = prefix->empty() ? 0 : prefix->back() + 1;
-  for (size_t j = start; j < seq.size(); ++j) {
-    if (!pattern[k].Matches(seq[j])) continue;
-    if (!prefix->empty()) {
-      size_t between = j - prefix->back() - 1;
-      if (!spec.gap(k - 1).Allows(between)) continue;
-      if (spec.max_window().has_value() &&
-          j - prefix->front() + 1 > *spec.max_window()) {
-        break;
-      }
-    }
-    prefix->push_back(j);
-    EnumerateRec(pattern, spec, seq, cap, prefix, out);
-    prefix->pop_back();
-    if (cap != 0 && out->size() >= cap) return;
-  }
-}
-
-// Gap-valid embeddings of the prefix of length k ending exactly at each
-// position (class analogue of BuildGapEndTable, 0-based positions).
-std::vector<std::vector<uint64_t>> ClassGapEndTable(
-    const ClassPattern& pattern, const ConstraintSpec& spec,
-    const Sequence& seq, size_t first, size_t last) {
-  const size_t m = pattern.size();
-  std::vector<std::vector<uint64_t>> ends(m,
-                                          std::vector<uint64_t>(seq.size(), 0));
-  for (size_t j = first; j <= last && j < seq.size(); ++j) {
-    if (pattern[0].Matches(seq[j])) ends[0][j] = 1;
-  }
-  for (size_t k = 1; k < m; ++k) {
-    const GapBound bound = spec.gap(k - 1);
-    for (size_t j = first; j <= last && j < seq.size(); ++j) {
-      if (!pattern[k].Matches(seq[j])) continue;
-      if (j == 0 || j - 1 < bound.min_gap) continue;
-      size_t hi = j - 1 - bound.min_gap;
-      size_t lo = first;
-      if (bound.max_gap != GapBound::kNoMax && j >= 1 + bound.max_gap &&
-          j - 1 - bound.max_gap > lo) {
-        lo = j - 1 - bound.max_gap;
-      }
-      uint64_t sum = 0;
-      for (size_t l = lo; l <= hi; ++l) sum = SatAdd(sum, ends[k - 1][l]);
-      ends[k][j] = sum;
-    }
-  }
-  return ends;
-}
-
-}  // namespace
-
-bool HasClassMatch(const ClassPattern& pattern, const ConstraintSpec& spec,
-                   const Sequence& seq) {
-  return !EnumerateClassMatchings(pattern, spec, seq, /*cap=*/1).empty();
-}
-
 uint64_t CountClassMatchings(const ClassPattern& pattern,
                              const ConstraintSpec& spec, const Sequence& seq) {
-  const size_t m = pattern.size();
-  const size_t n = seq.size();
-  if (m == 0) return 1;
-  if (m > n) return 0;
-
-  if (!spec.HasWindow()) {
-    auto ends = ClassGapEndTable(pattern, spec, seq, 0, n - 1);
-    uint64_t total = 0;
-    for (size_t j = 0; j < n; ++j) total = SatAdd(total, ends[m - 1][j]);
-    return total;
-  }
-  // Lemma 5 treatment: per ending position, restrict to the window.
-  const size_t ws = *spec.max_window();
-  uint64_t total = 0;
-  for (size_t j = 0; j < n; ++j) {
-    if (!pattern[m - 1].Matches(seq[j])) continue;
-    size_t first = (j + 1 >= ws) ? j + 1 - ws : 0;
-    auto ends = ClassGapEndTable(pattern, spec, seq, first, j);
-    total = SatAdd(total, ends[m - 1][j]);
-  }
-  return total;
-}
-
-std::vector<std::vector<size_t>> EnumerateClassMatchings(
-    const ClassPattern& pattern, const ConstraintSpec& spec,
-    const Sequence& seq, size_t cap) {
-  SEQHIDE_CHECK(!pattern.empty());
-  std::vector<std::vector<size_t>> out;
-  std::vector<size_t> prefix;
-  EnumerateRec(pattern, spec, seq, cap, &prefix, &out);
-  return out;
+  MatchScratch scratch;
+  return CountLanguageMatchings(ClassLanguage(pattern, spec, seq), &scratch);
 }
 
 size_t ClassSupport(const ClassPattern& pattern, const ConstraintSpec& spec,
                     const SequenceDatabase& db) {
-  size_t count = 0;
-  for (const auto& seq : db.sequences()) {
-    if (HasClassMatch(pattern, spec, seq)) ++count;
-  }
-  return count;
+  MatchScratch scratch;
+  return LanguageSupport<ClassLanguage>(pattern, spec, db.sequences(),
+                                        &scratch);
 }
 
-std::vector<uint64_t> ClassPositionDeltas(
-    const std::vector<ClassPattern>& patterns,
-    const std::vector<ConstraintSpec>& constraints, const Sequence& seq) {
-  SEQHIDE_CHECK(constraints.empty() || constraints.size() == patterns.size());
-  // Mark-and-recount: always correct (wildcards make matching sets huge,
-  // but the paper-scale class patterns are short).
-  auto total_count = [&](const Sequence& s) {
-    uint64_t total = 0;
-    for (size_t p = 0; p < patterns.size(); ++p) {
-      const ConstraintSpec& spec =
-          constraints.empty() ? ConstraintSpec() : constraints[p];
-      total = SatAdd(total, CountClassMatchings(patterns[p], spec, s));
-    }
-    return total;
-  };
-  const uint64_t base = total_count(seq);
-  std::vector<uint64_t> deltas(seq.size(), 0);
-  if (base == 0) return deltas;
-  for (size_t i = 0; i < seq.size(); ++i) {
-    if (!IsRealSymbol(seq[i])) continue;
-    Sequence marked = seq;
-    marked.Mark(i);
-    uint64_t without = total_count(marked);
-    SEQHIDE_DCHECK(without <= base);
-    deltas[i] = base - without;
+Status ValidatePattern(const ClassPattern& pattern,
+                       const ConstraintSpec& spec) {
+  if (pattern.empty()) {
+    return Status::InvalidArgument("class pattern must be non-empty");
   }
-  return deltas;
-}
-
-Result<ClassHideReport> HideClassPatterns(
-    SequenceDatabase* db, const std::vector<ClassPattern>& patterns,
-    const std::vector<ConstraintSpec>& constraints, size_t psi) {
-  SEQHIDE_CHECK(db != nullptr);
-  if (patterns.empty()) {
-    return Status::InvalidArgument("no sensitive patterns given");
-  }
-  for (const auto& p : patterns) {
-    if (p.empty()) {
-      return Status::InvalidArgument("class pattern must be non-empty");
-    }
-  }
-  if (!constraints.empty() && constraints.size() != patterns.size()) {
-    return Status::InvalidArgument(
-        "constraints list must be empty or have one entry per pattern");
-  }
-  for (size_t i = 0; i < constraints.size(); ++i) {
-    SEQHIDE_RETURN_IF_ERROR(constraints[i].Validate(patterns[i].size()));
-  }
-
-  auto spec_for = [&](size_t p) -> const ConstraintSpec& {
-    static const ConstraintSpec kUnconstrained;
-    return constraints.empty() ? kUnconstrained : constraints[p];
-  };
-
-  ClassHideReport report;
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    report.supports_before.push_back(
-        ClassSupport(patterns[p], spec_for(p), *db));
-  }
-
-  // Global stage: ascending total matching count among supporters.
-  std::vector<std::pair<uint64_t, size_t>> supporters;
-  for (size_t t = 0; t < db->size(); ++t) {
-    uint64_t total = 0;
-    for (size_t p = 0; p < patterns.size(); ++p) {
-      total = SatAdd(total,
-                     CountClassMatchings(patterns[p], spec_for(p), (*db)[t]));
-    }
-    if (total > 0) supporters.emplace_back(total, t);
-  }
-  if (supporters.size() > psi) {
-    std::stable_sort(supporters.begin(), supporters.end());
-    supporters.resize(supporters.size() - psi);
-    for (const auto& [count, t] : supporters) {
-      (void)count;
-      Sequence* seq = db->mutable_sequence(t);
-      // Local stage: greedy max-δ marking.
-      for (;;) {
-        std::vector<uint64_t> deltas =
-            ClassPositionDeltas(patterns, constraints, *seq);
-        size_t best_pos = 0;
-        uint64_t best_delta = 0;
-        for (size_t i = 0; i < deltas.size(); ++i) {
-          if (deltas[i] > best_delta) {
-            best_delta = deltas[i];
-            best_pos = i;
-          }
-        }
-        if (best_delta == 0) break;
-        seq->Mark(best_pos);
-        ++report.marks_introduced;
-      }
-      ++report.sequences_sanitized;
-    }
-  }
-
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    report.supports_after.push_back(
-        ClassSupport(patterns[p], spec_for(p), *db));
-    if (report.supports_after[p] > psi) {
-      return Status::Internal(
-          "class-pattern disclosure requirement violated");
-    }
-  }
-  return report;
+  return spec.Validate(pattern.size());
 }
 
 }  // namespace seqhide

@@ -21,9 +21,9 @@
 #include <string>
 #include <vector>
 
-#include "src/common/random.h"
 #include "src/common/result.h"
 #include "src/constraints/constraints.h"
+#include "src/match/language.h"
 #include "src/seq/database.h"
 #include "src/seq/sequence.h"
 
@@ -78,45 +78,33 @@ class ClassPattern {
 Result<ClassPattern> ParseClassPattern(Alphabet* alphabet,
                                        const std::string& text);
 
-// --- matching ------------------------------------------------------------
+// --- matching and hiding ------------------------------------------------
+// Class membership is the element test of the shared DPs
+// (src/match/language.h); hiding runs the shared pipeline
+//
+//   HideLanguagePatterns<ClassLanguage>(db.mutable_sequences(), patterns,
+//                                       specs, psi)
+//
+// (src/hide/hide_language.h).
 
-// True iff some embedding of `pattern` exists in `seq` satisfying `spec`.
-bool HasClassMatch(const ClassPattern& pattern, const ConstraintSpec& spec,
-                   const Sequence& seq);
+inline bool MatchesSymbol(const SymbolClass& element, SymbolId symbol) {
+  return element.Matches(symbol);
+}
+
+using ClassLanguage = SymbolLanguage<ClassPattern>;
 
 // Number of (constrained) embeddings; saturating (see match/count.h).
 uint64_t CountClassMatchings(const ClassPattern& pattern,
                              const ConstraintSpec& spec, const Sequence& seq);
 
-// Exhaustive oracle.
-std::vector<std::vector<size_t>> EnumerateClassMatchings(
-    const ClassPattern& pattern, const ConstraintSpec& spec,
-    const Sequence& seq, size_t cap = 0);
-
-// Support of the class pattern over a database.
+// Support of the class pattern over a database: rows where the pattern
+// embeds (greedy screen) and has a matching under `spec`.
 size_t ClassSupport(const ClassPattern& pattern, const ConstraintSpec& spec,
                     const SequenceDatabase& db);
 
-// δ(T[i]) totalled over patterns (constraints empty or parallel).
-std::vector<uint64_t> ClassPositionDeltas(
-    const std::vector<ClassPattern>& patterns,
-    const std::vector<ConstraintSpec>& constraints, const Sequence& seq);
-
-// --- hiding --------------------------------------------------------------
-
-struct ClassHideReport {
-  size_t marks_introduced = 0;
-  size_t sequences_sanitized = 0;
-  std::vector<size_t> supports_before;
-  std::vector<size_t> supports_after;
-};
-
-// Algorithm 1 lifted to class patterns: hide every pattern down to
-// support <= psi using the greedy max-δ local heuristic and the
-// ascending-matching-count global heuristic.
-Result<ClassHideReport> HideClassPatterns(
-    SequenceDatabase* db, const std::vector<ClassPattern>& patterns,
-    const std::vector<ConstraintSpec>& constraints, size_t psi);
+// A sensitive class pattern is non-empty and `spec` fits its length.
+Status ValidatePattern(const ClassPattern& pattern,
+                       const ConstraintSpec& spec);
 
 }  // namespace seqhide
 

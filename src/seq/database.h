@@ -51,6 +51,7 @@ class SequenceDatabase {
   Sequence* mutable_sequence(size_t i);
 
   const std::vector<Sequence>& sequences() const { return sequences_; }
+  std::vector<Sequence>* mutable_sequences() { return &sequences_; }
 
   DatabaseStats Stats() const;
 

@@ -1,145 +1,34 @@
 #include "src/temporal/timed_match.h"
 
 #include "src/common/logging.h"
-#include "src/match/count.h"
+#include "src/match/scratch.h"
 
 namespace seqhide {
-namespace {
-
-// DFS over embeddings with time-gap/window pruning.
-void Enumerate(const Sequence& pattern, const TimeConstraintSpec& spec,
-               const TimedSequence& seq, size_t cap,
-               std::vector<size_t>* prefix,
-               std::vector<std::vector<size_t>>* out) {
-  if (cap != 0 && out->size() >= cap) return;
-  size_t k = prefix->size();
-  if (k == pattern.size()) {
-    out->push_back(*prefix);
-    return;
-  }
-  size_t start = prefix->empty() ? 0 : prefix->back() + 1;
-  for (size_t j = start; j < seq.size(); ++j) {
-    if (seq[j].symbol != pattern[k]) continue;
-    if (!prefix->empty()) {
-      double gap = seq[j].time - seq[prefix->back()].time;
-      if (gap < spec.min_gap_time || gap > spec.max_gap_time) continue;
-      double span = seq[j].time - seq[prefix->front()].time;
-      if (span > spec.max_window_time) break;  // times are non-decreasing
-    }
-    prefix->push_back(j);
-    Enumerate(pattern, spec, seq, cap, prefix, out);
-    prefix->pop_back();
-    if (cap != 0 && out->size() >= cap) return;
-  }
-}
-
-}  // namespace
 
 uint64_t CountTimedMatchings(const Sequence& pattern,
                              const TimeConstraintSpec& spec,
                              const TimedSequence& seq) {
   SEQHIDE_DCHECK(spec.Validate().ok());
-  const size_t m = pattern.size();
-  const size_t n = seq.size();
-  if (m == 0) return 1;
-  if (m > n) return 0;
-
-  // With a finite window the two halves of an embedding are coupled
-  // through the first event's time; evaluate per Lemma 5 — for every
-  // candidate first position f, count gap-valid embeddings that start
-  // exactly at f and stay within [t_f, t_f + window].
-  const bool windowed = spec.max_window_time != TimeConstraintSpec::kNoBound;
-
-  // ends[k][j]: gap-valid embeddings of the length-(k+1) prefix with
-  // pattern[k] matched at j (0-based), within the current time horizon.
-  auto count_from_first = [&](size_t f) -> uint64_t {
-    if (seq[f].symbol != pattern[0]) return 0;
-    const double horizon = windowed
-                               ? seq[f].time + spec.max_window_time
-                               : std::numeric_limits<double>::infinity();
-    std::vector<std::vector<uint64_t>> ends(
-        m, std::vector<uint64_t>(n, 0));
-    ends[0][f] = 1;
-    for (size_t k = 1; k < m; ++k) {
-      for (size_t j = f + k; j < n; ++j) {
-        if (seq[j].symbol != pattern[k]) continue;
-        if (seq[j].time > horizon) break;
-        uint64_t sum = 0;
-        for (size_t l = f; l < j; ++l) {
-          if (ends[k - 1][l] == 0) continue;
-          double gap = seq[j].time - seq[l].time;
-          if (gap < spec.min_gap_time || gap > spec.max_gap_time) continue;
-          sum = SatAdd(sum, ends[k - 1][l]);
-        }
-        ends[k][j] = sum;
-      }
-    }
-    uint64_t total = 0;
-    for (size_t j = 0; j < n; ++j) total = SatAdd(total, ends[m - 1][j]);
-    return total;
-  };
-
-  uint64_t total = 0;
-  for (size_t f = 0; f < n; ++f) {
-    total = SatAdd(total, count_from_first(f));
-  }
-  return total;
+  MatchScratch scratch;
+  return CountLanguageMatchings(TimedLanguage(pattern, spec, seq), &scratch);
 }
 
-std::vector<std::vector<size_t>> EnumerateTimedMatchings(
-    const Sequence& pattern, const TimeConstraintSpec& spec,
-    const TimedSequence& seq, size_t cap) {
-  SEQHIDE_CHECK(!pattern.empty());
-  std::vector<std::vector<size_t>> out;
-  std::vector<size_t> prefix;
-  Enumerate(pattern, spec, seq, cap, &prefix, &out);
-  return out;
+size_t TimedSupport(const Sequence& pattern, const TimeConstraintSpec& spec,
+                    const std::vector<TimedSequence>& db) {
+  MatchScratch scratch;
+  return LanguageSupport<TimedLanguage>(pattern, spec, db, &scratch);
 }
 
-std::vector<uint64_t> TimedPositionDeltas(
-    const std::vector<Sequence>& patterns, const TimeConstraintSpec& spec,
-    const TimedSequence& seq) {
-  auto total_count = [&](const TimedSequence& s) {
-    uint64_t total = 0;
-    for (const auto& p : patterns) {
-      total = SatAdd(total, CountTimedMatchings(p, spec, s));
-    }
-    return total;
-  };
-  const uint64_t base = total_count(seq);
-  std::vector<uint64_t> deltas(seq.size(), 0);
-  for (size_t i = 0; i < seq.size(); ++i) {
-    if (seq[i].symbol == kDeltaSymbol) continue;
-    TimedSequence marked = seq;
-    marked.Mark(i);
-    uint64_t without = total_count(marked);
-    SEQHIDE_DCHECK(without <= base);
-    deltas[i] = base - without;
+Status ValidatePattern(const Sequence& pattern,
+                       const TimeConstraintSpec& spec) {
+  if (pattern.empty()) {
+    return Status::InvalidArgument("sensitive pattern must be non-empty");
   }
-  return deltas;
-}
-
-TimedSanitizeResult SanitizeTimedSequence(
-    TimedSequence* seq, const std::vector<Sequence>& patterns,
-    const TimeConstraintSpec& spec) {
-  SEQHIDE_CHECK(seq != nullptr);
-  TimedSanitizeResult result;
-  for (;;) {
-    std::vector<uint64_t> deltas = TimedPositionDeltas(patterns, spec, *seq);
-    size_t best_pos = 0;
-    uint64_t best_delta = 0;
-    for (size_t i = 0; i < deltas.size(); ++i) {
-      if (deltas[i] > best_delta) {
-        best_delta = deltas[i];
-        best_pos = i;
-      }
-    }
-    if (best_delta == 0) break;
-    seq->Mark(best_pos);
-    result.marked_positions.push_back(best_pos);
-    ++result.marks_introduced;
+  if (pattern.MarkCount() > 0) {
+    return Status::InvalidArgument(
+        "sensitive pattern must not contain the marking symbol");
   }
-  return result;
+  return spec.Validate();
 }
 
 }  // namespace seqhide

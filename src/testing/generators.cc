@@ -1,6 +1,7 @@
 #include "src/testing/generators.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -36,6 +37,39 @@ Sequence GenSequence(Rng* rng, size_t length, size_t alphabet_size,
     prev = sym;
   }
   return out;
+}
+
+TimedSequence GenTimedSequence(Rng* rng, size_t length, size_t alphabet_size,
+                               bool tenths, double delta_density) {
+  const Sequence symbols = GenSequence(rng, length, alphabet_size, delta_density);
+  std::vector<TimedEvent> events;
+  double clock = 0.0;
+  for (size_t i = 0; i < length; ++i) {
+    if (tenths) {
+      for (uint64_t k = rng->NextBounded(4); k > 0; --k) clock += 0.1;
+    } else {
+      clock += rng->NextDouble() * 2.0;
+    }
+    events.push_back(TimedEvent{symbols[i], clock});
+  }
+  return *TimedSequence::Create(std::move(events));
+}
+
+TimeConstraintSpec GenTimeSpec(Rng* rng, const TimedSequence& row,
+                               bool tenths) {
+  auto bound = [&](double scale) {
+    if (!tenths || row.empty()) return rng->NextDouble() * scale;
+    const double a = row[rng->NextBounded(row.size())].time;
+    const double b = row[rng->NextBounded(row.size())].time;
+    return 0.1 * std::round(std::fabs(b - a) * 10.0);
+  };
+  TimeConstraintSpec spec;
+  if (rng->NextBernoulli(0.5)) spec.min_gap_time = bound(1.0);
+  if (rng->NextBernoulli(0.5)) {
+    spec.max_gap_time = spec.min_gap_time + bound(3.0);
+  }
+  if (rng->NextBernoulli(0.5)) spec.max_window_time = bound(6.0);
+  return spec;
 }
 
 SequenceDatabase GenDatabase(Rng* rng, const GenOptions& opts) {

@@ -27,6 +27,7 @@
 #include "src/hide/options.h"
 #include "src/seq/database.h"
 #include "src/seq/sequence.h"
+#include "src/temporal/timed_sequence.h"
 
 namespace seqhide {
 namespace proptest {
@@ -74,6 +75,19 @@ struct GenOptions {
 // repeating its predecessor with probability repeat_bias.
 Sequence GenSequence(Rng* rng, size_t length, size_t alphabet_size,
                      double delta_density = 0.0, double repeat_bias = 0.0);
+
+// Random timed row (§7.2): symbols as GenSequence, times non-decreasing.
+// With `tenths` every step is 0, 1, 2 or 3 tenths added up in floating
+// point (0.1 + 0.1 + 0.1 = 0.30000000000000004), so spans between events
+// sit on rounding boundaries; otherwise steps are uniform in [0, 2).
+TimedSequence GenTimedSequence(Rng* rng, size_t length, size_t alphabet_size,
+                               bool tenths, double delta_density = 0.0);
+
+// Random time constraints for `row`. With `tenths` each bound is 0.1 × k
+// for k the tenth-count between two of the row's events, so a bound equals
+// a span up to rounding; otherwise bounds are uniform. Always valid.
+TimeConstraintSpec GenTimeSpec(Rng* rng, const TimedSequence& row,
+                               bool tenths);
 
 // Random database under `opts`. The alphabet is pre-interned as
 // "s0".."s<k-1>" so symbol ids are stable regardless of usage order (the

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "src/hide/hide_language.h"
+#include "src/testing/language_oracles.h"
 #include "tests/test_util.h"
 
 namespace seqhide {
@@ -11,6 +13,14 @@ namespace {
 
 using testutil::RandomSeq;
 using testutil::Seq;
+
+Result<SanitizeReport> Hide(SequenceDatabase* db,
+                            const std::vector<ClassPattern>& patterns,
+                            const std::vector<ConstraintSpec>& specs,
+                            size_t psi) {
+  return HideLanguagePatterns<ClassLanguage>(db->mutable_sequences(),
+                                             patterns, specs, psi);
+}
 
 TEST(SymbolClassTest, LiteralMatchesOnlyItself) {
   SymbolClass c = SymbolClass::Literal(3);
@@ -71,7 +81,6 @@ TEST(ClassMatchTest, LiftedPatternEqualsSequenceSemantics) {
   Sequence s = Seq(&a, "a b c");
   ClassPattern lifted = ClassPattern::FromSequence(s);
   EXPECT_EQ(CountClassMatchings(lifted, {}, t), 4u);
-  EXPECT_TRUE(HasClassMatch(lifted, {}, t));
 }
 
 TEST(ClassMatchTest, ClassAlternativesWiden) {
@@ -164,8 +173,10 @@ TEST(ClassDeltaTest, MatchesBruteForce) {
             SymbolClass::Literal(static_cast<SymbolId>(rng.NextBounded(3))));
       }
     }
-    std::vector<ClassPattern> patterns = {p};
-    std::vector<uint64_t> deltas = ClassPositionDeltas(patterns, {}, t);
+    MatchScratch scratch;
+    std::vector<uint64_t> deltas;
+    const ConstraintSpec unconstrained;
+    LanguageDeltas(ClassLanguage(p, unconstrained, t), &scratch, &deltas);
     for (size_t pos = 0; pos < n; ++pos) {
       size_t brute = 0;
       for (const auto& matching : EnumerateClassMatchings(p, {}, t)) {
@@ -192,7 +203,7 @@ TEST(HideClassPatternsTest, HidesDownToPsi) {
   // Supports: rows 0 and 1.
   EXPECT_EQ(ClassSupport(*pattern, {}, db), 2u);
 
-  auto report = HideClassPatterns(&db, {*pattern}, {}, 0);
+  auto report = Hide(&db, {*pattern}, {}, 0);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->supports_before[0], 2u);
   EXPECT_EQ(report->supports_after[0], 0u);
@@ -208,7 +219,7 @@ TEST(HideClassPatternsTest, PsiLeavesExpensiveSupporter) {
   db.AddFromNames({"a", "a", "b", "b"});  // 4 matchings
   Alphabet& al = db.alphabet();
   ClassPattern p = ClassPattern::FromSequence(Seq(&al, "a b"));
-  auto report = HideClassPatterns(&db, {p}, {}, 1);
+  auto report = Hide(&db, {p}, {}, 1);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->supports_after[0], 1u);
   EXPECT_EQ(db[1].MarkCount(), 0u) << "expensive supporter disclosed";
@@ -223,7 +234,7 @@ TEST(HideClassPatternsTest, WildcardPatternHiding) {
   auto pattern = ParseClassPattern(&a, "login . . pay");
   ASSERT_TRUE(pattern.ok());
   EXPECT_EQ(ClassSupport(*pattern, {}, db), 1u);
-  auto report = HideClassPatterns(&db, {*pattern}, {}, 0);
+  auto report = Hide(&db, {*pattern}, {}, 0);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->supports_after[0], 0u);
   EXPECT_EQ(db[1].MarkCount(), 0u);
@@ -232,15 +243,53 @@ TEST(HideClassPatternsTest, WildcardPatternHiding) {
 TEST(HideClassPatternsTest, Validation) {
   SequenceDatabase db;
   db.AddFromNames({"a"});
-  EXPECT_TRUE(HideClassPatterns(&db, {}, {}, 0).status().IsInvalidArgument());
-  EXPECT_TRUE(HideClassPatterns(&db, {ClassPattern()}, {}, 0)
+  EXPECT_TRUE(Hide(&db, {}, {}, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(Hide(&db, {ClassPattern()}, {}, 0)
                   .status()
                   .IsInvalidArgument());
   ClassPattern p({SymbolClass::Literal(0)});
   EXPECT_TRUE(
-      HideClassPatterns(&db, {p}, {ConstraintSpec(), ConstraintSpec()}, 0)
+      Hide(&db, {p}, {ConstraintSpec(), ConstraintSpec()}, 0)
           .status()
           .IsInvalidArgument());
+}
+
+// Gap-only specs take δ from forward × backward, which stays large when the
+// counts saturate: a²⁰ over 200 a's has far more than 2⁶⁴ matchings, and
+// both rows still get sanitized.
+TEST(ClassHidingTest, SaturatedCountsStillSanitize) {
+  SequenceDatabase db;
+  const std::vector<std::string> as(200, "a");
+  db.AddFromNames(as);
+  db.AddFromNames(as);
+  db.AddFromNames({"b", "c"});
+  const ClassPattern p(std::vector<SymbolClass>(
+      20, SymbolClass::Literal(*db.alphabet().Lookup("a"))));
+  const ConstraintSpec gaps = ConstraintSpec::UniformGap(0, 150);
+  auto report = Hide(&db, {p}, {gaps}, 0);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->saturated_rows, 2u);
+  EXPECT_EQ(report->supports_after[0], 0u);
+  EXPECT_EQ(ClassSupport(p, gaps, db), 0u);
+  EXPECT_EQ(db[2].MarkCount(), 0u);
+}
+
+// Support is count > 0 behind the greedy embedding screen, never an
+// enumeration: eight wildcards before a symbol the row lacks, and eight
+// over a 30-symbol row, are both answered by O(n·m) work.
+TEST(ClassMatchTest, SupportOfWideWildcardPatterns) {
+  SequenceDatabase db;
+  Rng rng(40);
+  db.Add(RandomSeq(&rng, 40, 6));
+  db.Add(RandomSeq(&rng, 30, 6));
+  ClassPattern absent(std::vector<SymbolClass>(8, SymbolClass::Wildcard()));
+  absent.Append(SymbolClass::Literal(99));
+  EXPECT_EQ(ClassSupport(absent, {}, db), 0u);
+  const ClassPattern wide(
+      std::vector<SymbolClass>(8, SymbolClass::Wildcard()));
+  EXPECT_EQ(ClassSupport(wide, {}, db), 2u);
+  // C(30, 8) embeddings in the shorter row.
+  EXPECT_EQ(CountClassMatchings(wide, {}, db[1]), 5852925u);
 }
 
 }  // namespace

@@ -180,6 +180,47 @@ fi
 if "$CLI" stats --db "$WORK/baskets.txt" --format bogus > /dev/null 2>&1; then
   echo "FAIL: bogus format accepted"; exit 1
 fi
+# --format itemset honours none of the seq pipeline's flags: each one is a
+# usage error (exit 1) that writes nothing, not a silently ignored option.
+expect_usage_error() {
+  set +e
+  "$CLI" "$@" > /dev/null 2>&1
+  code=$?
+  set -e
+  [ "$code" = 1 ] || { echo "FAIL: exit $code, not 1, for: $*"; exit 1; }
+}
+for flag in "--algo RR" "--seed 3" "--threads 8" "--stage2 delete" \
+    "--db-format binary" "--input-mode lenient" "--trace-json $WORK/it.json" \
+    "--inject-fault io.db.open:1" "--ledger $WORK/il.jsonl" \
+    "--metrics-prom $WORK/im.prom" "--telemetry-interval-ms 10" \
+    "--deadline-seconds 1" "--deadline-ms 1" "--max-table-bytes 1" \
+    "--max-rounds 1" "--round-size 1" "--checkpoint $WORK/ick.bin" \
+    "--checkpoint-every 1" "--resume"; do
+  # $flag is split on purpose: a flag name and its value.
+  # shellcheck disable=SC2086
+  expect_usage_error sanitize --format itemset --db "$WORK/baskets.txt" \
+      --out "$WORK/ib_out.txt" --pattern "(formula) (coupon)" $flag
+done
+expect_usage_error sanitize --format itemset --db "$WORK/baskets.txt" \
+    --out "$WORK/ib_out.txt" --pattern "(formula) (coupon)" --algo RR \
+    --seed 3 --threads 8 --max-table-bytes 1 --deadline-ms 1 \
+    --stage2 delete --checkpoint "$WORK/ick.bin"
+expect_usage_error sanitize --format itemset --db "$WORK/baskets.txt" \
+    --out "$WORK/ib_out.txt" --pattern "(formula) (coupon)" \
+    --db-format binary --input-mode lenient --ledger "$WORK/il.jsonl" \
+    --metrics-prom "$WORK/im.prom"
+expect_usage_error mine --format itemset --db "$WORK/baskets.txt" --sigma 2 \
+    --db-format binary --input-mode lenient
+expect_usage_error stats --format itemset --db "$WORK/baskets.txt" \
+    --input-mode lenient
+for f in ib_out.txt it.json il.jsonl im.prom ick.bin; do
+  [ ! -e "$WORK/$f" ] || { echo "FAIL: rejected itemset run wrote $f"; exit 1; }
+done
+# The flags it does honour still work, with stage timings in the report.
+"$CLI" sanitize --format itemset --db "$WORK/baskets.txt" \
+    --out "$WORK/ib_out.txt" --pattern "(formula) (coupon)" --psi 1 \
+    --stats-json "$WORK/istats.json" > /dev/null
+grep -q '"stages"' "$WORK/istats.json"
 
 # usage errors exit 1
 if "$CLI" bogus-command > /dev/null 2>&1; then

@@ -1,11 +1,12 @@
-#include "src/itemset/itemset_hide.h"
+#include "src/itemset/itemset_match.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "src/common/random.h"
-#include "src/itemset/itemset_match.h"
+#include "src/hide/hide_language.h"
+#include "src/testing/language_oracles.h"
 
 namespace seqhide {
 namespace {
@@ -13,6 +14,24 @@ namespace {
 // Items: small integer ids; helpers below build sequences tersely.
 ItemsetSequence ISeq(std::initializer_list<Itemset> elements) {
   return ItemsetSequence(elements);
+}
+
+Result<SanitizeReport> Hide(ItemsetDatabase* db,
+                            const std::vector<ItemsetSequence>& patterns,
+                            const std::vector<ConstraintSpec>& specs,
+                            size_t psi) {
+  return HideLanguagePatterns<ItemsetLanguage>(db->mutable_sequences(),
+                                               patterns, specs, psi);
+}
+
+// Sanitizes the single row *t at ψ = 0; returns the items removed.
+size_t SanitizeRow(ItemsetSequence* t,
+                   const std::vector<ItemsetSequence>& patterns) {
+  std::vector<ItemsetSequence> rows = {*t};
+  auto report = HideLanguagePatterns<ItemsetLanguage>(&rows, patterns, {}, 0);
+  EXPECT_TRUE(report.ok()) << report.status();
+  *t = rows[0];
+  return report->marks_introduced;
 }
 
 TEST(ItemsetTest, NormalizationSortsAndDedups) {
@@ -101,7 +120,10 @@ TEST(ItemsetDeltaTest, MatchesBruteForce) {
     for (size_t i = 0; i < m; ++i) s.Append(random_itemset(2));
     patterns.push_back(s);
 
-    std::vector<uint64_t> deltas = ItemsetPositionDeltas(patterns, t);
+    MatchScratch scratch;
+    std::vector<uint64_t> deltas;
+    const ConstraintSpec unconstrained;
+    LanguageDeltas(ItemsetLanguage(s, unconstrained, t), &scratch, &deltas);
     ASSERT_EQ(deltas.size(), n);
     for (size_t pos = 0; pos < n; ++pos) {
       size_t brute = 0;
@@ -120,9 +142,8 @@ TEST(ItemsetSanitizeTest, RemovesAllMatchings) {
   ItemsetSequence t =
       ISeq({Itemset{1, 2}, Itemset{2, 3}, Itemset{1}, Itemset{3}});
   std::vector<ItemsetSequence> patterns = {ISeq({Itemset{1}, Itemset{3}})};
-  ItemsetSanitizeResult r = SanitizeItemsetSequence(&t, patterns);
-  EXPECT_GT(r.items_marked, 0u);
-  EXPECT_EQ(CountItemsetMatchingsTotal(patterns, t), 0u);
+  EXPECT_GT(SanitizeRow(&t, patterns), 0u);
+  EXPECT_EQ(CountItemsetMatchings(patterns[0], t), 0u);
 }
 
 TEST(ItemsetSanitizeTest, MarksOnlyItemsThatMatter) {
@@ -130,8 +151,7 @@ TEST(ItemsetSanitizeTest, MarksOnlyItemsThatMatter) {
   // one mark, and the unrelated items 9/8 survive.
   ItemsetSequence t = ISeq({Itemset{1, 9}, Itemset{3, 8}});
   std::vector<ItemsetSequence> patterns = {ISeq({Itemset{1}, Itemset{3}})};
-  ItemsetSanitizeResult r = SanitizeItemsetSequence(&t, patterns);
-  EXPECT_EQ(r.items_marked, 1u);
+  EXPECT_EQ(SanitizeRow(&t, patterns), 1u);
   EXPECT_TRUE(t[0].Contains(9));
   EXPECT_TRUE(t[1].Contains(8));
 }
@@ -139,8 +159,7 @@ TEST(ItemsetSanitizeTest, MarksOnlyItemsThatMatter) {
 TEST(ItemsetSanitizeTest, NoMatchingsNoMarks) {
   ItemsetSequence t = ISeq({Itemset{1}, Itemset{2}});
   std::vector<ItemsetSequence> patterns = {ISeq({Itemset{2}, Itemset{1}})};
-  ItemsetSanitizeResult r = SanitizeItemsetSequence(&t, patterns);
-  EXPECT_EQ(r.items_marked, 0u);
+  EXPECT_EQ(SanitizeRow(&t, patterns), 0u);
 }
 
 TEST(ItemsetHideTest, DatabaseLevelHiding) {
@@ -149,7 +168,7 @@ TEST(ItemsetHideTest, DatabaseLevelHiding) {
   db.Add(ISeq({Itemset{1}, Itemset{2, 3}}));
   db.Add(ISeq({Itemset{2}, Itemset{2}}));
   std::vector<ItemsetSequence> patterns = {ISeq({Itemset{1}, Itemset{3}})};
-  auto report = HideItemsetPatterns(&db, patterns, 0);
+  auto report = Hide(&db, patterns, {}, 0);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->supports_before[0], 2u);
   EXPECT_EQ(report->supports_after[0], 0u);
@@ -162,7 +181,7 @@ TEST(ItemsetHideTest, PsiKeepsExpensiveSupporters) {
   db.Add(ISeq({Itemset{1}, Itemset{3}}));
   db.Add(ISeq({Itemset{1}, Itemset{1}, Itemset{3}, Itemset{3}}));
   std::vector<ItemsetSequence> patterns = {ISeq({Itemset{1}, Itemset{3}})};
-  auto report = HideItemsetPatterns(&db, patterns, 1);
+  auto report = Hide(&db, patterns, {}, 1);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->supports_after[0], 1u);
   EXPECT_EQ(report->sequences_sanitized, 1u);
@@ -173,13 +192,31 @@ TEST(ItemsetHideTest, PsiKeepsExpensiveSupporters) {
 TEST(ItemsetHideTest, InputValidation) {
   ItemsetDatabase db;
   db.Add(ISeq({Itemset{1}}));
-  EXPECT_TRUE(HideItemsetPatterns(&db, {}, 0).status().IsInvalidArgument());
-  EXPECT_TRUE(HideItemsetPatterns(&db, {ItemsetSequence{}}, 0)
+  EXPECT_TRUE(Hide(&db, {}, {}, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(Hide(&db, {ItemsetSequence{}}, {}, 0)
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(HideItemsetPatterns(&db, {ISeq({Itemset{}})}, 0)
+  EXPECT_TRUE(Hide(&db, {ISeq({Itemset{}})}, {}, 0)
                   .status()
                   .IsInvalidArgument());
+}
+
+// (a)²⁰ over 100 (a) elements has C(100, 20) > 2⁶⁴ matchings, so no single
+// item removal lowers the saturated row count; the chosen element is then
+// cleared whole, and both rows still get sanitized.
+TEST(ItemsetHideTest, SaturatedCountsStillSanitize) {
+  ItemsetDatabase db;
+  const ItemsetSequence row(std::vector<Itemset>(100, Itemset{1}));
+  db.Add(row);
+  db.Add(row);
+  db.Add(ISeq({Itemset{2}, Itemset{3}}));
+  const std::vector<ItemsetSequence> patterns = {
+      ItemsetSequence(std::vector<Itemset>(20, Itemset{1}))};
+  auto report = Hide(&db, patterns, {}, 0);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->saturated_rows, 2u);
+  EXPECT_EQ(report->supports_after[0], 0u);
+  EXPECT_EQ(ItemsetSupport(patterns[0], db), 0u);
 }
 
 TEST(ItemsetConstrainedTest, GapConstraintFiltersOccurrences) {
@@ -241,7 +278,7 @@ TEST(ItemsetConstrainedTest, ConstrainedHidingKeepsInvalidOccurrences) {
   db.Add(ISeq({Itemset{1}, Itemset{9}, Itemset{9}, Itemset{3}}));
   std::vector<ItemsetSequence> patterns = {ISeq({Itemset{1}, Itemset{3}})};
   std::vector<ConstraintSpec> specs = {ConstraintSpec::UniformGap(0, 0)};
-  auto report = HideItemsetPatterns(&db, patterns, specs, 0);
+  auto report = Hide(&db, patterns, specs, 0);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->supports_before[0], 1u);
   EXPECT_EQ(report->supports_after[0], 0u);
@@ -257,7 +294,7 @@ TEST(ItemsetConstrainedTest, InvalidConstraintRejected) {
   std::vector<ItemsetSequence> patterns = {ISeq({Itemset{1}, Itemset{2}})};
   // Window 1 cannot fit a length-2 pattern.
   std::vector<ConstraintSpec> specs = {ConstraintSpec::Window(1)};
-  EXPECT_TRUE(HideItemsetPatterns(&db, patterns, specs, 0)
+  EXPECT_TRUE(Hide(&db, patterns, specs, 0)
                   .status()
                   .IsInvalidArgument());
 }

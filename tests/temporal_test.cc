@@ -5,7 +5,10 @@
 #include <algorithm>
 
 #include "src/common/random.h"
+#include "src/hide/hide_language.h"
 #include "src/temporal/timed_sequence.h"
+#include "src/testing/generators.h"
+#include "src/testing/language_oracles.h"
 #include "tests/test_util.h"
 
 namespace seqhide {
@@ -17,6 +20,18 @@ TimedSequence MakeTimed(std::vector<std::pair<SymbolId, double>> events) {
   auto r = TimedSequence::Create(std::move(list));
   EXPECT_TRUE(r.ok());
   return *r;
+}
+
+// Sanitizes the single row *t at ψ = 0; returns the marks made.
+size_t SanitizeRow(TimedSequence* t, const std::vector<Sequence>& patterns,
+                   const TimeConstraintSpec& spec) {
+  std::vector<TimedSequence> rows = {*t};
+  auto report = HideLanguagePatterns<TimedLanguage>(
+      &rows, patterns,
+      std::vector<TimeConstraintSpec>(patterns.size(), spec), 0);
+  EXPECT_TRUE(report.ok()) << report.status();
+  *t = rows[0];
+  return report->marks_introduced;
 }
 
 TEST(TimedSequenceTest, RejectsUnorderedTimestamps) {
@@ -92,33 +107,34 @@ TEST(TimedCountTest, MarkedEventsNeverMatch) {
 // specs and event layouts.
 TEST(TimedCountTest, PropertyAgreesWithEnumeration) {
   Rng rng(616);
-  for (int trial = 0; trial < 200; ++trial) {
-    size_t n = 1 + rng.NextBounded(8);
-    std::vector<TimedEvent> events;
-    double clock = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      clock += rng.NextDouble() * 2.0;
-      events.push_back(
-          TimedEvent{static_cast<SymbolId>(rng.NextBounded(3)), clock});
-    }
-    auto t = TimedSequence::Create(std::move(events));
-    ASSERT_TRUE(t.ok());
-    Sequence pattern = testutil::RandomSeq(&rng, 1 + rng.NextBounded(3), 3);
-
-    TimeConstraintSpec spec;
-    if (rng.NextBernoulli(0.5)) spec.min_gap_time = rng.NextDouble();
-    if (rng.NextBernoulli(0.5)) {
-      spec.max_gap_time = spec.min_gap_time + rng.NextDouble() * 3.0;
-    }
-    if (rng.NextBernoulli(0.5)) {
-      spec.max_window_time = rng.NextDouble() * 6.0;
-    }
+  for (int trial = 0; trial < 300; ++trial) {
+    // Every other trial uses tenths: times and bounds that are multiples
+    // of 0.1, where rounding decides the boundary cases.
+    const bool tenths = trial % 2 == 1;
+    TimedSequence t = proptest::GenTimedSequence(
+        &rng, 1 + rng.NextBounded(8), tenths ? 2 : 3, tenths);
+    Sequence pattern = testutil::RandomSeq(&rng, 1 + rng.NextBounded(3),
+                                           tenths ? 2 : 3);
+    TimeConstraintSpec spec = proptest::GenTimeSpec(&rng, t, tenths);
     ASSERT_TRUE(spec.Validate().ok());
 
-    EXPECT_EQ(CountTimedMatchings(pattern, spec, *t),
-              EnumerateTimedMatchings(pattern, spec, *t).size())
+    EXPECT_EQ(CountTimedMatchings(pattern, spec, t),
+              EnumerateTimedMatchings(pattern, spec, t).size())
         << "trial " << trial;
   }
+}
+
+// t_last − t_first ≤ W is evaluated as written: 0.30000000000000004 − 0.1
+// is 0.20000000000000004 > 0.2, so the pair is outside a 0.2 window even
+// though 0.1 + 0.2 rounds to exactly 0.30000000000000004.
+TEST(TimedCountTest, WindowBoundaryFollowsTheSpecExpression) {
+  TimedSequence t = MakeTimed({{0, 0.1}, {1, 0.1 + 0.2}});
+  TimeConstraintSpec spec;
+  spec.max_window_time = 0.2;
+  EXPECT_EQ(EnumerateTimedMatchings(Sequence{0, 1}, spec, t).size(), 0u);
+  EXPECT_EQ(CountTimedMatchings(Sequence{0, 1}, spec, t), 0u);
+  spec.max_window_time = 0.1 + 0.2 - 0.1;
+  EXPECT_EQ(CountTimedMatchings(Sequence{0, 1}, spec, t), 1u);
 }
 
 TEST(TimedDeltaTest, MatchesBruteForce) {
@@ -139,7 +155,9 @@ TEST(TimedDeltaTest, MatchesBruteForce) {
     TimeConstraintSpec spec;
     spec.max_gap_time = 1.5;
 
-    std::vector<uint64_t> deltas = TimedPositionDeltas(patterns, spec, *t);
+    MatchScratch scratch;
+    std::vector<uint64_t> deltas;
+    LanguageDeltas(TimedLanguage(patterns[0], spec, *t), &scratch, &deltas);
     for (size_t pos = 0; pos < n; ++pos) {
       size_t brute = 0;
       for (const auto& m :
@@ -158,8 +176,7 @@ TEST(TimedSanitizeTest, RemovesAllValidOccurrences) {
   TimeConstraintSpec spec;
   spec.max_gap_time = 1.0;
   std::vector<Sequence> patterns = {Sequence{1, 2}};
-  TimedSanitizeResult r = SanitizeTimedSequence(&t, patterns, spec);
-  EXPECT_EQ(r.marks_introduced, 1u);
+  EXPECT_EQ(SanitizeRow(&t, patterns, spec), 1u);
   EXPECT_EQ(CountTimedMatchings(patterns[0], spec, t), 0u);
   // The drug@5.0 event is not part of any close pair and survives.
   EXPECT_FALSE(t.IsMarked(3));
@@ -169,9 +186,26 @@ TEST(TimedSanitizeTest, NoValidOccurrencesNoMarks) {
   TimedSequence t = MakeTimed({{0, 0.0}, {1, 10.0}});
   TimeConstraintSpec spec;
   spec.max_gap_time = 1.0;
-  TimedSanitizeResult r = SanitizeTimedSequence(&t, {Sequence{0, 1}}, spec);
-  EXPECT_EQ(r.marks_introduced, 0u);
+  EXPECT_EQ(SanitizeRow(&t, {Sequence{0, 1}}, spec), 0u);
   EXPECT_EQ(t.MarkCount(), 0u);
+}
+
+// Gap-only specs take δ from forward × backward, which stays large when the
+// counts saturate: a²⁰ over 200 a's has far more than 2⁶⁴ matchings, and
+// both rows still get sanitized.
+TEST(TimedSanitizeTest, SaturatedCountsStillSanitize) {
+  std::vector<std::pair<SymbolId, double>> events;
+  for (int i = 0; i < 200; ++i) events.emplace_back(0, i);
+  std::vector<TimedSequence> rows = {MakeTimed(events), MakeTimed(events),
+                                     MakeTimed({{1, 0.0}, {2, 1.0}})};
+  TimeConstraintSpec spec;
+  spec.max_gap_time = 150.0;
+  const std::vector<Sequence> patterns = {Sequence(std::vector<SymbolId>(20, 0))};
+  auto report = HideLanguagePatterns<TimedLanguage>(&rows, patterns, {spec}, 0);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->saturated_rows, 2u);
+  EXPECT_EQ(report->supports_after[0], 0u);
+  EXPECT_EQ(TimedSupport(patterns[0], spec, rows), 0u);
 }
 
 }  // namespace

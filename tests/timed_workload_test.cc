@@ -5,10 +5,20 @@
 #include <limits>
 
 #include "src/data/workload.h"
-#include "src/temporal/timed_hide.h"
+#include "src/hide/hide_language.h"
+#include "src/temporal/timed_match.h"
 
 namespace seqhide {
 namespace {
+
+// All patterns share one time policy, as in a §7.2 release.
+Result<SanitizeReport> Hide(std::vector<TimedSequence>* db,
+                            const std::vector<Sequence>& patterns,
+                            const TimeConstraintSpec& spec, size_t psi) {
+  return HideLanguagePatterns<TimedLanguage>(
+      db, patterns, std::vector<TimeConstraintSpec>(patterns.size(), spec),
+      psi);
+}
 
 TEST(DiscretizeTimedTest, EmitsEntryEventsWithEntryTimes) {
   GridSpec spec;
@@ -71,7 +81,7 @@ TEST(HideTimedPatternsTest, HidesToThreshold) {
   spec.max_window_time = 60.0;
   for (size_t psi : {0u, 10u}) {
     std::vector<TimedSequence> db = w.sequences;
-    auto report = HideTimedPatterns(&db, w.sensitive, spec, psi);
+    auto report = Hide(&db, w.sensitive, spec, psi);
     ASSERT_TRUE(report.ok()) << report.status();
     for (size_t p = 0; p < w.sensitive.size(); ++p) {
       EXPECT_LE(report->supports_after[p], psi);
@@ -85,14 +95,14 @@ TEST(HideTimedPatternsTest, Validation) {
   std::vector<TimedSequence> db;
   TimeConstraintSpec spec;
   EXPECT_TRUE(
-      HideTimedPatterns(&db, {}, spec, 0).status().IsInvalidArgument());
-  EXPECT_TRUE(HideTimedPatterns(&db, {Sequence{}}, spec, 0)
+      Hide(&db, {}, spec, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(Hide(&db, {Sequence{}}, spec, 0)
                   .status()
                   .IsInvalidArgument());
   TimeConstraintSpec bad;
   bad.min_gap_time = 5.0;
   bad.max_gap_time = 1.0;
-  EXPECT_TRUE(HideTimedPatterns(&db, {Sequence{0}}, bad, 0)
+  EXPECT_TRUE(Hide(&db, {Sequence{0}}, bad, 0)
                   .status()
                   .IsInvalidArgument());
 }
@@ -103,7 +113,7 @@ TEST(HideTimedPatternsTest, TighterWindowCostsFewerMarks) {
     TimeConstraintSpec spec;
     spec.max_window_time = window;
     std::vector<TimedSequence> db = w.sequences;
-    auto report = HideTimedPatterns(&db, w.sensitive, spec, 0);
+    auto report = Hide(&db, w.sensitive, spec, 0);
     EXPECT_TRUE(report.ok());
     return report->marks_introduced;
   };

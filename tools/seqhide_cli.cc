@@ -79,9 +79,9 @@
 #include "src/obs/trace_events.h"
 #include "src/constraints/constraints.h"
 #include "src/eval/metrics.h"
+#include "src/hide/hide_language.h"
 #include "src/hide/sanitizer.h"
 #include "src/hide/second_stage.h"
-#include "src/itemset/itemset_hide.h"
 #include "src/itemset/itemset_io.h"
 #include "src/itemset/itemset_match.h"
 #include "src/itemset/itemset_mine.h"
@@ -190,8 +190,20 @@ Status ValidateFlags(const ParsedArgs& args) {
         {"db", "out", "to", "db-format", "input-mode", "inject-fault"}}},
       {"inspect", {false, {"db", "verify", "inject-fault"}}},
   };
-  auto it = kCommands.find(args.command);
-  if (it == kCommands.end()) return Status::OK();  // dispatch rejects it
+  // --format itemset runs its own loader and the serial §7.1 pipeline
+  // (src/hide/hide_language.h): none of the seq pipeline's input-format,
+  // strategy, thread, budget, checkpoint, fault or telemetry flags reach
+  // it, so each of them is a usage error there.
+  static const std::map<std::string, CommandSpec> kItemsetCommands = {
+      {"stats", {false, {"db", "format"}}},
+      {"mine", {false, {"db", "sigma", "max-len", "top", "format"}}},
+      {"sanitize", {true, {"db", "out", "psi", "format", "stats-json"}}},
+  };
+  auto format = args.flags.find("format");
+  const bool itemset = format != args.flags.end() && format->second == "itemset";
+  const auto& commands = itemset ? kItemsetCommands : kCommands;
+  auto it = commands.find(args.command);
+  if (it == commands.end()) return Status::OK();  // dispatch rejects it
   const CommandSpec& spec = it->second;
   if (!spec.patterns && !args.patterns.empty()) {
     return Status::InvalidArgument("'" + args.command +
@@ -203,8 +215,9 @@ Status ValidateFlags(const ParsedArgs& args) {
       if (flag == allowed) known = true;
     }
     if (!known) {
-      return Status::InvalidArgument("unknown flag --" + flag + " for '" +
-                                     args.command + "'");
+      return Status::InvalidArgument(
+          "unknown flag --" + flag + " for '" + args.command +
+          (itemset ? " --format itemset'" : "'"));
     }
   }
   return Status::OK();
@@ -321,8 +334,8 @@ Result<std::string> DbPath(const ParsedArgs& args) {
 }
 
 // Everything --stats-json needs from a sanitize run, normalized across
-// the seq and itemset paths. Stage timings are only available for the
-// seq pipeline (has_stages).
+// the seq and itemset paths. The parallel and robustness blocks are only
+// available for the seq pipeline.
 struct StatsJsonInput {
   std::string format;
   size_t m1 = 0;
@@ -330,7 +343,6 @@ struct StatsJsonInput {
   std::vector<size_t> supports_before;
   std::vector<size_t> supports_after;
   double elapsed_seconds = 0.0;
-  bool has_stages = false;
   StageTimings stages;
   // Parallel configuration (seq pipeline only, has_parallel): resolved
   // thread count and per-stage row workloads (see SanitizeReport).
@@ -398,14 +410,12 @@ Status WriteStatsJson(const std::string& path, const ParsedArgs& args,
   for (size_t s : input.supports_after) json.Uint(s);
   json.EndArray();
   json.KeyDouble("elapsed_seconds", input.elapsed_seconds);
-  if (input.has_stages) {
-    json.Key("stages").BeginObject();
-    json.KeyDouble("count_seconds", input.stages.count_seconds);
-    json.KeyDouble("select_seconds", input.stages.select_seconds);
-    json.KeyDouble("mark_seconds", input.stages.mark_seconds);
-    json.KeyDouble("verify_seconds", input.stages.verify_seconds);
-    json.EndObject();
-  }
+  json.Key("stages").BeginObject();
+  json.KeyDouble("count_seconds", input.stages.count_seconds);
+  json.KeyDouble("select_seconds", input.stages.select_seconds);
+  json.KeyDouble("mark_seconds", input.stages.mark_seconds);
+  json.KeyDouble("verify_seconds", input.stages.verify_seconds);
+  json.EndObject();
   if (input.has_parallel) {
     json.Key("parallel").BeginObject();
     json.KeyUint("threads_used", input.threads_used);
@@ -546,18 +556,14 @@ Status RunSanitizeItemset(const ParsedArgs& args) {
     SEQHIDE_ASSIGN_OR_RETURN(
         ItemsetSequence p,
         ParseItemsetSequenceLine(&db.alphabet(), text));
-    for (size_t e = 0; e < p.size(); ++e) {
-      if (p[e].empty()) {
-        return Status::InvalidArgument(
-            "pattern elements must be non-empty: " + text);
-      }
-    }
     patterns.push_back(std::move(p));
   }
   SEQHIDE_ASSIGN_OR_RETURN(size_t psi, FlagAsSize(args, "psi", 0));
-  SEQHIDE_ASSIGN_OR_RETURN(ItemsetHideReport report,
-                           HideItemsetPatterns(&db, patterns, psi));
-  std::cout << "items marked: " << report.items_marked
+  SEQHIDE_ASSIGN_OR_RETURN(
+      SanitizeReport report,
+      HideLanguagePatterns<ItemsetLanguage>(db.mutable_sequences(), patterns,
+                                            {}, psi));
+  std::cout << "items marked: " << report.marks_introduced
             << "  sequences sanitized: " << report.sequences_sanitized
             << "\n";
   for (size_t i = 0; i < patterns.size(); ++i) {
@@ -570,10 +576,12 @@ Status RunSanitizeItemset(const ParsedArgs& args) {
   if (auto it = args.flags.find("stats-json"); it != args.flags.end()) {
     StatsJsonInput stats;
     stats.format = "itemset";
-    stats.m1 = report.items_marked;
+    stats.m1 = report.marks_introduced;
     stats.sequences_sanitized = report.sequences_sanitized;
     stats.supports_before = report.supports_before;
     stats.supports_after = report.supports_after;
+    stats.elapsed_seconds = report.elapsed_seconds;
+    stats.stages = report.stages;
     SEQHIDE_RETURN_IF_ERROR(WriteStatsJson(
         it->second, args, stats, obs::MetricsRegistry::Default().Snapshot()));
     std::cout << "wrote stats " << it->second << "\n";
@@ -874,7 +882,6 @@ Status RunSanitize(const ParsedArgs& args) {
     stats.supports_before = report.supports_before;
     stats.supports_after = report.supports_after;
     stats.elapsed_seconds = report.elapsed_seconds;
-    stats.has_stages = true;
     stats.stages = report.stages;
     stats.has_parallel = true;
     stats.threads_used = report.threads_used;
