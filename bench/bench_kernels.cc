@@ -28,6 +28,7 @@
 #include "src/match/scratch.h"
 #include "src/match/subsequence.h"
 #include "src/mine/prefix_span.h"
+#include "src/testing/delta_oracles.h"
 #include "src/testing/level_wise.h"
 
 namespace seqhide {

@@ -44,8 +44,9 @@ LocalSanitizeResult SanitizeSequence(
         // Each round recomputes δ for every pattern — the dominant cost of
         // the local stage and the number the paper's Alg. 1 loop hides.
         // Per pattern a round is O(nm) without max gaps, O(n·m·w) with
-        // max-gap windows of w cells, and |T| recounts under a max-window;
-        // a pattern already hidden costs only its forward table. The
+        // max-gap windows of w cells, and O(occ(S[1])·Ws·m) under a
+        // max-window of Ws (one fwd × bwd per anchor); a pattern already
+        // hidden costs only its forward table(s). The
         // number of rounds is the number of marks the row needs, which
         // grows with |T|. A table refused by the memory budget leaves δ
         // partial, so the loop stops and the caller degrades.

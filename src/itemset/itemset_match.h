@@ -24,14 +24,12 @@
 namespace seqhide {
 
 // The §7.1 language: pattern element k matches row element j iff
-// S[k] ⊆ T[j] (an empty element matches nothing); clearing empties the
-// element.
+// S[k] ⊆ T[j] (an empty element matches nothing).
 class ItemsetLanguage : public IndexSpans {
  public:
   using Pattern = ItemsetSequence;
   using Spec = ConstraintSpec;
   using Row = ItemsetSequence;
-  using Work = ItemsetSequence;
 
   ItemsetLanguage(const ItemsetSequence& pattern, const ConstraintSpec& spec,
                   const ItemsetSequence& row)
@@ -41,12 +39,6 @@ class ItemsetLanguage : public IndexSpans {
   size_t n() const { return row_.size(); }
   bool Match(size_t k, size_t j) const {
     return !pattern_[k].empty() && pattern_[k].IsSubsetOf(row_[j]);
-  }
-  bool Clearable(size_t i) const { return !row_[i].empty(); }
-  ItemsetLanguage Cleared(size_t i, ItemsetSequence* work) const {
-    *work = row_;
-    work->Mark(i);
-    return ItemsetLanguage(pattern_, spec(), *work);
   }
 
  private:

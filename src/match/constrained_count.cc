@@ -17,14 +17,17 @@ uint64_t CountGapMatchings(const Sequence& pattern, const ConstraintSpec& spec,
   return TotalFromPrefixEndTable(scratch->fwd);
 }
 
-// Lemma 5: sum over ending positions j of the count of (gap-valid)
-// embeddings confined to the window [j - Ws + 1, j] that end exactly at j.
+// Lemma 5: sum over first positions s of the (gap-valid) embeddings that
+// start at s and end inside the window from s.
 uint64_t CountWindowedMatchings(const Sequence& pattern,
                                 const ConstraintSpec& spec,
                                 SequenceView seq, MatchScratch* scratch) {
   SEQHIDE_COUNTER_INC("match.window.calls");
-  SEQHIDE_COUNTER_ADD("match.window.slices", seq.size());
-  return CountWindowed(SequenceLanguage(pattern, spec, seq), scratch);
+  size_t anchors = 0;
+  const uint64_t count = CountLanguageMatchings(
+      SequenceLanguage(pattern, spec, seq), scratch, &anchors);
+  SEQHIDE_COUNTER_ADD("match.window.anchors", anchors);
+  return count;
 }
 
 }  // namespace

@@ -5,14 +5,15 @@
 //   the Lemma 3 prefix table — Q[k][j] counts gap-valid embeddings of the
 //   length-k prefix ending exactly at T[j]; the predecessor index span is
 //   restricted by the arrow's [mg, Mg].
-// * Max-window constraint (Lemma 5): for each ending index j, embeddings
-//   must start at index >= j - Ws + 1; the count is obtained by building
-//   the (gap-aware) table over the window T[j-Ws+1 .. j] and reading the
-//   entry that ends exactly at j.
+// * Max-window constraint (Lemma 5): an embedding ending at index j must
+//   start at index >= j - Ws + 1. The window binds only through the first
+//   matched position, so the count sums, over each anchor s with
+//   T[s] = S[1], the (gap-aware) table built over T[s .. s+Ws-1] with
+//   S[1] pinned to s.
 // * Conjunction: the window computation simply uses Q instead of P, as in
 //   the paper's closing remark of §5.
 //
-// The tables and the windowed sum are the Sequence instance of
+// The tables and the anchored sum are the Sequence instance of
 // language.h's templates, which every pattern language shares. All counts
 // saturate (see count.h).
 

@@ -4,10 +4,13 @@
 // The paper states its itemset (§7.1), real-time (§7.2) and class-pattern
 // (§8) extensions as "the same machinery with the comparison swapped". The
 // templates below are that machinery, written once: the gap-end (forward)
-// table of Lemma 4, the suffix-extension (backward) table, the Lemma 5
-// windowed count, and δ — forward × backward without a window, clear and
-// recount with one. Each template reads its language through a policy L,
-// a small value built over one (pattern, spec, row) triple that supplies
+// table of Lemma 4, the suffix-extension (backward) table, and Theorem 2's
+// δ as forward × backward. A max-window spec (Lemma 5) binds an embedding
+// only through its first position, so its count and δ are the same tables
+// built once per anchor: per position s where the first pattern element
+// matches, over the span of positions an embedding starting at s may end
+// in. Each template reads its language through a policy L, a small value
+// built over one (pattern, spec, row) triple that supplies
 //
 //   match  bool Match(size_t k, size_t j): pattern element k matches row
 //          element j (=, ⊆ or class ∈). Δ or an empty element matches
@@ -23,9 +26,6 @@
 //              sum fills its table row;
 //          and bool HasWindow() / size_t WindowStart(size_t j): the first
 //          position an embedding ending at j may start at.
-//   clear  bool Clearable(size_t i), and L Cleared(size_t i, Work* work):
-//          the policy over a copy of the row, held in *work, with position
-//          i cleared (Δ, or an emptied itemset).
 //
 // plus m() (pattern length) and n() (row length). Every span bound must be
 // non-decreasing in j, as index gaps and time gaps over non-decreasing
@@ -94,9 +94,6 @@ class IndexSpans {
     return j + 1 >= ws ? j + 1 - ws : 0;
   }
 
- protected:
-  const ConstraintSpec& spec() const { return *spec_; }
-
  private:
   const ConstraintSpec* spec_;
   size_t n_;
@@ -110,14 +107,13 @@ inline bool MatchesSymbol(SymbolId pattern_symbol, SymbolId symbol) {
 
 // A language over symbol rows whose pattern elements are tested with
 // MatchesSymbol(element, symbol): Sequence patterns here, ClassPattern in
-// src/repat. Clearing marks the position with Δ.
+// src/repat.
 template <class PatternT>
 class SymbolLanguage : public IndexSpans {
  public:
   using Pattern = PatternT;
   using Spec = ConstraintSpec;
   using Row = Sequence;
-  using Work = Sequence;
 
   SymbolLanguage(const Pattern& pattern, const ConstraintSpec& spec,
                  SequenceView row)
@@ -125,15 +121,8 @@ class SymbolLanguage : public IndexSpans {
 
   size_t m() const { return pattern_.size(); }
   size_t n() const { return row_.size(); }
-  SequenceView row() const { return row_; }
   bool Match(size_t k, size_t j) const {
     return MatchesSymbol(pattern_[k], row_[j]);
-  }
-  bool Clearable(size_t i) const { return IsRealSymbol(row_[i]); }
-  SymbolLanguage Cleared(size_t i, Sequence* work) const {
-    *work = row_.Materialize();
-    work->Mark(i);
-    return SymbolLanguage(pattern_, spec(), *work);
   }
 
  private:
@@ -183,48 +172,97 @@ bool FillGapEndTable(const L& lang, MatchScratch* scratch,
   return true;
 }
 
-// Lemma 5: Σ over ending positions `last` of the gap-valid embeddings
-// confined to [WindowStart(last), last] that end exactly at `last`. Each
-// term rebuilds Lemma 4's table over its slice in scratch->window ([m][n],
-// 0-based positions); the slice is the window.
+// L restricted to the span [s, s + n) of an anchor s, with pattern
+// element 0 pinned to s (span position 0): the gap-valid embeddings of
+// this policy are those of L that start at s and stay inside the span.
+// Every arrow's spans are L's, clipped to the span and shifted by s, so an
+// unbounded arrow stays unbounded (Pred from 0, Succ to n − 1).
 template <class L>
-uint64_t CountWindowed(const L& lang, MatchScratch* scratch) {
-  const size_t m = lang.m();
-  const size_t n = lang.n();
-  DpTable& ends = scratch->window;
-  uint64_t total = 0;
-  for (size_t last = 0; last < n && m > 0; ++last) {
-    if (!lang.Match(m - 1, last) ||
-        !TryResizeAndZeroTable(scratch, &ends, m, n)) {
-      continue;
+class AnchoredSpan {
+ public:
+  AnchoredSpan(const L& lang, size_t s, size_t n)
+      : lang_(lang), s_(s), n_(n) {}
+
+  template <class A>
+  class Arrow {
+   public:
+    Arrow(A arrow, size_t s, size_t n) : arrow_(arrow), s_(s), n_(n) {}
+
+    bool bounded() const { return arrow_.bounded(); }
+    bool Pred(size_t j, size_t* lo, size_t* hi) const {
+      if (!arrow_.Pred(s_ + j, lo, hi) || *hi < s_) return false;
+      *lo = *lo > s_ ? *lo - s_ : 0;
+      *hi -= s_;
+      return true;
     }
-    const size_t first = lang.WindowStart(last);
-    for (size_t j = first; j <= last; ++j) {
-      if (lang.Match(0, j)) ends[0][j] = 1;
+    bool Succ(size_t j, size_t* lo, size_t* hi) const {
+      if (!arrow_.Succ(s_ + j, lo, hi) || *lo >= s_ + n_) return false;
+      *lo -= s_;
+      *hi = std::min(*hi - s_, n_ - 1);
+      return true;
     }
-    for (size_t k = 1; k < m; ++k) {
-      const auto arrow = lang.arrow(k - 1);
-      for (size_t j = first; j <= last; ++j) {
-        size_t lo, hi;
-        if (!lang.Match(k, j) || !arrow.Pred(j, &lo, &hi)) continue;
-        uint64_t sum = 0;
-        for (size_t l = std::max(lo, first); l <= hi; ++l) {
-          sum = SatAdd(sum, ends[k - 1][l]);
-        }
-        ends[k][j] = sum;
-      }
-    }
-    total = SatAdd(total, ends[m - 1][last]);
+
+   private:
+    A arrow_;
+    size_t s_;
+    size_t n_;
+  };
+
+  size_t m() const { return lang_.m(); }
+  size_t n() const { return n_; }
+  bool Match(size_t k, size_t j) const {
+    return k == 0 ? j == 0 : lang_.Match(k, s_ + j);
   }
-  return total;
+  auto arrow(size_t a) const {
+    return Arrow<decltype(lang_.arrow(a))>(lang_.arrow(a), s_, n_);
+  }
+
+ private:
+  const L& lang_;
+  size_t s_;
+  size_t n_;
+};
+
+// Lemma 5 by first positions. An embedding ending at e is in the window
+// iff its first position s ≥ WindowStart(e); WindowStart is
+// non-decreasing, so the ends allowed from s form the prefix up to end(s),
+// the last e with WindowStart(e) ≤ s, found by one forward pointer. Calls
+// visit(span, s) with the AnchoredSpan [s, end(s)] for every anchor s
+// (element 0 matches at s) whose span is not empty, and returns the number
+// of anchors visited.
+template <class L, class Visit>
+size_t ForEachAnchor(const L& lang, const Visit& visit) {
+  const size_t n = lang.n();
+  size_t anchors = 0;
+  size_t stop = 0;  // first position whose window starts after s
+  for (size_t s = 0; s < n; ++s) {
+    if (!lang.Match(0, s)) continue;
+    while (stop < n && lang.WindowStart(stop) <= s) ++stop;
+    if (stop <= s) continue;
+    ++anchors;
+    visit(AnchoredSpan<L>(lang, s, stop - s), s);
+  }
+  return anchors;
 }
 
-// |M| under the spec: Σ_j Q[m][j] without a window, Lemma 5 with one.
+// |M| under the spec: Σ_j Q[m][j] without a window; with one, the same sum
+// over each anchor's span. `anchors`, when given, receives the number of
+// anchors a windowed count visited.
 template <class L>
-uint64_t CountLanguageMatchings(const L& lang, MatchScratch* scratch) {
+uint64_t CountLanguageMatchings(const L& lang, MatchScratch* scratch,
+                                size_t* anchors = nullptr) {
   if (lang.m() == 0) return 1;
   if (lang.m() > lang.n()) return 0;
-  if (lang.HasWindow()) return CountWindowed(lang, scratch);
+  if (lang.HasWindow()) {
+    uint64_t total = 0;
+    const size_t visited =
+        ForEachAnchor(lang, [&](const AnchoredSpan<L>& span, size_t) {
+          FillGapEndTable(span, scratch, &scratch->fwd);
+          total = SatAdd(total, TotalFromPrefixEndTable(scratch->fwd));
+        });
+    if (anchors != nullptr) *anchors = visited;
+    return total;
+  }
   FillGapEndTable(lang, scratch, &scratch->fwd);
   return TotalFromPrefixEndTable(scratch->fwd);
 }
@@ -332,37 +370,29 @@ void CombineDeltas(const L& lang, MatchScratch* scratch,
   }
 }
 
-// δ by clear and recount: count(row) − count(row with i cleared), correct
-// under any spec and the windowed fallback of every language (a window
-// couples both halves of an embedding through its first position). A
-// saturated count reads as δ = 0 here.
-template <class L, class Count>
-void DeltasByClearing(const L& lang, typename L::Work* work,
-                      const Count& count, std::vector<uint64_t>* out) {
-  const uint64_t base = count(lang);
-  out->assign(lang.n(), 0);
-  for (size_t i = 0; i < lang.n(); ++i) {
-    if (!lang.Clearable(i)) continue;
-    const uint64_t without = count(lang.Cleared(i, work));
-    SEQHIDE_DCHECK(without <= base);
-    (*out)[i] = base - without;
-  }
-}
-
-// δ for every position of the row w.r.t. one pattern.
+// δ for every position of the row w.r.t. one pattern: fwd × bwd over the
+// row without a window, and with one the fwd × bwd of every anchor's span
+// added into the span's positions (the anchored count lands on δ(s)).
+// SatAdd keeps a saturated δ large, so a position in some embedding never
+// reads 0. O(nm) (O(n·m·w) with max gaps of w) without a window, and
+// O(a·Ws·m) with a anchors whose spans hold at most Ws positions.
 template <class L>
 void LanguageDeltas(const L& lang, MatchScratch* scratch,
                     std::vector<uint64_t>* out) {
-  if (lang.HasWindow()) {
-    typename L::Work work;
-    DeltasByClearing(
-        lang, &work,
-        [scratch](const L& l) { return CountLanguageMatchings(l, scratch); },
-        out);
+  if (!lang.HasWindow()) {
+    FillGapEndTable(lang, scratch, &scratch->fwd);
+    CombineDeltas(lang, scratch, out);
     return;
   }
-  FillGapEndTable(lang, scratch, &scratch->fwd);
-  CombineDeltas(lang, scratch, out);
+  out->assign(lang.n(), 0);
+  std::vector<uint64_t>& span_deltas = scratch->span_deltas;
+  ForEachAnchor(lang, [&](const AnchoredSpan<L>& span, size_t s) {
+    FillGapEndTable(span, scratch, &scratch->fwd);
+    CombineDeltas(span, scratch, &span_deltas);
+    for (size_t j = 0; j < span.n(); ++j) {
+      (*out)[s + j] = SatAdd((*out)[s + j], span_deltas[j]);
+    }
+  });
 }
 
 }  // namespace seqhide

@@ -8,25 +8,6 @@
 #include "src/obs/macros.h"
 
 namespace seqhide {
-namespace {
-
-// Mark-and-recount with scratch->marked as the working copy (re-assigned
-// per position, so no per-position allocation once its capacity covers
-// |seq|). Each recount goes through CountConstrainedMatchings.
-void PositionDeltasByMarkingInto(const Sequence& pattern,
-                                 const ConstraintSpec& spec,
-                                 SequenceView seq, MatchScratch* scratch,
-                                 std::vector<uint64_t>* out) {
-  SEQHIDE_COUNTER_INC("delta.marking_calls");
-  DeltasByClearing(SequenceLanguage(pattern, spec, seq), &scratch->marked,
-                   [&](const SequenceLanguage& lang) {
-                     return CountConstrainedMatchings(pattern, spec,
-                                                      lang.row(), scratch);
-                   },
-                   out);
-}
-
-}  // namespace
 
 std::vector<uint64_t> PositionDeltas(const Sequence& pattern,
                                      const ConstraintSpec& spec,
@@ -46,13 +27,11 @@ void PositionDeltasInto(const Sequence& pattern, const ConstraintSpec& spec,
     return;
   }
 
+  SEQHIDE_COUNTER_INC("delta.fast_calls");
   if (spec.HasWindow()) {
-    // The window couples both halves of the embedding through the first
-    // matched position; use the always-correct mark-and-recount method.
-    PositionDeltasByMarkingInto(pattern, spec, seq, scratch, out);
+    LanguageDeltas(SequenceLanguage(pattern, spec, seq), scratch, out);
     return;
   }
-  SEQHIDE_COUNTER_INC("delta.fast_calls");
 
   // fwd[k][j] (1-based j): gap-valid embeddings of S[1..k] ending at j.
   if (spec.HasGaps()) {
@@ -88,36 +67,6 @@ void PositionDeltasTotalInto(const std::vector<Sequence>& patterns,
       (*out)[j] = SatAdd((*out)[j], d[j]);
     }
   }
-}
-
-std::vector<uint64_t> PositionDeltasByDeletion(const Sequence& pattern,
-                                               SequenceView seq) {
-  SEQHIDE_COUNTER_INC("delta.deletion_calls");
-  MatchScratch scratch;
-  const uint64_t base = CountMatchings(pattern, seq, &scratch);
-  std::vector<uint64_t> deltas(seq.size(), 0);
-  for (size_t i = 0; i < seq.size(); ++i) {
-    if (!IsRealSymbol(seq[i])) continue;
-    std::vector<SymbolId> reduced;
-    reduced.reserve(seq.size() - 1);
-    for (size_t j = 0; j < seq.size(); ++j) {
-      if (j != i) reduced.push_back(seq[j]);
-    }
-    uint64_t without =
-        CountMatchings(pattern, Sequence(std::move(reduced)), &scratch);
-    SEQHIDE_DCHECK(without <= base);
-    deltas[i] = base - without;
-  }
-  return deltas;
-}
-
-std::vector<uint64_t> PositionDeltasByMarking(const Sequence& pattern,
-                                              const ConstraintSpec& spec,
-                                              SequenceView seq) {
-  MatchScratch scratch;
-  std::vector<uint64_t> deltas;
-  PositionDeltasByMarkingInto(pattern, spec, seq, &scratch, &deltas);
-  return deltas;
 }
 
 }  // namespace seqhide

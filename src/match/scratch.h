@@ -25,7 +25,6 @@
 
 #include "src/common/checked_math.h"
 #include "src/obs/telemetry/mem_tracker.h"
-#include "src/seq/sequence.h"
 
 namespace seqhide {
 
@@ -48,8 +47,6 @@ struct MatchScratch {
   DpTable fwd;
   // PositionDeltas' suffix-extension table ([m+1][n]).
   DpTable bwd;
-  // Windowed counting's per-ending-position table ([m][n]).
-  DpTable window;
   // BuildPrefixEndTable's running sums and column buffer.
   DpRow running;
   DpRow column;
@@ -63,8 +60,9 @@ struct MatchScratch {
   // MatchKernel::CountRow's per-pattern counts buffer (plain vector: it is
   // the public out-param shape, not a DP table).
   std::vector<uint64_t> pattern_counts;
-  // Mark-and-recount fallback's working copy of the sequence.
-  Sequence marked;
+  // One anchor's δ over its span, added into the row's δ by a windowed
+  // LanguageDeltas (plain vector: CombineDeltas' out-param shape).
+  std::vector<uint64_t> span_deltas;
 
   // Memory ceiling (bytes) for any single DP table sized through this
   // scratch; 0 = unlimited. Stages running under a RunBudget set it so

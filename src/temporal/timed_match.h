@@ -83,14 +83,12 @@ class TimeArrow {
 };
 
 // The §7.2 language: symbol equality, spans in time units, the window
-// t_last − t_first ≤ max_window_time. Clearing marks the event with Δ
-// (its instant stays).
+// t_last − t_first ≤ max_window_time.
 class TimedLanguage {
  public:
   using Pattern = Sequence;
   using Spec = TimeConstraintSpec;
   using Row = TimedSequence;
-  using Work = TimedSequence;
 
   TimedLanguage(const Sequence& pattern, const TimeConstraintSpec& spec,
                 const TimedSequence& row)
@@ -109,12 +107,6 @@ class TimedLanguage {
     return TimeArrow::First(0, j, [&](size_t f) {
       return row_[j].time - row_[f].time <= spec_.max_window_time;
     });
-  }
-  bool Clearable(size_t i) const { return !row_.IsMarked(i); }
-  TimedLanguage Cleared(size_t i, TimedSequence* work) const {
-    *work = row_;
-    work->Mark(i);
-    return TimedLanguage(pattern_, spec_, *work);
   }
 
  private:

@@ -72,6 +72,28 @@ TimeConstraintSpec GenTimeSpec(Rng* rng, const TimedSequence& row,
   return spec;
 }
 
+TimeConstraintSpec GenTimedWindowSpec(Rng* rng, const TimedSequence& row,
+                                      bool tenths) {
+  TimeConstraintSpec spec = GenTimeSpec(rng, row, tenths);
+  spec.max_window_time = 0.0;
+  if (row.empty()) return spec;
+  switch (rng->NextBounded(4)) {
+    case 0:
+      break;
+    case 1:
+      spec.max_window_time = row[row.size() - 1].time + rng->NextDouble();
+      break;
+    default: {
+      const double a = row[rng->NextBounded(row.size())].time;
+      const double b = row[rng->NextBounded(row.size())].time;
+      const double span = std::fabs(b - a);
+      spec.max_window_time = tenths ? 0.1 * std::round(span * 10.0) : span;
+      break;
+    }
+  }
+  return spec;
+}
+
 SequenceDatabase GenDatabase(Rng* rng, const GenOptions& opts) {
   SequenceDatabase db;
   size_t sigma = Between(rng, opts.min_alphabet, opts.max_alphabet);
@@ -160,6 +182,38 @@ ConstraintSpec GenConstraintSpec(Rng* rng, size_t pattern_length,
       return spec;
     }
   }
+}
+
+ConstraintSpec GenWindowedSpec(Rng* rng, size_t pattern_length,
+                               size_t max_seq_length) {
+  const size_t n = std::max<size_t>(max_seq_length, 1);
+  ConstraintSpec spec;
+  switch (rng->NextBounded(3)) {
+    case 0:
+      break;
+    case 1:
+      spec = ConstraintSpec::UniformGap(rng->NextBounded(2),
+                                        1 + rng->NextBounded(3));
+      break;
+    default:
+      spec = ConstraintSpec::UniformGap(rng->NextBounded(3), GapBound::kNoMax);
+      break;
+  }
+  switch (rng->NextBounded(4)) {
+    case 0:
+      spec.SetMaxWindow(1);
+      break;
+    case 1:
+      spec.SetMaxWindow(pattern_length);
+      break;
+    case 2:
+      spec.SetMaxWindow(Between(rng, std::min(pattern_length, n), n));
+      break;
+    default:
+      spec.SetMaxWindow(n + rng->NextBounded(3));
+      break;
+  }
+  return spec;
 }
 
 SanitizeOptions GenSanitizeOptions(Rng* rng, size_t db_size) {

@@ -89,6 +89,14 @@ TimedSequence GenTimedSequence(Rng* rng, size_t length, size_t alphabet_size,
 TimeConstraintSpec GenTimeSpec(Rng* rng, const TimedSequence& row,
                                bool tenths);
 
+// A max-window spec for `row` (always windowed): the window is 0, the
+// span between two of the row's events (rounded to tenths with `tenths`,
+// so it sits on a rounding boundary of the spans it should admit), or
+// past the row's duration, so every anchor's span reaches the row's end;
+// the gaps are drawn as in GenTimeSpec. Always valid.
+TimeConstraintSpec GenTimedWindowSpec(Rng* rng, const TimedSequence& row,
+                                      bool tenths);
+
 // Random database under `opts`. The alphabet is pre-interned as
 // "s0".."s<k-1>" so symbol ids are stable regardless of usage order (the
 // same convention as MakeRandomDatabase in data/workload.h).
@@ -109,6 +117,15 @@ Sequence GenPattern(Rng* rng, const SequenceDatabase& db,
 // ConstraintSpec::Validate(pattern_length).
 ConstraintSpec GenConstraintSpec(Rng* rng, size_t pattern_length,
                                  size_t max_seq_length);
+
+// A max-window spec for a pattern of `pattern_length` symbols over rows of
+// at most `max_seq_length`: the window is 1, the pattern length, a width
+// in between and the row length, or the row length or more (so every
+// anchor's span is clipped at the row's end), over no gaps, bounded gaps
+// or min-gap-only (unbounded) gaps. A window shorter than the pattern
+// fails Validate, but the DPs must still count it (as 0).
+ConstraintSpec GenWindowedSpec(Rng* rng, size_t pattern_length,
+                               size_t max_seq_length);
 
 // Random SanitizeOptions: strategy pair, ψ in [0, db_size], thread count
 // in {1, 2, 3, 8}, and RNG seed. Always passes Validate().

@@ -274,6 +274,25 @@ TEST(ClassHidingTest, SaturatedCountsStillSanitize) {
   EXPECT_EQ(db[2].MarkCount(), 0u);
 }
 
+// A max-window spec takes δ from the fwd × bwd of each anchor's span,
+// summed with SatAdd, so it too stays large when the counts saturate.
+TEST(ClassHidingTest, SaturatedWindowedCountsStillSanitize) {
+  SequenceDatabase db;
+  const std::vector<std::string> as(200, "a");
+  db.AddFromNames(as);
+  db.AddFromNames(as);
+  db.AddFromNames({"b", "c"});
+  const ClassPattern p(std::vector<SymbolClass>(
+      20, SymbolClass::Literal(*db.alphabet().Lookup("a"))));
+  const ConstraintSpec window = ConstraintSpec::Window(199);
+  auto report = Hide(&db, {p}, {window}, 0);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->saturated_rows, 2u);
+  EXPECT_EQ(report->supports_after[0], 0u);
+  EXPECT_EQ(ClassSupport(p, window, db), 0u);
+  EXPECT_EQ(db[2].MarkCount(), 0u);
+}
+
 // Support is count > 0 behind the greedy embedding screen, never an
 // enumeration: eight wildcards before a symbol the row lacks, and eight
 // over a 30-symbol row, are both answered by O(n·m) work.

@@ -151,6 +151,21 @@ SUP="$("$CLI" support --db "$WORK/out3.txt" --pattern "a -> b -> c" \
       | sed 's/.*support=\([0-9]*\).*/\1/')"
 [ "$SUP" -le 2 ]
 
+# saturated windowed counts: a^20 under window<=199 over two rows of 200
+# a's has more than 2^64 matchings per row; δ stays large and both rows
+# are sanitized (exit 0, supports_after [0])
+A200="a"
+i=1
+while [ "$i" -lt 200 ]; do A200="$A200 a"; i=$((i + 1)); done
+{ echo "$A200"; echo "$A200"; echo "b c"; } > "$WORK/saturated.txt"
+A20="a"
+i=1
+while [ "$i" -lt 20 ]; do A20="$A20 -> a"; i=$((i + 1)); done
+"$CLI" sanitize --db "$WORK/saturated.txt" --out "$WORK/saturated_out.txt" \
+    --pattern "$A20 ; window<=199" --psi 0 --algo HH > "$WORK/saturated.log"
+grep -q "supports_after=\[0\]" "$WORK/saturated.log"
+grep -q "saturated=2" "$WORK/saturated.log"
+
 # itemset format (paper section 7.1)
 cat > "$WORK/baskets.txt" <<EOF
 (formula,diapers) (coupon)

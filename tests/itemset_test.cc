@@ -219,6 +219,27 @@ TEST(ItemsetHideTest, SaturatedCountsStillSanitize) {
   EXPECT_EQ(ItemsetSupport(patterns[0], db), 0u);
 }
 
+// The same rows under a max-window of 99 elements: δ is the fwd × bwd of
+// each anchor's span, summed with SatAdd, so it stays large when the
+// counts saturate (C(98, 19) > 2⁶⁴ from the first anchor alone).
+TEST(ItemsetHideTest, SaturatedWindowedCountsStillSanitize) {
+  ItemsetDatabase db;
+  const ItemsetSequence row(std::vector<Itemset>(100, Itemset{1}));
+  db.Add(row);
+  db.Add(row);
+  db.Add(ISeq({Itemset{2}, Itemset{3}}));
+  const std::vector<ItemsetSequence> patterns = {
+      ItemsetSequence(std::vector<Itemset>(20, Itemset{1}))};
+  const ConstraintSpec window = ConstraintSpec::Window(99);
+  auto report = Hide(&db, patterns, {window}, 0);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->saturated_rows, 2u);
+  EXPECT_EQ(report->supports_after[0], 0u);
+  for (size_t t = 0; t < db.size(); ++t) {
+    EXPECT_EQ(CountItemsetMatchings(patterns[0], window, db[t]), 0u);
+  }
+}
+
 TEST(ItemsetConstrainedTest, GapConstraintFiltersOccurrences) {
   // T = <(1), (9), (3)>: <(1),(3)> occurs with gap 1 only.
   ItemsetSequence t = ISeq({Itemset{1}, Itemset{9}, Itemset{3}});

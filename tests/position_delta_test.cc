@@ -8,6 +8,7 @@
 
 #include "src/match/constrained_count.h"
 #include "src/match/matching_set.h"
+#include "src/testing/delta_oracles.h"
 #include "tests/test_util.h"
 
 namespace seqhide {
@@ -67,12 +68,13 @@ TEST(PositionDeltaTest, GapConstrainedExample) {
   EXPECT_EQ(d, (std::vector<uint64_t>{1, 0, 1, 0}));
 }
 
-TEST(PositionDeltaTest, WindowConstrainedFallsBackToMarking) {
+TEST(PositionDeltaTest, WindowConstrainedSumsOverAnchors) {
   Alphabet a;
   Sequence t = Seq(&a, "a b x a x x b");
   Sequence s = Seq(&a, "a b");
   ConstraintSpec spec = ConstraintSpec::Window(4);
-  // Valid under window 4: (0,1) span 2 and (3,6) span 4.
+  // Valid under window 4: (0,1) span 2 and (3,6) span 4. Anchor 0's span
+  // is [0, 3], anchor 3's is [3, 6], clipped at the row's end.
   std::vector<uint64_t> d = PositionDeltas(s, spec, t);
   EXPECT_EQ(d, (std::vector<uint64_t>{1, 1, 0, 1, 0, 0, 1}));
 }

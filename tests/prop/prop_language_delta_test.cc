@@ -4,8 +4,11 @@
 // src/testing/language_oracles.h. Instances stay small, so no count
 // saturates. Per language:
 //   * CountLanguageMatchings = the number of enumerated embeddings;
-//   * LanguageDeltas = clear-and-recount = embeddings through each
-//     position, by enumeration;
+//   * LanguageDeltas = clear-and-recount (src/testing/delta_oracles.h) =
+//     embeddings through each position, by enumeration, also on
+//     max-window specs drawn at the edges of the anchored spans (window
+//     1, window ≥ n, windows over bounded and min-gap-only gaps, timed
+//     windows on tenths rounding boundaries);
 //   * hiding leaves every support ≤ ψ (by enumeration) and changes
 //     only positions that some embedding used before hiding.
 // Case counts follow SEQHIDE_PROP_CASES; a failure names its case seed.
@@ -20,6 +23,7 @@
 #include "src/itemset/itemset_match.h"
 #include "src/repat/class_pattern.h"
 #include "src/temporal/timed_match.h"
+#include "src/testing/delta_oracles.h"
 #include "src/testing/generators.h"
 #include "src/testing/language_oracles.h"
 #include "src/testing/prop.h"
@@ -87,13 +91,9 @@ std::string CheckCountAndDeltas(const typename L::Pattern& pattern,
     return "count " + std::to_string(count) + " but " +
            std::to_string(embeddings) + " enumerated embeddings";
   }
-  std::vector<uint64_t> fast, recount;
+  std::vector<uint64_t> fast;
   LanguageDeltas(lang, &scratch, &fast);
-  typename L::Work work;
-  DeltasByClearing(
-      lang, &work,
-      [&](const L& l) { return CountLanguageMatchings(l, &scratch); },
-      &recount);
+  const std::vector<uint64_t> recount = DeltasByRecount<L>(pattern, spec, row);
   const std::vector<uint64_t> oracle = OracleDeltas<L>(pattern, spec, row);
   if (fast != recount || fast != oracle) {
     return "delta [" + Join(fast) + "], clear-and-recount [" +
@@ -226,6 +226,39 @@ TEST(LanguageDeltaProps, ClassCountAndDeltaEqualEnumeration) {
     const ClassPattern pattern = GenClassPattern(rng, m);
     const ConstraintSpec spec = GenConstraintSpec(rng, m, n);
     return CheckCountAndDeltas<ClassLanguage>(pattern, spec, row);
+  });
+}
+
+TEST(LanguageDeltaProps, ItemsetWindowedCountAndDeltaEqualEnumeration) {
+  ForEachCase(0x5eed1107, [](Rng* rng) {
+    const size_t n = 1 + rng->NextBounded(8);
+    const ItemsetSequence row = GenItemsetSequence(rng, n, false);
+    const size_t m = 1 + rng->NextBounded(3);
+    const ItemsetSequence pattern = GenItemsetSequence(rng, m, true);
+    return CheckCountAndDeltas<ItemsetLanguage>(
+        pattern, GenWindowedSpec(rng, m, n), row);
+  });
+}
+
+TEST(LanguageDeltaProps, TimedWindowedCountAndDeltaEqualEnumeration) {
+  ForEachCase(0x5eed1108, [](Rng* rng) {
+    const bool tenths = rng->NextBernoulli(0.75);
+    const TimedSequence row =
+        GenTimedSequence(rng, 1 + rng->NextBounded(9), 2, tenths, 0.1);
+    const Sequence pattern = GenSequence(rng, 1 + rng->NextBounded(3), 2);
+    return CheckCountAndDeltas<TimedLanguage>(
+        pattern, GenTimedWindowSpec(rng, row, tenths), row);
+  });
+}
+
+TEST(LanguageDeltaProps, ClassWindowedCountAndDeltaEqualEnumeration) {
+  ForEachCase(0x5eed1109, [](Rng* rng) {
+    const size_t n = 1 + rng->NextBounded(10);
+    const Sequence row = GenSequence(rng, n, 4, /*delta_density=*/0.1);
+    const size_t m = 1 + rng->NextBounded(3);
+    const ClassPattern pattern = GenClassPattern(rng, m);
+    return CheckCountAndDeltas<ClassLanguage>(
+        pattern, GenWindowedSpec(rng, m, n), row);
   });
 }
 

@@ -1,18 +1,22 @@
 // Differential properties for δ(T[i]) (match/position_delta.h). The
-// production forward×backward method, the paper's Theorem 2 deletion
-// method, and the mark-and-recount method must all equal the definitional
-// enumeration count of embeddings involving each position — the deletion
-// method only where it is defined (unconstrained matching).
+// production forward×backward method (anchored under a max-window), and
+// the test oracles of src/testing/delta_oracles.h — the paper's Theorem 2
+// deletion method and the mark-and-recount method — must all equal the
+// definitional enumeration count of embeddings involving each position —
+// the deletion method only where it is defined (unconstrained matching).
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
 #include "src/match/position_delta.h"
 #include "src/match/scratch.h"
+#include "src/testing/delta_oracles.h"
+#include "src/testing/generators.h"
 #include "src/testing/oracles.h"
 #include "tests/prop/prop_gtest.h"
 
@@ -138,6 +142,39 @@ TEST(PositionDeltaProps, TotalAccumulatesAndScratchMatches) {
     }
     return std::string();
   }));
+}
+
+// Max-window specs at the edges of the anchored spans (GenWindowedSpec:
+// window 1, window ≥ n so every span is clipped at the row's end, windows
+// over bounded and min-gap-only gaps): the production count and δ must
+// equal both enumeration and mark-and-recount. Windows shorter than the
+// pattern are raised to its length, the least that validates.
+TEST(PositionDeltaProps, WindowedEqualsMarkingAndEnumeration) {
+  const size_t cases = EffectiveCaseCount(300);
+  for (size_t c = 0; c < cases; ++c) {
+    const uint64_t seed = 0x5eed0207 + c;
+    Rng rng(seed);
+    const size_t n = 1 + rng.NextBounded(10);
+    const Sequence row = GenSequence(&rng, n, 3, /*delta_density=*/0.1,
+                                     /*repeat_bias=*/0.3);
+    const Sequence pattern = GenSequence(&rng, 1 + rng.NextBounded(3), 3);
+    ConstraintSpec spec = GenWindowedSpec(&rng, pattern.size(), n);
+    if (*spec.max_window() < pattern.size()) spec.SetMaxWindow(pattern.size());
+    const std::string where = "case seed " + std::to_string(seed) + ", T=" +
+                              row.DebugString() + " S=" +
+                              pattern.DebugString() + " " + spec.ToString();
+    EXPECT_EQ(CountConstrainedMatchings(pattern, spec, row),
+              OracleConstrainedCount(pattern, spec, row))
+        << where;
+    const auto fast = PositionDeltas(pattern, spec, row);
+    const auto oracle = OraclePositionDeltas(pattern, spec, row);
+    ASSERT_EQ(DiffDeltas(fast, oracle, "production", "enumeration", 0, 0), "")
+        << where;
+    ASSERT_EQ(DiffDeltas(fast, PositionDeltasByMarking(pattern, spec, row),
+                         "production", "marking", 0, 0),
+              "")
+        << where;
+  }
 }
 
 // The arrow kinds the long-row properties cover, for a pattern of

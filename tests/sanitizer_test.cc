@@ -256,5 +256,25 @@ TEST(SanitizerTest, SaturatedSupportersAreCountedAndOrderedByIndex) {
   EXPECT_NE(report->ToString().find("saturated=2"), std::string::npos);
 }
 
+// a²⁰ under a max-window of 199 over two rows of 200 a's: every count and
+// most δ saturate. δ sums the fwd × bwd of each anchor's span with SatAdd,
+// so no position in a matching reads δ = 0 and both rows get sanitized
+// (clear-and-recount read every δ as 0 here and left both rows exposed).
+TEST(SanitizerTest, SaturatedWindowedCountsStillSanitize) {
+  SequenceDatabase db;
+  db.AddFromNames(std::vector<std::string>(200, "a"));
+  db.AddFromNames(std::vector<std::string>(200, "a"));
+  db.AddFromNames({"b", "c"});
+  const SymbolId a = db.alphabet().Intern("a");
+  const std::vector<Sequence> patterns = {Sequence(std::vector<SymbolId>(20, a))};
+  const std::vector<ConstraintSpec> constraints = {ConstraintSpec::Window(199)};
+  auto report = Sanitize(&db, patterns, constraints, SanitizeOptions::HH());
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->saturated_rows, 2u);
+  EXPECT_EQ(report->supports_after, std::vector<size_t>{0});
+  EXPECT_EQ(ConstrainedSupport(patterns[0], constraints[0], db), 0u);
+  EXPECT_EQ(db[2].MarkCount(), 0u);
+}
+
 }  // namespace
 }  // namespace seqhide

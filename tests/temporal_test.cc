@@ -208,5 +208,22 @@ TEST(TimedSanitizeTest, SaturatedCountsStillSanitize) {
   EXPECT_EQ(TimedSupport(patterns[0], spec, rows), 0u);
 }
 
+// A max-window spec takes δ from the fwd × bwd of each anchor's span,
+// summed with SatAdd, so it too stays large when the counts saturate.
+TEST(TimedSanitizeTest, SaturatedWindowedCountsStillSanitize) {
+  std::vector<std::pair<SymbolId, double>> events;
+  for (int i = 0; i < 200; ++i) events.emplace_back(0, i);
+  std::vector<TimedSequence> rows = {MakeTimed(events), MakeTimed(events),
+                                     MakeTimed({{1, 0.0}, {2, 1.0}})};
+  TimeConstraintSpec spec;
+  spec.max_window_time = 198.0;
+  const std::vector<Sequence> patterns = {Sequence(std::vector<SymbolId>(20, 0))};
+  auto report = HideLanguagePatterns<TimedLanguage>(&rows, patterns, {spec}, 0);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->saturated_rows, 2u);
+  EXPECT_EQ(report->supports_after[0], 0u);
+  EXPECT_EQ(TimedSupport(patterns[0], spec, rows), 0u);
+}
+
 }  // namespace
 }  // namespace seqhide
