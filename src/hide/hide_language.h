@@ -7,8 +7,9 @@
 //      language's count DP; supporters are the rows with a matching;
 //   2. select — global.cc's ascending matching-count heuristic: all but
 //      the ψ most expensive supporters are victims;
-//   3. mark — local.h's round loop on each victim, δ from
-//      LanguageDeltas, each chosen position marked through MarkPosition;
+//   3. mark — SanitizeLanguageRow on each victim: local.h's round loop,
+//      δ from LanguageDeltas, each chosen position marked through
+//      MarkPosition;
 //   4. verify — every row is recounted and each pattern's support must be
 //      ≤ ψ, else Internal.
 // The result is a SanitizeReport with supports, marks and StageTimings.
@@ -51,6 +52,37 @@ size_t MarkPosition(Row* row, size_t pos, const CountTotal& /*count_total*/) {
   return 1;
 }
 
+// The mark stage on one victim row (the paper's Sanitize(T, S_h)):
+// local.h's MarkRounds with each pattern's LanguageDeltas, marking the
+// chosen position through MarkPosition. `specs` is empty or parallel to
+// `patterns`; the row's DP tables live in *scratch.
+template <class L>
+LocalSanitizeResult SanitizeLanguageRow(
+    typename L::Row* row, const std::vector<typename L::Pattern>& patterns,
+    const std::vector<typename L::Spec>& specs, MatchScratch* scratch) {
+  const typename L::Spec unconstrained{};
+  auto lang = [&](size_t p, const typename L::Row& r) {
+    return L(patterns[p], specs.empty() ? unconstrained : specs[p], r);
+  };
+  auto count_total = [&](const typename L::Row& r) {
+    uint64_t total = 0;
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      total = SatAdd(total, ScreenedCount(lang(p, r), scratch));
+    }
+    return total;
+  };
+  LocalSanitizeResult result;
+  MarkRounds(
+      LocalStrategy::kHeuristic, /*rng=*/nullptr, patterns.size(),
+      [&](size_t p, std::vector<uint64_t>* deltas) {
+        LanguageDeltas(lang(p, *row), scratch, deltas);
+        return !scratch->exhausted;
+      },
+      [&](size_t pos) { return MarkPosition(row, pos, count_total); },
+      &result);
+  return result;
+}
+
 // Hides every pattern down to support ≤ psi in *rows. `specs` is empty
 // (all unconstrained) or parallel to `patterns`.
 template <class L>
@@ -80,13 +112,6 @@ Result<SanitizeReport> HideLanguagePatterns(
   MatchScratch scratch;
   auto count = [&](size_t p, const Row& row) {
     return ScreenedCount(L(patterns[p], spec_of(p), row), &scratch);
-  };
-  auto count_total = [&](const Row& row) {
-    uint64_t total = 0;
-    for (size_t p = 0; p < patterns.size(); ++p) {
-      total = SatAdd(total, count(p, row));
-    }
-    return total;
   };
 
   std::vector<SequenceMatchInfo> info;
@@ -121,25 +146,9 @@ Result<SanitizeReport> HideLanguagePatterns(
 
   {
     obs::ScopedTimer stage(&report.stages.mark_seconds);
-    std::vector<uint64_t> pattern_deltas;
     for (size_t t : victims) {
-      Row& row = (*rows)[t];
-      LocalSanitizeResult local;
-      MarkRounds(
-          LocalStrategy::kHeuristic, /*rng=*/nullptr,
-          [&](std::vector<uint64_t>* deltas) {
-            deltas->assign(row.size(), 0);
-            for (size_t p = 0; p < patterns.size(); ++p) {
-              LanguageDeltas(L(patterns[p], spec_of(p), row), &scratch,
-                             &pattern_deltas);
-              for (size_t j = 0; j < row.size(); ++j) {
-                (*deltas)[j] = SatAdd((*deltas)[j], pattern_deltas[j]);
-              }
-            }
-            return !scratch.exhausted;
-          },
-          [&](size_t pos) { return MarkPosition(&row, pos, count_total); },
-          &local);
+      const LocalSanitizeResult local =
+          SanitizeLanguageRow<L>(&(*rows)[t], patterns, specs, &scratch);
       report.marks_introduced += local.marks_introduced;
       ++report.sequences_sanitized;
     }

@@ -22,6 +22,8 @@ LocalSanitizeResult SanitizeSequence(
   SEQHIDE_CHECK(seq != nullptr);
   SEQHIDE_CHECK(strategy != LocalStrategy::kRandom || rng != nullptr)
       << "the Random local strategy needs an Rng";
+  SEQHIDE_CHECK(constraints.empty() || constraints.size() == patterns.size())
+      << "constraints must be empty or parallel to patterns";
 
   LocalSanitizeResult result;
   if (strategy == LocalStrategy::kExhaustive) {
@@ -38,20 +40,20 @@ LocalSanitizeResult SanitizeSequence(
   // The DP tables inside *scratch stay warm across rounds and across
   // sequences on the same thread.
   scratch->exhausted = false;
+  const ConstraintSpec unconstrained;
   MarkRounds(
-      strategy, rng,
-      [&](std::vector<uint64_t>* deltas) {
-        // Each round recomputes δ for every pattern — the dominant cost of
-        // the local stage and the number the paper's Alg. 1 loop hides.
-        // Per pattern a round is O(nm) without max gaps, O(n·m·w) with
-        // max-gap windows of w cells, and O(occ(S[1])·Ws·m) under a
-        // max-window of Ws (one fwd × bwd per anchor); a pattern already
-        // hidden costs only its forward table(s). The
-        // number of rounds is the number of marks the row needs, which
-        // grows with |T|. A table refused by the memory budget leaves δ
-        // partial, so the loop stops and the caller degrades.
-        SEQHIDE_COUNTER_INC("local.delta_recomputations");
-        PositionDeltasTotalInto(patterns, constraints, *seq, scratch, deltas);
+      strategy, rng, patterns.size(),
+      [&](size_t p, std::vector<uint64_t>* deltas) {
+        // One pattern's δ, the dominant cost of the local stage: O(nm)
+        // without max gaps, O(n·m·w) with max-gap windows of w cells, and
+        // O(occ(S[1])·Ws·m) under a max-window of Ws (one fwd × bwd per
+        // anchor). MarkRounds asks again only after a mark that removed
+        // one of the pattern's matchings. A table refused by the memory
+        // budget leaves δ partial, so the loop stops and the caller
+        // degrades.
+        PositionDeltasInto(patterns[p],
+                           constraints.empty() ? unconstrained : constraints[p],
+                           *seq, scratch, deltas);
         return !scratch->exhausted;
       },
       [&](size_t pos) {
@@ -59,9 +61,6 @@ LocalSanitizeResult SanitizeSequence(
         return size_t{1};
       },
       &result);
-  SEQHIDE_COUNTER_ADD("local.marks", result.marks_introduced);
-  SEQHIDE_HISTOGRAM_RECORD("local.marks_per_sequence",
-                           result.marks_introduced);
   return result;
 }
 

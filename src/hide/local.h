@@ -8,6 +8,19 @@
 //
 // Termination: every chosen position has δ > 0, so each mark removes at
 // least one matching and the (finite) matching count strictly decreases.
+//
+// δ is summed over patterns, δ_{S_h}(T[i]) = Σ_p δ_p(T[i]), and a round
+// refreshes only the patterns the last mark touched. A mark at position i
+// (Δ, or the itemset language's item removal) only removes matchings that
+// use i and creates none. So when δ_p(i) = 0 no matching of p used i, M_p
+// is unchanged, and so is δ_p at every position: only the patterns with
+// δ_p(i) > 0 need new tables. This holds under saturation too. Every DP
+// value is min(exact count, 2⁶⁴−1), since SatAdd and SatMul of
+// non-negative terms saturate exactly where the exact sum or product
+// passes 2⁶⁴−1, and a saturated value is never 0. So δ_p(i) reads 0
+// exactly when no matching uses i, and an unchanged M_p gives the same
+// saturated δ_p. Argmax, tie-breaks and the Random candidate list are
+// those of recomputing every pattern every round.
 
 #ifndef SEQHIDE_HIDE_LOCAL_H_
 #define SEQHIDE_HIDE_LOCAL_H_
@@ -16,10 +29,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/constraints/constraints.h"
 #include "src/hide/options.h"
+#include "src/match/count.h"
 #include "src/match/scratch.h"
+#include "src/obs/macros.h"
 #include "src/seq/sequence.h"
 
 namespace seqhide {
@@ -37,33 +53,56 @@ struct LocalSanitizeResult {
 };
 
 // The local round loop (the paper's Sanitize(T, S_h)), shared by every
-// pattern language. Each round `deltas(&d)` fills δ for every position of
-// the row and returns false when a DP table was refused (the loop stops
-// and sets result->exhausted); then one position with δ > 0 is chosen —
-// argmax δ for kHeuristic (ties toward the smallest index), uniformly at
-// random for kRandom — and `mark(pos)` marks it, returning the marks it
-// made. The loop ends when no position is involved in a matching.
+// pattern language. `deltas(p, &d)` fills δ_p for every position of the
+// row and returns false when a DP table was refused (the loop stops and
+// sets result->exhausted). The first round fills every pattern; a later
+// one refills only those with δ_p > 0 at the last marked position and
+// reuses the rest (see the top of this file), then sums the total with
+// SatAdd. One position with total δ > 0 is chosen — argmax for
+// kHeuristic (ties toward the smallest index), uniformly at random for
+// kRandom — and `mark(pos)` marks it, returning the marks it made. The
+// loop ends when no position is involved in a matching. The δ vectors are
+// allocated once per call (|S_h| × |T| words), never per round.
 template <class Deltas, class Mark>
-void MarkRounds(LocalStrategy strategy, Rng* rng, const Deltas& deltas,
-                const Mark& mark, LocalSanitizeResult* result) {
-  // Hoisted out of the round loop: after the first round these only ever
-  // get reassigned, never reallocated.
-  std::vector<uint64_t> d;
+void MarkRounds(LocalStrategy strategy, Rng* rng, size_t num_patterns,
+                const Deltas& deltas, const Mark& mark,
+                LocalSanitizeResult* result) {
+  std::vector<std::vector<uint64_t>> d(num_patterns);  // δ_p, last filled
+  std::vector<char> stale(num_patterns, 1);
+  std::vector<uint64_t> total;
   std::vector<size_t> candidates;
   for (;;) {
-    if (!deltas(&d)) {
+    SEQHIDE_COUNTER_INC("local.delta_recomputations");
+    size_t reused = 0;
+    bool refused = false;
+    for (size_t p = 0; p < num_patterns && !refused; ++p) {
+      if (!stale[p]) {
+        ++reused;
+        continue;
+      }
+      refused = !deltas(p, &d[p]);
+      stale[p] = 0;
+    }
+    SEQHIDE_COUNTER_ADD("local.delta_reused", reused);
+    if (refused) {
       result->exhausted = true;
       break;
+    }
+    total.assign(num_patterns == 0 ? 0 : d[0].size(), 0);
+    for (const std::vector<uint64_t>& dp : d) {
+      for (size_t i = 0; i < total.size(); ++i) {
+        total[i] = SatAdd(total[i], dp[i]);
+      }
     }
     // Positions involved in at least one matching ("reasonable choices").
     candidates.clear();
     uint64_t best_delta = 0;
     size_t best_pos = 0;
-    for (size_t i = 0; i < d.size(); ++i) {
-      if (d[i] == 0) continue;
+    for (size_t i = 0; i < total.size(); ++i) {
+      if (total[i] == 0) continue;
       candidates.push_back(i);
-      if (d[i] > best_delta) {
-        best_delta = d[i];
+      if (total[i] > best_delta) {
+        best_delta = total[i];
         best_pos = i;
       }
     }
@@ -73,9 +112,18 @@ void MarkRounds(LocalStrategy strategy, Rng* rng, const Deltas& deltas,
             ? best_pos
             : candidates[static_cast<size_t>(
                   rng->NextBounded(candidates.size()))];
+    // A mark leaves its position in no matching, so no position is chosen
+    // twice and a row takes at most |T| rounds. A δ_p reused after p lost
+    // matchings would choose a marked position again, and forever.
+    SEQHIDE_CHECK_LT(result->marked_positions.size(), total.size())
+        << "more marking rounds than positions";
+    for (size_t p = 0; p < num_patterns; ++p) stale[p] = d[p][chosen] > 0;
     result->marks_introduced += mark(chosen);
     result->marked_positions.push_back(chosen);
   }
+  SEQHIDE_COUNTER_ADD("local.marks", result->marks_introduced);
+  SEQHIDE_HISTOGRAM_RECORD("local.marks_per_sequence",
+                           result->marks_introduced);
 }
 
 // Destroys every (constrained) matching of every pattern in `patterns`

@@ -42,31 +42,4 @@ void PositionDeltasInto(const Sequence& pattern, const ConstraintSpec& spec,
   CombineDeltas(SequenceLanguage(pattern, spec, seq), scratch, out);
 }
 
-std::vector<uint64_t> PositionDeltasTotal(
-    const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints, SequenceView seq) {
-  MatchScratch scratch;
-  std::vector<uint64_t> total;
-  PositionDeltasTotalInto(patterns, constraints, seq, &scratch, &total);
-  return total;
-}
-
-void PositionDeltasTotalInto(const std::vector<Sequence>& patterns,
-                             const std::vector<ConstraintSpec>& constraints,
-                             SequenceView seq, MatchScratch* scratch,
-                             std::vector<uint64_t>* out) {
-  SEQHIDE_CHECK(constraints.empty() || constraints.size() == patterns.size())
-      << "constraints must be empty or parallel to patterns";
-  out->assign(seq.size(), 0);
-  for (size_t p = 0; p < patterns.size(); ++p) {
-    const ConstraintSpec& spec =
-        constraints.empty() ? ConstraintSpec() : constraints[p];
-    std::vector<uint64_t>& d = scratch->pattern_deltas;
-    PositionDeltasInto(patterns[p], spec, seq, scratch, &d);
-    for (size_t j = 0; j < seq.size(); ++j) {
-      (*out)[j] = SatAdd((*out)[j], d[j]);
-    }
-  }
-}
-
 }  // namespace seqhide

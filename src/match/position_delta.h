@@ -17,9 +17,9 @@
 // embedding starting at s may use, O(occ(S[1])·Ws·m) (language.h's
 // LanguageDeltas, which every pattern language shares).
 //
-// The test oracles — the paper's deletion construction and
-// mark-and-recount — live in src/testing/delta_oracles.h; all agree with
-// PositionDeltas wherever they are defined (property-tested).
+// The test oracles — the paper's deletion construction, mark-and-recount
+// and the sum over patterns — live in src/testing/delta_oracles.h; all
+// agree with PositionDeltas wherever they are defined (property-tested).
 
 #ifndef SEQHIDE_MATCH_POSITION_DELTA_H_
 #define SEQHIDE_MATCH_POSITION_DELTA_H_
@@ -41,26 +41,11 @@ std::vector<uint64_t> PositionDeltas(const Sequence& pattern,
 
 // Allocation-free variant: DP tables live in *scratch, δ is written into
 // *out (resized to |seq|). `out` must not alias a buffer the counting
-// kernels use (scratch->pattern_deltas exists for exactly this).
+// kernels use. The local sanitizer (src/hide/local.h) keeps one such
+// vector per sensitive pattern and sums them itself.
 void PositionDeltasInto(const Sequence& pattern, const ConstraintSpec& spec,
                         SequenceView seq, MatchScratch* scratch,
                         std::vector<uint64_t>* out);
-
-// Aggregate δ over a set of sensitive patterns: δ_{S_h}(T[i]) =
-// Σ_S δ_S(T[i]). `constraints` may be empty (all unconstrained) or
-// parallel to `patterns`.
-std::vector<uint64_t> PositionDeltasTotal(
-    const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints, SequenceView seq);
-
-// Allocation-free aggregate: per-pattern δ goes through
-// scratch->pattern_deltas and accumulates into *out. The local sanitizer
-// calls this once per marking round, so scratch reuse across rounds is
-// what makes the round loop allocation-free.
-void PositionDeltasTotalInto(const std::vector<Sequence>& patterns,
-                             const std::vector<ConstraintSpec>& constraints,
-                             SequenceView seq, MatchScratch* scratch,
-                             std::vector<uint64_t>* out);
 
 }  // namespace seqhide
 

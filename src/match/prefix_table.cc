@@ -49,26 +49,6 @@ void BuildPrefixEndTableInto(const Sequence& pattern, SequenceView seq,
   }
 }
 
-PrefixEndTable BuildPrefixEndTableNaive(const Sequence& pattern,
-                                        SequenceView seq) {
-  const size_t m = pattern.size();
-  const size_t n = seq.size();
-  PrefixEndTable table(m + 1, DpRow(n + 1, 0));
-  table[0][0] = 1;
-  for (size_t k = 1; k <= m; ++k) {
-    for (size_t j = 1; j <= n; ++j) {
-      const SymbolId t = seq[j - 1];
-      if (!IsRealSymbol(t) || pattern[k - 1] != t) continue;
-      // Paper's recurrence: sum of all ways the (k-1)-prefix ends strictly
-      // before j. (For k=1 this is table[0][0] = 1.)
-      uint64_t sum = 0;
-      for (size_t l = 0; l < j; ++l) sum = SatAdd(sum, table[k - 1][l]);
-      table[k][j] = sum;
-    }
-  }
-  return table;
-}
-
 uint64_t TotalFromPrefixEndTable(const PrefixEndTable& table) {
   SEQHIDE_CHECK(!table.empty());
   uint64_t total = 0;

@@ -8,8 +8,9 @@
 //
 // The paper's recurrence fills each of the n·m entries with an O(n) sum,
 // giving O(n²·m); carrying a running prefix sum per row reduces this to
-// O(n·m). Both are provided: the naive form documents the paper, the fast
-// form is the production path, and tests assert they agree entry-wise.
+// O(n·m). The fast form is the production path; the literal recurrence is
+// a test oracle (src/testing/delta_oracles.h), and tests assert the two
+// agree entry-wise.
 //
 // This table is strictly more informative than the Lemma 2 count —
 // |M_S^T| = Σ_j P[m][j] — and is the basis for pushing gap and window
@@ -42,11 +43,6 @@ PrefixEndTable BuildPrefixEndTable(const Sequence& pattern,
 // scratch->column.
 void BuildPrefixEndTableInto(const Sequence& pattern, SequenceView seq,
                              MatchScratch* scratch, PrefixEndTable* out);
-
-// Literal transcription of the paper's Lemma 3 recurrence
-// (P_k^{j} = Σ_{l<j} P_{k-1}^{l} when S[k] = T[j]); O(n²·m). Test oracle.
-PrefixEndTable BuildPrefixEndTableNaive(const Sequence& pattern,
-                                        SequenceView seq);
 
 // Σ_j table[m][j] — total matchings recovered from a prefix table. Used by
 // tests to tie Lemma 3 back to Lemma 2.

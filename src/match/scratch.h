@@ -53,10 +53,6 @@ struct MatchScratch {
   // PatternTrie::CountAll's per-node counter row (one slot per distinct
   // pattern prefix).
   DpRow trie_counts;
-  // Per-pattern δ buffer used by PositionDeltasTotal's accumulation.
-  // Plain vector: it is handed to the public PositionDeltasInto out-param
-  // (an O(n) result buffer, not a DP table).
-  std::vector<uint64_t> pattern_deltas;
   // MatchKernel::CountRow's per-pattern counts buffer (plain vector: it is
   // the public out-param shape, not a DP table).
   std::vector<uint64_t> pattern_counts;

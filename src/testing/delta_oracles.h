@@ -1,5 +1,6 @@
-// Test oracles for δ(T[i]) (paper §4, Theorem 2), beside the production
-// fwd × bwd method (src/match/position_delta.h, src/match/language.h).
+// Test oracles for δ(T[i]) (paper §4, Theorem 2) and the tables it is
+// built from, beside the production fwd × bwd method
+// (src/match/position_delta.h, src/match/language.h).
 //
 //  * DeltasByRecount — δ(T[i]) = |M^T| − |M^{T with i cleared}|, clearing
 //    with the row's own Mark (Δ, or an emptied itemset). Clearing keeps
@@ -13,6 +14,10 @@
 //    unconstrained matching: with gap or window constraints, deleting an
 //    element shifts the positions after i and thereby changes the spans of
 //    matchings that do not involve i. O(n · nm).
+//  * PositionDeltasTotal — δ summed over a set of patterns, one
+//    PositionDeltas per pattern: what src/testing/round_oracle.h's loop
+//    sums every round.
+//  * BuildPrefixEndTableNaive — the paper's Lemma 3 recurrence, literally.
 
 #ifndef SEQHIDE_TESTING_DELTA_ORACLES_H_
 #define SEQHIDE_TESTING_DELTA_ORACLES_H_
@@ -23,6 +28,7 @@
 #include "src/common/logging.h"
 #include "src/constraints/constraints.h"
 #include "src/match/language.h"
+#include "src/match/prefix_table.h"
 #include "src/match/scratch.h"
 #include "src/seq/sequence.h"
 #include "src/seq/view.h"
@@ -54,6 +60,24 @@ std::vector<uint64_t> PositionDeltasByMarking(const Sequence& pattern,
 
 std::vector<uint64_t> PositionDeltasByDeletion(const Sequence& pattern,
                                                SequenceView seq);
+
+// δ_{S_h}(T[i]) = Σ_S δ_S(T[i]) with SatAdd. `constraints` may be empty
+// (all unconstrained) or parallel to `patterns`.
+std::vector<uint64_t> PositionDeltasTotal(
+    const std::vector<Sequence>& patterns,
+    const std::vector<ConstraintSpec>& constraints, SequenceView seq);
+
+// The same sum with the DP tables in *scratch, written into *out.
+void PositionDeltasTotalInto(const std::vector<Sequence>& patterns,
+                             const std::vector<ConstraintSpec>& constraints,
+                             SequenceView seq, MatchScratch* scratch,
+                             std::vector<uint64_t>* out);
+
+// Literal transcription of the paper's Lemma 3 recurrence
+// (P_k^{j} = Σ_{l<j} P_{k-1}^{l} when S[k] = T[j]); O(n²·m). The
+// production BuildPrefixEndTable carries a running sum per row instead.
+PrefixEndTable BuildPrefixEndTableNaive(const Sequence& pattern,
+                                        SequenceView seq);
 
 }  // namespace seqhide
 

@@ -216,6 +216,63 @@ ConstraintSpec GenWindowedSpec(Rng* rng, size_t pattern_length,
   return spec;
 }
 
+Itemset GenItemset(Rng* rng, size_t max_items) {
+  std::vector<SymbolId> items;
+  for (size_t i = rng->NextBounded(max_items + 1); i > 0; --i) {
+    items.push_back(static_cast<SymbolId>(rng->NextBounded(3)));
+  }
+  return Itemset(std::move(items));
+}
+
+ItemsetSequence GenItemsetSequence(Rng* rng, size_t n, bool is_pattern) {
+  ItemsetSequence out;
+  for (size_t i = 0; i < n; ++i) {
+    Itemset e = GenItemset(rng, is_pattern ? 2 : 3);
+    while (is_pattern && e.empty()) e = GenItemset(rng, 2);
+    out.Append(std::move(e));
+  }
+  return out;
+}
+
+ClassPattern GenClassPattern(Rng* rng, size_t m) {
+  ClassPattern p;
+  for (size_t k = 0; k < m; ++k) {
+    switch (rng->NextBounded(3)) {
+      case 0:
+        p.Append(
+            SymbolClass::Literal(static_cast<SymbolId>(rng->NextBounded(4))));
+        break;
+      case 1: {
+        std::vector<SymbolId> alternatives;
+        for (size_t i = 1 + rng->NextBounded(3); i > 0; --i) {
+          alternatives.push_back(static_cast<SymbolId>(rng->NextBounded(4)));
+        }
+        p.Append(SymbolClass::Of(std::move(alternatives)));
+        break;
+      }
+      default:
+        p.Append(SymbolClass::Wildcard());
+    }
+  }
+  return p;
+}
+
+GenOptions LongRowOptions() {
+  GenOptions opts;
+  opts.min_sequences = 1;
+  opts.max_sequences = 2;
+  opts.min_length = 128;
+  opts.max_length = 512;
+  opts.min_alphabet = 2;
+  opts.max_alphabet = 4;
+  opts.max_patterns = 2;
+  opts.min_pattern_length = 2;
+  opts.max_pattern_length = 6;
+  opts.constrained_probability = 0.0;
+  opts.randomize_options = false;
+  return opts;
+}
+
 SanitizeOptions GenSanitizeOptions(Rng* rng, size_t db_size) {
   SanitizeOptions opts;
   switch (rng->NextBounded(3)) {

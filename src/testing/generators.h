@@ -25,6 +25,8 @@
 #include "src/common/random.h"
 #include "src/constraints/constraints.h"
 #include "src/hide/options.h"
+#include "src/itemset/itemset_sequence.h"
+#include "src/repat/class_pattern.h"
 #include "src/seq/database.h"
 #include "src/seq/sequence.h"
 #include "src/temporal/timed_sequence.h"
@@ -126,6 +128,26 @@ ConstraintSpec GenConstraintSpec(Rng* rng, size_t pattern_length,
 // fails Validate, but the DPs must still count it (as 0).
 ConstraintSpec GenWindowedSpec(Rng* rng, size_t pattern_length,
                                size_t max_seq_length);
+
+// Random itemset of at most `max_items` draws over items {0, 1, 2}
+// (duplicates collapse, so it may come out smaller or empty).
+Itemset GenItemset(Rng* rng, size_t max_items);
+
+// Random itemset row of `n` elements (some empty, i.e. marked) or, with
+// `is_pattern`, a pattern whose elements are never empty.
+ItemsetSequence GenItemsetSequence(Rng* rng, size_t n, bool is_pattern);
+
+// Random class pattern (§8) of `m` elements over symbols {0..3}: each a
+// literal, a class of 1-3 alternatives or the wildcard.
+ClassPattern GenClassPattern(Rng* rng, size_t m);
+
+// The long-row mode: 1-2 rows of 128-512 symbols over 2-4 symbols and
+// 1-2 unconstrained patterns of 2-6 symbols with HH defaults, where the
+// enumeration oracles are too slow and only the counting kernels can
+// check a result. Patterns of at most 6 symbols keep every count below
+// 2⁶⁴ (C(512,6) < 2⁶⁴); raise max_pattern_length past about 9 for rows
+// whose counts saturate.
+GenOptions LongRowOptions();
 
 // Random SanitizeOptions: strategy pair, ψ in [0, db_size], thread count
 // in {1, 2, 3, 8}, and RNG seed. Always passes Validate().

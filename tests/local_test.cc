@@ -4,6 +4,9 @@
 
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
+#include "src/match/position_delta.h"
+#include "src/match/scratch.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace seqhide {
@@ -128,6 +131,69 @@ TEST(LocalSanitizeTest, ExhaustiveRespectsConstraints) {
       &t, patterns, specs, LocalStrategy::kExhaustive, nullptr);
   EXPECT_EQ(r.marks_introduced, 1u);
   EXPECT_EQ(CountConstrainedMatchings(patterns[0], specs[0], t), 0u);
+}
+
+// A mark refills only the patterns it removed a matching of. Row
+// "a b x c d" with A = "a b" and B = "c d": round 1 fills both and marks
+// position 0 (δ 1 everywhere, ties toward the smallest index), which lies
+// in no matching of B; round 2 refills A only and marks position 3, which
+// lies in no matching of A; round 3 refills B only and finds nothing.
+// Refilling both every round would take 6 δ fills for the same marks.
+TEST(LocalSanitizeTest, MarkRefillsOnlyThePatternsItTouched) {
+  Alphabet a;
+  Sequence t = Seq(&a, "a b x c d");
+  std::vector<Sequence> patterns = {Seq(&a, "a b"), Seq(&a, "c d")};
+#if !defined(SEQHIDE_OBS_DISABLED)
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  obs::Counter* fills = registry.GetCounter("delta.fast_calls");
+  obs::Counter* rounds = registry.GetCounter("local.delta_recomputations");
+  obs::Counter* reused = registry.GetCounter("local.delta_reused");
+  const uint64_t fills0 = fills->Value();
+  const uint64_t rounds0 = rounds->Value();
+  const uint64_t reused0 = reused->Value();
+#endif
+  Sequence released = Seq(&a, "a b x c d");
+  released.Mark(0);
+  released.Mark(3);
+  LocalSanitizeResult r =
+      SanitizeSequence(&t, patterns, {}, LocalStrategy::kHeuristic, nullptr);
+  EXPECT_EQ(r.marked_positions, (std::vector<size_t>{0, 3}));
+  EXPECT_EQ(t, released);
+#if !defined(SEQHIDE_OBS_DISABLED)
+  EXPECT_EQ(fills->Value() - fills0, 4u);  // 2 + 1 + 1, not 2 + 2 + 2
+  EXPECT_EQ(rounds->Value() - rounds0, 3u);
+  EXPECT_EQ(reused->Value() - reused0, 2u);
+#endif
+}
+
+// The same row through MarkRounds directly: the δ fills of each round are
+// 2, 1 and 1.
+TEST(LocalSanitizeTest, MarkRoundsFillsPerRound) {
+  Alphabet a;
+  Sequence t = Seq(&a, "a b x c d");
+  std::vector<Sequence> patterns = {Seq(&a, "a b"), Seq(&a, "c d")};
+  MatchScratch scratch;
+  std::vector<size_t> fills_per_round;
+  size_t fills = 0;
+  LocalSanitizeResult r;
+  MarkRounds(
+      LocalStrategy::kHeuristic, /*rng=*/nullptr, patterns.size(),
+      [&](size_t p, std::vector<uint64_t>* d) {
+        ++fills;
+        PositionDeltasInto(patterns[p], ConstraintSpec(), t, &scratch, d);
+        return true;
+      },
+      [&](size_t pos) {
+        fills_per_round.push_back(fills);
+        fills = 0;
+        t.Mark(pos);
+        return size_t{1};
+      },
+      &r);
+  fills_per_round.push_back(fills);
+  EXPECT_EQ(fills_per_round, (std::vector<size_t>{2, 1, 1}));
+  EXPECT_EQ(r.marked_positions, (std::vector<size_t>{0, 3}));
+  EXPECT_FALSE(r.exhausted);
 }
 
 // Property: on random inputs the greedy heuristic uses no more marks than

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/match/count.h"
+#include "src/testing/delta_oracles.h"
 #include "tests/test_util.h"
 
 namespace seqhide {

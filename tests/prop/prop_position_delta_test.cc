@@ -196,27 +196,18 @@ std::vector<ConstraintSpec> LongRowSpecs(size_t arrows) {
   return specs;
 }
 
-// Rows of 128-512 symbols, where the enumeration oracle is too slow: the
-// production δ must equal mark-and-recount, which only runs the counting
-// kernels. Alphabets of 2-4 symbols keep matching dense; patterns of at
-// most 6 symbols keep every count below 2^64 (C(512,6) < 2^64), so the
-// recount's subtraction is exact.
+// Rows of 128-512 symbols (the generators' long-row mode), where the
+// enumeration oracle is too slow: the production δ must equal
+// mark-and-recount, which only runs the counting kernels. Alphabets of 2-4
+// symbols keep matching dense; patterns of at most 6 symbols keep every
+// count below 2^64 (C(512,6) < 2^64), so the recount's subtraction is
+// exact.
 PropConfig LongRowConfig(const std::string& name, uint64_t seed) {
   PropConfig config;
   config.name = name;
   config.seed = seed;
   config.cases = 8;
-  config.gen.min_sequences = 1;
-  config.gen.max_sequences = 2;
-  config.gen.min_length = 128;
-  config.gen.max_length = 512;
-  config.gen.min_alphabet = 2;
-  config.gen.max_alphabet = 4;
-  config.gen.max_patterns = 2;
-  config.gen.min_pattern_length = 2;
-  config.gen.max_pattern_length = 6;
-  config.gen.constrained_probability = 0.0;
-  config.gen.randomize_options = false;
+  config.gen = LongRowOptions();
   return config;
 }
 

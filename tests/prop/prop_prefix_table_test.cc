@@ -11,6 +11,7 @@
 #include "src/match/count.h"
 #include "src/match/prefix_table.h"
 #include "src/match/scratch.h"
+#include "src/testing/delta_oracles.h"
 #include "src/testing/oracles.h"
 #include "tests/prop/prop_gtest.h"
 
