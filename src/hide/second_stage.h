@@ -1,25 +1,21 @@
 // Second stage of the paper's two-stage sanitization algorithm (§4).
 //
 // After the marking stage, the database contains Δ symbols. The paper
-// describes three release policies:
+// describes three release policies: keep the Δs (they read as missing
+// values; no code needed), delete them, or replace each with a symbol
+// from Σ. Both of the last two "must take care of the possibility of
+// re-generating fake patterns and also re-generating sensitive patterns".
 //
-//   1. keep the Δs (they read as missing values)     — no code needed;
-//   2. delete the Δs                                  — DeleteMarks();
-//   3. replace each Δ with a symbol from Σ            — ReplaceMarks().
-//
-// Replacement is the delicate one: "we must take care of the possibility
-// of re-generating fake patterns and also re-generating sensitive
-// patterns". ReplaceMarks guarantees the second property by construction —
-// a candidate symbol is committed only if the sequence still contains no
-// (constrained) occurrence of any sensitive pattern — and mitigates the
-// first by choosing replacement symbols that add as few new matchings as
-// possible. VerifyNoNewFrequentPatterns measures the residual fake-pattern
-// risk against a mining threshold.
-//
-// Note: deletion cannot re-generate an unconstrained pattern — removing an
-// element never creates a new subsequence (Theorem 2's observation) — so
-// DeleteMarks needs no safety check for them. It does shorten gaps and
-// windows, though, so ReplaceMarks checks its own deletions.
+// ReleaseMarks runs both through one loop. Per Δ it tries the policy's
+// candidate symbols (none for kDelete) and commits the first one after
+// which the row holds no (constrained) occurrence of any pattern. The Δs
+// no candidate fills are stuck; a row's stuck Δs are deleted only if the
+// row then holds no pattern it lacked, since deletion shortens gaps and
+// windows and can complete a max-gap or max-window occurrence. Otherwise
+// they stay. Deletion never creates an unconstrained subsequence, so with
+// unconstrained patterns kDelete removes every Δ. The fake-pattern risk
+// of replacement is mitigated by the least-harm candidate order and
+// measured by CountFakeFrequentPatterns.
 
 #ifndef SEQHIDE_HIDE_SECOND_STAGE_H_
 #define SEQHIDE_HIDE_SECOND_STAGE_H_
@@ -28,53 +24,49 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/random.h"
 #include "src/common/result.h"
 #include "src/constraints/constraints.h"
 #include "src/seq/database.h"
 
 namespace seqhide {
 
-// Removes every Δ from every sequence. Sequences that become empty are
-// dropped from the database. Returns the number of deleted symbols.
-size_t DeleteMarks(SequenceDatabase* db);
-
-enum class ReplacementStrategy {
-  // For each Δ, among the symbols that keep every sensitive pattern
-  // hidden, pick one that minimizes the number of new pattern-relevant
-  // matchings it creates; ties broken toward the globally most frequent
-  // symbol (preserving the symbol distribution of D).
+// The candidate symbols ReleaseMarks tries for each Δ.
+enum class ReleasePolicy {
+  // None: every Δ is stuck, so it is deleted where that is safe.
+  kDelete,
+  // The globally most frequent symbol that occurs in no pattern, then the
+  // other neutral symbols, then pattern symbols, each by descending
+  // frequency (preserving the symbol distribution of D).
   kLeastHarm,
-  // Among the safe symbols, pick uniformly at random (needs `seed`).
+  // Every symbol, in a fresh uniform shuffle per Δ (needs `seed`).
   kRandomSafe,
 };
 
-struct ReplaceOptions {
-  ReplacementStrategy strategy = ReplacementStrategy::kLeastHarm;
+struct ReleaseOptions {
+  ReleasePolicy policy = ReleasePolicy::kLeastHarm;
   uint64_t seed = 1;
-  // When no safe replacement symbol exists for a Δ, delete that position
-  // instead (true, default) or keep the Δ (false). A row's stuck Δs stay
-  // anyway when deleting them would complete an occurrence of a max-gap
-  // or window pattern the row did not hold.
-  bool delete_when_stuck = true;
 };
 
-struct ReplaceReport {
-  size_t replaced = 0;       // Δs replaced with a real symbol
-  size_t deleted = 0;        // Δs deleted because no symbol was safe
-  size_t kept_marked = 0;    // Δs left in place (not deleted, or unsafe to)
+struct ReleaseReport {
+  size_t replaced = 0;  // Δs replaced with a real symbol
+  size_t deleted = 0;   // Δs deleted (no candidate was safe)
+  size_t kept = 0;      // Δs left in place: deleting them was unsafe
+  // Per pattern, its constrained support in the released database.
+  std::vector<size_t> supports;
 };
 
-// Replaces Δs subject to the sensitive patterns staying hidden: a symbol
-// is committed only if its row then holds no (constrained) occurrence of
-// any pattern, so no pattern's support rises across the stage. Rows the
-// marking stage left supporting by design (ψ > 0) keep their
-// occurrences. Returns Internal if a support rose anyway. `constraints`
-// is empty or parallel to `patterns`.
-Result<ReplaceReport> ReplaceMarks(SequenceDatabase* db,
-                                   const std::vector<Sequence>& patterns,
-                                   const std::vector<ConstraintSpec>& constraints,
-                                   const ReplaceOptions& options);
+// Releases the Δs of `db` under `options.policy` as described above.
+// Only rows holding a Δ are examined; rows left with no symbol are
+// dropped. Rows the marking stage left supporting by design (ψ > 0) keep
+// their occurrences, and no replacement commits in them. One screened
+// support pass over the released database fills `supports`; it returns
+// Internal if a support exceeds `max_supports` (the verified supports
+// after marking). `constraints` is empty or parallel to `patterns`, and
+// `max_supports` is parallel to `patterns`.
+Result<ReleaseReport> ReleaseMarks(
+    SequenceDatabase* db, const std::vector<Sequence>& patterns,
+    const std::vector<ConstraintSpec>& constraints,
+    const std::vector<size_t>& max_supports, const ReleaseOptions& options);
 
 // Fake-pattern audit: number of patterns frequent (support >= sigma,
 // length <= max_length) in `released` but NOT frequent in `original`.

@@ -144,6 +144,38 @@ if grep -q '\^' "$WORK/out2b.txt"; then
 fi
 "$CLI" support --db "$WORK/out2b.txt" --pattern "a -> b -> c" | grep -q "support=1"
 
+# stage2 delete with a window or adjacent-gap pattern: deleting the Δ of
+# each <a, Δ, b> would release <a, b> and complete an occurrence, so both
+# Δs stay, the run reports them (stdout and --stats-json) and the release
+# keeps support 0.
+printf 'a a b\na a b\n' > "$WORK/aab.txt"
+for pattern in "a -> b ; window<=2" "a ->[0..0] b"; do
+  "$CLI" sanitize --db "$WORK/aab.txt" --out "$WORK/aab_out.txt" \
+      --pattern "$pattern" --psi 0 --stage2 delete \
+      --stats-json "$WORK/aab_stats.json" > "$WORK/aab_log.txt"
+  grep -q "stage2: replaced 0, deleted 0, kept 2 released_supports=\[0\]" \
+      "$WORK/aab_log.txt" || {
+    echo "FAIL: stage2 delete on '$pattern' did not keep its 2 Δs"; exit 1; }
+  grep -q '"stage2":{"replaced":0,"deleted":0,"kept":2,"supports":\[0\]}' \
+      "$WORK/aab_stats.json" || {
+    echo "FAIL: stats-json lacks the stage2 report for '$pattern'"; exit 1; }
+  "$CLI" support --db "$WORK/aab_out.txt" --pattern "$pattern" \
+      | grep -q " support=0 " || {
+    echo "FAIL: stage2 delete released '$pattern'"; exit 1; }
+done
+
+# a bad --stage2 value is a usage error before anything runs
+set +e
+"$CLI" sanitize --db "$WORK/db.txt" --out "$WORK/bad_stage2.txt" \
+    --pattern "a -> b -> c" --stage2 delet > "$WORK/bad_stage2.log" 2>&1
+code=$?
+set -e
+[ "$code" = 1 ] || { echo "FAIL: --stage2 delet exited $code, not 1"; exit 1; }
+if grep -q "SanitizeReport" "$WORK/bad_stage2.log" ||
+    [ -e "$WORK/bad_stage2.txt" ]; then
+  echo "FAIL: --stage2 delet ran the sanitize"; exit 1
+fi
+
 # psi > 0 leaves at most psi supporters
 "$CLI" sanitize --db "$WORK/db.txt" --out "$WORK/out3.txt" \
     --pattern "a -> b -> c" --psi 2 --algo RR --seed 7 > /dev/null

@@ -81,7 +81,8 @@ TEST(SecondStageIntegrationTest, ReplacementFakeAuditOnTrucks) {
   SequenceDatabase released = w.db;
   auto sanitize = Sanitize(&released, w.sensitive, SanitizeOptions::HH());
   ASSERT_TRUE(sanitize.ok());
-  auto replace = ReplaceMarks(&released, w.sensitive, {}, ReplaceOptions());
+  auto replace = ReleaseMarks(&released, w.sensitive, {},
+                              sanitize->supports_after, ReleaseOptions());
   ASSERT_TRUE(replace.ok()) << replace.status();
   EXPECT_EQ(released.TotalMarkCount(), 0u);
   // The audit runs; replacement can create fakes but the least-harm

@@ -18,9 +18,10 @@
 //     uninterrupted run;
 //   * optimality oracle: the exhaustive local strategy's mark count per
 //     victim equals the exact subset-search optimum;
-//   * stage-2 replacement at ψ >= 1 (global or per pattern): succeeds,
-//     raises no pattern's support above what marking left (so every
-//     support stays <= its ψ), and keeps a Δ only where deleting it
+//   * stage 2 (delete, and replace under both candidate orders) at
+//     ψ >= 1 (global or per pattern): succeeds, raises no pattern's
+//     support above what marking left (so every support stays <= its ψ),
+//     reports the released supports, and keeps a Δ only where deleting it
 //     would complete an occurrence.
 
 #include <gtest/gtest.h>
@@ -116,16 +117,17 @@ TEST(SanitizerProps, ReplaceAtPositivePsiNeverRaisesSupport) {
       return "Sanitize failed: " + report.status().ToString();
     }
     if (report->degraded) return std::string();  // budget runs exempt
-    for (const ReplacementStrategy strategy :
-         {ReplacementStrategy::kLeastHarm, ReplacementStrategy::kRandomSafe}) {
+    for (const ReleasePolicy policy :
+         {ReleasePolicy::kDelete, ReleasePolicy::kLeastHarm,
+          ReleasePolicy::kRandomSafe}) {
       SequenceDatabase released = marked;
-      ReplaceOptions replace;
-      replace.strategy = strategy;
-      replace.seed = opts.seed;
-      auto replaced =
-          ReplaceMarks(&released, inst.patterns, inst.constraints, replace);
-      if (!replaced.ok()) {
-        return "ReplaceMarks failed: " + replaced.status().ToString();
+      ReleaseOptions release;
+      release.policy = policy;
+      release.seed = opts.seed;
+      auto stage2 = ReleaseMarks(&released, inst.patterns, inst.constraints,
+                                 report->supports_after, release);
+      if (!stage2.ok()) {
+        return "ReleaseMarks failed: " + stage2.status().ToString();
       }
       // A Δ stays only where deleting it would complete an occurrence of
       // a max-gap or window pattern; unconstrained sets never keep one.
@@ -137,19 +139,21 @@ TEST(SanitizerProps, ReplaceAtPositivePsiNeverRaisesSupport) {
       for (size_t p = 0; p < inst.patterns.size(); ++p) {
         all_unconstrained &= SpecFor(inst, p).IsUnconstrained();
       }
-      if (marks != replaced->kept_marked ||
-          (all_unconstrained && marks != 0)) {
+      if (marks != stage2->kept || (all_unconstrained && marks != 0)) {
         return std::to_string(marks) + " Δ survived, report kept " +
-               std::to_string(replaced->kept_marked);
+               std::to_string(stage2->kept);
       }
       for (size_t p = 0; p < inst.patterns.size(); ++p) {
         const ConstraintSpec spec = SpecFor(inst, p);
         const size_t before = OracleSupport(inst.patterns[p], spec, marked);
         const size_t after = OracleSupport(inst.patterns[p], spec, released);
-        if (after > before || after > psi(p)) {
+        if (after > before || after > psi(p) ||
+            after != stage2->supports[p]) {
           return "pattern S" + std::to_string(p) + " support " +
                  std::to_string(before) + " after marking, " +
-                 std::to_string(after) + " after replace (psi " +
+                 std::to_string(after) + " after stage 2 policy " +
+                 std::to_string(static_cast<int>(policy)) + " (reported " +
+                 std::to_string(stage2->supports[p]) + ", psi " +
                  std::to_string(psi(p)) + ")";
         }
       }

@@ -14,6 +14,32 @@ namespace {
 
 using testutil::Seq;
 
+// Per-pattern constrained supports of `db`: the bound under which stage 2
+// may raise no support.
+std::vector<size_t> Supports(const SequenceDatabase& db,
+                             const std::vector<Sequence>& patterns,
+                             const std::vector<ConstraintSpec>& constraints) {
+  std::vector<size_t> supports;
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    supports.push_back(ConstrainedSupport(
+        patterns[p], constraints.empty() ? ConstraintSpec() : constraints[p],
+        db));
+  }
+  return supports;
+}
+
+// ReleaseMarks bounded by the supports `db` has before it.
+Result<ReleaseReport> Release(SequenceDatabase* db,
+                              const std::vector<Sequence>& patterns,
+                              const std::vector<ConstraintSpec>& constraints,
+                              ReleasePolicy policy, uint64_t seed = 1) {
+  ReleaseOptions options;
+  options.policy = policy;
+  options.seed = seed;
+  return ReleaseMarks(db, patterns, constraints,
+                      Supports(*db, patterns, constraints), options);
+}
+
 TEST(DeleteMarksTest, RemovesDeltasAndCounts) {
   SequenceDatabase db;
   db.AddFromNames({"a", "b", "c"});
@@ -21,7 +47,13 @@ TEST(DeleteMarksTest, RemovesDeltasAndCounts) {
   db.mutable_sequence(0)->Mark(1);
   db.mutable_sequence(1)->Mark(0);
   db.mutable_sequence(1)->Mark(1);
-  EXPECT_EQ(DeleteMarks(&db), 3u);
+  const std::vector<Sequence> patterns = {Seq(&db.alphabet(), "c a")};
+  auto report = Release(&db, patterns, {}, ReleasePolicy::kDelete);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->deleted, 3u);
+  EXPECT_EQ(report->replaced, 0u);
+  EXPECT_EQ(report->kept, 0u);
+  EXPECT_EQ(report->supports, std::vector<size_t>{0});
   // The fully marked sequence is dropped.
   ASSERT_EQ(db.size(), 1u);
   EXPECT_EQ(db[0], (Sequence{0, 2}));
@@ -31,25 +63,12 @@ TEST(DeleteMarksTest, RemovesDeltasAndCounts) {
 TEST(DeleteMarksTest, NoMarksIsNoOp) {
   SequenceDatabase db;
   db.AddFromNames({"a", "b"});
-  EXPECT_EQ(DeleteMarks(&db), 0u);
+  const std::vector<Sequence> patterns = {Seq(&db.alphabet(), "a b")};
+  auto report = Release(&db, patterns, {}, ReleasePolicy::kDelete);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->deleted, 0u);
+  EXPECT_EQ(report->supports, std::vector<size_t>{1});
   EXPECT_EQ(db.size(), 1u);
-}
-
-TEST(DeleteMarksTest, CannotRegenerateSensitivePatterns) {
-  // Deletion shifts positions but creates no new subsequences.
-  Rng rng(414);
-  for (int trial = 0; trial < 50; ++trial) {
-    SequenceDatabase db;
-    for (int i = 0; i < 10; ++i) {
-      Sequence s = testutil::RandomSeq(&rng, 4 + rng.NextBounded(8), 4);
-      db.Add(s);
-    }
-    std::vector<Sequence> patterns = {testutil::RandomSeq(&rng, 2, 4)};
-    auto report = Sanitize(&db, patterns, SanitizeOptions::HH());
-    ASSERT_TRUE(report.ok());
-    DeleteMarks(&db);
-    EXPECT_EQ(Support(patterns[0], db), 0u) << "trial " << trial;
-  }
 }
 
 class ReplaceMarksTest : public ::testing::Test {
@@ -70,8 +89,7 @@ class ReplaceMarksTest : public ::testing::Test {
 };
 
 TEST_F(ReplaceMarksTest, LeastHarmReplacesEverythingSafely) {
-  ReplaceOptions options;
-  auto report = ReplaceMarks(&db_, patterns_, {}, options);
+  auto report = Release(&db_, patterns_, {}, ReleasePolicy::kLeastHarm);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_GT(report->replaced, 0u);
   EXPECT_EQ(report->deleted, 0u);
@@ -80,10 +98,8 @@ TEST_F(ReplaceMarksTest, LeastHarmReplacesEverythingSafely) {
 }
 
 TEST_F(ReplaceMarksTest, RandomSafeAlsoKeepsPatternHidden) {
-  ReplaceOptions options;
-  options.strategy = ReplacementStrategy::kRandomSafe;
-  options.seed = 99;
-  auto report = ReplaceMarks(&db_, patterns_, {}, options);
+  auto report = Release(&db_, patterns_, {}, ReleasePolicy::kRandomSafe,
+                        /*seed=*/99);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(db_.TotalMarkCount(), 0u);
   EXPECT_EQ(Support(patterns_[0], db_), 0u);
@@ -92,7 +108,7 @@ TEST_F(ReplaceMarksTest, RandomSafeAlsoKeepsPatternHidden) {
 TEST_F(ReplaceMarksTest, SequenceLengthsPreservedByReplacement) {
   std::vector<size_t> lengths;
   for (const auto& s : db_.sequences()) lengths.push_back(s.size());
-  auto report = ReplaceMarks(&db_, patterns_, {}, ReplaceOptions());
+  auto report = Release(&db_, patterns_, {}, ReleasePolicy::kLeastHarm);
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(db_.size(), lengths.size());
   for (size_t i = 0; i < lengths.size(); ++i) {
@@ -113,45 +129,70 @@ TEST(ReplaceMarksEdgeTest, PsiLeftSupportersAreNotAFailure) {
   SanitizeOptions options = SanitizeOptions::HH();
   options.psi = 1;
   ASSERT_TRUE(Sanitize(&db, patterns, options).ok());
-  auto report = ReplaceMarks(&db, patterns, {}, ReplaceOptions());
+  auto report = Release(&db, patterns, {}, ReleasePolicy::kLeastHarm);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->replaced, 2u);
+  EXPECT_EQ(report->supports, std::vector<size_t>{1});
   EXPECT_EQ(db.TotalMarkCount(), 0u);
   EXPECT_EQ(Support(patterns[0], db), 1u);
 }
 
 TEST(ReplaceMarksEdgeTest, StuckDeltaStaysWhenDeletingItCompletesAnOccurrence) {
-  // <a, Δ, a> against {b, a ->[0..0] a}: both symbols re-create a pattern,
-  // and deleting the Δ would make the two a's adjacent. The Δ stays.
-  SequenceDatabase db;
-  db.AddFromNames({"a", "b", "a"});
-  db.mutable_sequence(0)->Mark(1);
-  auto b = ParseConstrainedPattern(&db.alphabet(), "b");
-  auto aa = ParseConstrainedPattern(&db.alphabet(), "a ->[0..0] a");
-  ASSERT_TRUE(b.ok() && aa.ok());
-  const std::vector<Sequence> patterns = {b->pattern, aa->pattern};
-  const std::vector<ConstraintSpec> constraints = {b->constraints,
-                                                   aa->constraints};
-  auto report = ReplaceMarks(&db, patterns, constraints, ReplaceOptions());
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(report->replaced, 0u);
-  EXPECT_EQ(report->deleted, 0u);
-  EXPECT_EQ(report->kept_marked, 1u);
-  ASSERT_EQ(db.size(), 1u);
-  EXPECT_EQ(db[0].size(), 3u);
-  EXPECT_TRUE(db[0].IsMarked(1));
+  // <a, Δ, a> against {b, a ->[0..0] a}: both symbols re-create a pattern
+  // (and delete tries none), and deleting the Δ would make the two a's
+  // adjacent. The Δ stays.
+  for (ReleasePolicy policy :
+       {ReleasePolicy::kDelete, ReleasePolicy::kLeastHarm}) {
+    SequenceDatabase db;
+    db.AddFromNames({"a", "b", "a"});
+    db.mutable_sequence(0)->Mark(1);
+    auto b = ParseConstrainedPattern(&db.alphabet(), "b");
+    auto aa = ParseConstrainedPattern(&db.alphabet(), "a ->[0..0] a");
+    ASSERT_TRUE(b.ok() && aa.ok());
+    const std::vector<Sequence> patterns = {b->pattern, aa->pattern};
+    const std::vector<ConstraintSpec> constraints = {b->constraints,
+                                                     aa->constraints};
+    auto report = Release(&db, patterns, constraints, policy);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->replaced, 0u);
+    EXPECT_EQ(report->deleted, 0u);
+    EXPECT_EQ(report->kept, 1u);
+    EXPECT_EQ(report->supports, (std::vector<size_t>{0, 0}));
+    ASSERT_EQ(db.size(), 1u);
+    EXPECT_EQ(db[0].size(), 3u);
+    EXPECT_TRUE(db[0].IsMarked(1));
+  }
 }
 
 TEST(ReplaceMarksEdgeTest, ValidatesInputs) {
   SequenceDatabase db;
   db.AddFromNames({"a"});
-  EXPECT_TRUE(
-      ReplaceMarks(&db, {}, {}, ReplaceOptions()).status().IsInvalidArgument());
-  Sequence a = Seq(&db.alphabet(), "a");
-  EXPECT_TRUE(ReplaceMarks(&db, {a}, {ConstraintSpec(), ConstraintSpec()},
-                           ReplaceOptions())
+  EXPECT_TRUE(ReleaseMarks(&db, {}, {}, {}, ReleaseOptions())
                   .status()
                   .IsInvalidArgument());
+  Sequence a = Seq(&db.alphabet(), "a");
+  EXPECT_TRUE(ReleaseMarks(&db, {a}, {ConstraintSpec(), ConstraintSpec()}, {1},
+                           ReleaseOptions())
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ReleaseMarks(&db, {a}, {}, {}, ReleaseOptions())
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(ReplaceMarksEdgeTest, SupportAboveTheBoundIsInternal) {
+  // <a, b> was never marked, so its support 1 exceeds a bound of 0.
+  SequenceDatabase db;
+  db.AddFromNames({"a", "b"});
+  const std::vector<Sequence> patterns = {Seq(&db.alphabet(), "a b")};
+  for (ReleasePolicy policy :
+       {ReleasePolicy::kDelete, ReleasePolicy::kLeastHarm}) {
+    ReleaseOptions options;
+    options.policy = policy;
+    EXPECT_TRUE(ReleaseMarks(&db, patterns, {}, {0}, options)
+                    .status()
+                    .IsInternal());
+  }
 }
 
 TEST(ReplaceMarksEdgeTest, StuckDeltaIsDeletedWhenRequested) {
@@ -163,21 +204,11 @@ TEST(ReplaceMarksEdgeTest, StuckDeltaIsDeletedWhenRequested) {
   ASSERT_TRUE(sanitize.ok());
   EXPECT_EQ(db.TotalMarkCount(), 2u);
 
-  SequenceDatabase keep = db;
-  ReplaceOptions del;
-  del.delete_when_stuck = true;
-  auto report = ReplaceMarks(&db, patterns, {}, del);
+  auto report = Release(&db, patterns, {}, ReleasePolicy::kLeastHarm);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->replaced, 0u);
   EXPECT_EQ(report->deleted, 2u);
   EXPECT_EQ(db.size(), 0u);  // the fully marked row disappears
-
-  ReplaceOptions hold;
-  hold.delete_when_stuck = false;
-  auto report2 = ReplaceMarks(&keep, patterns, {}, hold);
-  ASSERT_TRUE(report2.ok());
-  EXPECT_EQ(report2->kept_marked, 2u);
-  EXPECT_EQ(keep.TotalMarkCount(), 2u);
 }
 
 TEST(ReplaceMarksEdgeTest, ConstrainedPatternsRespectedDuringReplacement) {
@@ -188,7 +219,7 @@ TEST(ReplaceMarksEdgeTest, ConstrainedPatternsRespectedDuringReplacement) {
   auto sanitize = Sanitize(&db, patterns, specs, SanitizeOptions::HH());
   ASSERT_TRUE(sanitize.ok());
   ASSERT_GT(db.TotalMarkCount(), 0u);
-  auto report = ReplaceMarks(&db, patterns, specs, ReplaceOptions());
+  auto report = Release(&db, patterns, specs, ReleasePolicy::kLeastHarm);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(db.TotalMarkCount(), 0u);
   EXPECT_EQ(CountConstrainedMatchingsTotal(patterns, specs, db[0]), 0u);
@@ -210,11 +241,10 @@ TEST(ReplaceMarksPropertyTest, NeverRegenerates) {
     std::vector<Sequence> patterns = {testutil::RandomSeq(&rng, 2, 6)};
     auto s = Sanitize(&db, patterns, SanitizeOptions::HH());
     ASSERT_TRUE(s.ok());
-    ReplaceOptions options;
-    options.strategy = trial % 2 == 0 ? ReplacementStrategy::kLeastHarm
-                                      : ReplacementStrategy::kRandomSafe;
-    options.seed = trial;
-    auto report = ReplaceMarks(&db, patterns, {}, options);
+    auto report = Release(&db, patterns, {},
+                          trial % 2 == 0 ? ReleasePolicy::kLeastHarm
+                                         : ReleasePolicy::kRandomSafe,
+                          /*seed=*/trial);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_EQ(Support(patterns[0], db), 0u) << "trial " << trial;
     EXPECT_EQ(db.TotalMarkCount(), 0u) << "trial " << trial;
@@ -228,7 +258,10 @@ TEST(DeleteMarksTest, AllDeltaDatabaseBecomesEmpty) {
   for (size_t t = 0; t < db.size(); ++t) {
     for (size_t i = 0; i < db[t].size(); ++i) db.mutable_sequence(t)->Mark(i);
   }
-  EXPECT_EQ(DeleteMarks(&db), 3u);
+  const std::vector<Sequence> patterns = {Seq(&db.alphabet(), "a")};
+  auto report = Release(&db, patterns, {}, ReleasePolicy::kDelete);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->deleted, 3u);
   EXPECT_EQ(db.size(), 0u);
 }
 
@@ -240,7 +273,7 @@ TEST(ReplaceMarksEdgeTest, AllDeltaRowIsFullyReplacedWithSafeSymbols) {
   db.AddFromNames({"n1", "n2"});
   std::vector<Sequence> patterns = {Seq(&db.alphabet(), "a b")};
   for (size_t i = 0; i < db[0].size(); ++i) db.mutable_sequence(0)->Mark(i);
-  auto report = ReplaceMarks(&db, patterns, {}, ReplaceOptions());
+  auto report = Release(&db, patterns, {}, ReleasePolicy::kLeastHarm);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->replaced, 4u);
   EXPECT_EQ(db.TotalMarkCount(), 0u);
@@ -251,7 +284,8 @@ TEST(ReplaceMarksEdgeTest, AllDeltaRowIsFullyReplacedWithSafeSymbols) {
 TEST(ReplaceMarksEdgeTest, PatternEqualToFullSequenceStaysHiddenEndToEnd) {
   // ψ = 0 end to end on a row identical to the sensitive pattern, through
   // both release policies.
-  for (bool use_delete : {true, false}) {
+  for (ReleasePolicy policy :
+       {ReleasePolicy::kDelete, ReleasePolicy::kLeastHarm}) {
     SequenceDatabase db;
     db.AddFromNames({"a", "b", "c"});
     db.AddFromNames({"n1", "n2", "n3"});
@@ -261,14 +295,10 @@ TEST(ReplaceMarksEdgeTest, PatternEqualToFullSequenceStaysHiddenEndToEnd) {
     auto sanitized = Sanitize(&db, patterns, opts);
     ASSERT_TRUE(sanitized.ok()) << sanitized.status();
     ASSERT_GT(db.TotalMarkCount(), 0u);
-    if (use_delete) {
-      DeleteMarks(&db);
-    } else {
-      auto report = ReplaceMarks(&db, patterns, {}, ReplaceOptions());
-      ASSERT_TRUE(report.ok()) << report.status();
-      EXPECT_EQ(db.TotalMarkCount(), 0u);
-    }
-    EXPECT_EQ(Support(patterns[0], db), 0u) << "use_delete=" << use_delete;
+    auto report = Release(&db, patterns, {}, policy);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(db.TotalMarkCount(), 0u);
+    EXPECT_EQ(Support(patterns[0], db), 0u);
   }
 }
 

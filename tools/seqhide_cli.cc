@@ -254,6 +254,23 @@ Result<ReadOptions> ReadOptionsFromFlags(const ParsedArgs& args) {
   return opts;
 }
 
+// --stage2 keep|delete|replace: nullopt for keep (the Δs stay), else the
+// ReleaseMarks policy. Parsed before the sanitize so a bad value runs
+// nothing.
+Result<std::optional<ReleasePolicy>> Stage2FromFlags(const ParsedArgs& args) {
+  auto it = args.flags.find("stage2");
+  if (it == args.flags.end() || it->second == "keep") {
+    return std::optional<ReleasePolicy>();
+  }
+  if (it->second == "delete") {
+    return std::optional<ReleasePolicy>(ReleasePolicy::kDelete);
+  }
+  if (it->second == "replace") {
+    return std::optional<ReleasePolicy>(ReleasePolicy::kLeastHarm);
+  }
+  return Status::InvalidArgument("--stage2 must be keep, delete or replace");
+}
+
 enum class DbFormat { kText, kBinary };
 
 // Resolves --db-format for `path`: an explicit text/binary wins, auto
@@ -367,6 +384,8 @@ struct StatsJsonInput {
   ReadReport read_report;
   size_t faults_armed = 0;
   size_t faults_fired = 0;
+  // Second stage (seq pipeline, --stage2 delete|replace only).
+  std::optional<ReleaseReport> stage2;
 };
 
 // Writes the machine-readable run report next to the sanitized output.
@@ -452,6 +471,16 @@ Status WriteStatsJson(const std::string& path, const ParsedArgs& args,
     json.KeyUint("armed", input.faults_armed);
     json.KeyUint("fired", input.faults_fired);
     json.EndObject();
+    json.EndObject();
+  }
+  if (input.stage2.has_value()) {
+    json.Key("stage2").BeginObject();
+    json.KeyUint("replaced", input.stage2->replaced);
+    json.KeyUint("deleted", input.stage2->deleted);
+    json.KeyUint("kept", input.stage2->kept);
+    json.Key("supports").BeginArray();
+    for (size_t s : input.stage2->supports) json.Uint(s);
+    json.EndArray();
     json.EndObject();
   }
   json.EndObject();
@@ -735,6 +764,8 @@ Status RunMine(const ParsedArgs& args) {
 }
 
 Status RunSanitize(const ParsedArgs& args) {
+  SEQHIDE_ASSIGN_OR_RETURN(const std::optional<ReleasePolicy> stage2,
+                           Stage2FromFlags(args));
   ReadReport read_report;
   SEQHIDE_ASSIGN_OR_RETURN(SequenceDatabase db, LoadDb(args, &read_report));
   auto out_it = args.flags.find("out");
@@ -848,22 +879,21 @@ Status RunSanitize(const ParsedArgs& args) {
   SanitizeReport report = std::move(run).value();
   std::cout << report.ToString() << "\n";
 
-  std::string stage2 = "keep";
-  if (auto it = args.flags.find("stage2"); it != args.flags.end()) {
-    stage2 = it->second;
-  }
-  if (stage2 == "delete") {
-    std::cout << "stage2: deleted " << DeleteMarks(&db) << " marks\n";
-  } else if (stage2 == "replace") {
-    ReplaceOptions replace_options;
-    replace_options.seed = opts.seed;
-    SEQHIDE_ASSIGN_OR_RETURN(
-        ReplaceReport stage2_report,
-        ReplaceMarks(&db, patterns, constraints, replace_options));
-    std::cout << "stage2: replaced " << stage2_report.replaced << ", deleted "
-              << stage2_report.deleted << "\n";
-  } else if (stage2 != "keep") {
-    return Status::InvalidArgument("--stage2 must be keep, delete or replace");
+  std::optional<ReleaseReport> stage2_report;
+  if (stage2.has_value()) {
+    ReleaseOptions release;
+    release.policy = *stage2;
+    release.seed = opts.seed;
+    SEQHIDE_ASSIGN_OR_RETURN(stage2_report,
+                             ReleaseMarks(&db, patterns, constraints,
+                                          report.supports_after, release));
+    std::cout << "stage2: replaced " << stage2_report->replaced
+              << ", deleted " << stage2_report->deleted << ", kept "
+              << stage2_report->kept << " released_supports=[";
+    for (size_t p = 0; p < stage2_report->supports.size(); ++p) {
+      std::cout << (p == 0 ? "" : ",") << stage2_report->supports[p];
+    }
+    std::cout << "]\n";
   }
 
   SEQHIDE_RETURN_IF_ERROR(WriteDatabaseToFile(db, out_it->second));
@@ -901,6 +931,7 @@ Status RunSanitize(const ParsedArgs& args) {
     stats.read_report = read_report;
     stats.faults_armed = FaultInjector::Default().ArmedCount();
     stats.faults_fired = FaultInjector::Default().FaultsFired();
+    stats.stage2 = std::move(stage2_report);
     SEQHIDE_RETURN_IF_ERROR(
         WriteStatsJson(it->second, args, stats, final_snapshot));
     std::cout << "wrote stats " << it->second << "\n";
