@@ -2,9 +2,10 @@
 // as future work; these quantify the implementation choices documented in
 // DESIGN.md §5):
 //   * Lemma 2 count DP,
-//   * Lemma 3 prefix table — paper O(n²m) recurrence vs our O(nm)
-//     prefix-sum variant,
-//   * δ(T[i]) — paper's deletion method (Thm. 2) vs forward×backward,
+//   * Lemma 3 prefix table — paper O(n²m) recurrence vs the O(nm)
+//     running-sum fill of language.h,
+//   * δ(T[i]) — paper's deletion method (Thm. 2) vs language.h's
+//     forward×backward,
 //   * constrained counting (gaps / window),
 //   * the matching kernel: one trie pass vs a DP per pattern,
 //   * single-sequence sanitization,
@@ -23,8 +24,7 @@
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
 #include "src/match/kernel.h"
-#include "src/match/position_delta.h"
-#include "src/match/prefix_table.h"
+#include "src/match/language.h"
 #include "src/match/scratch.h"
 #include "src/match/subsequence.h"
 #include "src/mine/prefix_span.h"
@@ -66,15 +66,25 @@ void BM_CountMatchings(benchmark::State& state) {
 }
 BENCHMARK(BM_CountMatchings)->Range(16, 4096)->Complexity(benchmark::oN);
 
-void BM_PrefixTableFast(benchmark::State& state) {
+// Lemma 3's table as production fills it: FillGapEndTable on an
+// unconstrained SequenceLanguage, into a warm scratch.
+void BM_GapEndTable(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Sequence t = MakeSeq(n, 10, 1);
   Sequence s = MakeSeq(3, 10, 2);
+  const ConstraintSpec unconstrained;
+  MatchScratch scratch;
+  const uint64_t cells_before = CounterValue("match.gap.dp_cells");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildPrefixEndTable(s, t));
+    FillGapEndTable(SequenceLanguage(s, unconstrained, t), &scratch,
+                    &scratch.fwd);
+    benchmark::DoNotOptimize(scratch.fwd.back().data());
   }
+  state.counters["dp_cells"] = benchmark::Counter(
+      static_cast<double>(CounterValue("match.gap.dp_cells") - cells_before),
+      benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_PrefixTableFast)->Range(16, 1024);
+BENCHMARK(BM_GapEndTable)->Range(16, 1024);
 
 void BM_PrefixTableNaive(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -86,15 +96,25 @@ void BM_PrefixTableNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixTableNaive)->Range(16, 1024);
 
-void BM_PositionDeltasFast(benchmark::State& state) {
+// δ as the mark stage computes it: LanguageDeltas on an unconstrained
+// SequenceLanguage, into a warm scratch.
+void BM_LanguageDeltas(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Sequence t = MakeSeq(n, 10, 1);
   Sequence s = MakeSeq(3, 10, 2);
+  const ConstraintSpec unconstrained;
+  MatchScratch scratch;
+  std::vector<uint64_t> deltas;
+  const uint64_t cells_before = CounterValue("delta.cells");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PositionDeltas(s, ConstraintSpec(), t));
+    LanguageDeltas(SequenceLanguage(s, unconstrained, t), &scratch, &deltas);
+    benchmark::DoNotOptimize(deltas.data());
   }
+  state.counters["delta_cells"] = benchmark::Counter(
+      static_cast<double>(CounterValue("delta.cells") - cells_before),
+      benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_PositionDeltasFast)->Range(16, 1024);
+BENCHMARK(BM_LanguageDeltas)->Range(16, 1024);
 
 void BM_PositionDeltasByDeletion(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -7,9 +7,9 @@
 //      language's count DP; supporters are the rows with a matching;
 //   2. select — global.cc's ascending matching-count heuristic: all but
 //      the ψ most expensive supporters are victims;
-//   3. mark — SanitizeLanguageRow on each victim: local.h's round loop,
-//      δ from LanguageDeltas, each chosen position marked through
-//      MarkPosition;
+//   3. mark — local.h's SanitizeLanguageRow on each victim (the one mark
+//      stage, which plain sequences run too): the round loop, δ from
+//      LanguageDeltas, each chosen position marked through MarkPosition;
 //   4. verify — every row is recounted and each pattern's support must be
 //      ≤ ψ, else Internal.
 // The result is a SanitizeReport with supports, marks and StageTimings.
@@ -17,10 +17,14 @@
 // those live in SanitizeView (sanitizer.h), which reads a DatabaseView of
 // symbol rows only.
 //
+// Its inputs are checked as SanitizeView checks them: a duplicate pattern
+// (which would double-count its matchings) and ψ above a non-empty
+// database's size are InvalidArgument.
+//
 // A language adds, beside its policy, an overload of
 //   Status ValidatePattern(const L::Pattern&, const L::Spec&)
-// and may overload MarkPosition (below) for a finer mark than clearing the
-// whole position; both are found by argument-dependent lookup.
+// and may overload MarkPosition (local.h) for a finer mark than clearing
+// the whole position; both are found by argument-dependent lookup.
 
 #ifndef SEQHIDE_HIDE_HIDE_LANGUAGE_H_
 #define SEQHIDE_HIDE_HIDE_LANGUAGE_H_
@@ -42,46 +46,6 @@
 #include "src/obs/trace.h"
 
 namespace seqhide {
-
-// Marks position `pos` of a victim row by clearing it (Row::Mark): one
-// mark. `count_total(row)` is the row's total matching count, for
-// overloads that mark by trial (itemset sequences remove single items).
-template <class Row, class CountTotal>
-size_t MarkPosition(Row* row, size_t pos, const CountTotal& /*count_total*/) {
-  row->Mark(pos);
-  return 1;
-}
-
-// The mark stage on one victim row (the paper's Sanitize(T, S_h)):
-// local.h's MarkRounds with each pattern's LanguageDeltas, marking the
-// chosen position through MarkPosition. `specs` is empty or parallel to
-// `patterns`; the row's DP tables live in *scratch.
-template <class L>
-LocalSanitizeResult SanitizeLanguageRow(
-    typename L::Row* row, const std::vector<typename L::Pattern>& patterns,
-    const std::vector<typename L::Spec>& specs, MatchScratch* scratch) {
-  const typename L::Spec unconstrained{};
-  auto lang = [&](size_t p, const typename L::Row& r) {
-    return L(patterns[p], specs.empty() ? unconstrained : specs[p], r);
-  };
-  auto count_total = [&](const typename L::Row& r) {
-    uint64_t total = 0;
-    for (size_t p = 0; p < patterns.size(); ++p) {
-      total = SatAdd(total, ScreenedCount(lang(p, r), scratch));
-    }
-    return total;
-  };
-  LocalSanitizeResult result;
-  MarkRounds(
-      LocalStrategy::kHeuristic, /*rng=*/nullptr, patterns.size(),
-      [&](size_t p, std::vector<uint64_t>* deltas) {
-        LanguageDeltas(lang(p, *row), scratch, deltas);
-        return !scratch->exhausted;
-      },
-      [&](size_t pos) { return MarkPosition(row, pos, count_total); },
-      &result);
-  return result;
-}
 
 // Hides every pattern down to support ≤ psi in *rows. `specs` is empty
 // (all unconstrained) or parallel to `patterns`.
@@ -105,6 +69,20 @@ Result<SanitizeReport> HideLanguagePatterns(
   };
   for (size_t p = 0; p < patterns.size(); ++p) {
     SEQHIDE_RETURN_IF_ERROR(ValidatePattern(patterns[p], spec_of(p)));
+    for (size_t q = 0; q < p; ++q) {
+      if (patterns[q] == patterns[p]) {
+        return Status::InvalidArgument(
+            "sensitive patterns " + std::to_string(q) + " and " +
+            std::to_string(p) +
+            " are the same (duplicates would double-count matchings)");
+      }
+    }
+  }
+  if (!rows->empty() && psi > rows->size()) {
+    return Status::InvalidArgument(
+        "psi = " + std::to_string(psi) + " exceeds the database size (" +
+        std::to_string(rows->size()) +
+        "); no pattern's support can be that large");
   }
 
   const Stopwatch timer;
@@ -147,8 +125,9 @@ Result<SanitizeReport> HideLanguagePatterns(
   {
     obs::ScopedTimer stage(&report.stages.mark_seconds);
     for (size_t t : victims) {
-      const LocalSanitizeResult local =
-          SanitizeLanguageRow<L>(&(*rows)[t], patterns, specs, &scratch);
+      const LocalSanitizeResult local = SanitizeLanguageRow<L>(
+          &(*rows)[t], patterns, specs, LocalStrategy::kHeuristic,
+          /*rng=*/nullptr, &scratch);
       report.marks_introduced += local.marks_introduced;
       ++report.sequences_sanitized;
     }

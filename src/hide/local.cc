@@ -2,7 +2,6 @@
 
 #include "src/common/logging.h"
 #include "src/hide/hitting_set.h"
-#include "src/match/position_delta.h"
 #include "src/obs/macros.h"
 
 namespace seqhide {
@@ -20,13 +19,9 @@ LocalSanitizeResult SanitizeSequence(
     const std::vector<ConstraintSpec>& constraints, LocalStrategy strategy,
     Rng* rng, MatchScratch* scratch) {
   SEQHIDE_CHECK(seq != nullptr);
-  SEQHIDE_CHECK(strategy != LocalStrategy::kRandom || rng != nullptr)
-      << "the Random local strategy needs an Rng";
-  SEQHIDE_CHECK(constraints.empty() || constraints.size() == patterns.size())
-      << "constraints must be empty or parallel to patterns";
 
-  LocalSanitizeResult result;
   if (strategy == LocalStrategy::kExhaustive) {
+    LocalSanitizeResult result;
     OptimalSanitization optimal =
         OptimalSanitizeSequence(*seq, patterns, constraints);
     for (size_t pos : optimal.positions) seq->Mark(pos);
@@ -39,29 +34,8 @@ LocalSanitizeResult SanitizeSequence(
   }
   // The DP tables inside *scratch stay warm across rounds and across
   // sequences on the same thread.
-  scratch->exhausted = false;
-  const ConstraintSpec unconstrained;
-  MarkRounds(
-      strategy, rng, patterns.size(),
-      [&](size_t p, std::vector<uint64_t>* deltas) {
-        // One pattern's δ, the dominant cost of the local stage: O(nm)
-        // without max gaps, O(n·m·w) with max-gap windows of w cells, and
-        // O(occ(S[1])·Ws·m) under a max-window of Ws (one fwd × bwd per
-        // anchor). MarkRounds asks again only after a mark that removed
-        // one of the pattern's matchings. A table refused by the memory
-        // budget leaves δ partial, so the loop stops and the caller
-        // degrades.
-        PositionDeltasInto(patterns[p],
-                           constraints.empty() ? unconstrained : constraints[p],
-                           *seq, scratch, deltas);
-        return !scratch->exhausted;
-      },
-      [&](size_t pos) {
-        seq->Mark(pos);
-        return size_t{1};
-      },
-      &result);
-  return result;
+  return SanitizeLanguageRow<SequenceLanguage>(seq, patterns, constraints,
+                                               strategy, rng, scratch);
 }
 
 }  // namespace seqhide

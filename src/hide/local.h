@@ -34,6 +34,7 @@
 #include "src/constraints/constraints.h"
 #include "src/hide/options.h"
 #include "src/match/count.h"
+#include "src/match/language.h"
 #include "src/match/scratch.h"
 #include "src/obs/macros.h"
 #include "src/seq/sequence.h"
@@ -126,10 +127,63 @@ void MarkRounds(LocalStrategy strategy, Rng* rng, size_t num_patterns,
                            result->marks_introduced);
 }
 
+// Marks position `pos` of a victim row by clearing it (Row::Mark): one
+// mark. `count_total(row)` is the row's total matching count, for
+// overloads that mark by trial (itemset sequences remove single items);
+// an overload is found by argument-dependent lookup.
+template <class Row, class CountTotal>
+size_t MarkPosition(Row* row, size_t pos, const CountTotal& /*count_total*/) {
+  row->Mark(pos);
+  return 1;
+}
+
+// The mark stage on one victim row of any pattern language L
+// (src/match/language.h): MarkRounds with each pattern's LanguageDeltas,
+// marking the chosen position through MarkPosition. `specs` is empty or
+// parallel to `patterns`; `rng` is required only for LocalStrategy::kRandom.
+// The row's DP tables live in *scratch, whose memory budget may refuse
+// one (result.exhausted; the flag is cleared first). One pattern's δ is
+// the dominant cost of the local stage: O(nm) without max gaps, O(n·m·w)
+// with max-gap windows of w cells, and O(occ(S[1])·Ws·m) under a
+// max-window of Ws.
+template <class L>
+LocalSanitizeResult SanitizeLanguageRow(
+    typename L::Row* row, const std::vector<typename L::Pattern>& patterns,
+    const std::vector<typename L::Spec>& specs, LocalStrategy strategy,
+    Rng* rng, MatchScratch* scratch) {
+  SEQHIDE_CHECK(strategy != LocalStrategy::kRandom || rng != nullptr)
+      << "the Random local strategy needs an Rng";
+  SEQHIDE_CHECK(specs.empty() || specs.size() == patterns.size())
+      << "constraints must be empty or parallel to patterns";
+  const typename L::Spec unconstrained{};
+  auto lang = [&](size_t p, const typename L::Row& r) {
+    return L(patterns[p], specs.empty() ? unconstrained : specs[p], r);
+  };
+  auto count_total = [&](const typename L::Row& r) {
+    uint64_t total = 0;
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      total = SatAdd(total, ScreenedCount(lang(p, r), scratch));
+    }
+    return total;
+  };
+  scratch->exhausted = false;
+  LocalSanitizeResult result;
+  MarkRounds(
+      strategy, rng, patterns.size(),
+      [&](size_t p, std::vector<uint64_t>* deltas) {
+        LanguageDeltas(lang(p, *row), scratch, deltas);
+        return !scratch->exhausted;
+      },
+      [&](size_t pos) { return MarkPosition(row, pos, count_total); },
+      &result);
+  return result;
+}
+
 // Destroys every (constrained) matching of every pattern in `patterns`
-// within *seq by marking positions per `strategy`. `constraints` is empty
-// (all unconstrained) or parallel to `patterns`. `rng` is required only
-// for LocalStrategy::kRandom and may be null otherwise.
+// within *seq by marking positions per `strategy`: the exhaustive optimum
+// (hitting_set.h) or SanitizeLanguageRow<SequenceLanguage>. `constraints`
+// is empty (all unconstrained) or parallel to `patterns`. `rng` is
+// required only for LocalStrategy::kRandom and may be null otherwise.
 LocalSanitizeResult SanitizeSequence(
     Sequence* seq, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints, LocalStrategy strategy,

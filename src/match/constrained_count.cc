@@ -8,54 +8,6 @@
 #include "src/seq/signature.h"
 
 namespace seqhide {
-namespace {
-
-// Total gap-valid (window-free) matchings: Σ_j Q[m][j].
-uint64_t CountGapMatchings(const Sequence& pattern, const ConstraintSpec& spec,
-                           SequenceView seq, MatchScratch* scratch) {
-  BuildGapEndTableInto(pattern, spec, seq, scratch, &scratch->fwd);
-  return TotalFromPrefixEndTable(scratch->fwd);
-}
-
-// Lemma 5: sum over first positions s of the (gap-valid) embeddings that
-// start at s and end inside the window from s.
-uint64_t CountWindowedMatchings(const Sequence& pattern,
-                                const ConstraintSpec& spec,
-                                SequenceView seq, MatchScratch* scratch) {
-  SEQHIDE_COUNTER_INC("match.window.calls");
-  size_t anchors = 0;
-  const uint64_t count = CountLanguageMatchings(
-      SequenceLanguage(pattern, spec, seq), scratch, &anchors);
-  SEQHIDE_COUNTER_ADD("match.window.anchors", anchors);
-  return count;
-}
-
-}  // namespace
-
-PrefixEndTable BuildGapEndTable(const Sequence& pattern,
-                                const ConstraintSpec& spec,
-                                SequenceView seq) {
-  PrefixEndTable table;
-  BuildGapEndTableInto(pattern, spec, seq, &table);
-  return table;
-}
-
-void BuildGapEndTableInto(const Sequence& pattern, const ConstraintSpec& spec,
-                          SequenceView seq, PrefixEndTable* out) {
-  MatchScratch unlimited;
-  BuildGapEndTableInto(pattern, spec, seq, &unlimited, out);
-}
-
-void BuildGapEndTableInto(const Sequence& pattern, const ConstraintSpec& spec,
-                          SequenceView seq, MatchScratch* scratch,
-                          PrefixEndTable* out) {
-  if (!FillGapEndTable(SequenceLanguage(pattern, spec, seq), scratch, out)) {
-    return;
-  }
-  SEQHIDE_COUNTER_INC("match.gap.tables_built");
-  SEQHIDE_COUNTER_ADD("match.gap.dp_rows", pattern.size());
-  SEQHIDE_COUNTER_ADD("match.gap.dp_cells", pattern.size() * (seq.size() + 1));
-}
 
 uint64_t CountConstrainedMatchings(const Sequence& pattern,
                                    const ConstraintSpec& spec,
@@ -71,8 +23,7 @@ uint64_t CountConstrainedMatchings(const Sequence& pattern,
   SEQHIDE_DCHECK(spec.Validate(pattern.size()).ok())
       << spec.Validate(pattern.size()).ToString();
   if (spec.IsUnconstrained()) return CountMatchings(pattern, seq, scratch);
-  if (!spec.HasWindow()) return CountGapMatchings(pattern, spec, seq, scratch);
-  return CountWindowedMatchings(pattern, spec, seq, scratch);
+  return CountLanguageMatchings(SequenceLanguage(pattern, spec, seq), scratch);
 }
 
 uint64_t CountConstrainedMatchingsTotal(

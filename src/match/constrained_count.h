@@ -1,8 +1,7 @@
 // Matching-set-size computation under occurrence constraints
-// (paper §5, Lemmas 4 and 5).
+// (paper §5, Lemmas 4 and 5), for sequence patterns.
 //
-// * Gap constraints (Lemma 4): the Q table is the gap-aware analogue of
-//   the Lemma 3 prefix table — Q[k][j] counts gap-valid embeddings of the
+// * Gap constraints (Lemma 4): Q[k][j] counts gap-valid embeddings of the
 //   length-k prefix ending exactly at T[j]; the predecessor index span is
 //   restricted by the arrow's [mg, Mg].
 // * Max-window constraint (Lemma 5): an embedding ending at index j must
@@ -13,9 +12,9 @@
 // * Conjunction: the window computation simply uses Q instead of P, as in
 //   the paper's closing remark of §5.
 //
-// The tables and the anchored sum are the Sequence instance of
-// language.h's templates, which every pattern language shares. All counts
-// saturate (see count.h).
+// Those tables, the anchored sum and δ live once, for every pattern
+// language, in language.h; this file is the sequence entry point to them
+// and the whole-database loops. All counts saturate (see count.h).
 
 #ifndef SEQHIDE_MATCH_CONSTRAINED_COUNT_H_
 #define SEQHIDE_MATCH_CONSTRAINED_COUNT_H_
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "src/constraints/constraints.h"
-#include "src/match/prefix_table.h"
 #include "src/match/scratch.h"
 #include "src/seq/database.h"
 #include "src/seq/sequence.h"
@@ -33,31 +31,9 @@
 
 namespace seqhide {
 
-// Q[k][j] (k in [0,m], j in [0,n], 1-based content like PrefixEndTable):
-// gap-valid embeddings of S[1..k] ending exactly at T[j]. Ignores any
-// window constraint in `spec` (the window is applied by
-// CountConstrainedMatchings via Lemma 5). With unconstrained gaps this
-// degenerates to BuildPrefixEndTable's table entry-wise (tested).
-PrefixEndTable BuildGapEndTable(const Sequence& pattern,
-                                const ConstraintSpec& spec,
-                                SequenceView seq);
-
-// Allocation-free variant: writes into *out (resized exactly to
-// [m+1][n+1]); `out` may be a scratch-owned table.
-void BuildGapEndTableInto(const Sequence& pattern, const ConstraintSpec& spec,
-                          SequenceView seq, PrefixEndTable* out);
-
-// Budget-checked variant: table sizing goes through scratch's memory
-// ceiling; on refusal *out becomes a 1×1 zero table and
-// scratch->exhausted is raised. The 4-arg overload is this one with an
-// unlimited scratch.
-void BuildGapEndTableInto(const Sequence& pattern, const ConstraintSpec& spec,
-                          SequenceView seq, MatchScratch* scratch,
-                          PrefixEndTable* out);
-
-// |{matchings of `pattern` in `seq` satisfying `spec`}|. Dispatches:
-// unconstrained -> Lemma 2 count; gaps only -> Σ_j Q[m][j]; window
-// (with or without gaps) -> Lemma 5 windowed evaluation.
+// |{matchings of `pattern` in `seq` satisfying `spec`}|: Lemma 2's rolled
+// O(m) row (count.h) when `spec` is unconstrained, else
+// CountLanguageMatchings on SequenceLanguage (language.h).
 uint64_t CountConstrainedMatchings(const Sequence& pattern,
                                    const ConstraintSpec& spec,
                                    SequenceView seq);

@@ -34,7 +34,10 @@
 //
 // SequenceLanguage is the paper's own instance; ItemsetLanguage
 // (src/itemset), TimedLanguage (src/temporal) and ClassLanguage
-// (src/repat) are the others. All counts saturate (count.h).
+// (src/repat) are the others. This file is the one home of Lemmas 3-5 and
+// Theorem 2 for all four: Lemma 3's table is FillGapEndTable's with no
+// gap, and CountConstrainedMatchings (constrained_count.h) leaves it only
+// for Lemma 2's rolled row. All counts saturate (count.h).
 
 #ifndef SEQHIDE_MATCH_LANGUAGE_H_
 #define SEQHIDE_MATCH_LANGUAGE_H_
@@ -47,8 +50,8 @@
 #include "src/common/logging.h"
 #include "src/constraints/constraints.h"
 #include "src/match/count.h"
-#include "src/match/prefix_table.h"
 #include "src/match/scratch.h"
+#include "src/obs/macros.h"
 #include "src/seq/sequence.h"
 #include "src/seq/view.h"
 
@@ -132,12 +135,33 @@ class SymbolLanguage : public IndexSpans {
 
 using SequenceLanguage = SymbolLanguage<Sequence>;
 
-// Lemma 4's table Q in PrefixEndTable layout ([m+1][n+1], 1-based columns,
-// Q[0][0] = 1): gap-valid embeddings of the length-k prefix ending exactly
-// at each position. Ignores the window. An unbounded arrow fills its row
-// from one running sum, O(n); a bounded one re-sums its span per cell,
-// O(w), because a saturated sum cannot be un-added. Returns false when
-// the scratch's budget refused the table (it is then a 1×1 zero table).
+// Prefix-ending-position table, indexed [k][j] with k in [0, m] and j in
+// [0, n] (positions 1-based, as in the paper): the embeddings of the
+// length-k prefix of S whose last matched position is exactly T[j].
+// P[0][0] = 1 (the empty prefix "ends" only at the virtual position 0),
+// P[0][j>0] = 0 and P[k>0][0] = 0. Paper Example 3: for
+// T = <a,a,b,c,c,b,a,e> and S = <a,b,c>, P[2][3] = 2. Rows use the
+// dp_scratch-accounted allocator (scratch.h).
+using PrefixEndTable = DpTable;
+
+// Σ_j table[m][j]: the matchings the table's last row counts (Lemma 3 ties
+// back to Lemma 2's |M_S^T|).
+inline uint64_t TotalFromPrefixEndTable(const PrefixEndTable& table) {
+  SEQHIDE_CHECK(!table.empty());
+  uint64_t total = 0;
+  for (uint64_t v : table.back()) total = SatAdd(total, v);
+  return total;
+}
+
+// Lemma 4's table Q in PrefixEndTable layout: gap-valid embeddings of the
+// length-k prefix ending exactly at each position. Ignores the window.
+// With no gap on any arrow it is Lemma 3's table P. An unbounded arrow
+// fills its row from one running sum, O(n) (the paper's recurrence re-sums
+// it per cell, O(n²m) in all; src/testing keeps that form as an oracle); a
+// bounded one re-sums its span per cell, O(w), because a saturated sum
+// cannot be un-added. Every table filled goes to the `match.gap.*`
+// counters, for every language. Returns false when the scratch's budget
+// refused the table (it is then a 1×1 zero table).
 template <class L>
 bool FillGapEndTable(const L& lang, MatchScratch* scratch,
                      PrefixEndTable* out) {
@@ -145,6 +169,9 @@ bool FillGapEndTable(const L& lang, MatchScratch* scratch,
   const size_t n = lang.n();
   PrefixEndTable& table = *out;
   if (!TryResizeAndZeroTable(scratch, &table, m + 1, n + 1)) return false;
+  SEQHIDE_COUNTER_INC("match.gap.tables_built");
+  SEQHIDE_COUNTER_ADD("match.gap.dp_rows", m);
+  SEQHIDE_COUNTER_ADD("match.gap.dp_cells", m * (n + 1));
   table[0][0] = 1;
   if (m == 0) return true;
   for (size_t j = 0; j < n; ++j) {
@@ -245,22 +272,22 @@ size_t ForEachAnchor(const L& lang, const Visit& visit) {
   return anchors;
 }
 
-// |M| under the spec: Σ_j Q[m][j] without a window; with one, the same sum
-// over each anchor's span. `anchors`, when given, receives the number of
-// anchors a windowed count visited.
+// |M| under the spec: Σ_j Q[m][j] without a window; with one (Lemma 5),
+// the same sum over each anchor's span, counted in `match.window.calls`
+// and `.anchors`.
 template <class L>
-uint64_t CountLanguageMatchings(const L& lang, MatchScratch* scratch,
-                                size_t* anchors = nullptr) {
+uint64_t CountLanguageMatchings(const L& lang, MatchScratch* scratch) {
   if (lang.m() == 0) return 1;
   if (lang.m() > lang.n()) return 0;
   if (lang.HasWindow()) {
     uint64_t total = 0;
-    const size_t visited =
+    [[maybe_unused]] const size_t anchors =
         ForEachAnchor(lang, [&](const AnchoredSpan<L>& span, size_t) {
           FillGapEndTable(span, scratch, &scratch->fwd);
           total = SatAdd(total, TotalFromPrefixEndTable(scratch->fwd));
         });
-    if (anchors != nullptr) *anchors = visited;
+    SEQHIDE_COUNTER_INC("match.window.calls");
+    SEQHIDE_COUNTER_ADD("match.window.anchors", anchors);
     return total;
   }
   FillGapEndTable(lang, scratch, &scratch->fwd);
@@ -337,29 +364,29 @@ void FillSuffixTable(const L& lang, MatchScratch* scratch, DpTable* out) {
   }
 }
 
-// Theorem 2 without the deletion: δ(T[j]) = Σ_k fwd[k][j] × bwd[k][j] over
-// the pattern elements k that match T[j], with scratch->fwd already
-// holding FillGapEndTable's (or the Lemma 3) table. A matching maps
-// exactly one element to j, so each matching through j counts once, and
-// SatMul / SatAdd keep a saturated δ large instead of 0. The suffix table
-// is skipped when no embedding ends anywhere.
+// Theorem 2 without the deletion, over one table pair: δ(T[j]) =
+// Σ_k fwd[k][j] × bwd[k][j] over the pattern elements k that match T[j].
+// A matching maps exactly one element to j, so each matching through j
+// counts once, and SatMul / SatAdd keep a saturated δ large instead of 0.
+// The suffix table is skipped when no embedding ends anywhere. Returns the
+// DP cells filled, m·n per table.
 template <class L>
-void CombineDeltas(const L& lang, MatchScratch* scratch,
+size_t TableDeltas(const L& lang, MatchScratch* scratch,
                    std::vector<uint64_t>* out) {
   const size_t m = lang.m();
   const size_t n = lang.n();
-  const PrefixEndTable& fwd = scratch->fwd;
+  out->assign(n, 0);
   // A budget-refused fwd is a 1×1 stub: nothing below may index it.
+  if (!FillGapEndTable(lang, scratch, &scratch->fwd)) return 0;
+  const PrefixEndTable& fwd = scratch->fwd;
   if (scratch->exhausted ||
       std::all_of(fwd[m].begin(), fwd[m].end(),
                   [](uint64_t c) { return c == 0; })) {
-    out->assign(n, 0);
-    return;
+    return m * n;
   }
   DpTable& bwd = scratch->bwd;
   FillSuffixTable(lang, scratch, &bwd);
-  out->assign(n, 0);
-  if (scratch->exhausted) return;
+  if (scratch->exhausted) return m * n;
   for (size_t j = 0; j < n; ++j) {
     uint64_t total = 0;
     for (size_t k = 1; k <= m; ++k) {
@@ -368,6 +395,7 @@ void CombineDeltas(const L& lang, MatchScratch* scratch,
     }
     (*out)[j] = total;
   }
+  return 2 * m * n;
 }
 
 // δ for every position of the row w.r.t. one pattern: fwd × bwd over the
@@ -375,24 +403,27 @@ void CombineDeltas(const L& lang, MatchScratch* scratch,
 // added into the span's positions (the anchored count lands on δ(s)).
 // SatAdd keeps a saturated δ large, so a position in some embedding never
 // reads 0. O(nm) (O(n·m·w) with max gaps of w) without a window, and
-// O(a·Ws·m) with a anchors whose spans hold at most Ws positions.
+// O(a·Ws·m) with a anchors whose spans hold at most Ws positions. Each
+// call goes to `delta.fast_calls` and its table cells to `delta.cells`.
 template <class L>
 void LanguageDeltas(const L& lang, MatchScratch* scratch,
                     std::vector<uint64_t>* out) {
+  SEQHIDE_COUNTER_INC("delta.fast_calls");
+  [[maybe_unused]] size_t cells = 0;
   if (!lang.HasWindow()) {
-    FillGapEndTable(lang, scratch, &scratch->fwd);
-    CombineDeltas(lang, scratch, out);
+    cells = TableDeltas(lang, scratch, out);
+    SEQHIDE_COUNTER_ADD("delta.cells", cells);
     return;
   }
   out->assign(lang.n(), 0);
   std::vector<uint64_t>& span_deltas = scratch->span_deltas;
   ForEachAnchor(lang, [&](const AnchoredSpan<L>& span, size_t s) {
-    FillGapEndTable(span, scratch, &scratch->fwd);
-    CombineDeltas(span, scratch, &span_deltas);
+    cells += TableDeltas(span, scratch, &span_deltas);
     for (size_t j = 0; j < span.n(); ++j) {
       (*out)[s + j] = SatAdd((*out)[s + j], span_deltas[j]);
     }
   });
+  SEQHIDE_COUNTER_ADD("delta.cells", cells);
 }
 
 }  // namespace seqhide

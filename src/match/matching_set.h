@@ -49,7 +49,7 @@ std::vector<TaggedMatching> EnumerateMatchingsOfSet(
 
 // Number of matchings that involve position `pos` of `seq` — the
 // definitional δ(T[pos]) of the paper (§4), computed by brute force.
-// Test oracle for position_delta.h.
+// Test oracle for LanguageDeltas (language.h).
 size_t CountMatchingsInvolvingPosition(const Sequence& pattern,
                                        const Sequence& seq,
                                        const ConstraintSpec& constraints,

@@ -4,7 +4,7 @@
 // call; the sanitization pipeline calls them once per (sequence, pattern)
 // pair per marking round, so allocation dominated short-sequence runs.
 // A MatchScratch owns every buffer those kernels need; the scratch-taking
-// overloads (CountMatchings, CountConstrainedMatchings, PositionDeltas…)
+// overloads (CountMatchings, CountConstrainedMatchings, LanguageDeltas…)
 // reuse them via assign()/resize(), making the hot loops allocation-free
 // once the buffers have warmed up to the workload's (n, m).
 //
@@ -45,11 +45,8 @@ struct MatchScratch {
   DpRow count_row;
   // Prefix/gap end table (PrefixEndTable layout: [m+1][n+1]).
   DpTable fwd;
-  // PositionDeltas' suffix-extension table ([m+1][n]).
+  // LanguageDeltas' suffix-extension table ([m+1][n]).
   DpTable bwd;
-  // BuildPrefixEndTable's running sums and column buffer.
-  DpRow running;
-  DpRow column;
   // PatternTrie::CountAll's per-node counter row (one slot per distinct
   // pattern prefix).
   DpRow trie_counts;
@@ -57,7 +54,7 @@ struct MatchScratch {
   // the public out-param shape, not a DP table).
   std::vector<uint64_t> pattern_counts;
   // One anchor's δ over its span, added into the row's δ by a windowed
-  // LanguageDeltas (plain vector: CombineDeltas' out-param shape).
+  // LanguageDeltas (plain vector: TableDeltas' out-param shape).
   std::vector<uint64_t> span_deltas;
 
   // Memory ceiling (bytes) for any single DP table sized through this

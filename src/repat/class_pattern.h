@@ -46,6 +46,8 @@ class SymbolClass {
 
   std::string ToString(const Alphabet& alphabet) const;
 
+  friend bool operator==(const SymbolClass&, const SymbolClass&) = default;
+
  private:
   SymbolClass() = default;
 
@@ -69,6 +71,8 @@ class ClassPattern {
   static ClassPattern FromSequence(const Sequence& seq);
 
   std::string ToString(const Alphabet& alphabet) const;
+
+  friend bool operator==(const ClassPattern&, const ClassPattern&) = default;
 
  private:
   std::vector<SymbolClass> classes_;

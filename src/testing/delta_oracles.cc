@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/match/count.h"
-#include "src/match/position_delta.h"
 #include "src/obs/macros.h"
 
 namespace seqhide {
@@ -53,9 +52,9 @@ void PositionDeltasTotalInto(const std::vector<Sequence>& patterns,
   out->assign(seq.size(), 0);
   std::vector<uint64_t> d;
   for (size_t p = 0; p < patterns.size(); ++p) {
-    PositionDeltasInto(patterns[p],
-                       constraints.empty() ? ConstraintSpec() : constraints[p],
-                       seq, scratch, &d);
+    const ConstraintSpec& spec =
+        constraints.empty() ? ConstraintSpec() : constraints[p];
+    LanguageDeltas(SequenceLanguage(patterns[p], spec, seq), scratch, &d);
     for (size_t j = 0; j < seq.size(); ++j) {
       (*out)[j] = SatAdd((*out)[j], d[j]);
     }

@@ -1,6 +1,6 @@
 // Test oracles for δ(T[i]) (paper §4, Theorem 2) and the tables it is
-// built from, beside the production fwd × bwd method
-// (src/match/position_delta.h, src/match/language.h).
+// built from, beside the production fwd × bwd method, LanguageDeltas
+// (src/match/language.h).
 //
 //  * DeltasByRecount — δ(T[i]) = |M^T| − |M^{T with i cleared}|, clearing
 //    with the row's own Mark (Δ, or an emptied itemset). Clearing keeps
@@ -15,7 +15,7 @@
 //    element shifts the positions after i and thereby changes the spans of
 //    matchings that do not involve i. O(n · nm).
 //  * PositionDeltasTotal — δ summed over a set of patterns, one
-//    PositionDeltas per pattern: what src/testing/round_oracle.h's loop
+//    LanguageDeltas per pattern: what src/testing/round_oracle.h's loop
 //    sums every round.
 //  * BuildPrefixEndTableNaive — the paper's Lemma 3 recurrence, literally.
 
@@ -28,7 +28,6 @@
 #include "src/common/logging.h"
 #include "src/constraints/constraints.h"
 #include "src/match/language.h"
-#include "src/match/prefix_table.h"
 #include "src/match/scratch.h"
 #include "src/seq/sequence.h"
 #include "src/seq/view.h"
@@ -75,7 +74,8 @@ void PositionDeltasTotalInto(const std::vector<Sequence>& patterns,
 
 // Literal transcription of the paper's Lemma 3 recurrence
 // (P_k^{j} = Σ_{l<j} P_{k-1}^{l} when S[k] = T[j]); O(n²·m). The
-// production BuildPrefixEndTable carries a running sum per row instead.
+// production FillGapEndTable (language.h) carries a running sum per row
+// instead.
 PrefixEndTable BuildPrefixEndTableNaive(const Sequence& pattern,
                                         SequenceView seq);
 

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "src/constraints/constraints.h"
-#include "src/match/prefix_table.h"
+#include "src/match/language.h"
 #include "src/seq/database.h"
 #include "src/seq/sequence.h"
 
@@ -49,7 +49,8 @@ std::vector<uint64_t> OraclePositionDeltas(const Sequence& pattern,
 // The Lemma 3 table by enumeration: entry [k][j] counts embeddings of the
 // length-k prefix of `pattern` whose last matched position is exactly j
 // (1-based, with the [0][0] = 1 boundary), i.e. what
-// BuildPrefixEndTable/BuildPrefixEndTableNaive compute by recurrence.
+// FillGapEndTable (unconstrained) and BuildPrefixEndTableNaive compute by
+// recurrence.
 PrefixEndTable OraclePrefixEndTable(const Sequence& pattern,
                                     const Sequence& seq);
 

@@ -16,14 +16,11 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/constraints/constraints.h"
-#include "src/hide/hide_language.h"
 #include "src/hide/local.h"
 #include "src/hide/options.h"
 #include "src/match/count.h"
 #include "src/match/language.h"
 #include "src/match/scratch.h"
-#include "src/seq/sequence.h"
 
 namespace seqhide {
 
@@ -65,19 +62,14 @@ void MarkRoundsRefillingAll(LocalStrategy strategy, Rng* rng, size_t n,
   }
 }
 
-// SanitizeSequence (kHeuristic or kRandom) with every pattern refilled
-// every round. *scratch carries the memory budget, as in the mark stage.
-LocalSanitizeResult SanitizeSequenceRefillingAll(
-    Sequence* seq, const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints, LocalStrategy strategy,
-    Rng* rng, MatchScratch* scratch);
-
-// SanitizeLanguageRow (src/hide/hide_language.h) with every pattern
-// refilled every round.
+// SanitizeLanguageRow (src/hide/local.h; kHeuristic or kRandom) with
+// every pattern refilled every round. *scratch carries the memory budget,
+// as in the mark stage.
 template <class L>
 LocalSanitizeResult SanitizeLanguageRowRefillingAll(
     typename L::Row* row, const std::vector<typename L::Pattern>& patterns,
-    const std::vector<typename L::Spec>& specs, MatchScratch* scratch) {
+    const std::vector<typename L::Spec>& specs, LocalStrategy strategy,
+    Rng* rng, MatchScratch* scratch) {
   const typename L::Spec unconstrained{};
   auto lang = [&](size_t p, const typename L::Row& r) {
     return L(patterns[p], specs.empty() ? unconstrained : specs[p], r);
@@ -89,10 +81,10 @@ LocalSanitizeResult SanitizeLanguageRowRefillingAll(
     }
     return total;
   };
+  scratch->exhausted = false;
   LocalSanitizeResult result;
   MarkRoundsRefillingAll(
-      LocalStrategy::kHeuristic, /*rng=*/nullptr, row->size(),
-      patterns.size(),
+      strategy, rng, row->size(), patterns.size(),
       [&](size_t p, std::vector<uint64_t>* d) {
         LanguageDeltas(lang(p, *row), scratch, d);
         return !scratch->exhausted;

@@ -225,6 +225,26 @@ TEST(HideClassPatternsTest, PsiLeavesExpensiveSupporter) {
   EXPECT_EQ(db[1].MarkCount(), 0u) << "expensive supporter disclosed";
 }
 
+// A repeated pattern (which would double-count its matchings) and ψ above
+// |rows| are rejected as SanitizeView rejects them, rows untouched. Equal
+// classes are the same pattern however they were written.
+TEST(HideClassPatternsTest, RejectsDuplicatePatternsAndPsiAboveRows) {
+  SequenceDatabase db;
+  db.AddFromNames({"login", "basket", "pay"});
+  db.AddFromNames({"login", "buy", "pay"});
+  Alphabet& a = db.alphabet();
+  auto p1 = ParseClassPattern(&a, "login [basket buy] pay");
+  auto p2 = ParseClassPattern(&a, "login [buy basket] pay");
+  auto p3 = ParseClassPattern(&a, "login . pay");
+  ASSERT_TRUE(p1.ok() && p2.ok() && p3.ok());
+  EXPECT_TRUE(Hide(&db, {*p1, *p3, *p2}, {}, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(Hide(&db, {*p1}, {}, 3).status().IsInvalidArgument());
+  EXPECT_EQ(db[0].MarkCount() + db[1].MarkCount(), 0u);
+  auto report = Hide(&db, {*p1, *p3}, {}, 2);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->supports_after, (std::vector<size_t>{2, 2}));
+}
+
 TEST(HideClassPatternsTest, WildcardPatternHiding) {
   // Hide "login . . pay" (any two actions between) completely.
   SequenceDatabase db;

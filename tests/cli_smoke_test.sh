@@ -224,6 +224,31 @@ if "$CLI" sanitize --db "$WORK/baskets.txt" --out /dev/null \
     --format itemset --pattern "() (coupon)" --psi 0 > /dev/null 2>&1; then
   echo "FAIL: empty pattern element accepted"; exit 1
 fi
+# Itemset input parity with the sequence pipeline: at psi 1, the pair
+# (a) (c), (b) (d) marks row 1; repeating (a) (c) doubled its count and
+# marked row 2 instead. A repeated pattern and psi above |D| now exit 1
+# with InvalidArgument, as for sequence patterns, and write nothing.
+printf '(a) (a) (a) (c)\n(b) (b) (b) (b) (b) (d)\n' > "$WORK/dup_baskets.txt"
+"$CLI" sanitize --db "$WORK/dup_baskets.txt" --out "$WORK/dup_out.txt" \
+  --format itemset --psi 1 --pattern "(a) (c)" --pattern "(b) (d)" > /dev/null
+grep -q "^(a) (a) (a) ()$" "$WORK/dup_out.txt"
+grep -q "^(b) (b) (b) (b) (b) (d)$" "$WORK/dup_out.txt"
+rm "$WORK/dup_out.txt"
+expect_invalid_itemset() {
+  set +e
+  "$CLI" sanitize --db "$WORK/dup_baskets.txt" --out "$WORK/dup_out.txt" \
+    --format itemset "$@" > /dev/null 2> "$WORK/dup_err.txt"
+  code=$?
+  set -e
+  [ "$code" = 1 ] || { echo "FAIL: exit $code, not 1, for: $*"; exit 1; }
+  grep -q "InvalidArgument" "$WORK/dup_err.txt" \
+    || { echo "FAIL: no InvalidArgument for: $*"; exit 1; }
+  [ ! -e "$WORK/dup_out.txt" ] \
+    || { echo "FAIL: rejected run wrote output for: $*"; exit 1; }
+}
+expect_invalid_itemset --psi 1 --pattern "(a) (c)" --pattern "(b) (d)" \
+  --pattern "(a) (c)"
+expect_invalid_itemset --psi 3 --pattern "(a) (c)"
 if "$CLI" stats --db "$WORK/baskets.txt" --format bogus > /dev/null 2>&1; then
   echo "FAIL: bogus format accepted"; exit 1
 fi

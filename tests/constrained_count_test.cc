@@ -4,7 +4,8 @@
 
 #include "src/match/count.h"
 #include "src/match/matching_set.h"
-#include "src/match/prefix_table.h"
+#include "src/match/language.h"
+#include "src/testing/delta_oracles.h"
 #include "tests/test_util.h"
 
 namespace seqhide {
@@ -12,13 +13,14 @@ namespace {
 
 using testutil::RandomSeq;
 using testutil::Seq;
+using testutil::SequenceTable;
 
 TEST(GapEndTableTest, DegeneratesToPrefixTableWhenUnconstrained) {
   Alphabet a;
   Sequence t = Seq(&a, "a a b c c b a e");
   Sequence s = Seq(&a, "a b c");
-  EXPECT_EQ(BuildGapEndTable(s, ConstraintSpec(), t),
-            BuildPrefixEndTable(s, t));
+  EXPECT_EQ(SequenceTable(s, ConstraintSpec(), t),
+            BuildPrefixEndTableNaive(s, t));
 }
 
 TEST(ConstrainedCountTest, PaperSection5Example) {

@@ -201,6 +201,28 @@ TEST(ItemsetHideTest, InputValidation) {
                   .IsInvalidArgument());
 }
 
+// The repro of a duplicate changing HH's victim: rows (a) (a) (a) (c) and
+// (b) (b) (b) (b) (b) (d) at ψ = 1 mark row 0 under (a) (c), (b) (d);
+// repeating (a) (c) doubled its count and marked row 1. Duplicates and
+// ψ above |rows| are rejected as SanitizeView rejects them, rows untouched.
+TEST(ItemsetHideTest, RejectsDuplicatePatternsAndPsiAboveRows) {
+  ItemsetDatabase db;
+  db.Add(ISeq({Itemset{1}, Itemset{1}, Itemset{1}, Itemset{3}}));
+  db.Add(ISeq({Itemset{2}, Itemset{2}, Itemset{2}, Itemset{2}, Itemset{2},
+               Itemset{4}}));
+  const ItemsetDatabase original = db;
+  const ItemsetSequence ac = ISeq({Itemset{1}, Itemset{3}});
+  const ItemsetSequence bd = ISeq({Itemset{2}, Itemset{4}});
+  EXPECT_TRUE(Hide(&db, {ac, bd, ac}, {}, 1).status().IsInvalidArgument());
+  EXPECT_TRUE(Hide(&db, {ac}, {}, 3).status().IsInvalidArgument());
+  EXPECT_EQ(db.sequences(), original.sequences());
+  EXPECT_TRUE(Hide(&db, {ac}, {}, 2).ok());  // ψ = |rows| is allowed
+  auto report = Hide(&db, {ac, bd}, {}, 1);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(db[0].TotalItems(), 3u);  // (c) removed
+  EXPECT_EQ(db[1], original[1]);
+}
+
 // (a)²⁰ over 100 (a) elements has C(100, 20) > 2⁶⁴ matchings, so no single
 // item removal lowers the saturated row count; the chosen element is then
 // cleared whole, and both rows still get sanitized.

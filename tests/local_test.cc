@@ -4,7 +4,7 @@
 
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
-#include "src/match/position_delta.h"
+#include "src/match/language.h"
 #include "src/match/scratch.h"
 #include "src/obs/metrics.h"
 #include "tests/test_util.h"
@@ -172,6 +172,7 @@ TEST(LocalSanitizeTest, MarkRoundsFillsPerRound) {
   Alphabet a;
   Sequence t = Seq(&a, "a b x c d");
   std::vector<Sequence> patterns = {Seq(&a, "a b"), Seq(&a, "c d")};
+  const ConstraintSpec unconstrained;
   MatchScratch scratch;
   std::vector<size_t> fills_per_round;
   size_t fills = 0;
@@ -180,7 +181,8 @@ TEST(LocalSanitizeTest, MarkRoundsFillsPerRound) {
       LocalStrategy::kHeuristic, /*rng=*/nullptr, patterns.size(),
       [&](size_t p, std::vector<uint64_t>* d) {
         ++fills;
-        PositionDeltasInto(patterns[p], ConstraintSpec(), t, &scratch, d);
+        LanguageDeltas(SequenceLanguage(patterns[p], unconstrained, t),
+                       &scratch, d);
         return true;
       },
       [&](size_t pos) {

@@ -1,5 +1,3 @@
-#include "src/match/position_delta.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +5,7 @@
 #include <string>
 
 #include "src/match/constrained_count.h"
+#include "src/match/language.h"
 #include "src/match/matching_set.h"
 #include "src/testing/delta_oracles.h"
 #include "tests/test_util.h"
@@ -16,6 +15,8 @@ namespace {
 
 using testutil::RandomSeq;
 using testutil::Seq;
+using testutil::SequenceDeltas;
+using testutil::SequenceTable;
 
 // Paper Example 2: δ(T[1]) = 2, δ(T[2]) = 2, δ(T[3]) = 4 for
 // S = <a,b,c>, T = <a,a,b,c,c,b,a,e>.
@@ -24,7 +25,7 @@ TEST(PositionDeltaTest, PaperExampleTwo) {
   Sequence t = Seq(&a, "a a b c c b a e");
   Sequence s = Seq(&a, "a b c");
   std::vector<uint64_t> expected = {2, 2, 4, 2, 2, 0, 0, 0};
-  EXPECT_EQ(PositionDeltas(s, ConstraintSpec(), t), expected);
+  EXPECT_EQ(SequenceDeltas(s, ConstraintSpec(), t), expected);
   EXPECT_EQ(PositionDeltasByDeletion(s, t), expected);
   EXPECT_EQ(PositionDeltasByMarking(s, ConstraintSpec(), t), expected);
 }
@@ -33,7 +34,7 @@ TEST(PositionDeltaTest, SingleSymbolPattern) {
   Alphabet a;
   Sequence t = Seq(&a, "x y x");
   Sequence s = Seq(&a, "x");
-  EXPECT_EQ(PositionDeltas(s, ConstraintSpec(), t),
+  EXPECT_EQ(SequenceDeltas(s, ConstraintSpec(), t),
             (std::vector<uint64_t>{1, 0, 1}));
 }
 
@@ -42,7 +43,7 @@ TEST(PositionDeltaTest, MarkedPositionsHaveZeroDelta) {
   Sequence t = Seq(&a, "a b a b");
   t.Mark(0);
   Sequence s = Seq(&a, "a b");
-  std::vector<uint64_t> d = PositionDeltas(s, ConstraintSpec(), t);
+  std::vector<uint64_t> d = SequenceDeltas(s, ConstraintSpec(), t);
   EXPECT_EQ(d[0], 0u);
   EXPECT_EQ(d[2], 1u);  // only matching (2,3) remains
   EXPECT_EQ(d[3], 1u);
@@ -64,7 +65,7 @@ TEST(PositionDeltaTest, GapConstrainedExample) {
   Sequence s = Seq(&a, "a b");
   // Unconstrained: (0,2), (0,3). Max gap 1: only (0,2).
   ConstraintSpec spec = ConstraintSpec::UniformGap(0, 1);
-  std::vector<uint64_t> d = PositionDeltas(s, spec, t);
+  std::vector<uint64_t> d = SequenceDeltas(s, spec, t);
   EXPECT_EQ(d, (std::vector<uint64_t>{1, 0, 1, 0}));
 }
 
@@ -75,7 +76,7 @@ TEST(PositionDeltaTest, WindowConstrainedSumsOverAnchors) {
   ConstraintSpec spec = ConstraintSpec::Window(4);
   // Valid under window 4: (0,1) span 2 and (3,6) span 4. Anchor 0's span
   // is [0, 3], anchor 3's is [3, 6], clipped at the row's end.
-  std::vector<uint64_t> d = PositionDeltas(s, spec, t);
+  std::vector<uint64_t> d = SequenceDeltas(s, spec, t);
   EXPECT_EQ(d, (std::vector<uint64_t>{1, 1, 0, 1, 0, 0, 1}));
 }
 
@@ -112,9 +113,9 @@ TEST(PositionDeltaTest, SaturatedLongRowIsPinned) {
   const ConstraintSpec gap2 = ConstraintSpec::UniformGap(2, GapBound::kNoMax);
   const ConstraintSpec bounded = ConstraintSpec::UniformGap(1, 30);
 
-  const std::vector<uint64_t> plain = PositionDeltas(s, ConstraintSpec(), t);
-  const std::vector<uint64_t> d1 = PositionDeltas(s, gap1, t);
-  const std::vector<uint64_t> d2 = PositionDeltas(s, gap2, t);
+  const std::vector<uint64_t> plain = SequenceDeltas(s, ConstraintSpec(), t);
+  const std::vector<uint64_t> d1 = SequenceDeltas(s, gap1, t);
+  const std::vector<uint64_t> d2 = SequenceDeltas(s, gap2, t);
   EXPECT_EQ(plain[0], kMax);
   EXPECT_EQ(d1[0], kMax);
   EXPECT_LT(*std::max_element(d2.begin(), d2.end()), kMax);
@@ -123,11 +124,11 @@ TEST(PositionDeltaTest, SaturatedLongRowIsPinned) {
   EXPECT_EQ(Digest(plain, kFnvBasis), 10168201750644091205ULL);
   EXPECT_EQ(Digest(d1, kFnvBasis), 10168201750644091205ULL);
   EXPECT_EQ(Digest(d2, kFnvBasis), 1885754487494107029ULL);
-  EXPECT_EQ(Digest(PositionDeltas(s, bounded, t), kFnvBasis),
+  EXPECT_EQ(Digest(SequenceDeltas(s, bounded, t), kFnvBasis),
             1807648594236471377ULL);
   auto table_digest = [&](const ConstraintSpec& spec) {
     uint64_t h = kFnvBasis;
-    for (const auto& row_k : BuildGapEndTable(s, spec, t)) {
+    for (const auto& row_k : SequenceTable(s, spec, t)) {
       h = Digest(std::vector<uint64_t>(row_k.begin(), row_k.end()), h);
     }
     return h;
@@ -164,7 +165,7 @@ TEST(PositionDeltaTest, PropertyAllMethodsAgreeWithBruteForce) {
         break;
     }
 
-    std::vector<uint64_t> fast = PositionDeltas(s, spec, t);
+    std::vector<uint64_t> fast = SequenceDeltas(s, spec, t);
     std::vector<uint64_t> marking = PositionDeltasByMarking(s, spec, t);
     ASSERT_EQ(fast.size(), n);
     for (size_t i = 0; i < n; ++i) {

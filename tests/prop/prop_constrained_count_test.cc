@@ -1,8 +1,9 @@
 // Differential properties for constrained counting (Lemmas 4-5,
-// match/constrained_count.h): the gap-table DP, the windowed evaluation,
-// and the support predicate must agree with enumerate-and-filter under
-// the definitional predicate ConstraintSpec::SatisfiedBy — and degenerate
-// to the unconstrained kernels when the spec is trivial.
+// match/constrained_count.h over language.h's tables): the gap-table DP,
+// the windowed evaluation, and the support predicate must agree with
+// enumerate-and-filter under the definitional predicate
+// ConstraintSpec::SatisfiedBy — and degenerate to the unconstrained
+// kernels when the spec is trivial.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +11,12 @@
 
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
-#include "src/match/prefix_table.h"
+#include "src/match/language.h"
 #include "src/match/scratch.h"
+#include "src/testing/delta_oracles.h"
 #include "src/testing/oracles.h"
 #include "tests/prop/prop_gtest.h"
+#include "tests/test_util.h"
 
 namespace seqhide {
 namespace proptest {
@@ -93,8 +96,9 @@ TEST(ConstrainedCountProps, UnconstrainedDegeneratesToLemma2And3) {
                  " but Lemma 2 count=" + std::to_string(plain) + " (row T" +
                  std::to_string(t) + ", pattern S" + std::to_string(p) + ")";
         }
-        auto q = BuildGapEndTable(inst.patterns[p], trivial, inst.db[t]);
-        auto lemma3 = BuildPrefixEndTable(inst.patterns[p], inst.db[t]);
+        auto q = testutil::SequenceTable(inst.patterns[p], trivial,
+                                         inst.db[t]);
+        auto lemma3 = BuildPrefixEndTableNaive(inst.patterns[p], inst.db[t]);
         if (q != lemma3) {
           return "Q table != P table on an unconstrained spec (row T" +
                  std::to_string(t) + ", pattern S" + std::to_string(p) + ")";

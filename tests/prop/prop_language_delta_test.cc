@@ -10,7 +10,8 @@
 //     1, window ≥ n, windows over bounded and min-gap-only gaps, timed
 //     windows on tenths rounding boundaries);
 //   * hiding leaves every support ≤ ψ (by enumeration) and changes
-//     only positions that some embedding used before hiding.
+//     only positions that some embedding used before hiding; a repeated
+//     pattern or ψ above |rows| is InvalidArgument.
 // Case counts follow SEQHIDE_PROP_CASES; a failure names its case seed.
 
 #include <gtest/gtest.h>
@@ -58,6 +59,17 @@ bool Changed(const TimedSequence& a, const TimedSequence& b, size_t i) {
 }
 bool Changed(const Sequence& a, const Sequence& b, size_t i) {
   return a[i] != b[i];
+}
+template <class Row>
+bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t t = 0; t < a.size(); ++t) {
+    if (a[t].size() != b[t].size()) return false;
+    for (size_t i = 0; i < a[t].size(); ++i) {
+      if (Changed(a[t], b[t], i)) return false;
+    }
+  }
+  return true;
 }
 
 // Embeddings through each position of `row`, by enumeration.
@@ -110,6 +122,18 @@ std::string CheckHiding(std::vector<typename L::Row> rows,
                         size_t psi) {
   const std::vector<typename L::Row> before = rows;
   auto report = HideLanguagePatterns<L>(&rows, patterns, specs, psi);
+  // Inputs SanitizeView rejects — a repeated pattern, ψ above |rows| — are
+  // InvalidArgument here too, with the rows untouched.
+  bool invalid = psi > rows.size();
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    for (size_t q = 0; q < p; ++q) invalid |= patterns[q] == patterns[p];
+  }
+  if (invalid) {
+    if (report.ok() || report.status().code() != StatusCode::kInvalidArgument) {
+      return "invalid input not rejected: " + report.status().ToString();
+    }
+    return SameRows(rows, before) ? std::string() : "rejected run changed rows";
+  }
   if (!report.ok()) return "hiding failed: " + report.status().ToString();
   for (size_t p = 0; p < patterns.size(); ++p) {
     size_t support = 0;

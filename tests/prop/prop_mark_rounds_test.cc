@@ -4,9 +4,9 @@
 // pattern every round (src/testing/round_oracle.h). Both run on copies of
 // one row with the same δ and mark callbacks and must return the same
 // marked_positions, marks_introduced and exhausted, and release the same
-// row, for:
-//   * sequences under GenInstance's constraint mix (min/max gaps and
-//     windows), with the Heuristic and the Random strategy (equal seeds);
+// row, with the Heuristic and the Random strategy (equal seeds), for:
+//   * sequences (SanitizeSequence) under GenInstance's constraint mix
+//     (min/max gaps and windows);
 //   * sequences under max-window specs at the edges of the anchored spans;
 //   * itemset, timed and class rows (SanitizeLanguageRow);
 //   * long rows whose counts saturate at 2⁶⁴−1;
@@ -17,13 +17,14 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/hide/hide_language.h"
 #include "src/hide/local.h"
 #include "src/itemset/itemset_match.h"
 #include "src/match/count.h"
+#include "src/match/language.h"
 #include "src/match/scratch.h"
 #include "src/repat/class_pattern.h"
 #include "src/temporal/timed_match.h"
@@ -78,23 +79,31 @@ std::string Diff(const LocalSanitizeResult& got, const Row& got_row,
 
 // Both loops on copies of `row`, Heuristic and then Random with the same
 // seed on both sides; `max_table_bytes` is the scratch budget (0 = none).
-std::string CheckSequenceRow(const Sequence& row,
-                             const std::vector<Sequence>& patterns,
-                             const std::vector<ConstraintSpec>& constraints,
-                             uint64_t seed, size_t max_table_bytes,
-                             bool* exhausted = nullptr) {
+// Sequence rows enter through SanitizeSequence, the mark stage's entry
+// point, and every other language through SanitizeLanguageRow.
+template <class L>
+std::string CheckRow(const typename L::Row& row,
+                     const std::vector<typename L::Pattern>& patterns,
+                     const std::vector<typename L::Spec>& specs,
+                     uint64_t seed, size_t max_table_bytes = 0,
+                     bool* exhausted = nullptr) {
   for (LocalStrategy strategy :
        {LocalStrategy::kHeuristic, LocalStrategy::kRandom}) {
-    Sequence got_row = row, want_row = row;
+    typename L::Row got_row = row, want_row = row;
     Rng got_rng(seed), want_rng(seed);
     MatchScratch got_scratch, want_scratch;
     got_scratch.max_table_bytes = max_table_bytes;
     want_scratch.max_table_bytes = max_table_bytes;
-    const LocalSanitizeResult got =
-        SanitizeSequence(&got_row, patterns, constraints, strategy, &got_rng,
-                         &got_scratch);
-    const LocalSanitizeResult want = SanitizeSequenceRefillingAll(
-        &want_row, patterns, constraints, strategy, &want_rng, &want_scratch);
+    LocalSanitizeResult got;
+    if constexpr (std::is_same_v<L, SequenceLanguage>) {
+      got = SanitizeSequence(&got_row, patterns, specs, strategy, &got_rng,
+                             &got_scratch);
+    } else {
+      got = SanitizeLanguageRow<L>(&got_row, patterns, specs, strategy,
+                                   &got_rng, &got_scratch);
+    }
+    const LocalSanitizeResult want = SanitizeLanguageRowRefillingAll<L>(
+        &want_row, patterns, specs, strategy, &want_rng, &want_scratch);
     const std::string diff = Diff(got, got_row, want, want_row);
     if (!diff.empty()) {
       return std::string(strategy == LocalStrategy::kHeuristic ? "heuristic"
@@ -104,20 +113,6 @@ std::string CheckSequenceRow(const Sequence& row,
     if (exhausted != nullptr) *exhausted = *exhausted || got.exhausted;
   }
   return std::string();
-}
-
-// SanitizeLanguageRow against the refill-all loop on copies of `row`.
-template <class L>
-std::string CheckLanguageRow(const typename L::Row& row,
-                             const std::vector<typename L::Pattern>& patterns,
-                             const std::vector<typename L::Spec>& specs) {
-  typename L::Row got_row = row, want_row = row;
-  MatchScratch got_scratch, want_scratch;
-  const LocalSanitizeResult got =
-      SanitizeLanguageRow<L>(&got_row, patterns, specs, &got_scratch);
-  const LocalSanitizeResult want = SanitizeLanguageRowRefillingAll<L>(
-      &want_row, patterns, specs, &want_scratch);
-  return Diff(got, got_row, want, want_row);
 }
 
 // Runs `check(rng)` over the cases; the first failure names its seed.
@@ -141,8 +136,8 @@ TEST(MarkRoundsProps, SequenceRowsEqualRefillingAll) {
   EXPECT_PROP_OK(CheckProperty(config, [](const PropInstance& inst) {
     for (size_t t = 0; t < inst.db.size(); ++t) {
       const std::string diff =
-          CheckSequenceRow(inst.db[t], inst.patterns, inst.constraints,
-                           inst.options.seed + t, /*max_table_bytes=*/0);
+          CheckRow<SequenceLanguage>(inst.db[t], inst.patterns,
+                                     inst.constraints, inst.options.seed + t);
       if (!diff.empty()) return "row T" + std::to_string(t) + " " + diff;
     }
     return std::string();
@@ -162,7 +157,7 @@ TEST(MarkRoundsProps, WindowedSequenceRowsEqualRefillingAll) {
       specs.push_back(rng->NextBernoulli(0.7) ? GenWindowedSpec(rng, m, n)
                                               : GenConstraintSpec(rng, m, n));
     }
-    return CheckSequenceRow(row, patterns, specs, rng->NextU64(), 0);
+    return CheckRow<SequenceLanguage>(row, patterns, specs, rng->NextU64());
   });
 }
 
@@ -178,7 +173,7 @@ TEST(MarkRoundsProps, ItemsetRowsEqualRefillingAll) {
       specs.push_back(rng->NextBernoulli(0.5) ? GenWindowedSpec(rng, m, n)
                                               : GenConstraintSpec(rng, m, n));
     }
-    return CheckLanguageRow<ItemsetLanguage>(row, patterns, specs);
+    return CheckRow<ItemsetLanguage>(row, patterns, specs, rng->NextU64());
   });
 }
 
@@ -195,7 +190,7 @@ TEST(MarkRoundsProps, TimedRowsEqualRefillingAll) {
                           ? GenTimedWindowSpec(rng, row, tenths)
                           : GenTimeSpec(rng, row, tenths));
     }
-    return CheckLanguageRow<TimedLanguage>(row, patterns, specs);
+    return CheckRow<TimedLanguage>(row, patterns, specs, rng->NextU64());
   });
 }
 
@@ -211,7 +206,7 @@ TEST(MarkRoundsProps, ClassRowsEqualRefillingAll) {
       specs.push_back(rng->NextBernoulli(0.5) ? GenWindowedSpec(rng, m, n)
                                               : GenConstraintSpec(rng, m, n));
     }
-    return CheckLanguageRow<ClassLanguage>(row, patterns, specs);
+    return CheckRow<ClassLanguage>(row, patterns, specs, rng->NextU64());
   });
 }
 
@@ -237,8 +232,8 @@ TEST(MarkRoundsProps, SaturatingLongRowsEqualRefillingAll) {
         }
       }
       const std::string diff =
-          CheckSequenceRow(inst.db[t], inst.patterns, inst.constraints,
-                           inst.options.seed + t, /*max_table_bytes=*/0);
+          CheckRow<SequenceLanguage>(inst.db[t], inst.patterns,
+                                     inst.constraints, inst.options.seed + t);
       if (!diff.empty()) return "row T" + std::to_string(t) + " " + diff;
     }
     return std::string();
@@ -267,8 +262,9 @@ TEST(MarkRoundsProps, TableBudgetRefusalEqualsRefillingAll) {
       const size_t budget = 8 * (1 + rng.NextBounded(largest));
       bool exhausted = false;
       const std::string diff =
-          CheckSequenceRow(inst.db[t], inst.patterns, inst.constraints,
-                           inst.options.seed + t, budget, &exhausted);
+          CheckRow<SequenceLanguage>(inst.db[t], inst.patterns,
+                                     inst.constraints, inst.options.seed + t,
+                                     budget, &exhausted);
       if (!diff.empty()) {
         return "row T" + std::to_string(t) + " budget " +
                std::to_string(budget) + " " + diff;

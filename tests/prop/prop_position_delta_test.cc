@@ -1,5 +1,6 @@
-// Differential properties for δ(T[i]) (match/position_delta.h). The
-// production forward×backward method (anchored under a max-window), and
+// Differential properties for δ(T[i]) of sequence patterns. The
+// production forward×backward method (LanguageDeltas in
+// match/language.h, anchored under a max-window), and
 // the test oracles of src/testing/delta_oracles.h — the paper's Theorem 2
 // deletion method and the mark-and-recount method — must all equal the
 // definitional enumeration count of embeddings involving each position —
@@ -13,16 +14,20 @@
 #include "src/common/random.h"
 #include "src/match/constrained_count.h"
 #include "src/match/count.h"
-#include "src/match/position_delta.h"
+#include "src/match/language.h"
 #include "src/match/scratch.h"
 #include "src/testing/delta_oracles.h"
 #include "src/testing/generators.h"
 #include "src/testing/oracles.h"
 #include "tests/prop/prop_gtest.h"
+#include "tests/test_util.h"
 
 namespace seqhide {
 namespace proptest {
 namespace {
+
+using testutil::SequenceDeltas;
+using testutil::SequenceTable;
 
 ConstraintSpec SpecFor(const PropInstance& inst, size_t p) {
   return inst.constraints.empty() ? ConstraintSpec() : inst.constraints[p];
@@ -56,7 +61,7 @@ TEST(PositionDeltaProps, ProductionEqualsEnumeration) {
     for (size_t t = 0; t < inst.db.size(); ++t) {
       for (size_t p = 0; p < inst.patterns.size(); ++p) {
         ConstraintSpec spec = SpecFor(inst, p);
-        auto fast = PositionDeltas(inst.patterns[p], spec, inst.db[t]);
+        auto fast = SequenceDeltas(inst.patterns[p], spec, inst.db[t]);
         auto oracle = OraclePositionDeltas(inst.patterns[p], spec, inst.db[t]);
         std::string diff =
             DiffDeltas(fast, oracle, "production", "enumeration", t, p);
@@ -105,7 +110,7 @@ TEST(PositionDeltaProps, DeletionMethodAgreesUnconstrained) {
             DiffDeltas(deletion, oracle, "deletion", "enumeration", t, p);
         if (!diff.empty()) return diff;
         auto fast =
-            PositionDeltas(inst.patterns[p], ConstraintSpec(), inst.db[t]);
+            SequenceDeltas(inst.patterns[p], ConstraintSpec(), inst.db[t]);
         diff = DiffDeltas(deletion, fast, "deletion", "production", t, p);
         if (!diff.empty()) return diff;
       }
@@ -166,7 +171,7 @@ TEST(PositionDeltaProps, WindowedEqualsMarkingAndEnumeration) {
     EXPECT_EQ(CountConstrainedMatchings(pattern, spec, row),
               OracleConstrainedCount(pattern, spec, row))
         << where;
-    const auto fast = PositionDeltas(pattern, spec, row);
+    const auto fast = SequenceDeltas(pattern, spec, row);
     const auto oracle = OraclePositionDeltas(pattern, spec, row);
     ASSERT_EQ(DiffDeltas(fast, oracle, "production", "enumeration", 0, 0), "")
         << where;
@@ -179,8 +184,7 @@ TEST(PositionDeltaProps, WindowedEqualsMarkingAndEnumeration) {
 
 // The arrow kinds the long-row properties cover, for a pattern of
 // `arrows` arrows: unconstrained, min-gap-only ->[g..] for g in {0, 1, 5},
-// bounded ->[1..3], and a per-arrow mix of ->[g..] and ->[0..2] (with g = 0
-// that mix is the only way a ->[0..] arrow reaches the gap table).
+// bounded ->[1..3], and a per-arrow mix of ->[g..] and ->[0..2].
 std::vector<ConstraintSpec> LongRowSpecs(size_t arrows) {
   std::vector<ConstraintSpec> specs = {ConstraintSpec()};
   for (size_t g : {0, 1, 5}) {
@@ -220,7 +224,7 @@ TEST(PositionDeltaProps, LongRowsEqualMarking) {
             const Sequence& pattern = inst.patterns[p];
             for (const ConstraintSpec& spec :
                  LongRowSpecs(pattern.size() - 1)) {
-              auto fast = PositionDeltas(pattern, spec, inst.db[t]);
+              auto fast = SequenceDeltas(pattern, spec, inst.db[t]);
               auto marking = PositionDeltasByMarking(pattern, spec, inst.db[t]);
               std::string diff = DiffDeltas(fast, marking, "production",
                                             "marking " + spec.ToString(), t, p);
@@ -249,12 +253,9 @@ TEST(PositionDeltaProps, LongRowsGapTableEqualsWindowedSum) {
                 open.push_back(GapBound{g, GapBound::kNoMax});
                 capped.push_back(GapBound{g, n});
               }
-              // With g = 0, bound arrow 0 in both specs so that the spec
-              // still takes the gap table, not the prefix table.
-              if (g == 0 && !open.empty()) open[0] = capped[0] = GapBound{0, 2};
-              const auto got = BuildGapEndTable(
+              const auto got = SequenceTable(
                   pattern, ConstraintSpec::PerArrow(open), inst.db[t]);
-              const auto want = BuildGapEndTable(
+              const auto want = SequenceTable(
                   pattern, ConstraintSpec::PerArrow(capped), inst.db[t]);
               if (got != want) {
                 return "gap table ->[" + std::to_string(g) +

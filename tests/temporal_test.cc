@@ -190,6 +190,25 @@ TEST(TimedSanitizeTest, NoValidOccurrencesNoMarks) {
   EXPECT_EQ(t.MarkCount(), 0u);
 }
 
+// A repeated pattern (which would double-count its matchings) and ψ above
+// |rows| are rejected as SanitizeView rejects them, rows untouched.
+TEST(TimedSanitizeTest, RejectsDuplicatePatternsAndPsiAboveRows) {
+  std::vector<TimedSequence> rows = {MakeTimed({{0, 0.0}, {1, 1.0}}),
+                                     MakeTimed({{1, 0.0}, {0, 2.0}})};
+  const TimeConstraintSpec spec;
+  const Sequence ab{0, 1};
+  const Sequence ba{1, 0};
+  auto dup = HideLanguagePatterns<TimedLanguage>(&rows, {ab, ba, ab},
+                                                 {spec, spec, spec}, 0);
+  EXPECT_TRUE(dup.status().IsInvalidArgument()) << dup.status();
+  auto over = HideLanguagePatterns<TimedLanguage>(&rows, {ab}, {spec}, 3);
+  EXPECT_TRUE(over.status().IsInvalidArgument()) << over.status();
+  EXPECT_EQ(rows[0].MarkCount() + rows[1].MarkCount(), 0u);
+  EXPECT_TRUE(
+      HideLanguagePatterns<TimedLanguage>(&rows, {ab, ba}, {spec, spec}, 2)
+          .ok());
+}
+
 // Gap-only specs take δ from forward × backward, which stays large when the
 // counts saturate: a²⁰ over 200 a's has far more than 2⁶⁴ matchings, and
 // both rows still get sanitized.

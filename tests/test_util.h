@@ -17,8 +17,12 @@
 
 #include "src/common/random.h"
 #include "src/common/string_util.h"
+#include "src/constraints/constraints.h"
+#include "src/match/language.h"
+#include "src/match/scratch.h"
 #include "src/seq/alphabet.h"
 #include "src/seq/sequence.h"
+#include "src/seq/view.h"
 #include "src/testing/generators.h"
 
 namespace seqhide {
@@ -35,6 +39,29 @@ inline Sequence Seq(Alphabet* alphabet, const std::string& text) {
 inline Sequence RandomSeq(Rng* rng, size_t length, size_t alphabet_size) {
   return proptest::GenSequence(rng, length, alphabet_size,
                                /*delta_density=*/0.0, /*repeat_bias=*/0.0);
+}
+
+// The sequence pattern's gap-end table under `spec` (window ignored):
+// FillGapEndTable on SequenceLanguage with a fresh scratch. Lemma 3's
+// table when `spec` has no gap.
+inline PrefixEndTable SequenceTable(const Sequence& pattern,
+                                    const ConstraintSpec& spec,
+                                    SequenceView row) {
+  MatchScratch scratch;
+  PrefixEndTable table;
+  FillGapEndTable(SequenceLanguage(pattern, spec, row), &scratch, &table);
+  return table;
+}
+
+// δ of every position of `row` w.r.t. the sequence pattern under `spec`:
+// LanguageDeltas on SequenceLanguage with a fresh scratch.
+inline std::vector<uint64_t> SequenceDeltas(const Sequence& pattern,
+                                            const ConstraintSpec& spec,
+                                            SequenceView row) {
+  MatchScratch scratch;
+  std::vector<uint64_t> deltas;
+  LanguageDeltas(SequenceLanguage(pattern, spec, row), &scratch, &deltas);
+  return deltas;
 }
 
 // Random database of exactly `rows` unmarked sequences with lengths in
