@@ -11,7 +11,7 @@
 
 #include "src/data/timed_workload.h"
 #include "src/eval/bench_harness.h"
-#include "src/hide/hide_language.h"
+#include "src/hide/pipeline.h"
 #include "src/temporal/timed_match.h"
 
 namespace seqhide {
@@ -49,10 +49,12 @@ void Run(const bench::SectionRun& run) {
     for (const auto& level : levels) {
       TimeConstraintSpec spec;
       spec.max_window_time = level.window_minutes;
+      SanitizeOptions opts;
+      opts.psi = psi;
       std::vector<TimedSequence> db = w.sequences;  // fresh copy
-      auto report = HideLanguagePatterns<TimedLanguage>(
+      auto report = SanitizeRows<TimedLanguage>(
           &db, w.sensitive,
-          std::vector<TimeConstraintSpec>(w.sensitive.size(), spec), psi);
+          std::vector<TimeConstraintSpec>(w.sensitive.size(), spec), opts);
       if (!report.ok()) {
         out.out() << "\nerror: " << report.status() << "\n";
         return;

@@ -13,7 +13,7 @@
 #include <iostream>
 
 #include "src/constraints/constraints.h"
-#include "src/hide/hide_language.h"
+#include "src/hide/pipeline.h"
 #include "src/repat/class_pattern.h"
 #include "src/seq/io.h"
 
@@ -50,8 +50,8 @@ int main() {
   // Note: "foreign_ip payout" does NOT match — the wildcard needs an
   // event between the risk signal and the payout.
 
-  Result<SanitizeReport> report = HideLanguagePatterns<ClassLanguage>(
-      db.mutable_sequences(), {*signature}, {window}, /*psi=*/0);
+  Result<SanitizeReport> report = SanitizeRows<ClassLanguage>(
+      db.mutable_sequences(), {*signature}, {window}, SanitizeOptions::HH());
   if (!report.ok()) {
     std::cerr << "hiding failed: " << report.status() << "\n";
     return 1;

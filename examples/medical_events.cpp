@@ -11,7 +11,7 @@
 #include <iostream>
 #include <vector>
 
-#include "src/hide/hide_language.h"
+#include "src/hide/pipeline.h"
 #include "src/itemset/itemset_match.h"
 #include "src/seq/alphabet.h"
 #include "src/temporal/timed_match.h"
@@ -58,8 +58,8 @@ int main() {
   }
 
   std::cout << "\nsanitizing...\n";
-  Result<SanitizeReport> timed = HideLanguagePatterns<TimedLanguage>(
-      &patients, {sensitive}, {within_48h}, /*psi=*/0);
+  Result<SanitizeReport> timed = SanitizeRows<TimedLanguage>(
+      &patients, {sensitive}, {within_48h}, SanitizeOptions::HH());
   if (!timed.ok()) {
     std::cerr << "timed hiding failed: " << timed.status() << "\n";
     return 1;
@@ -91,8 +91,9 @@ int main() {
 
   std::vector<ItemsetSequence> sensitive_visits = {
       ItemsetSequence{Itemset{dx}, Itemset{adv}}};
-  Result<SanitizeReport> report = HideLanguagePatterns<ItemsetLanguage>(
-      visits.mutable_sequences(), sensitive_visits, {}, /*psi=*/0);
+  Result<SanitizeReport> report = SanitizeRows<ItemsetLanguage>(
+      visits.mutable_sequences(), sensitive_visits, {},
+      SanitizeOptions::HH());
   if (!report.ok()) {
     std::cerr << "itemset hiding failed: " << report.status() << "\n";
     return 1;

@@ -10,7 +10,7 @@
 
 #include <iostream>
 
-#include "src/hide/hide_language.h"
+#include "src/hide/pipeline.h"
 #include "src/itemset/itemset_io.h"
 #include "src/itemset/itemset_match.h"
 #include "src/itemset/itemset_mine.h"
@@ -60,8 +60,8 @@ int main() {
             << before->size() << "\n";
 
   // Hide completely with the two-level hierarchical heuristic.
-  Result<SanitizeReport> report = HideLanguagePatterns<ItemsetLanguage>(
-      db.mutable_sequences(), sensitive, {}, /*psi=*/0);
+  Result<SanitizeReport> report = SanitizeRows<ItemsetLanguage>(
+      db.mutable_sequences(), sensitive, {}, SanitizeOptions::HH());
   if (!report.ok()) {
     std::cerr << "hiding failed: " << report.status() << "\n";
     return 1;

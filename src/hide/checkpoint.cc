@@ -1,9 +1,9 @@
 #include "src/hide/checkpoint.h"
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 
+#include "src/common/durable_file.h"
 #include "src/common/fault_injection.h"
 #include "src/common/logging.h"
 
@@ -278,34 +278,10 @@ Status WriteCheckpoint(const std::string& path, const CheckpointState& state) {
   }
   file += payload;
 
-  const std::string tmp_path = path + ".tmp";
-  {
-    if (SEQHIDE_FAULT_HIT("checkpoint.write.open")) {
-      return Status::IOError("injected fault: checkpoint.write.open (" +
-                             tmp_path + ")");
-    }
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IOError("cannot open checkpoint temp file: " + tmp_path);
-    }
-    out.write(file.data(), static_cast<std::streamsize>(file.size()));
-    out.flush();
-    if (SEQHIDE_FAULT_HIT("checkpoint.write.payload")) {
-      out.setstate(std::ios::failbit);
-    }
-    if (!out) {
-      out.close();
-      std::remove(tmp_path.c_str());
-      return Status::IOError("short write to checkpoint temp file: " +
-                             tmp_path);
-    }
-  }
-  if (SEQHIDE_FAULT_HIT("checkpoint.write.rename") ||
-      std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IOError("cannot rename checkpoint into place: " + path);
-  }
-  return Status::OK();
+  return WriteFileDurable(path, file,
+                          {.open = "checkpoint.write.open",
+                           .write = "checkpoint.write.payload",
+                           .rename = "checkpoint.write.rename"});
 }
 
 Result<CheckpointState> LoadCheckpoint(const std::string& path) {

@@ -21,9 +21,10 @@
 //           u64      FNV-1a-64 checksum of the payload
 //   payload          CheckpointState fields, in declaration order
 //
-// Atomicity: the file is written to `path + ".tmp"` and renamed over
-// `path`, so a crash mid-write leaves either the previous checkpoint or
-// none — never a torn one. Corruption (bad magic, checksum mismatch,
+// Atomicity: the file is written durably (WriteFileDurable,
+// src/common/durable_file.h: temp file, fsync, rename), so a crash or
+// power loss mid-write leaves either the previous checkpoint or none —
+// never a torn one. Corruption (bad magic, checksum mismatch,
 // truncation) loads as Status::Corruption; a version from a newer build
 // or a fingerprint from different inputs loads fine but is rejected by
 // the resume logic with FailedPrecondition. Versioning rule: any change
@@ -89,7 +90,7 @@ struct CheckpointState {
   obs::MetricsSnapshot metrics;
 };
 
-// Serializes `state` to `path` atomically (tmp + rename). Fault sites:
+// Serializes `state` to `path` durably (tmp + fsync + rename). Fault sites:
 // checkpoint.write.open, checkpoint.write.payload, checkpoint.write.rename.
 Status WriteCheckpoint(const std::string& path, const CheckpointState& state);
 

@@ -1,18 +1,10 @@
 #include "src/hide/global.h"
 
 #include <algorithm>
-#include <iterator>
-#include <mutex>
 #include <unordered_set>
-#include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/thread_pool.h"
-#include "src/match/constrained_count.h"
-#include "src/match/count.h"
-#include "src/match/scratch.h"
 #include "src/obs/macros.h"
-#include "src/seq/signature.h"
 
 namespace seqhide {
 namespace {
@@ -39,77 +31,11 @@ double AutocorrelationScore(SequenceView seq) {
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints) {
-  return ComputeMatchInfo(db, patterns, constraints, /*num_threads=*/1);
-}
-
-std::vector<SequenceMatchInfo> ComputeMatchInfo(
-    const DatabaseView& db, const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints, size_t num_threads) {
-  const MatchKernel kernel(patterns, constraints);
-  return ComputeMatchInfo(db, patterns, constraints, num_threads, kernel);
-}
-
-std::vector<SequenceMatchInfo> ComputeMatchInfo(
-    const DatabaseView& db, const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints, size_t num_threads,
-    const MatchKernel& kernel, size_t* admitted_pairs) {
   SEQHIDE_CHECK(constraints.empty() || constraints.size() == patterns.size())
       << "constraints must be empty or parallel to patterns";
-  SEQHIDE_TRACE_SPAN("compute_match_info");
-  SEQHIDE_COUNTER_ADD("global.match_info_rows", db.size() * patterns.size());
-  const size_t num_patterns = patterns.size();
-  const uint64_t* signatures = db.signatures();
-  // Each chunk lists its own supporters in row order; the lists are
-  // joined in chunk order below, so the result is the same at every
-  // thread count.
-  std::mutex mu;
-  std::vector<std::pair<size_t, std::vector<SequenceMatchInfo>>> chunks;
-  const uint64_t admitted = ThreadPool::Shared().ParallelReduceSum(
-      db.size(), num_threads, [&](size_t begin, size_t end) -> uint64_t {
-        // One scratch per chunk: warm across the chunk's rows, and never
-        // shared between workers. The kernel itself is immutable shared
-        // state (the trie built once, read concurrently).
-        MatchScratch scratch;
-        std::vector<SequenceMatchInfo> supporters;
-        uint64_t pairs = 0;
-        for (size_t t = begin; t < end; ++t) {
-          const SequenceView row = db.row(t);
-          const uint64_t sig =
-              signatures != nullptr ? signatures[t] : SequenceSignature(row);
-          size_t row_pairs = 0;
-          for (size_t p = 0; p < num_patterns; ++p) {
-            if (kernel.Admits(p, sig)) ++row_pairs;
-          }
-          if (row_pairs == 0) continue;
-          pairs += row_pairs;
-          std::vector<uint64_t>& counts = scratch.pattern_counts;
-          const uint64_t count = kernel.CountRow(row, sig, &scratch, &counts);
-          if (count == 0) continue;
-          SequenceMatchInfo& info = supporters.emplace_back();
-          info.index = t;
-          info.matching_count = count;
-          info.pattern_support.resize(num_patterns);
-          for (size_t p = 0; p < num_patterns; ++p) {
-            info.pattern_support[p] = (counts[p] > 0);
-          }
-        }
-        if (!supporters.empty()) {
-          std::lock_guard<std::mutex> lock(mu);
-          chunks.emplace_back(begin, std::move(supporters));
-        }
-        return pairs;
-      });
-  if (admitted_pairs != nullptr) {
-    *admitted_pairs = static_cast<size_t>(admitted);
-  }
-  std::sort(chunks.begin(), chunks.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<SequenceMatchInfo> info;
-  for (auto& chunk : chunks) {
-    std::move(chunk.second.begin(), chunk.second.end(),
-              std::back_inserter(info));
-  }
-  return info;
+  const MatchKernel kernel(patterns, constraints);
+  return ComputeMatchInfo(db, kernel, /*num_threads=*/1,
+                          /*admitted_pairs=*/nullptr);
 }
 
 std::vector<size_t> SelectSequencesToSanitize(

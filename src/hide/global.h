@@ -8,14 +8,21 @@
 #ifndef SEQHIDE_HIDE_GLOBAL_H_
 #define SEQHIDE_HIDE_GLOBAL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/common/thread_pool.h"
 #include "src/constraints/constraints.h"
 #include "src/hide/options.h"
 #include "src/match/kernel.h"
+#include "src/match/scratch.h"
+#include "src/obs/macros.h"
 #include "src/seq/view.h"
 
 namespace seqhide {
@@ -33,35 +40,87 @@ struct SequenceMatchInfo {
 // Computes SequenceMatchInfo for the supporters of `db` — the rows with
 // matching_count > 0 — in ascending row order; a row that supports no
 // pattern has no entry, so the result grows with the supporters, never
-// with |D|. The view serves in-memory and memory-mapped databases alike.
-// Rows are screened by their 64-bit symbol signature
-// (src/seq/signature.h): db.signatures() when the view carries them, else
-// computed from each row in the same pass. A (row, pattern) pair the
-// signature does not admit counts 0 with no DP, and a row that admits no
-// pattern is not scanned at all; the result is identical to counting
-// every pair.
+// with |D|. `db` is a DatabaseView (in-memory or memory-mapped) counted
+// by a MatchKernel, or a language's rows (LanguageRows,
+// src/hide/pipeline.h) counted by its LanguageKernel
+// (src/match/language.h). Rows are screened by their 64-bit symbol
+// signature (src/seq/signature.h): db.signatures() when the view carries
+// them, else computed from each row in the same pass. A (row, pattern)
+// pair the signature does not admit counts 0 with no DP, and a row that
+// admits no pattern is not scanned at all; the result is identical to
+// counting every pair. Rows are partitioned across up to `num_threads`
+// workers (0 = auto, 1 = serial; see thread_pool.h); each chunk lists its
+// own supporters and the lists are joined in chunk order, so the result
+// is bit-identical for any thread count. When `admitted_pairs` is
+// non-null it receives the number of (row, pattern) pairs the signature
+// screen let through to the kernel.
+template <class Rows, class Kernel>
+std::vector<SequenceMatchInfo> ComputeMatchInfo(const Rows& db,
+                                                const Kernel& kernel,
+                                                size_t num_threads,
+                                                size_t* admitted_pairs) {
+  SEQHIDE_TRACE_SPAN("compute_match_info");
+  const size_t num_patterns = kernel.num_patterns();
+  SEQHIDE_COUNTER_ADD("global.match_info_rows", db.size() * num_patterns);
+  const uint64_t* signatures = db.signatures();
+  // Each chunk lists its own supporters in row order; the lists are
+  // joined in chunk order below, so the result is the same at every
+  // thread count.
+  std::mutex mu;
+  std::vector<std::pair<size_t, std::vector<SequenceMatchInfo>>> chunks;
+  const uint64_t admitted = ThreadPool::Shared().ParallelReduceSum(
+      db.size(), num_threads, [&](size_t begin, size_t end) -> uint64_t {
+        // One scratch per chunk: warm across the chunk's rows, and never
+        // shared between workers. The kernel itself is immutable shared
+        // state (the trie built once, read concurrently).
+        MatchScratch scratch;
+        std::vector<SequenceMatchInfo> supporters;
+        uint64_t pairs = 0;
+        for (size_t t = begin; t < end; ++t) {
+          const auto& row = db.row(t);
+          const uint64_t sig =
+              signatures != nullptr ? signatures[t] : kernel.Signature(row);
+          size_t row_pairs = 0;
+          for (size_t p = 0; p < num_patterns; ++p) {
+            if (kernel.Admits(p, sig)) ++row_pairs;
+          }
+          if (row_pairs == 0) continue;
+          pairs += row_pairs;
+          std::vector<uint64_t>& counts = scratch.pattern_counts;
+          const uint64_t count = kernel.CountRow(row, sig, &scratch, &counts);
+          if (count == 0) continue;
+          SequenceMatchInfo& info = supporters.emplace_back();
+          info.index = t;
+          info.matching_count = count;
+          info.pattern_support.resize(num_patterns);
+          for (size_t p = 0; p < num_patterns; ++p) {
+            info.pattern_support[p] = (counts[p] > 0);
+          }
+        }
+        if (!supporters.empty()) {
+          std::lock_guard<std::mutex> lock(mu);
+          chunks.emplace_back(begin, std::move(supporters));
+        }
+        return pairs;
+      });
+  if (admitted_pairs != nullptr) {
+    *admitted_pairs = static_cast<size_t>(admitted);
+  }
+  std::sort(chunks.begin(), chunks.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<SequenceMatchInfo> info;
+  for (auto& chunk : chunks) {
+    std::move(chunk.second.begin(), chunk.second.end(),
+              std::back_inserter(info));
+  }
+  return info;
+}
+
+// Serial convenience: a MatchKernel of its own over `patterns` and
+// `constraints` (empty, or parallel to `patterns`).
 std::vector<SequenceMatchInfo> ComputeMatchInfo(
     const DatabaseView& db, const std::vector<Sequence>& patterns,
     const std::vector<ConstraintSpec>& constraints);
-
-// Parallel variant: partitions the database rows across up to
-// `num_threads` workers (0 = auto, 1 = serial; see thread_pool.h). Each
-// chunk lists its own supporters and the lists are joined in chunk
-// order, so the result is bit-identical to the serial overload for any
-// thread count.
-std::vector<SequenceMatchInfo> ComputeMatchInfo(
-    const DatabaseView& db, const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints, size_t num_threads);
-
-// Kernel-explicit variant: Sanitize builds one MatchKernel per run and
-// shares it with the verify stage; the overloads above delegate here with
-// a kernel of their own. The result is bit-identical for every thread
-// count. When `admitted_pairs` is non-null it receives the number of
-// (row, pattern) pairs the signature screen let through to the kernel.
-std::vector<SequenceMatchInfo> ComputeMatchInfo(
-    const DatabaseView& db, const std::vector<Sequence>& patterns,
-    const std::vector<ConstraintSpec>& constraints, size_t num_threads,
-    const MatchKernel& kernel, size_t* admitted_pairs = nullptr);
 
 // Returns the row indices of the sequences to sanitize, ascending, so
 // that at most `psi` sequences keep a matching. `info` is

@@ -11,7 +11,9 @@
 //   4. verify the disclosure requirement on the result.
 // The result satisfies sup_{D'}(S_i) ≤ ψ for every sensitive pattern.
 //
-// This header is the main public entry point of the library.
+// This header is the main public entry point of the library. The
+// pipeline itself is written once, for every pattern language, in
+// src/hide/pipeline.h.
 
 #ifndef SEQHIDE_HIDE_SANITIZER_H_
 #define SEQHIDE_HIDE_SANITIZER_H_
@@ -137,31 +139,30 @@ struct SanitizeReport {
   std::string ToString() const;
 };
 
-// Outcome of SanitizeView(): the report plus the overlay that turns the
-// input view into the sanitized database.
-struct SanitizeResult {
+// Outcome of one Algorithm 1 run: the report plus the overlay that turns
+// the input rows into the sanitized ones.
+template <class Row>
+struct RowsSanitizeResult {
   SanitizeReport report;
   // (row index, sanitized row) for every victim the mark stage processed,
   // ascending by row index. Rows not listed are unchanged; read the
   // result through DatabaseView::Overlay(overlay). A budget-stopped run
   // lists only the victims of completed rounds.
-  std::vector<std::pair<size_t, Sequence>> overlay;
+  std::vector<std::pair<size_t, Row>> overlay;
 };
+using SanitizeResult = RowsSanitizeResult<Sequence>;
 
-// The one Algorithm 1 pipeline: count → select → mark → verify over a
-// read-only view, in-memory or memory-mapped alike. The view is never
-// written — each victim is marked in a private copy — so the count and
-// select stages run zero-copy off a mapping, and a server can run many
+// A sensitive sequence pattern is non-empty and Δ-free, and `spec` fits
+// its length. The other languages overload this beside their types.
+Status ValidatePattern(const Sequence& pattern, const ConstraintSpec& spec);
+
+// Algorithm 1 (src/hide/pipeline.h) on plain sequences, over a read-only
+// view, in-memory or memory-mapped alike. The view is never written —
+// each victim is marked in a private copy — so a server can run many
 // requests concurrently against one shared image. `constraints` must be
-// empty (all patterns unconstrained) or parallel to `patterns`.
-//
-// Every random choice is keyed on the seed and row index only (victim
-// selection draws from Rng(seed) after the count stage; victim t marks
-// with Rng(seed ^ (golden_ratio * (t + 1)))), so the result depends on
-// the view's rows and alphabet, never on how they are stored. The same
-// holds for checkpoints: ComputeRunFingerprint reads the view, and
-// resume replays the stored marks into fresh copies of the victims'
-// rows, so a run checkpointed on an in-memory database resumes on its
+// empty (all patterns unconstrained) or parallel to `patterns`. The
+// result depends on the view's rows and alphabet, never on how they are
+// stored: a run checkpointed on an in-memory database resumes on its
 // seqhidb image and vice versa.
 //
 // Errors: as Sanitize() below.
@@ -178,7 +179,9 @@ Result<SanitizeResult> SanitizeView(
 // Errors:
 //   InvalidArgument — empty/duplicate patterns, a pattern containing Δ,
 //                     malformed constraints, mismatched per-pattern ψ list,
-//                     options rejected by SanitizeOptions::Validate().
+//                     ψ or a per-pattern ψ above |D|, a pattern longer
+//                     than every row, options rejected by
+//                     SanitizeOptions::Validate().
 //   Internal        — post-verification failed (only with opts.verify):
 //                     either a pattern's support still exceeds its ψ, or
 //                     the full-rescan cross-check disagrees with the

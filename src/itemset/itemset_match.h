@@ -4,12 +4,14 @@
 // equality test but a set inclusion test — if S[j] ⊆ T[i] we got a
 // match." ItemsetLanguage is that test plugged into the shared DPs of
 // src/match/language.h; gap and window constraints act on the matched
-// positions unchanged. Hiding runs the shared pipeline:
+// positions unchanged. Hiding runs Algorithm 1's one pipeline, the one
+// plain sequences run:
 //
-//   HideLanguagePatterns<ItemsetLanguage>(db.mutable_sequences(),
-//                                         patterns, specs, psi)
+//   SanitizeRows<ItemsetLanguage>(db.mutable_sequences(), patterns, specs,
+//                                 opts)
 //
-// (src/hide/hide_language.h), whose report counts removed items as marks.
+// (src/hide/pipeline.h), marking through the MarkPosition overload below;
+// its report counts removed items as marks.
 
 #ifndef SEQHIDE_ITEMSET_ITEMSET_MATCH_H_
 #define SEQHIDE_ITEMSET_ITEMSET_MATCH_H_

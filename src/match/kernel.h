@@ -32,6 +32,7 @@
 #include "src/match/pattern_trie.h"
 #include "src/match/scratch.h"
 #include "src/seq/sequence.h"
+#include "src/seq/signature.h"
 #include "src/seq/view.h"
 
 namespace seqhide {
@@ -63,6 +64,9 @@ class MatchKernel {
   uint64_t CountRow(SequenceView seq, uint64_t row_signature,
                     MatchScratch* scratch,
                     std::vector<uint64_t>* counts) const;
+
+  // The row signature Admits screens with (src/seq/signature.h).
+  uint64_t Signature(SequenceView row) const { return SequenceSignature(row); }
 
   // False iff a row with this signature lacks a symbol of pattern p, and
   // so can hold no matching of it (src/seq/signature.h). True is only a

@@ -312,6 +312,54 @@ uint64_t ScreenedCount(const L& lang, MatchScratch* scratch) {
   return Embeds(lang) ? CountLanguageMatchings(lang, scratch) : 0;
 }
 
+// specs[p], or the unconstrained spec when `specs` is empty: every entry
+// point takes an empty list for "all patterns unconstrained".
+template <class Spec>
+const Spec& SpecAt(const std::vector<Spec>& specs, size_t p) {
+  static const Spec kUnconstrained{};
+  return specs.empty() ? kUnconstrained : specs[p];
+}
+
+// The count kernel of the languages without a trie or row signatures
+// (itemset, timed, class), with the part of MatchKernel's interface
+// (src/match/kernel.h) that Algorithm 1 uses: each pattern's own count DP
+// behind its Embeds screen, every (row, pattern) pair admitted. Stateless;
+// borrows `patterns` and `specs`, which must outlive it.
+template <class L>
+class LanguageKernel {
+ public:
+  using Row = typename L::Row;
+
+  LanguageKernel(const std::vector<typename L::Pattern>& patterns,
+                 const std::vector<typename L::Spec>& specs)
+      : patterns_(&patterns), specs_(&specs) {}
+
+  size_t num_patterns() const { return patterns_->size(); }
+  uint64_t Signature(const Row& /*row*/) const { return 0; }
+  bool Admits(size_t /*p*/, uint64_t /*row_signature*/) const { return true; }
+  bool HasMatch(size_t p, const Row& row, MatchScratch* scratch) const {
+    return ScreenedCount(L((*patterns_)[p], SpecAt(*specs_, p), row),
+                         scratch) > 0;
+  }
+  // Per-pattern counts into *counts; returns their saturating total.
+  uint64_t CountRow(const Row& row, uint64_t /*row_signature*/,
+                    MatchScratch* scratch,
+                    std::vector<uint64_t>* counts) const {
+    counts->resize(num_patterns());
+    uint64_t total = 0;
+    for (size_t p = 0; p < num_patterns(); ++p) {
+      (*counts)[p] = ScreenedCount(
+          L((*patterns_)[p], SpecAt(*specs_, p), row), scratch);
+      total = SatAdd(total, (*counts)[p]);
+    }
+    return total;
+  }
+
+ private:
+  const std::vector<typename L::Pattern>* patterns_;
+  const std::vector<typename L::Spec>* specs_;
+};
+
 // Rows with a matching of `pattern` under `spec`: support is count > 0
 // behind the screen, never an enumeration of embeddings.
 template <class L>

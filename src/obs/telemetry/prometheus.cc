@@ -1,14 +1,8 @@
 #include "src/obs/telemetry/prometheus.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 
-#include "src/common/fault_injection.h"
+#include "src/common/durable_file.h"
 
 namespace seqhide {
 namespace obs {
@@ -96,40 +90,9 @@ std::string WritePrometheusText(const MetricsSnapshot& snapshot) {
 
 Status WritePrometheusFile(const std::string& path,
                            const MetricsSnapshot& snapshot) {
-  const std::string text = WritePrometheusText(snapshot);
-  const std::string tmp_path = path + ".tmp";
-
-  if (SEQHIDE_FAULT_HIT("io.telemetry.prom.write")) {
-    return Status::IOError("injected fault: io.telemetry.prom.write (" +
-                           tmp_path + ")");
-  }
-  const int fd =
-      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot open metrics temp file: " + tmp_path +
-                           ": " + std::strerror(errno));
-  }
-  size_t off = 0;
-  while (off < text.size()) {
-    const ssize_t n = ::write(fd, text.data() + off, text.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      std::remove(tmp_path.c_str());
-      return Status::IOError("short write to metrics temp file: " + tmp_path);
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IOError("cannot sync metrics temp file: " + tmp_path);
-  }
-  if (SEQHIDE_FAULT_HIT("io.telemetry.prom.rename") ||
-      std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IOError("cannot rename metrics file into place: " + path);
-  }
-  return Status::OK();
+  return WriteFileDurable(path, WritePrometheusText(snapshot),
+                          {.open = "io.telemetry.prom.write",
+                           .rename = "io.telemetry.prom.rename"});
 }
 
 }  // namespace telemetry

@@ -8,6 +8,7 @@
 #include <csignal>
 #include <cstring>
 
+#include "src/common/durable_file.h"
 #include "src/common/fault_injection.h"
 #include "src/common/logging.h"
 #include "src/obs/stats_json.h"
@@ -49,27 +50,6 @@ void OnTerminateSignal(int sig) {
   }
   std::signal(sig, SIG_DFL);
   std::raise(sig);
-}
-
-}  // namespace
-
-namespace {
-
-// Makes the new ledger file's directory entry durable: without this, a
-// power loss right after Open() can lose the whole file even though every
-// record in it was fsynced. Best-effort (matches the binary writer's
-// rename discipline): some filesystems refuse to fsync a directory, and
-// a ledger that might vanish with its directory is still better than no
-// ledger.
-void FsyncParentDirectory(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dir_fd < 0) return;
-  (void)::fsync(dir_fd);
-  ::close(dir_fd);
 }
 
 }  // namespace

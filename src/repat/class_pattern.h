@@ -84,12 +84,13 @@ Result<ClassPattern> ParseClassPattern(Alphabet* alphabet,
 
 // --- matching and hiding ------------------------------------------------
 // Class membership is the element test of the shared DPs
-// (src/match/language.h); hiding runs the shared pipeline
+// (src/match/language.h); hiding runs Algorithm 1's one pipeline, the one
+// plain sequences run:
 //
-//   HideLanguagePatterns<ClassLanguage>(db.mutable_sequences(), patterns,
-//                                       specs, psi)
+//   SanitizeRows<ClassLanguage>(db.mutable_sequences(), patterns, specs,
+//                               opts)
 //
-// (src/hide/hide_language.h).
+// (src/hide/pipeline.h).
 
 inline bool MatchesSymbol(const SymbolClass& element, SymbolId symbol) {
   return element.Matches(symbol);

@@ -1,18 +1,13 @@
 #include "src/seq/binary_format.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <mutex>
 #include <utility>
 
-#include "src/common/fault_injection.h"
+#include "src/common/durable_file.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/macros.h"
 #include "src/seq/signature.h"
@@ -157,58 +152,12 @@ Result<std::string> WriteBinaryDatabaseToString(const SequenceDatabase& db) {
 Status WriteBinaryDatabaseToFile(const SequenceDatabase& db,
                                  const std::string& path) {
   SEQHIDE_ASSIGN_OR_RETURN(std::string image, WriteBinaryDatabaseToString(db));
-  // Write, fsync, then rename: the destination is either the complete
-  // new image or whatever was there before — never a torn file — across
-  // both process crashes and power loss. Without the fsync a journaling
-  // filesystem may persist the rename ahead of the tmp file's data
-  // blocks, leaving an empty or partial destination.
-  const std::string tmp = path + ".tmp";
-  if (SEQHIDE_FAULT_HIT("io.bindb.write.open")) {
-    return Status::IOError("injected fault: io.bindb.write.open for " + tmp);
-  }
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot open " + tmp + " for writing");
-  }
-  bool write_ok = true;
-  size_t done = 0;
-  while (write_ok && done < image.size()) {
-    const ssize_t n = ::write(fd, image.data() + done, image.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      write_ok = false;
-    } else {
-      done += static_cast<size_t>(n);
-    }
-  }
-  if (write_ok && ::fsync(fd) != 0) write_ok = false;
-  if (::close(fd) != 0) write_ok = false;
-  if (!write_ok || SEQHIDE_FAULT_HIT("io.bindb.write")) {
-    std::remove(tmp.c_str());
-    return Status::IOError("failed writing " + tmp);
-  }
-  if (SEQHIDE_FAULT_HIT("io.bindb.write.rename")) {
-    std::remove(tmp.c_str());
-    return Status::IOError("injected fault: io.bindb.write.rename for " +
-                           path);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("rename " + tmp + " -> " + path + " failed");
-  }
-  // Persist the rename itself. Best-effort: the data is already durable,
-  // so the worst case without this is the *old* file reappearing after
-  // power loss, never a torn one.
-  const size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
-  return Status::OK();
+  // The destination is either the complete new image or whatever was
+  // there before, across both process crashes and power loss.
+  return WriteFileDurable(path, image,
+                          {.open = "io.bindb.write.open",
+                           .write = "io.bindb.write",
+                           .rename = "io.bindb.write.rename"});
 }
 
 bool LooksLikeBinaryDatabase(const unsigned char* data, size_t size) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "src/common/durable_file.h"
 #include "src/common/fault_injection.h"
 #include "src/common/logging.h"
 #include "src/common/thread_pool.h"
@@ -42,55 +43,6 @@ Result<SanitizeOptions> BaseOptionsForAlgo(const std::string& algo,
   if (algo == "RR") return SanitizeOptions::RR(seed);
   return Status::InvalidArgument("unknown algo '" + algo +
                                  "' (HH|HR|RH|RR)");
-}
-
-// Durable small-file write with the same discipline as the binary
-// writer: tmp + fsync + rename + directory fsync. Used for job specs —
-// after a crash the spec is either fully there or not at all.
-Status WriteFileDurable(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot open " + tmp + ": " + std::strerror(errno));
-  }
-  size_t off = 0;
-  while (off < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status s =
-          Status::IOError("write " + tmp + ": " + std::strerror(errno));
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return s;
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const Status s =
-        Status::IOError("fsync " + tmp + ": " + std::strerror(errno));
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return s;
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status s = Status::IOError("rename " + tmp + " -> " + path + ": " +
-                                     std::strerror(errno));
-    ::unlink(tmp.c_str());
-    return s;
-  }
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dir_fd >= 0) {
-    (void)::fsync(dir_fd);
-    ::close(dir_fd);
-  }
-  return Status::OK();
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {

@@ -1,11 +1,12 @@
 // Matching and hiding for timed sequences (paper §7.2): "the basic method
 // only needs the indices, which can be located using the associated real
 // time tags". TimedLanguage plugs time-tag spans into the shared DPs of
-// src/match/language.h; hiding runs the shared pipeline
+// src/match/language.h; hiding runs Algorithm 1's one pipeline, the one
+// plain sequences run:
 //
-//   HideLanguagePatterns<TimedLanguage>(&rows, patterns, specs, psi)
+//   SanitizeRows<TimedLanguage>(&rows, patterns, specs, opts)
 //
-// (src/hide/hide_language.h).
+// (src/hide/pipeline.h).
 
 #ifndef SEQHIDE_TEMPORAL_TIMED_MATCH_H_
 #define SEQHIDE_TEMPORAL_TIMED_MATCH_H_

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "src/hide/hide_language.h"
+#include "src/hide/pipeline.h"
 #include "src/testing/language_oracles.h"
 #include "tests/test_util.h"
 
@@ -18,8 +18,10 @@ Result<SanitizeReport> Hide(SequenceDatabase* db,
                             const std::vector<ClassPattern>& patterns,
                             const std::vector<ConstraintSpec>& specs,
                             size_t psi) {
-  return HideLanguagePatterns<ClassLanguage>(db->mutable_sequences(),
-                                             patterns, specs, psi);
+  SanitizeOptions opts;
+  opts.psi = psi;
+  return SanitizeRows<ClassLanguage>(db->mutable_sequences(), patterns, specs,
+                                     opts);
 }
 
 TEST(SymbolClassTest, LiteralMatchesOnlyItself) {
@@ -243,6 +245,19 @@ TEST(HideClassPatternsTest, RejectsDuplicatePatternsAndPsiAboveRows) {
   auto report = Hide(&db, {*p1, *p3}, {}, 2);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->supports_after, (std::vector<size_t>{2, 2}));
+}
+
+// A pattern longer than every row can never be supported: InvalidArgument,
+// as for sequence patterns, rows untouched.
+TEST(HideClassPatternsTest, RejectsPatternLongerThanEveryRow) {
+  SequenceDatabase db;
+  db.AddFromNames({"login", "pay"});
+  db.AddFromNames({"login", "buy", "pay"});
+  auto pattern = ParseClassPattern(&db.alphabet(), "login . . pay");
+  ASSERT_TRUE(pattern.ok());
+  auto report = Hide(&db, {*pattern}, {}, 0);
+  EXPECT_TRUE(report.status().IsInvalidArgument()) << report.status();
+  EXPECT_EQ(db[0].MarkCount() + db[1].MarkCount(), 0u);
 }
 
 TEST(HideClassPatternsTest, WildcardPatternHiding) {

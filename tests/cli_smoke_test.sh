@@ -249,6 +249,10 @@ expect_invalid_itemset() {
 expect_invalid_itemset --psi 1 --pattern "(a) (c)" --pattern "(b) (d)" \
   --pattern "(a) (c)"
 expect_invalid_itemset --psi 3 --pattern "(a) (c)"
+# A pattern longer than every row can never be supported: InvalidArgument,
+# as a sequence pattern longer than every row is.
+expect_invalid_itemset --psi 0 \
+  --pattern "(a) (a) (a) (a) (a) (a) (a) (c)"
 if "$CLI" stats --db "$WORK/baskets.txt" --format bogus > /dev/null 2>&1; then
   echo "FAIL: bogus format accepted"; exit 1
 fi

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
-#include "src/hide/hide_language.h"
+#include "src/hide/pipeline.h"
 #include "src/itemset/itemset_io.h"
 #include "src/itemset/itemset_match.h"
 
@@ -191,8 +191,8 @@ TEST(ItemsetIoTest, SanitizedDatabaseRoundTrips) {
   SymbolId y = *db->alphabet().Lookup("y");
   std::vector<ItemsetSequence> patterns = {
       ItemsetSequence{Itemset{x}, Itemset{y}}};
-  auto report = HideLanguagePatterns<ItemsetLanguage>(
-      db->mutable_sequences(), patterns, {}, 0);
+  auto report = SanitizeRows<ItemsetLanguage>(
+      db->mutable_sequences(), patterns, {}, SanitizeOptions::HH());
   ASSERT_TRUE(report.ok());
   auto again = ReadItemsetDatabaseFromString(WriteItemsetDatabaseToString(*db));
   ASSERT_TRUE(again.ok()) << again.status();

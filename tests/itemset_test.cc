@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "src/common/random.h"
-#include "src/hide/hide_language.h"
+#include "src/hide/pipeline.h"
 #include "src/testing/language_oracles.h"
 
 namespace seqhide {
@@ -20,15 +20,18 @@ Result<SanitizeReport> Hide(ItemsetDatabase* db,
                             const std::vector<ItemsetSequence>& patterns,
                             const std::vector<ConstraintSpec>& specs,
                             size_t psi) {
-  return HideLanguagePatterns<ItemsetLanguage>(db->mutable_sequences(),
-                                               patterns, specs, psi);
+  SanitizeOptions opts;
+  opts.psi = psi;
+  return SanitizeRows<ItemsetLanguage>(db->mutable_sequences(), patterns,
+                                       specs, opts);
 }
 
 // Sanitizes the single row *t at ψ = 0; returns the items removed.
 size_t SanitizeRow(ItemsetSequence* t,
                    const std::vector<ItemsetSequence>& patterns) {
   std::vector<ItemsetSequence> rows = {*t};
-  auto report = HideLanguagePatterns<ItemsetLanguage>(&rows, patterns, {}, 0);
+  auto report = SanitizeRows<ItemsetLanguage>(&rows, patterns, {},
+                                              SanitizeOptions::HH());
   EXPECT_TRUE(report.ok()) << report.status();
   *t = rows[0];
   return report->marks_introduced;
@@ -221,6 +224,45 @@ TEST(ItemsetHideTest, RejectsDuplicatePatternsAndPsiAboveRows) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(db[0].TotalItems(), 3u);  // (c) removed
   EXPECT_EQ(db[1], original[1]);
+}
+
+// A pattern longer than every row has support 0 by construction, so
+// asking to hide it is a mix-up of files; it is rejected as for sequence
+// patterns, rows untouched (the CLI's (a)×7 (c) repro).
+TEST(ItemsetHideTest, RejectsPatternLongerThanEveryRow) {
+  ItemsetDatabase db;
+  db.Add(ISeq({Itemset{1}, Itemset{1}, Itemset{1}, Itemset{3}}));
+  db.Add(ISeq({Itemset{2}, Itemset{2}, Itemset{2}, Itemset{2}, Itemset{2},
+               Itemset{4}}));
+  const ItemsetDatabase original = db;
+  std::vector<Itemset> elements(7, Itemset{1});
+  elements.push_back(Itemset{3});
+  auto report = Hide(&db, {ItemsetSequence(elements)}, {}, 0);
+  EXPECT_TRUE(report.status().IsInvalidArgument()) << report.status();
+  EXPECT_EQ(db.sequences(), original.sequences());
+}
+
+// The exhaustive optimum and the length / autocorrelation orderings read
+// symbol rows, and resume would replay an item-removing mark with
+// Row::Mark; on itemset rows they are rejected, never run differently.
+TEST(ItemsetHideTest, RejectsSequenceOnlyOptions) {
+  std::vector<ItemsetSequence> rows = {ISeq({Itemset{1}, Itemset{3}})};
+  const std::vector<ItemsetSequence> patterns = {
+      ISeq({Itemset{1}, Itemset{3}})};
+  SanitizeOptions exhaustive;
+  exhaustive.local = LocalStrategy::kExhaustive;
+  SanitizeOptions by_length;
+  by_length.global = GlobalStrategy::kAscendingLength;
+  SanitizeOptions by_autocorrelation;
+  by_autocorrelation.global = GlobalStrategy::kHighAutocorrelationFirst;
+  SanitizeOptions checkpointed;
+  checkpointed.checkpoint_path = ::testing::TempDir() + "/itemset.ckpt";
+  for (const SanitizeOptions& opts :
+       {exhaustive, by_length, by_autocorrelation, checkpointed}) {
+    auto report = SanitizeRows<ItemsetLanguage>(&rows, patterns, {}, opts);
+    EXPECT_TRUE(report.status().IsInvalidArgument()) << report.status();
+  }
+  EXPECT_EQ(rows[0], ISeq({Itemset{1}, Itemset{3}}));
 }
 
 // (a)²⁰ over 100 (a) elements has C(100, 20) > 2⁶⁴ matchings, so no single

@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "src/common/random.h"
-#include "src/hide/hide_language.h"
+#include "src/hide/pipeline.h"
 #include "src/temporal/timed_sequence.h"
 #include "src/testing/generators.h"
 #include "src/testing/language_oracles.h"
@@ -26,9 +26,10 @@ TimedSequence MakeTimed(std::vector<std::pair<SymbolId, double>> events) {
 size_t SanitizeRow(TimedSequence* t, const std::vector<Sequence>& patterns,
                    const TimeConstraintSpec& spec) {
   std::vector<TimedSequence> rows = {*t};
-  auto report = HideLanguagePatterns<TimedLanguage>(
+  auto report = SanitizeRows<TimedLanguage>(
       &rows, patterns,
-      std::vector<TimeConstraintSpec>(patterns.size(), spec), 0);
+      std::vector<TimeConstraintSpec>(patterns.size(), spec),
+      SanitizeOptions::HH());
   EXPECT_TRUE(report.ok()) << report.status();
   *t = rows[0];
   return report->marks_introduced;
@@ -198,15 +199,29 @@ TEST(TimedSanitizeTest, RejectsDuplicatePatternsAndPsiAboveRows) {
   const TimeConstraintSpec spec;
   const Sequence ab{0, 1};
   const Sequence ba{1, 0};
-  auto dup = HideLanguagePatterns<TimedLanguage>(&rows, {ab, ba, ab},
-                                                 {spec, spec, spec}, 0);
+  SanitizeOptions opts;
+  auto dup = SanitizeRows<TimedLanguage>(&rows, {ab, ba, ab},
+                                         {spec, spec, spec}, opts);
   EXPECT_TRUE(dup.status().IsInvalidArgument()) << dup.status();
-  auto over = HideLanguagePatterns<TimedLanguage>(&rows, {ab}, {spec}, 3);
+  opts.psi = 3;
+  auto over = SanitizeRows<TimedLanguage>(&rows, {ab}, {spec}, opts);
   EXPECT_TRUE(over.status().IsInvalidArgument()) << over.status();
   EXPECT_EQ(rows[0].MarkCount() + rows[1].MarkCount(), 0u);
+  opts.psi = 2;
   EXPECT_TRUE(
-      HideLanguagePatterns<TimedLanguage>(&rows, {ab, ba}, {spec, spec}, 2)
-          .ok());
+      SanitizeRows<TimedLanguage>(&rows, {ab, ba}, {spec, spec}, opts).ok());
+}
+
+// A pattern longer than every row can never be supported: InvalidArgument,
+// as for sequence patterns, rows untouched.
+TEST(TimedSanitizeTest, RejectsPatternLongerThanEveryRow) {
+  std::vector<TimedSequence> rows = {MakeTimed({{0, 0.0}, {1, 1.0}}),
+                                     MakeTimed({{1, 0.0}, {0, 2.0}})};
+  auto report = SanitizeRows<TimedLanguage>(&rows, {Sequence{0, 1, 0}},
+                                            {TimeConstraintSpec()},
+                                            SanitizeOptions::HH());
+  EXPECT_TRUE(report.status().IsInvalidArgument()) << report.status();
+  EXPECT_EQ(rows[0].MarkCount() + rows[1].MarkCount(), 0u);
 }
 
 // Gap-only specs take δ from forward × backward, which stays large when the
@@ -220,7 +235,8 @@ TEST(TimedSanitizeTest, SaturatedCountsStillSanitize) {
   TimeConstraintSpec spec;
   spec.max_gap_time = 150.0;
   const std::vector<Sequence> patterns = {Sequence(std::vector<SymbolId>(20, 0))};
-  auto report = HideLanguagePatterns<TimedLanguage>(&rows, patterns, {spec}, 0);
+  auto report = SanitizeRows<TimedLanguage>(&rows, patterns, {spec},
+                                            SanitizeOptions::HH());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->saturated_rows, 2u);
   EXPECT_EQ(report->supports_after[0], 0u);
@@ -237,7 +253,8 @@ TEST(TimedSanitizeTest, SaturatedWindowedCountsStillSanitize) {
   TimeConstraintSpec spec;
   spec.max_window_time = 198.0;
   const std::vector<Sequence> patterns = {Sequence(std::vector<SymbolId>(20, 0))};
-  auto report = HideLanguagePatterns<TimedLanguage>(&rows, patterns, {spec}, 0);
+  auto report = SanitizeRows<TimedLanguage>(&rows, patterns, {spec},
+                                            SanitizeOptions::HH());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->saturated_rows, 2u);
   EXPECT_EQ(report->supports_after[0], 0u);

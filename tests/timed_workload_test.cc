@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "src/data/workload.h"
-#include "src/hide/hide_language.h"
+#include "src/hide/pipeline.h"
 #include "src/temporal/timed_match.h"
 
 namespace seqhide {
@@ -15,9 +15,11 @@ namespace {
 Result<SanitizeReport> Hide(std::vector<TimedSequence>* db,
                             const std::vector<Sequence>& patterns,
                             const TimeConstraintSpec& spec, size_t psi) {
-  return HideLanguagePatterns<TimedLanguage>(
+  SanitizeOptions opts;
+  opts.psi = psi;
+  return SanitizeRows<TimedLanguage>(
       db, patterns, std::vector<TimeConstraintSpec>(patterns.size(), spec),
-      psi);
+      opts);
 }
 
 TEST(DiscretizeTimedTest, EmitsEntryEventsWithEntryTimes) {

@@ -79,7 +79,7 @@
 #include "src/obs/trace_events.h"
 #include "src/constraints/constraints.h"
 #include "src/eval/metrics.h"
-#include "src/hide/hide_language.h"
+#include "src/hide/pipeline.h"
 #include "src/hide/sanitizer.h"
 #include "src/hide/second_stage.h"
 #include "src/itemset/itemset_io.h"
@@ -190,10 +190,11 @@ Status ValidateFlags(const ParsedArgs& args) {
         {"db", "out", "to", "db-format", "input-mode", "inject-fault"}}},
       {"inspect", {false, {"db", "verify", "inject-fault"}}},
   };
-  // --format itemset runs its own loader and the serial §7.1 pipeline
-  // (src/hide/hide_language.h): none of the seq pipeline's input-format,
-  // strategy, thread, budget, checkpoint, fault or telemetry flags reach
-  // it, so each of them is a usage error there.
+  // --format itemset runs its own loader and Algorithm 1 on itemset rows
+  // (SanitizeRows, src/hide/pipeline.h) with default options: none of the
+  // seq pipeline's input-format, strategy, thread, budget, checkpoint,
+  // fault or telemetry flags reach it, so each of them is a usage error
+  // there.
   static const std::map<std::string, CommandSpec> kItemsetCommands = {
       {"stats", {false, {"db", "format"}}},
       {"mine", {false, {"db", "sigma", "max-len", "top", "format"}}},
@@ -587,11 +588,12 @@ Status RunSanitizeItemset(const ParsedArgs& args) {
         ParseItemsetSequenceLine(&db.alphabet(), text));
     patterns.push_back(std::move(p));
   }
-  SEQHIDE_ASSIGN_OR_RETURN(size_t psi, FlagAsSize(args, "psi", 0));
+  SanitizeOptions opts;
+  SEQHIDE_ASSIGN_OR_RETURN(opts.psi, FlagAsSize(args, "psi", 0));
   SEQHIDE_ASSIGN_OR_RETURN(
       SanitizeReport report,
-      HideLanguagePatterns<ItemsetLanguage>(db.mutable_sequences(), patterns,
-                                            {}, psi));
+      SanitizeRows<ItemsetLanguage>(db.mutable_sequences(), patterns, {},
+                                    opts));
   std::cout << "items marked: " << report.marks_introduced
             << "  sequences sanitized: " << report.sequences_sanitized
             << "\n";
